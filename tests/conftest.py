@@ -1,6 +1,7 @@
 """Shared scenario factories for the test suite."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -48,6 +49,37 @@ def vessels_scenario(**overrides) -> Scenario:
     )
     fields.update(overrides)
     return decoy_scenario(**fields)
+
+
+def random_scenario(rng: random.Random) -> Scenario:
+    """One scenario of acceptance criterion 9, drawn from `rng`."""
+    protocol = rng.choice(list(Protocol))
+    n1 = rng.randint(1, 5)
+    n2 = n1 + rng.randint(3, 30)
+    secrets = {"alice": rng.randint(n1, n2), "bob": rng.randint(n1, n2)}
+    noise = rng.choice([0.0, 0.0, 0.05])
+    adversary = AdversaryKind.NONE
+    if protocol in (Protocol.DECOY_FORCE, Protocol.DECOY_WAVE):
+        adversary = rng.choice(
+            [AdversaryKind.NONE, AdversaryKind.PASSIVE, AdversaryKind.JAMMER,
+             AdversaryKind.IMPERSONATOR]
+        )
+        if adversary is AdversaryKind.IMPERSONATOR:
+            secrets = {"alice": secrets["alice"]}
+    return Scenario(
+        protocol=protocol,
+        seed=rng.getrandbits(63),
+        dt=rng.choice([1.0, 0.5]),
+        max_ticks=rng.randint(80, 200),
+        secret_domain=(n1, n2),
+        party_secrets=secrets,
+        ramp_model=rng.choice([RampModel.SYNCHRONOUS, RampModel.RANDOM_RAMP]),
+        hold_ticks=rng.randint(2, 6),
+        epsilon_stab=4 * noise,
+        noise_sigma=noise,
+        adversary=adversary,
+        defense_enabled=rng.choice([True, False]),
+    )
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:

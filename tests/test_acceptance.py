@@ -37,7 +37,7 @@ from decoysim import (
     run_scenario,
 )
 from decoysim.millionaires import bitstring_sub, elevator_sub, race_sub, vessels_sub
-from conftest import decoy_scenario, sync_scenario
+from conftest import decoy_scenario, random_scenario, sync_scenario
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -269,36 +269,6 @@ def test_criterion_8_mitm_defense():
     )
 
 
-def _random_scenario(rng: random.Random) -> Scenario:
-    protocol = rng.choice(list(Protocol))
-    n1 = rng.randint(1, 5)
-    n2 = n1 + rng.randint(3, 30)
-    secrets = {"alice": rng.randint(n1, n2), "bob": rng.randint(n1, n2)}
-    noise = rng.choice([0.0, 0.0, 0.05])
-    adversary = AdversaryKind.NONE
-    if protocol in (Protocol.DECOY_FORCE, Protocol.DECOY_WAVE):
-        adversary = rng.choice(
-            [AdversaryKind.NONE, AdversaryKind.PASSIVE, AdversaryKind.JAMMER,
-             AdversaryKind.IMPERSONATOR]
-        )
-        if adversary is AdversaryKind.IMPERSONATOR:
-            secrets = {"alice": secrets["alice"]}
-    return Scenario(
-        protocol=protocol,
-        seed=rng.getrandbits(63),
-        dt=rng.choice([1.0, 0.5]),
-        max_ticks=rng.randint(80, 200),
-        secret_domain=(n1, n2),
-        party_secrets=secrets,
-        ramp_model=rng.choice([RampModel.SYNCHRONOUS, RampModel.RANDOM_RAMP]),
-        hold_ticks=rng.randint(2, 6),
-        epsilon_stab=4 * noise,
-        noise_sigma=noise,
-        adversary=adversary,
-        defense_enabled=rng.choice([True, False]),
-    )
-
-
 def _digest_of(scenario: Scenario) -> int:
     try:
         return replay_digest(run_scenario(scenario).transcript)
@@ -310,7 +280,7 @@ def test_criterion_9_determinism_100_random_scenarios():
     """Every scenario, run twice, produces identical transcript digests."""
     rng = random.Random(424242)
     for index in range(100):
-        scenario = _random_scenario(rng)
+        scenario = random_scenario(rng)
         assert _digest_of(scenario) == _digest_of(scenario), (index, scenario)
     _report(9, "100/100 random scenarios replayed digest-identical")
 
