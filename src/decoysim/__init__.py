@@ -24,7 +24,7 @@ from .adversary import (
     estimate_mutual_information,
     estimate_posterior,
 )
-from .channel import ChannelState, Reading, WaveParams
+from .channel import ChannelState, Reading
 from .config import load_scenario, parse_config_text, scenario_from_fields, scenario_to_text
 from .decoy import (
     DecoyOutcome,
@@ -46,7 +46,6 @@ from .engine import (
     RampModel,
     RngStream,
     Scenario,
-    SimClock,
     Transcript,
     replay_digest,
 )
@@ -59,13 +58,11 @@ from .errors import (
     InvalidTarget,
     NonFiniteValue,
     OutOfDomain,
-    ProtocolTimeout,
     VesselEmpty,
     VesselOverflow,
 )
 from .millionaires import (
     ComparisonOutcome,
-    DigitDecomposition,
     Ordering,
     PublicEvent,
     compare_digitwise,
@@ -73,7 +70,6 @@ from .millionaires import (
     compare_race,
     compare_race_bitstring,
     compare_vessels,
-    decompose_base,
 )
 from .runner import RunOutcome, run_scenario
 

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .decoy import (
     IN_BUSINESS,
+    DecoyOutcome,
     detect_stabilization,
     generate_ramp,
     recover_secret,
@@ -29,10 +30,12 @@ from .decoy import (
 )
 from .engine import (
     ADVERSARY,
+    OUT_OF_DOMAIN,
     RECEIVER,
     SENDER,
     STREAM_ADVERSARY,
     STREAM_SAMPLER,
+    TIMEOUT,
     AdversaryKind,
     Protocol,
     RampModel,
@@ -40,7 +43,7 @@ from .engine import (
     Scenario,
     Transcript,
 )
-from .errors import InsufficientSamples, InvalidScenario, OutOfDomain, ProtocolTimeout
+from .errors import InsufficientSamples, InvalidScenario, OutOfDomain
 from .millionaires import ComparisonOutcome, Ordering
 
 # --- decoy enumeration ------------------------------------------------------
@@ -302,23 +305,25 @@ def collect_transmission_samples(
         secret = sampler.integers(n1, n2)
         key = sampler.integers(n1, n2)
         secrets = {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key}
-        run_scenario = dataclasses.replace(
+        sample = dataclasses.replace(
             scenario, seed=scenario.seed + 1 + index, party_secrets=secrets
         )
-        samples.append((secret, transcript_of(run_scenario)))
+        samples.append((secret, transmit(sample).transcript))
     return samples
 
 
-def transcript_of(scenario: Scenario) -> Transcript:
-    """The public record of one run, whether it completed or failed."""
-    try:
-        if scenario.adversary is AdversaryKind.IMPERSONATOR:
-            return attack_impersonate(scenario).transcript
-        if scenario.adversary is AdversaryKind.JAMMER:
-            return attack_jam(scenario).transcript
-        return run_decoy_transmission(scenario).transcript
-    except (ProtocolTimeout, OutOfDomain) as exc:
-        return exc.transcript
+def transmit(scenario: Scenario) -> DecoyOutcome | AttackOutcome:
+    """Run one decoy transmission under the scenario's adversary.
+
+    The one place that picks the attack entry point for an active
+    adversary; every run returns its outcome and public transcript,
+    whether it completed or failed.
+    """
+    if scenario.adversary is AdversaryKind.JAMMER:
+        return attack_jam(scenario)
+    if scenario.adversary is AdversaryKind.IMPERSONATOR:
+        return attack_impersonate(scenario)
+    return run_decoy_transmission(scenario)
 
 
 # --- active attacks ---------------------------------------------------------
@@ -341,6 +346,10 @@ class AttackOutcome:
     jam_tick: Optional[int] = None
     forged_announce_tick: Optional[int] = None
     notes: tuple[str, ...] = ()
+
+
+# How the receiver's failed run reads in an attack report.
+_RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
 class _JammerActor:
@@ -439,20 +448,9 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
     actor = _JammerActor(jam_value, scenario)
     sender_secret = scenario.secret_of(SENDER)
-    receiver_recovered: Optional[int] = None
-    receiver_error: Optional[str] = None
-    timeout = False
-    try:
-        outcome = simulate_transmission(scenario, actor=actor, receiver_present=True)
-        receiver_recovered = outcome.recovered
-        transcript = outcome.transcript
-    except OutOfDomain as exc:
-        receiver_error = "out_of_domain"
-        transcript = exc.transcript
-    except ProtocolTimeout as exc:
-        receiver_error = "protocol_timeout"
-        timeout = True
-        transcript = exc.transcript
+    outcome = simulate_transmission(scenario, actor=actor, receiver_present=True)
+    receiver_recovered = outcome.recovered
+    receiver_error = _RECEIVER_ERRORS.get(outcome.status)
     jam_applied = actor.jam_tick is not None
     disrupted = jam_applied and jam_value != 0.0 and (
         receiver_error is not None or receiver_recovered != sender_secret
@@ -461,13 +459,13 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
     return AttackOutcome(
         kind="jam",
         sender_secret=sender_secret,
-        transcript=transcript,
+        transcript=outcome.transcript,
         disrupted=disrupted,
         adversary_learned=False,
         adversary_recovered=None,
         receiver_recovered=receiver_recovered,
         receiver_error=receiver_error,
-        timeout=timeout,
+        timeout=outcome.status == TIMEOUT,
         jam_value=jam_value,
         jam_tick=actor.jam_tick,
         notes=notes,
@@ -497,18 +495,14 @@ def attack_impersonate(
         adversary_key if forge_announcement else 0.0,
     )
     sender_secret = scenario.secret_of(SENDER)
-    try:
-        # No real receiver ever detects stabilization, so the run always
-        # exhausts its tick budget; the question is what the actor saw.
-        simulate_transmission(scenario, actor=actor, receiver_present=False)
-        raise AssertionError("transmission cannot complete without a receiver")
-    except ProtocolTimeout as exc:
-        transcript = exc.transcript
+    # No real receiver ever detects stabilization, so the run always
+    # exhausts its tick budget; the question is what the actor saw.
+    outcome = simulate_transmission(scenario, actor=actor, receiver_present=False)
     learned = actor.recovered == sender_secret
     return AttackOutcome(
         kind="impersonate",
         sender_secret=sender_secret,
-        transcript=transcript,
+        transcript=outcome.transcript,
         disrupted=True,
         adversary_learned=learned,
         adversary_recovered=actor.recovered,

@@ -10,7 +10,6 @@ that may enter a transcript is the output of :meth:`ChannelState.measure`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonFiniteValue
 
@@ -25,23 +24,6 @@ class Reading(float):
     """
 
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class WaveParams:
-    """Publicly agreed wave parameters for the acoustic variant.
-
-    Both parties share one frequency and phase for the whole run, so the
-    superposition of their waves reduces exactly to amplitude addition and
-    omega/phi never enter the channel arithmetic.  They are carried as
-    public metadata only.
-    """
-
-    omega: float = 1.0  # rad/s
-    phi: float = 0.0  # radians
-
-    def announcement(self) -> str:
-        return f"wave-params omega={self.omega} phi={self.phi}"
 
 
 class ChannelState:
@@ -65,9 +47,6 @@ class ChannelState:
         if not math.isfinite(value):
             raise NonFiniteValue(f"contribution for {who!r} is not finite: {value!r}")
         self.contributions[who] = value
-
-    def clear_contribution(self, who: str) -> None:
-        self.contributions.pop(who, None)
 
     def superpose(self) -> float:
         """Exact sum of all contributions (the noise-free ideal value)."""

@@ -23,17 +23,8 @@ from . import __version__
 from . import adversary as adversary_mod
 from .config import load_scenario
 from .decoy import DecoyOutcome
-from .engine import Protocol, Scenario, replay_digest
-from .errors import (
-    ConfigError,
-    DecoySimError,
-    InsufficientSamples,
-    InvalidScenario,
-    OutOfDomain,
-    ProtocolTimeout,
-    VesselEmpty,
-    VesselOverflow,
-)
+from .engine import OK, Protocol, Scenario, replay_digest
+from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
 from .runner import RunOutcome, run_scenario
 
@@ -56,6 +47,23 @@ def _emit(stream: TextIO, text: str) -> None:
         stream.write("\n")
 
 
+class _ReportFile:
+    """The --out file, opened at its first write so a config error leaves it alone."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.handle: Optional[TextIO] = None
+
+    def write(self, text: str) -> None:
+        if self.handle is None:
+            self.handle = open(self.path, "w", encoding="utf-8")
+        self.handle.write(text)
+
+    def close(self) -> None:
+        if self.handle is not None:
+            self.handle.close()
+
+
 def _meta_record(scenario: Scenario) -> dict:
     return {
         "record": "meta",
@@ -64,7 +72,10 @@ def _meta_record(scenario: Scenario) -> dict:
     }
 
 
-def _outcome_summary(result) -> dict:
+def _outcome_summary(outcome: RunOutcome) -> dict:
+    if outcome.status != OK:
+        return {"kind": "error", "error": outcome.status}
+    result = outcome.result
     if isinstance(result, DecoyOutcome):
         return {
             "kind": "decoy",
@@ -95,6 +106,8 @@ def _outcome_summary(result) -> dict:
 
 
 def _run_flags(outcome: RunOutcome, findings) -> list[str]:
+    if outcome.status != OK:
+        return [outcome.status]
     flags: list[str] = []
     result = outcome.result
     if isinstance(result, DecoyOutcome) and not result.success:
@@ -113,6 +126,8 @@ def _run_flags(outcome: RunOutcome, findings) -> list[str]:
 
 
 def _exit_code_for(outcome: RunOutcome) -> int:
+    if outcome.status != OK:
+        return EXIT_PROTOCOL
     result = outcome.result
     if isinstance(result, DecoyOutcome):
         return EXIT_OK if result.success else EXIT_PROTOCOL
@@ -123,7 +138,7 @@ def _exit_code_for(outcome: RunOutcome) -> int:
 
 
 def _findings_for(outcome: RunOutcome):
-    if isinstance(outcome.result, ComparisonOutcome):
+    if outcome.status == OK and isinstance(outcome.result, ComparisonOutcome):
         return adversary_mod.audit_comparison(
             outcome.result, outcome.scenario.protocol, dt=outcome.scenario.dt
         )
@@ -136,21 +151,9 @@ def _run_record(run_id: int, outcome: RunOutcome, digest: int, flags) -> dict:
         "run_id": run_id,
         "protocol": outcome.scenario.protocol.value,
         "seed": outcome.scenario.seed,
-        "outcome": _outcome_summary(outcome.result),
+        "outcome": _outcome_summary(outcome),
         "digest": f"{digest:016x}",
         "flags": list(flags),
-    }
-
-
-def _error_record(run_id: int, scenario: Scenario, error: str, digest: Optional[int]) -> dict:
-    return {
-        "record": "run",
-        "run_id": run_id,
-        "protocol": scenario.protocol.value,
-        "seed": scenario.seed,
-        "outcome": {"kind": "error", "error": error},
-        "digest": f"{digest:016x}" if digest is not None else None,
-        "flags": [error],
     }
 
 
@@ -160,7 +163,10 @@ def _print_text_report(
     scenario = outcome.scenario
     _emit(stream, f"decoysim {__version__}")
     _emit(stream, "scenario: " + json.dumps(scenario.as_mapping(), sort_keys=True))
-    _emit(stream, "outcome: " + json.dumps(_outcome_summary(outcome.result)))
+    if outcome.status != OK:
+        _emit(stream, f"protocol failure: {outcome.status}: {outcome.detail}")
+        return
+    _emit(stream, "outcome: " + json.dumps(_outcome_summary(outcome)))
     _emit(stream, f"digest: {digest:016x}")
     if findings:
         _emit(stream, "findings:")
@@ -174,22 +180,10 @@ def _print_text_report(
 def cmd_run(args, stream: TextIO) -> int:
     scenario = _load(args)
     started = time.perf_counter()
-    try:
-        outcome = run_scenario(scenario)
-    except (ProtocolTimeout, OutOfDomain, VesselEmpty, VesselOverflow) as exc:
-        reason = type(exc).__name__
-        log.warning("protocol failed: %s", exc)
-        if args.format == "records":
-            _emit(stream, json.dumps(_meta_record(scenario)))
-            transcript = getattr(exc, "transcript", None)
-            digest = replay_digest(transcript) if transcript is not None else None
-            _emit(stream, json.dumps(_error_record(0, scenario, reason, digest)))
-        else:
-            _emit(stream, f"decoysim {__version__}")
-            _emit(stream, "scenario: " + json.dumps(scenario.as_mapping(), sort_keys=True))
-            _emit(stream, f"protocol failure: {reason}: {exc}")
-        return EXIT_PROTOCOL
+    outcome = run_scenario(scenario)
     wall_ms = (time.perf_counter() - started) * 1e3
+    if outcome.status != OK:
+        log.warning("protocol failed: %s", outcome.detail)
     digest = replay_digest(outcome.transcript)
     findings = _findings_for(outcome)
     flags = _run_flags(outcome, findings)
@@ -227,30 +221,19 @@ def cmd_sweep(args, stream: TextIO) -> int:
         abs_errors: list[float] = []
         digests: list[str] = []
         for index in range(args.runs):
-            run_scenario_i = dataclasses.replace(scenario, seed=scenario.seed + index)
-            try:
-                outcome = run_scenario(run_scenario_i)
-            except (ProtocolTimeout, OutOfDomain, VesselEmpty, VesselOverflow) as exc:
-                failures += 1
-                if args.format == "records":
-                    transcript = getattr(exc, "transcript", None)
-                    digest = replay_digest(transcript) if transcript is not None else None
-                    _emit(
-                        stream,
-                        json.dumps(
-                            _error_record(index, run_scenario_i, type(exc).__name__, digest)
-                        ),
-                    )
-                continue
+            outcome = run_scenario(dataclasses.replace(scenario, seed=scenario.seed + index))
             digest = replay_digest(outcome.transcript)
-            digests.append(f"{digest:016x}")
             result = outcome.result
-            if isinstance(result, DecoyOutcome):
-                if result.success:
-                    successes += 1
-                abs_errors.append(abs(result.recovered - result.sender_secret))
+            if outcome.status != OK:
+                failures += 1
             else:
-                successes += 1
+                digests.append(f"{digest:016x}")
+                if isinstance(result, DecoyOutcome):
+                    if result.success:
+                        successes += 1
+                    abs_errors.append(abs(result.recovered - result.sender_secret))
+                else:
+                    successes += 1
             if args.format == "records":
                 findings = _findings_for(outcome)
                 _emit(
@@ -297,7 +280,7 @@ def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
         raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
     features = adversary_mod.TranscriptFeatures.for_scenario(scenario)
     samples = adversary_mod.collect_transmission_samples(scenario, args.samples)
-    observed = adversary_mod.transcript_of(scenario)
+    observed = run_scenario(scenario).transcript
     domain = scenario.secret_domain
     report = adversary_mod.estimate_posterior(samples, observed, features, domain)
     analytic = adversary_mod.analytic_sum_mi(domain)
@@ -362,6 +345,9 @@ def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
 
 def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
     outcome = run_scenario(scenario)
+    if outcome.status != OK:
+        print(f"decoysim: protocol error: {outcome.detail}", file=sys.stderr)
+        return EXIT_PROTOCOL
     findings = _findings_for(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
@@ -406,16 +392,9 @@ def cmd_analyze(args, stream: TextIO) -> int:
 
 def cmd_replay_check(args, stream: TextIO) -> int:
     scenario = _load(args)
-    digests = []
-    for _ in range(2):
-        try:
-            outcome = run_scenario(scenario)
-            digests.append(replay_digest(outcome.transcript))
-        except (ProtocolTimeout, OutOfDomain) as exc:
-            transcript = getattr(exc, "transcript", None)
-            digests.append(replay_digest(transcript) if transcript is not None else None)
-    matched = digests[0] is not None and digests[0] == digests[1]
-    rendered = ["none" if d is None else f"{d:016x}" for d in digests]
+    digests = [replay_digest(run_scenario(scenario).transcript) for _ in range(2)]
+    matched = digests[0] == digests[1]
+    rendered = [f"{digest:016x}" for digest in digests]
     if args.format == "records":
         _emit(
             stream,
@@ -504,11 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    out_stream: TextIO = sys.stdout
-    opened = None
-    if args.out:
-        opened = open(args.out, "w", encoding="utf-8")
-        out_stream = opened
+    out_stream = _ReportFile(args.out) if args.out else sys.stdout
     try:
         return handler(args, out_stream)
     except (ConfigError, InvalidScenario, InsufficientSamples, FileNotFoundError) as exc:
@@ -518,8 +493,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"decoysim: protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     finally:
-        if opened is not None:
-            opened.close()
+        if args.out:
+            out_stream.close()
 
 
 def entry() -> None:

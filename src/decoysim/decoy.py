@@ -9,37 +9,37 @@ the receiver's "in business" announcement.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelState, WaveParams
+from .channel import ChannelState
 from .engine import (
+    OK,
+    OUT_OF_DOMAIN,
     RECEIVER,
     SENDER,
     STREAM_NOISE,
     STREAM_RECEIVER,
     STREAM_SENDER,
+    TIMEOUT,
     DECOY_PROTOCOLS,
     AdversaryKind,
     Protocol,
     RampModel,
     RngStream,
     Scenario,
-    SimClock,
     Transcript,
 )
-from .errors import InvalidTarget, OutOfDomain, ProtocolTimeout
+from .errors import InvalidTarget, OutOfDomain
 
 IN_BUSINESS = "in-business"
-
-
-class Role(enum.Enum):
-    SENDER = "sender"
-    RECEIVER = "receiver"
+# The acoustic variant's publicly agreed wave parameters.  Both parties
+# share one frequency and phase, so superposition reduces exactly to
+# amplitude addition and omega/phi are public metadata only.
+WAVE_PARAMS = "wave-params omega=1.0 phi=0.0"
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,8 @@ class RampProcess:
 class PartyState:
     """Mutable per-party bookkeeping while a transmission runs."""
 
-    role: Role
     secret: int
     ramp: Optional[RampProcess] = None
-    announced_in_business: bool = False
-    observed_confirmation: bool = False
-    confirmation_tick: Optional[int] = None
 
 
 def generate_ramp(
@@ -181,18 +177,25 @@ def recover_secret(
 
 @dataclass
 class DecoyOutcome:
-    """Result of one transmission run plus replay diagnostics."""
+    """Result of one transmission run plus replay diagnostics.
 
-    recovered: int
+    `status` is OK, TIMEOUT (no stabilization within max_ticks) or
+    OUT_OF_DOMAIN (the recovery rejected the transmission); a failed run
+    has no recovered value and `detail` says why it failed.
+    """
+
+    recovered: Optional[int]
     sender_secret: int
     receiver_key: Optional[int]
     transcript: Transcript
-    detected_tick: int
-    stable_estimate: float
+    detected_tick: Optional[int]
+    stable_estimate: Optional[float]
     announce_tick: Optional[int]
     sender_start_tick: Optional[int]
     sender_stabilize_tick: Optional[int]
     receiver_stabilize_tick: Optional[int]
+    status: str = OK
+    detail: str = ""
 
     @property
     def success(self) -> bool:
@@ -217,9 +220,9 @@ def simulate_transmission(
     `actor`, when given, is an active adversary with two hooks:
     ``on_tick(tick, channel, transcript)`` runs before the public
     measurement (it may push a contribution or forge an announcement) and
-    ``on_reading(tick, reading)`` runs after it.  Raises ProtocolTimeout
-    (with the transcript attached) if the receiver never detects
-    stabilization within max_ticks.
+    ``on_reading(tick, reading)`` runs after it.  A run whose receiver
+    never detects stabilization within max_ticks, or rejects what he
+    recovers, still returns its outcome, with that status.
     """
     scenario.validate()
     if scenario.protocol not in DECOY_PROTOCOLS:
@@ -231,17 +234,12 @@ def simulate_transmission(
 
     transcript = Transcript()
     channel = ChannelState(scenario.noise_sigma)
-    clock = SimClock(scenario.dt)
     if scenario.protocol is Protocol.DECOY_WAVE:
-        transcript.announce(0, WaveParams().announcement())
+        transcript.announce(0, WAVE_PARAMS)
 
     domain = scenario.secret_domain
-    sender = PartyState(Role.SENDER, scenario.secret_of(SENDER))
-    receiver = (
-        PartyState(Role.RECEIVER, scenario.secret_of(RECEIVER))
-        if receiver_present
-        else None
-    )
+    sender = PartyState(scenario.secret_of(SENDER))
+    receiver = PartyState(scenario.secret_of(RECEIVER)) if receiver_present else None
 
     synchronized = scenario.ramp_model is RampModel.SYNCHRONOUS
     # Drawn from the receiver's stream whether or not he shows up, so an
@@ -273,6 +271,22 @@ def simulate_transmission(
             return True
         return announce_seen_tick is not None and tick > announce_seen_tick
 
+    def finish(status, detail="", detected_tick=None, estimate=None, recovered=None):
+        return DecoyOutcome(
+            recovered=recovered,
+            sender_secret=sender.secret,
+            receiver_key=receiver.secret if receiver else None,
+            transcript=transcript,
+            detected_tick=detected_tick,
+            stable_estimate=estimate,
+            announce_tick=announce_seen_tick,
+            sender_start_tick=sender.ramp.start_tick if sender.ramp else None,
+            sender_stabilize_tick=sender.ramp.stabilize_tick if sender.ramp else None,
+            receiver_stabilize_tick=receiver.ramp.stabilize_tick if receiver else None,
+            status=status,
+            detail=detail,
+        )
+
     for tick in range(scenario.max_ticks):
         # 1. sender
         if sender.ramp is None and sender_may_start(tick):
@@ -293,7 +307,6 @@ def simulate_transmission(
         if receiver is not None and tick >= receiver_start:
             if tick == receiver_start:
                 transcript.announce(tick, IN_BUSINESS)
-                receiver.announced_in_business = True
             receiver_value = receiver.ramp.value_at(tick)
             channel.set_contribution(RECEIVER, receiver_value)
 
@@ -314,8 +327,6 @@ def simulate_transmission(
             for entry in entries[entries_scanned:]:
                 if getattr(entry, "tag", None) == IN_BUSINESS:
                     announce_seen_tick = entry.tick
-                    sender.observed_confirmation = True
-                    sender.confirmation_tick = entry.tick
                     break
             entries_scanned = len(entries)
 
@@ -334,28 +345,10 @@ def simulate_transmission(
                             estimate + key, key, domain, scenario.noise_sigma
                         )
                     except OutOfDomain as exc:
-                        exc.transcript = transcript
-                        raise
-                    return DecoyOutcome(
-                        recovered=recovered,
-                        sender_secret=sender.secret,
-                        receiver_key=receiver.secret,
-                        transcript=transcript,
-                        detected_tick=tick,
-                        stable_estimate=estimate,
-                        announce_tick=announce_seen_tick,
-                        sender_start_tick=sender.ramp.start_tick if sender.ramp else None,
-                        sender_stabilize_tick=(
-                            sender.ramp.stabilize_tick if sender.ramp else None
-                        ),
-                        receiver_stabilize_tick=receiver.ramp.stabilize_tick,
-                    )
-        clock.step()
+                        return finish(OUT_OF_DOMAIN, str(exc), tick, estimate)
+                    return finish(OK, "", tick, estimate, recovered)
 
-    raise ProtocolTimeout(
-        f"no stabilization detected within {scenario.max_ticks} ticks",
-        transcript=transcript,
-    )
+    return finish(TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks")
 
 
 def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:

@@ -1,4 +1,4 @@
-"""Deterministic discrete-time core: clock, seeded streams, transcript, replay digest.
+"""Deterministic discrete-time core: seeded streams, transcript, replay digest.
 
 Everything a run does flows through these types.  Two runs of the same
 scenario must produce byte-identical transcripts; the replay digest is how
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
@@ -62,6 +63,11 @@ STREAM_SAMPLER = 4
 
 _U64 = (1 << 64) - 1
 
+# A run's status: OK, or the name of the failure that ended it.
+OK = "ok"
+TIMEOUT = "ProtocolTimeout"
+OUT_OF_DOMAIN = "OutOfDomain"
+
 
 class RngStream:
     """One independent deterministic random stream.
@@ -86,22 +92,6 @@ class RngStream:
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
         return int(self._gen.integers(low, high, endpoint=True))
-
-
-@dataclass
-class SimClock:
-    """Tick counter plus the immutable tick length in seconds."""
-
-    dt: float
-    t: int = 0
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-
-    def step(self) -> int:
-        self.t += 1
-        return self.t
 
 
 # --- transcript -----------------------------------------------------------
@@ -304,6 +294,11 @@ class Scenario:
             raise InvalidScenario(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (self.epsilon_stab >= 0):
             raise InvalidScenario(f"epsilon_stab must be >= 0, got {self.epsilon_stab}")
+        for name in ("dt", "noise_sigma", "epsilon_stab"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidScenario(f"{name} must be finite, got {getattr(self, name)}")
+        if not (0 <= self.seed <= _U64):
+            raise InvalidScenario(f"seed must lie in [0, 2^64), got {self.seed}")
         for party, secret in self.party_secrets.items():
             if not (n1 <= int(secret) <= n2):
                 raise InvalidScenario(

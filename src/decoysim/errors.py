@@ -26,14 +26,6 @@ class ConfigError(DecoySimError):
         self.key = key
 
 
-class ProtocolTimeout(DecoySimError):
-    """The protocol did not terminate within the scenario's tick budget."""
-
-    def __init__(self, message, transcript=None):
-        super().__init__(message)
-        self.transcript = transcript
-
-
 class NonFiniteValue(DecoySimError):
     """A NaN or infinite value was pushed onto the channel."""
 
@@ -48,11 +40,10 @@ class OutOfDomain(DecoySimError):
     Signals a corrupted transmission (jamming, excessive noise).
     """
 
-    def __init__(self, message, *, nearest=None, distance=None, transcript=None):
+    def __init__(self, message, *, nearest=None, distance=None):
         super().__init__(message)
         self.nearest = nearest
         self.distance = distance
-        self.transcript = transcript
 
 
 class DomainError(DecoySimError):

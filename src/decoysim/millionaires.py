@@ -219,26 +219,6 @@ def compare_vessels(
 # --- base-m reduction -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DigitDecomposition:
-    """x split as high * base + low with 0 <= low < base."""
-
-    base: int
-    high: int
-    low: int
-
-    def reconstruct(self) -> int:
-        return self.high * self.base + self.low
-
-
-def decompose_base(x: int, m: int) -> DigitDecomposition:
-    if m < 2:
-        raise DomainError(f"base must be >= 2, got {m}")
-    if x < 0:
-        raise DomainError(f"value must be >= 0, got {x}")
-    return DigitDecomposition(base=m, high=x // m, low=x % m)
-
-
 def digits_base(x: int, m: int, width: int) -> list[int]:
     """Most-significant-first digits of x in base m, zero-padded to width."""
     out = [0] * width
@@ -270,7 +250,9 @@ def compare_digitwise(
         raise DomainError(f"values must be >= 0, got a={a} b={b}")
     if m < 2:
         raise DomainError(f"base must be >= 2, got {m}")
-    width = max(1, len(digits_for(a, m)), len(digits_for(b, m)))
+    width = 1
+    while m**width <= max(a, b):
+        width += 1
     digits_a = digits_base(a, m, width)
     digits_b = digits_base(b, m, width)
 
@@ -307,17 +289,6 @@ def compare_digitwise(
     )
     alice, bob = _knowledge(ordering)
     return ComparisonOutcome(ordering, alice, bob, events, ())
-
-
-def digits_for(x: int, m: int) -> list[int]:
-    """Most-significant-first digits of x in base m (at least one digit)."""
-    if x == 0:
-        return [0]
-    out = []
-    while x:
-        out.append(x % m)
-        x //= m
-    return out[::-1]
 
 
 # Ready-made sub-comparators for the base-m reduction.

@@ -9,21 +9,23 @@ every run, whatever the protocol, yields the same kind of public record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from . import adversary as adversary_mod
 from .channel import ChannelState
-from .decoy import DecoyOutcome, run_decoy_transmission
+from .decoy import DecoyOutcome
 from .engine import (
+    DECOY_PROTOCOLS,
+    OK,
     RECEIVER,
     SENDER,
     STREAM_NOISE,
-    AdversaryKind,
+    TIMEOUT,
     Protocol,
     Scenario,
     Transcript,
 )
-from .errors import ProtocolTimeout
+from .errors import VesselEmpty, VesselOverflow
 from .millionaires import (
     ComparisonOutcome,
     compare_elevator,
@@ -37,19 +39,19 @@ RunResult = Union[DecoyOutcome, ComparisonOutcome, adversary_mod.AttackOutcome]
 
 @dataclass
 class RunOutcome:
-    """Protocol-specific result plus the complete public transcript."""
+    """Protocol-specific result plus the complete public transcript.
+
+    `status` is OK or the name of the failure that ended the run
+    (ProtocolTimeout, OutOfDomain, VesselEmpty, VesselOverflow), with
+    `detail` saying why.  A failed run still carries its public record;
+    a vessel abort has no result and an empty transcript.
+    """
 
     scenario: Scenario
-    result: RunResult
+    result: Optional[RunResult]
     transcript: Transcript
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.result, DecoyOutcome):
-            return "decoy"
-        if isinstance(self.result, ComparisonOutcome):
-            return "comparison"
-        return "attack"
+    status: str = OK
+    detail: str = ""
 
 
 def _even_track_length(scenario: Scenario) -> int:
@@ -57,14 +59,6 @@ def _even_track_length(scenario: Scenario) -> int:
     if length % 2:
         length += 1
     return max(2, length)
-
-
-def _check_budget(last_tick: int, scenario: Scenario, transcript: Transcript) -> None:
-    if last_tick > scenario.max_ticks:
-        raise ProtocolTimeout(
-            f"protocol needs tick {last_tick} but max_ticks is {scenario.max_ticks}",
-            transcript=transcript,
-        )
 
 
 def _vessels_transcript(scenario: Scenario, a: int, b: int) -> Transcript:
@@ -98,7 +92,10 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     elif protocol is Protocol.RACE_BITSTRING:
         outcome = compare_race_bitstring(a, b, n=_even_track_length(scenario))
     elif protocol is Protocol.VESSELS:
-        outcome = compare_vessels(a, b, observation_ticks=scenario.hold_ticks)
+        try:
+            outcome = compare_vessels(a, b, observation_ticks=scenario.hold_ticks)
+        except (VesselEmpty, VesselOverflow) as exc:
+            return RunOutcome(scenario, None, Transcript(), type(exc).__name__, str(exc))
     else:  # pragma: no cover - dispatch is exhaustive
         raise ValueError(f"not a comparison protocol: {protocol}")
 
@@ -107,7 +104,9 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     else:
         transcript = Transcript()
         last_tick = max((event.tick for event in outcome.public_observables), default=0)
-        _check_budget(last_tick, scenario, transcript)
+        if last_tick > scenario.max_ticks:
+            needs = f"protocol needs tick {last_tick} but max_ticks is {scenario.max_ticks}"
+            return RunOutcome(scenario, outcome, transcript, TIMEOUT, needs)
         for event in sorted(outcome.public_observables, key=lambda e: e.tick):
             transcript.mark(event.tick, f"{event.label}={event.value}")
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
@@ -116,18 +115,16 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
 def run_scenario(scenario: Scenario) -> RunOutcome:
     """Validate and execute one scenario, dispatching on its protocol.
 
-    Raises InvalidScenario on bad inputs, ProtocolTimeout if the protocol
-    cannot finish within max_ticks, and OutOfDomain when a decoy recovery
-    rejects the transmission.
+    Raises InvalidScenario on bad inputs; every run that starts returns
+    its outcome, failed or not.  An attack run is OK whatever it did to
+    the receiver: its result reports that.
     """
     scenario.validate()
-    if scenario.protocol in (Protocol.DECOY_FORCE, Protocol.DECOY_WAVE):
-        if scenario.adversary is AdversaryKind.JAMMER:
-            attack = adversary_mod.attack_jam(scenario)
-            return RunOutcome(scenario, attack, attack.transcript)
-        if scenario.adversary is AdversaryKind.IMPERSONATOR:
-            attack = adversary_mod.attack_impersonate(scenario)
-            return RunOutcome(scenario, attack, attack.transcript)
-        outcome = run_decoy_transmission(scenario)
-        return RunOutcome(scenario, outcome, outcome.transcript)
+    if scenario.protocol in DECOY_PROTOCOLS:
+        result = adversary_mod.transmit(scenario)
+        if isinstance(result, adversary_mod.AttackOutcome):
+            return RunOutcome(scenario, result, result.transcript)
+        return RunOutcome(
+            scenario, result, result.transcript, status=result.status, detail=result.detail
+        )
     return _comparison_run(scenario)

@@ -26,41 +26,30 @@ import sys
 from pathlib import Path
 
 from decoysim import (
+    EMPTY_TRANSCRIPT_DIGEST,
     AdversaryKind,
-    OutOfDomain,
     Protocol,
-    ProtocolTimeout,
     RampModel,
     Scenario,
-    VesselEmpty,
-    VesselOverflow,
     attack_jam,
     load_scenario,
     replay_digest,
     run_scenario,
 )
+from decoysim.engine import COMPARISON_PROTOCOLS
 
 from conftest import random_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = Path(__file__).with_name("golden_digests.json")
 RUNS_PER_GROUP = 200
-# A vessel abort stops before any level is published, so only its status is pinned.
+# A vessel abort stops before any level is published: its record is the
+# empty transcript, so only its status is pinned.
 VESSEL_ABORTS = ("VesselEmpty", "VesselOverflow")
 UPWARD_JAM = "decoy_force/jammer/random_ramp/defense=True/jam_value=3"
 # (noise_sigma, epsilon_stab): noiseless, the usual 4-sigma window, and a
 # window too tight to settle in, which often times out.
 NOISE_LEVELS = ((0.0, 0.0), (0.05, 0.2), (0.05, 0.01))
-
-
-def golden_run(scenario: Scenario) -> tuple[str, int | None]:
-    """The run's status and the replay digest of its public record."""
-    try:
-        return "ok", replay_digest(run_scenario(scenario).transcript)
-    except (ProtocolTimeout, OutOfDomain) as exc:
-        return type(exc).__name__, replay_digest(exc.transcript)
-    except (VesselEmpty, VesselOverflow) as exc:
-        return type(exc).__name__, None
 
 
 def _decoy_group(name: str, base: Scenario) -> list[Scenario]:
@@ -74,8 +63,8 @@ def _decoy_group(name: str, base: Scenario) -> list[Scenario]:
         scenarios.append(Scenario(
             protocol=base.protocol, seed=rng.getrandbits(63), max_ticks=rng.randint(55, 80),
             secret_domain=(1, 8), party_secrets=secrets, ramp_model=base.ramp_model,
-            hold_ticks=rng.choice([3, 6]), epsilon_stab=epsilon, noise_sigma=noise, adversary=base.adversary,
-            defense_enabled=base.defense_enabled,
+            hold_ticks=rng.choice([3, 6]), epsilon_stab=epsilon, noise_sigma=noise,
+            adversary=base.adversary, defense_enabled=base.defense_enabled,
         ))
     return scenarios
 
@@ -107,7 +96,7 @@ def groups() -> dict[str, list[Scenario]]:
         out[name] = _decoy_group(name, base)
     base = Scenario(protocol=Protocol.DECOY_FORCE, adversary=AdversaryKind.JAMMER)
     out[UPWARD_JAM] = _decoy_group(UPWARD_JAM, base)
-    for protocol in (Protocol.ELEVATOR, Protocol.RACE, Protocol.RACE_BITSTRING, Protocol.VESSELS):
+    for protocol in COMPARISON_PROTOCOLS:
         out[protocol.value] = _comparison_group(protocol)
     return out
 
@@ -117,8 +106,12 @@ def pinned_row(group: str, scenario: Scenario) -> list:
     if group == UPWARD_JAM:
         attack = attack_jam(scenario, jam_value=3.0)
         return [attack.receiver_error or "ok", f"{replay_digest(attack.transcript):016x}"]
-    status, digest = golden_run(scenario)
-    return [status, None if status in VESSEL_ABORTS else f"{digest:016x}"]
+    outcome = run_scenario(scenario)
+    digest = replay_digest(outcome.transcript)
+    if outcome.status in VESSEL_ABORTS:
+        assert digest == EMPTY_TRANSCRIPT_DIGEST, scenario
+        return [outcome.status, None]
+    return [outcome.status, f"{digest:016x}"]
 
 
 def main() -> int:
@@ -131,7 +124,8 @@ def main() -> int:
         body = ",\n".join(f"    {json.dumps(row)}" for row in rows)
         blocks.append(f"  {json.dumps(name)}: [\n{body}\n  ]")
     CORPUS.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
-    print(f"wrote {sum(statuses.values())} runs to {CORPUS.name}: {dict(sorted(statuses.items()))}")
+    counts = dict(sorted(statuses.items()))
+    print(f"wrote {sum(statuses.values())} runs to {CORPUS.name}: {counts}")
     return 0
 
 

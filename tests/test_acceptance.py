@@ -14,10 +14,8 @@ import time
 
 from decoysim import (
     AdversaryKind,
-    OutOfDomain,
     Ordering,
     Protocol,
-    ProtocolTimeout,
     RampModel,
     Scenario,
     TranscriptFeatures,
@@ -270,10 +268,7 @@ def test_criterion_8_mitm_defense():
 
 
 def _digest_of(scenario: Scenario) -> int:
-    try:
-        return replay_digest(run_scenario(scenario).transcript)
-    except (ProtocolTimeout, OutOfDomain) as exc:
-        return replay_digest(exc.transcript)
+    return replay_digest(run_scenario(scenario).transcript)
 
 
 def test_criterion_9_determinism_100_random_scenarios():
@@ -296,12 +291,8 @@ def test_criterion_10_noise_robustness():
     successes = 0
     runs = 1000
     for seed in range(runs):
-        scenario = dataclasses.replace(base, seed=seed)
-        try:
-            outcome = run_decoy_transmission(scenario)
-        except (ProtocolTimeout, OutOfDomain):
-            continue
-        if outcome.recovered == outcome.sender_secret:
+        outcome = run_decoy_transmission(dataclasses.replace(base, seed=seed))
+        if outcome.success:
             successes += 1
     rate = successes / runs
     assert rate >= 0.99, f"success rate {rate:.3f}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoysim import ChannelState, NonFiniteValue, Reading, RngStream, WaveParams
+from decoysim import ChannelState, NonFiniteValue, Reading, RngStream
 
 finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -141,9 +141,3 @@ class TestMeasure:
         for _ in range(10):
             state.measure(rng2)
         assert rng2.normal() == baseline
-
-
-def test_wave_params_are_public_metadata():
-    params = WaveParams(omega=2.0, phi=0.5)
-    text = params.announcement()
-    assert "2.0" in text and "0.5" in text

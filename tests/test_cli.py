@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from decoysim import cli
+from pathlib import Path
+
+from decoysim import EMPTY_TRANSCRIPT_DIGEST, cli
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 VESSELS_CFG = """
 protocol = vessels
@@ -86,6 +90,34 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.cfg")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["--set", "dt=0"],
+            ["--set", "noise_sigma=inf"],
+            ["--set", "noise_sigma=nan"],
+            ["--set", "epsilon_stab=inf"],
+            ["--set", "protocol=race", "--set", "dt=inf"],
+            ["--seed", "-5"],
+            ["--seed", str(2**64)],
+        ],
+    )
+    def test_non_finite_or_out_of_range_input_exits_one(self, tmp_config, capsys, overrides):
+        path = tmp_config(DECOY_CFG)
+        code, _, err = run_cli(capsys, "run", "--config", path, *overrides)
+        assert code == 1
+        assert err.startswith("decoysim: error:")
+        assert "Traceback" not in err
+
+    def test_config_error_leaves_out_file_alone(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("previous report\n")
+        code, _, _ = run_cli(
+            capsys, "run", "--config", str(tmp_path / "missing.cfg"), "--out", str(report)
+        )
+        assert code == 1
+        assert report.read_text() == "previous report\n"
+
     def test_same_seed_twice_same_digest(self, tmp_config, capsys):
         path = tmp_config(DECOY_CFG)
         digests = []
@@ -144,6 +176,12 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--config", path)
         assert code == 2
         assert "VesselEmpty" in out
+        code, out, _ = run_cli(capsys, "run", "--config", path, "--format", "records")
+        assert code == 2
+        record = json.loads(out.strip().splitlines()[1])
+        assert record["outcome"] == {"kind": "error", "error": "VesselEmpty"}
+        assert record["flags"] == ["VesselEmpty"]
+        assert record["digest"] == f"{EMPTY_TRANSCRIPT_DIGEST:016x}"
 
     def test_out_writes_report_file(self, tmp_config, capsys, tmp_path):
         path = tmp_config(VESSELS_CFG)
@@ -273,6 +311,16 @@ class TestReplayCheck:
         assert record["match"] is True
         assert record["digests"][0] == record["digests"][1]
 
+    def test_vessel_overflow_replays(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "replay-check", "--config", str(CONFIGS / "vessels.cfg"),
+            "--set", "hold_ticks=100000", "--set", "max_ticks=200000",
+            "--set", "party_secrets.alice=1", "--set", "party_secrets.bob=50",
+        )
+        assert code == 0
+        digest = f"{EMPTY_TRANSCRIPT_DIGEST:016x}"
+        assert out.splitlines() == [f"replay digests: {digest} {digest}", "replay: MATCH"]
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -282,9 +330,7 @@ def test_version_flag(capsys):
 
 
 def test_shipped_configs_load_and_run(capsys):
-    from pathlib import Path
-
-    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    configs = sorted(CONFIGS.glob("*.cfg"))
     assert configs, "sample configs missing"
     for config in configs:
         code, out, err = run_cli(capsys, "run", "--config", str(config))

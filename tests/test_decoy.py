@@ -9,7 +9,6 @@ from decoysim import (
     InvalidTarget,
     OutOfDomain,
     Protocol,
-    ProtocolTimeout,
     RampModel,
     RngStream,
     detect_stabilization,
@@ -177,10 +176,10 @@ class TestRunDecoyTransmission:
 
     def test_tight_budget_times_out(self):
         scenario = decoy_scenario(max_ticks=5, hold_ticks=4)
-        with pytest.raises(ProtocolTimeout) as excinfo:
-            run_decoy_transmission(scenario)
-        assert excinfo.value.transcript is not None
-        assert len(excinfo.value.transcript) > 0
+        outcome = run_decoy_transmission(scenario)
+        assert outcome.status == "ProtocolTimeout"
+        assert outcome.recovered is None and not outcome.success
+        assert len(outcome.transcript) > 0
 
     def test_noisy_run_is_deterministic_and_correct(self):
         scenario = decoy_scenario(

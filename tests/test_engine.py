@@ -1,4 +1,4 @@
-"""Clock, random streams, transcript semantics, replay digest, scenario validation."""
+"""Random streams, transcript semantics, replay digest, scenario validation."""
 
 import dataclasses
 import hashlib
@@ -19,24 +19,11 @@ from decoysim import (
     Reading,
     RngStream,
     Scenario,
-    SimClock,
     Transcript,
     replay_digest,
     run_scenario,
 )
 from conftest import decoy_scenario, vessels_scenario, with_seed
-
-
-def test_clock_steps_by_one():
-    clock = SimClock(dt=0.5)
-    assert clock.t == 0
-    assert clock.step() == 1
-    assert clock.step() == 2
-
-
-def test_clock_rejects_nonpositive_dt():
-    with pytest.raises(ValueError):
-        SimClock(dt=0.0)
 
 
 class TestRngStream:
@@ -237,10 +224,21 @@ class TestRunScenario:
                 payload = getattr(entry, "tag", None) or getattr(entry, "label", None)
                 assert isinstance(payload, str)
 
-    def test_run_outcome_carries_scenario_and_kind(self):
+    def test_run_outcome_carries_scenario_and_status(self):
         outcome = run_scenario(decoy_scenario())
-        assert outcome.kind == "decoy"
+        assert outcome.status == "ok"
         assert outcome.scenario.protocol is Protocol.DECOY_FORCE
+
+    def test_failed_runs_return_status_and_transcript(self):
+        timeout = run_scenario(decoy_scenario(max_ticks=5, hold_ticks=4))
+        assert timeout.status == "ProtocolTimeout"
+        assert len(timeout.transcript.measurements()) == 5
+        drained = vessels_scenario(
+            party_secrets={"alice": 50, "bob": 1}, hold_ticks=300, max_ticks=400
+        )
+        abort = run_scenario(drained)
+        assert (abort.status, abort.result) == ("VesselEmpty", None)
+        assert replay_digest(abort.transcript) == EMPTY_TRANSCRIPT_DIGEST
 
 
 def test_scenario_replace_derives_new_runs():

@@ -5,8 +5,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from decoysim import (
     DomainError,
@@ -20,7 +18,6 @@ from decoysim import (
     compare_race,
     compare_race_bitstring,
     compare_vessels,
-    decompose_base,
 )
 from decoysim.millionaires import (
     bitstring_sub,
@@ -185,37 +182,6 @@ class TestVesselsLeakage:
         assert abs(slope - (2 - 7)) < 1e-9
         finding = audit_comparison(outcome, Protocol.VESSELS)[0]
         assert abs(finding.value - slope) < 1e-9
-
-
-class TestDecomposeBase:
-    def test_examples(self):
-        assert decompose_base(1234, 100) == decompose_base(1234, 100)
-        d = decompose_base(1234, 100)
-        assert (d.high, d.low) == (12, 34)
-        d = decompose_base(99, 100)
-        assert (d.high, d.low) == (0, 99)
-
-    def test_bad_arguments(self):
-        with pytest.raises(DomainError):
-            decompose_base(5, 1)
-        with pytest.raises(DomainError):
-            decompose_base(-1, 10)
-
-    def test_reconstruction_oracle_bulk(self):
-        rng = random.Random(11)
-        for _ in range(100_000):
-            x = rng.randrange(0, 10**9)
-            m = rng.randrange(2, 10**6)
-            d = decompose_base(x, m)
-            assert d.reconstruct() == x
-            assert 0 <= d.low < m
-
-    @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=2, max_value=10**6))
-    @settings(max_examples=300)
-    def test_reconstruction_property(self, x, m):
-        d = decompose_base(x, m)
-        assert d.high * m + d.low == x
-        assert 0 <= d.low < m
 
 
 class TestDigitwise:
