@@ -28,7 +28,6 @@ from .channel import ChannelState, Reading
 from .config import load_scenario, parse_config_text, scenario_from_fields, scenario_to_text
 from .decoy import (
     DecoyOutcome,
-    PartyState,
     RampProcess,
     detect_stabilization,
     generate_ramp,

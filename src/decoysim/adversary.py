@@ -342,10 +342,7 @@ class AttackOutcome:
     receiver_recovered: Optional[int]
     receiver_error: Optional[str]
     timeout: bool
-    jam_value: Optional[float] = None
-    jam_tick: Optional[int] = None
     forged_announce_tick: Optional[int] = None
-    notes: tuple[str, ...] = ()
 
 
 # How the receiver's failed run reads in an attack report.
@@ -361,22 +358,20 @@ class _JammerActor:
         self.epsilon = scenario.epsilon_stab
         self.arm_level = scenario.n1 - 0.5
         self.window: list[float] = []
-        self.jam_tick: Optional[int] = None
-        self._pending = False
+        self.armed = False
+        self.jammed = False
 
     def on_tick(self, tick: int, channel, transcript) -> None:
-        if self._pending and self.jam_tick is None:
+        if self.armed and not self.jammed:
             channel.set_contribution(ADVERSARY, self.jam_value)
-            self.jam_tick = tick
+            self.jammed = True
 
     def on_reading(self, tick: int, reading: float) -> None:
-        if self._pending or self.jam_tick is not None:
+        if self.armed:
             return
         self.window.append(reading)
-        if detect_stabilization(self.window, self.epsilon, self.watch_hold):
-            mean = math.fsum(self.window[-self.watch_hold :]) / self.watch_hold
-            if mean >= self.arm_level:
-                self._pending = True
+        level = detect_stabilization(self.window, self.epsilon, self.watch_hold)
+        self.armed = level is not None and level >= self.arm_level
 
 
 class _ImpersonatorActor:
@@ -399,7 +394,6 @@ class _ImpersonatorActor:
         self.ramp = None
         self.window: list[float] = []
         self.recovered: Optional[int] = None
-        self.estimate: Optional[float] = None
 
     def on_tick(self, tick: int, channel, transcript) -> None:
         if not self.forge:
@@ -423,18 +417,16 @@ class _ImpersonatorActor:
         if self.recovered is not None:
             return
         scenario = self.scenario
-        if detect_stabilization(self.window, scenario.epsilon_stab, scenario.hold_ticks):
-            estimate = (
-                math.fsum(self.window[-scenario.hold_ticks :]) / scenario.hold_ticks
-            )
-            if estimate >= scenario.n1 - 0.5:
-                try:
-                    self.recovered = recover_secret(
-                        estimate + own, own, scenario.secret_domain, scenario.noise_sigma
-                    )
-                    self.estimate = estimate
-                except OutOfDomain:
-                    pass
+        estimate = detect_stabilization(
+            self.window, scenario.epsilon_stab, scenario.hold_ticks
+        )
+        if estimate is not None and estimate >= scenario.n1 - 0.5:
+            try:
+                self.recovered = recover_secret(
+                    estimate + own, own, scenario.secret_domain, scenario.noise_sigma
+                )
+            except OutOfDomain:
+                pass
 
 
 def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
@@ -448,14 +440,12 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
     actor = _JammerActor(jam_value, scenario)
     sender_secret = scenario.secret_of(SENDER)
-    outcome = simulate_transmission(scenario, actor=actor, receiver_present=True)
+    outcome = simulate_transmission(scenario, actor=actor)
     receiver_recovered = outcome.recovered
     receiver_error = _RECEIVER_ERRORS.get(outcome.status)
-    jam_applied = actor.jam_tick is not None
-    disrupted = jam_applied and jam_value != 0.0 and (
+    disrupted = actor.jammed and jam_value != 0.0 and (
         receiver_error is not None or receiver_recovered != sender_secret
     )
-    notes = () if jam_applied else ("jam never triggered before recovery",)
     return AttackOutcome(
         kind="jam",
         sender_secret=sender_secret,
@@ -466,9 +456,6 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
         receiver_recovered=receiver_recovered,
         receiver_error=receiver_error,
         timeout=outcome.status == TIMEOUT,
-        jam_value=jam_value,
-        jam_tick=actor.jam_tick,
-        notes=notes,
     )
 
 
@@ -497,7 +484,7 @@ def attack_impersonate(
     sender_secret = scenario.secret_of(SENDER)
     # No real receiver ever detects stabilization, so the run always
     # exhausts its tick budget; the question is what the actor saw.
-    outcome = simulate_transmission(scenario, actor=actor, receiver_present=False)
+    outcome = simulate_transmission(scenario, actor=actor)
     learned = actor.recovered == sender_secret
     return AttackOutcome(
         kind="impersonate",
@@ -510,7 +497,6 @@ def attack_impersonate(
         receiver_error="protocol_timeout",
         timeout=True,
         forged_announce_tick=actor.announce_tick,
-        notes=("announcement forged",) if forge_announcement else ("silent",),
     )
 
 

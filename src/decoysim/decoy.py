@@ -74,14 +74,6 @@ class RampProcess:
             previous = value
 
 
-@dataclass
-class PartyState:
-    """Mutable per-party bookkeeping while a transmission runs."""
-
-    secret: int
-    ramp: Optional[RampProcess] = None
-
-
 def generate_ramp(
     rng: RngStream,
     target: float,
@@ -131,17 +123,19 @@ def generate_ramp(
 
 def detect_stabilization(
     window: Sequence[float], epsilon_stab: float, hold_ticks: int
-) -> bool:
-    """True iff the last hold_ticks values all sit within +-epsilon of their mean."""
+) -> Optional[float]:
+    """Mean of the last hold_ticks values if all sit within +-epsilon of it, else None."""
     if hold_ticks < 1:
         raise ValueError("hold_ticks must be >= 1")
     if epsilon_stab < 0:
         raise ValueError("epsilon_stab must be >= 0")
     if len(window) < hold_ticks:
-        return False
+        return None
     tail = window[-hold_ticks:]
     mean = math.fsum(tail) / hold_ticks
-    return (max(tail) - mean) <= epsilon_stab and (mean - min(tail)) <= epsilon_stab
+    if (max(tail) - mean) <= epsilon_stab and (mean - min(tail)) <= epsilon_stab:
+        return mean
+    return None
 
 
 def recover_secret(
@@ -168,9 +162,7 @@ def recover_secret(
     if distance > 0.5 + 4.0 * noise_sigma:
         raise OutOfDomain(
             f"recovered value {diff!r} is {distance:.3f} away from the nearest "
-            f"domain element {nearest}; transmission corrupted",
-            nearest=nearest,
-            distance=distance,
+            f"domain element {nearest}; transmission corrupted"
         )
     return int(nearest)
 
@@ -210,19 +202,16 @@ def _receiver_ramp_model(model: RampModel) -> RampModel:
     return model
 
 
-def simulate_transmission(
-    scenario: Scenario,
-    actor=None,
-    receiver_present: bool = True,
-) -> DecoyOutcome:
+def simulate_transmission(scenario: Scenario, actor=None) -> DecoyOutcome:
     """Run the tick loop for one transmission.
 
     `actor`, when given, is an active adversary with two hooks:
     ``on_tick(tick, channel, transcript)`` runs before the public
     measurement (it may push a contribution or forge an announcement) and
-    ``on_reading(tick, reading)`` runs after it.  A run whose receiver
-    never detects stabilization within max_ticks, or rejects what he
-    recovers, still returns its outcome, with that status.
+    ``on_reading(tick, reading)`` runs after it.  The receiver takes part
+    unless the scenario's adversary impersonates him.  A run whose
+    receiver never detects stabilization within max_ticks, or rejects what
+    he recovers, still returns its outcome, with that status.
     """
     scenario.validate()
     if scenario.protocol not in DECOY_PROTOCOLS:
@@ -238,8 +227,10 @@ def simulate_transmission(
         transcript.announce(0, WAVE_PARAMS)
 
     domain = scenario.secret_domain
-    sender = PartyState(scenario.secret_of(SENDER))
-    receiver = PartyState(scenario.secret_of(RECEIVER)) if receiver_present else None
+    sender_secret = scenario.secret_of(SENDER)
+    sender_ramp: Optional[RampProcess] = None
+    receiver_key: Optional[int] = None
+    receiver_ramp: Optional[RampProcess] = None
 
     synchronized = scenario.ramp_model is RampModel.SYNCHRONOUS
     # Drawn from the receiver's stream whether or not he shows up, so an
@@ -247,17 +238,17 @@ def simulate_transmission(
     receiver_start = rng_receiver.integers(1, scenario.receiver_start_max)
     rate_ticks = max(1, scenario.max_ramp_ticks // scenario.n2)
 
-    if receiver is not None:
-        receiver.ramp = generate_ramp(
+    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
+        receiver_key = scenario.secret_of(RECEIVER)
+        receiver_ramp = generate_ramp(
             rng_receiver,
-            float(receiver.secret),
+            float(receiver_key),
             receiver_start,
             scenario.max_ramp_ticks,
             _receiver_ramp_model(scenario.ramp_model),
         )
 
     announce_seen_tick: Optional[int] = None
-    entries_scanned = 0
     window: list[float] = []
     hold = scenario.hold_ticks
     arm_level = scenario.n1 - 0.5
@@ -274,40 +265,40 @@ def simulate_transmission(
     def finish(status, detail="", detected_tick=None, estimate=None, recovered=None):
         return DecoyOutcome(
             recovered=recovered,
-            sender_secret=sender.secret,
-            receiver_key=receiver.secret if receiver else None,
+            sender_secret=sender_secret,
+            receiver_key=receiver_key,
             transcript=transcript,
             detected_tick=detected_tick,
             stable_estimate=estimate,
             announce_tick=announce_seen_tick,
-            sender_start_tick=sender.ramp.start_tick if sender.ramp else None,
-            sender_stabilize_tick=sender.ramp.stabilize_tick if sender.ramp else None,
-            receiver_stabilize_tick=receiver.ramp.stabilize_tick if receiver else None,
+            sender_start_tick=sender_ramp.start_tick if sender_ramp else None,
+            sender_stabilize_tick=sender_ramp.stabilize_tick if sender_ramp else None,
+            receiver_stabilize_tick=receiver_ramp.stabilize_tick if receiver_ramp else None,
             status=status,
             detail=detail,
         )
 
     for tick in range(scenario.max_ticks):
         # 1. sender
-        if sender.ramp is None and sender_may_start(tick):
+        if sender_ramp is None and sender_may_start(tick):
             start = receiver_start if synchronized else tick
-            sender.ramp = generate_ramp(
+            sender_ramp = generate_ramp(
                 rng_sender,
-                float(sender.secret),
+                float(sender_secret),
                 start,
                 scenario.max_ramp_ticks,
                 scenario.ramp_model,
                 ticks_per_unit=rate_ticks,
             )
-        if sender.ramp is not None:
-            channel.set_contribution(SENDER, sender.ramp.value_at(tick))
+        if sender_ramp is not None:
+            channel.set_contribution(SENDER, sender_ramp.value_at(tick))
 
         # 2. receiver
         receiver_value = 0.0
-        if receiver is not None and tick >= receiver_start:
+        if receiver_ramp is not None and tick >= receiver_start:
             if tick == receiver_start:
                 transcript.announce(tick, IN_BUSINESS)
-            receiver_value = receiver.ramp.value_at(tick)
+            receiver_value = receiver_ramp.value_at(tick)
             channel.set_contribution(RECEIVER, receiver_value)
 
         # 3. adversary
@@ -323,30 +314,22 @@ def simulate_transmission(
         # The sender reads announcements off the public record; a forged
         # one is indistinguishable from the real thing.
         if announce_seen_tick is None:
-            entries = transcript.entries
-            for entry in entries[entries_scanned:]:
-                if getattr(entry, "tag", None) == IN_BUSINESS:
-                    announce_seen_tick = entry.tick
-                    break
-            entries_scanned = len(entries)
+            announce_seen_tick = transcript.first_announcement(IN_BUSINESS)
 
         # 5. receiver-side detection: he subtracts his own known schedule
         # and waits for the remainder to go flat for hold_ticks.
-        if receiver is not None:
+        if receiver_ramp is not None:
             window.append(float(reading) - receiver_value)
-            if len(window) >= hold and detect_stabilization(
-                window, scenario.epsilon_stab, hold
-            ):
-                estimate = math.fsum(window[-hold:]) / hold
-                if estimate >= arm_level:
-                    key = float(receiver.secret)
-                    try:
-                        recovered = recover_secret(
-                            estimate + key, key, domain, scenario.noise_sigma
-                        )
-                    except OutOfDomain as exc:
-                        return finish(OUT_OF_DOMAIN, str(exc), tick, estimate)
-                    return finish(OK, "", tick, estimate, recovered)
+            estimate = detect_stabilization(window, scenario.epsilon_stab, hold)
+            if estimate is not None and estimate >= arm_level:
+                key = float(receiver_key)
+                try:
+                    recovered = recover_secret(
+                        estimate + key, key, domain, scenario.noise_sigma
+                    )
+                except OutOfDomain as exc:
+                    return finish(OUT_OF_DOMAIN, str(exc), tick, estimate)
+                return finish(OK, "", tick, estimate, recovered)
 
     return finish(TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks")
 
@@ -358,4 +341,4 @@ def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:
             "active adversaries run through the attack entry points, "
             f"not run_decoy_transmission (got {scenario.adversary})"
         )
-    return simulate_transmission(scenario, actor=None, receiver_present=True)
+    return simulate_transmission(scenario)

@@ -12,7 +12,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
@@ -130,6 +130,7 @@ class Transcript:
 
     def __init__(self):
         self._entries: list[TranscriptEntry] = []
+        self._announcements: list[Announcement] = []
 
     def _check_tick(self, tick: int) -> int:
         tick = int(tick)
@@ -151,7 +152,9 @@ class Transcript:
         self._entries.append(Measurement(self._check_tick(tick), float(reading)))
 
     def announce(self, tick: int, tag: str) -> None:
-        self._entries.append(Announcement(self._check_tick(tick), str(tag)))
+        announcement = Announcement(self._check_tick(tick), str(tag))
+        self._entries.append(announcement)
+        self._announcements.append(announcement)
 
     def mark(self, tick: int, label: str) -> None:
         self._entries.append(Mark(self._check_tick(tick), str(label)))
@@ -164,10 +167,14 @@ class Transcript:
         return [(e.tick, e.value) for e in self._entries if isinstance(e, Measurement)]
 
     def announcements(self) -> list[tuple[int, str]]:
-        return [(e.tick, e.tag) for e in self._entries if isinstance(e, Announcement)]
+        return [(e.tick, e.tag) for e in self._announcements]
 
-    def marks(self) -> list[tuple[int, str]]:
-        return [(e.tick, e.label) for e in self._entries if isinstance(e, Mark)]
+    def first_announcement(self, tag: str) -> Optional[int]:
+        """Tick of the first announcement tagged `tag`, or None if there is none yet."""
+        for announcement in self._announcements:
+            if announcement.tag == tag:
+                return announcement.tick
+        return None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -281,6 +288,8 @@ class Scenario:
             raise InvalidScenario(f"secret_domain: N1 must be >= 1, got {n1}")
         if not (n2 > n1):
             raise InvalidScenario(f"secret_domain: N2 must exceed N1, got [{n1}, {n2}]")
+        if not (n2 <= 2**53):  # float64 channel values hold every secret exactly
+            raise InvalidScenario(f"secret_domain: N2 must be <= 2^53, got {n2}")
         if not (self.hold_ticks > 0):
             raise InvalidScenario(f"hold_ticks must be > 0, got {self.hold_ticks}")
         if not (self.max_ticks > self.hold_ticks):
@@ -297,6 +306,13 @@ class Scenario:
         for name in ("dt", "noise_sigma", "epsilon_stab"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScenario(f"{name} must be finite, got {getattr(self, name)}")
+        # Noise or a tolerance wider than the domain makes every reading meaningless.
+        for name in ("noise_sigma", "epsilon_stab"):
+            value = getattr(self, name)
+            if not (value <= n2):
+                raise InvalidScenario(f"{name} must be <= N2 ({n2}), got {value}")
+        if not math.isfinite(n2 / self.dt):
+            raise InvalidScenario(f"dt: N2 / dt must be finite, got {n2} / {self.dt}")
         if not (0 <= self.seed <= _U64):
             raise InvalidScenario(f"seed must lie in [0, 2^64), got {self.seed}")
         for party, secret in self.party_secrets.items():

@@ -12,8 +12,8 @@ class InvalidScenario(DecoySimError):
 class ConfigError(DecoySimError):
     """A scenario config file or --set override could not be parsed.
 
-    Carries enough context (line number, offending key) to point the user
-    at the exact problem.
+    The message names the line number and offending key, when known, to
+    point the user at the exact problem.
     """
 
     def __init__(self, message, *, line=None, key=None):
@@ -22,8 +22,6 @@ class ConfigError(DecoySimError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
-        self.key = key
 
 
 class NonFiniteValue(DecoySimError):
@@ -39,11 +37,6 @@ class OutOfDomain(DecoySimError):
 
     Signals a corrupted transmission (jamming, excessive noise).
     """
-
-    def __init__(self, message, *, nearest=None, distance=None):
-        super().__init__(message)
-        self.nearest = nearest
-        self.distance = distance
 
 
 class DomainError(DecoySimError):

@@ -61,22 +61,14 @@ def _even_track_length(scenario: Scenario) -> int:
     return max(2, length)
 
 
-def _vessels_transcript(scenario: Scenario, a: int, b: int) -> Transcript:
-    """Re-derive the level series as channel superposition and measure it.
-
-    Pumping out at rate a is a cumulative contribution of -a*t, pumping in
-    is +b*t, and the initial fill is a constant third contribution; the
-    public level is exactly their superposition.
-    """
+def _vessels_transcript(scenario: Scenario, outcome: ComparisonOutcome) -> Transcript:
+    """Measure the published level series; the level is the channel's one contribution."""
     transcript = Transcript()
     channel = ChannelState(scenario.noise_sigma)
     rng_noise = scenario.stream(STREAM_NOISE)
-    initial_level = 10_000.0
-    channel.set_contribution("reservoir", initial_level)
-    for tick in range(scenario.hold_ticks + 1):
-        channel.set_contribution(SENDER, -float(a) * tick)
-        channel.set_contribution(RECEIVER, float(b) * tick)
-        transcript.record_measurement(tick, channel.measure(rng_noise))
+    for event in outcome.public_observables:
+        channel.set_contribution("level", event.value)
+        transcript.record_measurement(event.tick, channel.measure(rng_noise))
     return transcript
 
 
@@ -96,19 +88,17 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
             outcome = compare_vessels(a, b, observation_ticks=scenario.hold_ticks)
         except (VesselEmpty, VesselOverflow) as exc:
             return RunOutcome(scenario, None, Transcript(), type(exc).__name__, str(exc))
+        return RunOutcome(scenario, outcome, _vessels_transcript(scenario, outcome))
     else:  # pragma: no cover - dispatch is exhaustive
         raise ValueError(f"not a comparison protocol: {protocol}")
 
-    if protocol is Protocol.VESSELS:
-        transcript = _vessels_transcript(scenario, a, b)
-    else:
-        transcript = Transcript()
-        last_tick = max((event.tick for event in outcome.public_observables), default=0)
-        if last_tick > scenario.max_ticks:
-            needs = f"protocol needs tick {last_tick} but max_ticks is {scenario.max_ticks}"
-            return RunOutcome(scenario, outcome, transcript, TIMEOUT, needs)
-        for event in sorted(outcome.public_observables, key=lambda e: e.tick):
-            transcript.mark(event.tick, f"{event.label}={event.value}")
+    transcript = Transcript()
+    last_tick = max((event.tick for event in outcome.public_observables), default=0)
+    if last_tick > scenario.max_ticks:
+        needs = f"protocol needs tick {last_tick} but max_ticks is {scenario.max_ticks}"
+        return RunOutcome(scenario, outcome, transcript, TIMEOUT, needs)
+    for event in sorted(outcome.public_observables, key=lambda e: e.tick):
+        transcript.mark(event.tick, f"{event.label}={event.value}")
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
 

@@ -1,12 +1,17 @@
 """CLI contract: exit codes, record format, sweeps, analyses, replay checks."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
-from decoysim import EMPTY_TRANSCRIPT_DIGEST, cli
+from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, cli
+from decoysim.config import _SCALAR_KEYS
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -98,6 +103,8 @@ class TestRun:
             ["--set", "noise_sigma=nan"],
             ["--set", "epsilon_stab=inf"],
             ["--set", "protocol=race", "--set", "dt=inf"],
+            ["--set", "noise_sigma=1e308"],
+            ["--set", "protocol=race", "--set", "dt=1e-320"],
             ["--seed", "-5"],
             ["--seed", str(2**64)],
         ],
@@ -335,3 +342,53 @@ def test_shipped_configs_load_and_run(capsys):
     for config in configs:
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert code == 0, (config.name, err)
+
+
+# Keys that set a run's length or its domain's size draw small values only,
+# so every example runs in milliseconds; the test is about exit codes.
+EDGE_NUMERALS = ["inf", "nan", "-0", "1e308", "1e-320", "-5", "2**64", "0x10"]
+SIZE_VALUES = {
+    "max_ticks": st.integers(-2, 80).map(str) | st.sampled_from(EDGE_NUMERALS),
+    "hold_ticks": st.integers(-2, 80).map(str) | st.sampled_from(EDGE_NUMERALS),
+    "secret_domain": st.builds("{}..{}".format, st.integers(-2, 60), st.integers(-2, 60))
+    | st.sampled_from(EDGE_NUMERALS),
+}
+OTHER_KEYS = sorted(_SCALAR_KEYS - set(SIZE_VALUES)) + [
+    "party_secrets.alice",
+    "party_secrets.bob",
+]
+KEYS = (
+    st.sampled_from(OTHER_KEYS)
+    | st.builds("party_secrets.{}".format, st.text(max_size=8))
+    | st.text(max_size=12).filter(
+        lambda key: key.split("=", 1)[0].strip() not in SIZE_VALUES
+    )
+)
+VALUES = st.sampled_from(EDGE_NUMERALS + [str(2**64)]) | st.text(max_size=12)
+SIZED = st.sampled_from(sorted(SIZE_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), SIZE_VALUES[key])
+)
+OVERRIDES = st.lists(SIZED | st.tuples(KEYS, VALUES), max_size=4)
+
+
+@pytest.fixture(scope="module")
+def small_decoy_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "small.cfg"
+    path.write_text(DECOY_CFG.replace("max_ticks = 120", "max_ticks = 60"))
+    return str(path)
+
+
+@given(protocol=st.sampled_from([p.value for p in Protocol]), overrides=OVERRIDES)
+@example(protocol="decoy_force", overrides=[("noise_sigma", "1e308")])
+@example(protocol="race", overrides=[("dt", "1e-320")])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_arbitrary_overrides_exit_cleanly(small_decoy_config, protocol, overrides):
+    # Any --set pairs end in exit 0, 1 or 2; the explicit examples are two
+    # overflows that once got past validation and ended in a traceback.
+    argv = ["run", "--config", small_decoy_config, f"--set=protocol={protocol}"]
+    argv += [f"--set={key}={value}" for key, value in overrides]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import time
 
 import pytest
 
 from decoysim import (
+    AdversaryKind,
     InvalidTarget,
     OutOfDomain,
     Protocol,
@@ -15,6 +17,7 @@ from decoysim import (
     generate_ramp,
     recover_secret,
     run_decoy_transmission,
+    run_scenario,
 )
 from decoysim.decoy import IN_BUSINESS
 from conftest import decoy_scenario, sync_scenario, with_seed
@@ -71,16 +74,20 @@ class TestGenerateRamp:
 
 class TestDetectStabilization:
     def test_constant_window_true(self):
-        assert detect_stabilization([8, 8, 8, 8, 8], 0.0, 5) is True
+        assert detect_stabilization([8, 8, 8, 8, 8], 0.0, 5) == 8.0
 
     def test_still_ramping_false(self):
-        assert detect_stabilization([6, 7, 8], 0.0, 3) is False
+        assert detect_stabilization([6, 7, 8], 0.0, 3) is None
 
     def test_short_window_false(self):
-        assert detect_stabilization([8, 8], 0.0, 5) is False
+        assert detect_stabilization([8, 8], 0.0, 5) is None
 
     def test_only_the_tail_matters(self):
-        assert detect_stabilization([1, 5, 9, 9, 9], 0.0, 3) is True
+        assert detect_stabilization([1, 5, 9, 9, 9], 0.0, 3) == 9.0
+
+    def test_window_settled_at_zero_is_a_level(self):
+        assert detect_stabilization([0.0, 0.0, 0.0], 0.0, 3) == 0.0
+        assert detect_stabilization([0.0, 0.0, 0.0], 0.0, 3) is not None
 
     def test_noisy_constant_window_mostly_detected(self):
         # Monte-Carlo: eps = 4*sigma, hold 20 -> detection rate >= 0.99
@@ -90,7 +97,7 @@ class TestDetectStabilization:
         trials = 1000
         for _ in range(trials):
             window = [8.0 + sigma * rng.normal() for _ in range(20)]
-            hits += detect_stabilization(window, 4 * sigma, 20)
+            hits += detect_stabilization(window, 4 * sigma, 20) is not None
         assert hits / trials >= 0.99
 
     def test_parameter_validation(self):
@@ -200,8 +207,6 @@ class TestRunDecoyTransmission:
         assert outcome.recovered == 3
 
     def test_active_adversary_rejected_here(self):
-        from decoysim import AdversaryKind
-
         scenario = decoy_scenario(adversary=AdversaryKind.JAMMER)
         with pytest.raises(ValueError, match="attack"):
             run_decoy_transmission(scenario)
@@ -226,3 +231,24 @@ def test_recovery_uses_windowed_mean_under_noise():
     )
     outcome = run_decoy_transmission(scenario)
     assert abs(outcome.stable_estimate - outcome.sender_secret) < 0.5
+
+
+def test_tick_cost_is_linear_in_max_ticks():
+    # A defended sender facing a silent impersonator never sees an
+    # announcement, so every run uses its whole tick budget.
+    def best_us_per_tick(max_ticks):
+        scenario = decoy_scenario(
+            adversary=AdversaryKind.IMPERSONATOR,
+            party_secrets={"alice": 3},
+            max_ticks=max_ticks,
+        )
+        best = math.inf
+        for _ in range(3):
+            started = time.perf_counter()
+            outcome = run_scenario(scenario)
+            best = min(best, time.perf_counter() - started)
+            assert len(outcome.transcript.measurements()) == max_ticks
+        return best * 1e6 / max_ticks
+
+    short, long = best_us_per_tick(4000), best_us_per_tick(32000)
+    assert long <= 2.0 * short, f"{long:.2f} us/tick at 32k vs {short:.2f} at 4k"

@@ -66,6 +66,19 @@ class TestTranscript:
         transcript.announce(1, "second")
         assert [entry.tag for entry in transcript] == ["first", "second"]
 
+    def test_first_announcement_finds_the_earliest_tick_of_a_tag(self):
+        transcript = Transcript()
+        assert transcript.first_announcement("in-business") is None
+        transcript.announce(0, "wave-params")
+        transcript.record_measurement(1, Reading(2.0))
+        transcript.announce(3, "in-business")
+        transcript.announce(5, "in-business")
+        assert transcript.first_announcement("in-business") == 3
+        assert transcript.first_announcement("other") is None
+        assert transcript.announcements() == [
+            (0, "wave-params"), (3, "in-business"), (5, "in-business")
+        ]
+
     def test_entries_view_is_immutable(self):
         transcript = Transcript()
         transcript.mark(0, "a")
@@ -171,6 +184,19 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="bob"):
             decoy_scenario(party_secrets={"alice": 3}).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(noise_sigma=101.0), "noise_sigma"),
+            (dict(epsilon_stab=1e308), "epsilon_stab"),
+            (dict(protocol=Protocol.RACE, dt=1e-320), "N2 / dt"),
+            (dict(secret_domain=(1, 2**53 + 1)), "secret_domain"),
+        ],
+    )
+    def test_values_past_the_domain_bounds_are_invalid(self, overrides, field):
+        with pytest.raises(InvalidScenario, match=field):
+            decoy_scenario(**overrides).validate()
+
     def test_comparison_rejects_active_adversary(self):
         from decoysim import AdversaryKind
 
@@ -183,6 +209,11 @@ class TestRunScenario:
         outcome = run_scenario(vessels_scenario())
         assert outcome.result.ordering is Ordering.A_GREATER
         assert len(outcome.transcript) > 0
+
+    def test_vessels_transcript_measures_the_published_levels(self):
+        outcome = run_scenario(vessels_scenario())
+        levels = [(event.tick, event.value) for event in outcome.result.public_observables]
+        assert outcome.transcript.measurements() == levels
 
     def test_invalid_scenario_raises_before_running(self):
         with pytest.raises(InvalidScenario):
