@@ -334,7 +334,6 @@ class AttackOutcome:
     """What an active adversary achieved, and what it cost the protocol."""
 
     kind: str
-    sender_secret: int
     transcript: Transcript
     disrupted: bool
     adversary_learned: bool
@@ -448,7 +447,6 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
     )
     return AttackOutcome(
         kind="jam",
-        sender_secret=sender_secret,
         transcript=outcome.transcript,
         disrupted=disrupted,
         adversary_learned=False,
@@ -481,14 +479,12 @@ def attack_impersonate(
         forge_announcement,
         adversary_key if forge_announcement else 0.0,
     )
-    sender_secret = scenario.secret_of(SENDER)
     # No real receiver ever detects stabilization, so the run always
     # exhausts its tick budget; the question is what the actor saw.
     outcome = simulate_transmission(scenario, actor=actor)
-    learned = actor.recovered == sender_secret
+    learned = actor.recovered == scenario.secret_of(SENDER)
     return AttackOutcome(
         kind="impersonate",
-        sender_secret=sender_secret,
         transcript=outcome.transcript,
         disrupted=True,
         adversary_learned=learned,

@@ -215,7 +215,7 @@ def cmd_sweep(args, stream: TextIO) -> int:
     for vary_key, vary_value in variants:
         scenario = base
         if vary_key is not None:
-            scenario = _load(args, extra_overrides=[f"{vary_key}={vary_value}"])
+            scenario = _load(args, f"{vary_key}={vary_value}")
         successes = 0
         failures = 0
         abs_errors: list[float] = []
@@ -413,12 +413,13 @@ def cmd_replay_check(args, stream: TextIO) -> int:
     return EXIT_OK if matched else EXIT_PROTOCOL
 
 
-def _load(args, extra_overrides: Optional[list[str]] = None) -> Scenario:
+def _load(args, vary_override: Optional[str] = None) -> Scenario:
+    # Later overrides win: --set, then --seed, then the --vary value.
     overrides = list(args.set or [])
-    if extra_overrides:
-        overrides.extend(extra_overrides)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
+    if vary_override is not None:
+        overrides.append(vary_override)
     return load_scenario(args.config, overrides)
 
 

@@ -11,7 +11,7 @@ import enum
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
@@ -297,6 +297,8 @@ class Scenario:
                 f"max_ticks must exceed hold_ticks, got "
                 f"max_ticks={self.max_ticks} hold_ticks={self.hold_ticks}"
             )
+        if not (self.max_ticks <= 10**7):  # ramp arrays grow with the budget
+            raise InvalidScenario(f"max_ticks must be <= 10^7, got {self.max_ticks}")
         if not (self.dt > 0):
             raise InvalidScenario(f"dt must be positive, got {self.dt}")
         if not (self.noise_sigma >= 0):
@@ -350,18 +352,15 @@ class Scenario:
                 )
 
     def as_mapping(self) -> dict:
-        """Flat mapping with config-file field names (for reports)."""
-        return {
-            "protocol": self.protocol.value,
-            "seed": self.seed,
-            "dt": self.dt,
-            "max_ticks": self.max_ticks,
-            "secret_domain": list(self.secret_domain),
-            "party_secrets": {k: int(v) for k, v in self.party_secrets.items()},
-            "ramp_model": self.ramp_model.value,
-            "hold_ticks": self.hold_ticks,
-            "epsilon_stab": self.epsilon_stab,
-            "noise_sigma": self.noise_sigma,
-            "adversary": self.adversary.value,
-            "defense_enabled": self.defense_enabled,
-        }
+        """Flat mapping with config-file field names (for reports), in field order."""
+        return {f.name: _report_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _report_value(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, Mapping):
+        return {k: int(v) for k, v in value.items()}
+    return value

@@ -16,13 +16,6 @@ class ConfigError(DecoySimError):
     point the user at the exact problem.
     """
 
-    def __init__(self, message, *, line=None, key=None):
-        if key is not None:
-            message = f"{message} (key: {key!r})"
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
 
 class NonFiniteValue(DecoySimError):
     """A NaN or infinite value was pushed onto the channel."""

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, record format, sweeps, analyses, replay checks."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, cli
-from decoysim.config import _SCALAR_KEYS
+from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -107,6 +107,7 @@ class TestRun:
             ["--set", "protocol=race", "--set", "dt=1e-320"],
             ["--seed", "-5"],
             ["--seed", str(2**64)],
+            ["--set", "max_ticks=100000000000"],
         ],
     )
     def test_non_finite_or_out_of_range_input_exits_one(self, tmp_config, capsys, overrides):
@@ -246,6 +247,20 @@ class TestSweep:
         assert rates[0] == 1.0
         assert rates[0] >= rates[1] >= rates[2]
 
+    def test_vary_value_wins_over_seed_flag(self, tmp_config, capsys):
+        path = tmp_config(DECOY_CFG)
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--config", path, "--runs", "2", "--vary", "seed=1,2",
+            "--seed", "7", "--format", "records",
+        )
+        assert code == 0
+        records = [json.loads(l) for l in out.strip().splitlines()]
+        seeds = [r["seed"] for r in records if r["record"] == "run"]
+        labels = [r["vary"] for r in records if r["record"] == "aggregate"]
+        assert seeds == [1, 2, 2, 3]
+        assert labels == [{"seed": "1"}, {"seed": "2"}]
+
     def test_bad_vary_spec(self, tmp_config, capsys):
         path = tmp_config(DECOY_CFG)
         code, _, err = run_cli(
@@ -353,7 +368,8 @@ SIZE_VALUES = {
     "secret_domain": st.builds("{}..{}".format, st.integers(-2, 60), st.integers(-2, 60))
     | st.sampled_from(EDGE_NUMERALS),
 }
-OTHER_KEYS = sorted(_SCALAR_KEYS - set(SIZE_VALUES)) + [
+SCALAR_KEYS = {f.name for f in dataclasses.fields(Scenario)} - {"party_secrets"}
+OTHER_KEYS = sorted(SCALAR_KEYS - set(SIZE_VALUES)) + [
     "party_secrets.alice",
     "party_secrets.bob",
 ]
