@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .decoy import (
     IN_BUSINESS,
     DecoyOutcome,
@@ -190,24 +192,21 @@ class TranscriptFeatures:
         return max(1e-9, 4.0 * self.noise_sigma)
 
     def __call__(self, transcript: Transcript) -> tuple:
-        values = [value for _, value in transcript.measurements()]
-        if not values:
+        values = transcript.values()
+        if not len(values):
             return ("empty",)
         tol = self.tolerance
-        first_active = None
-        for index, value in enumerate(values):
-            if abs(value) > tol:
-                first_active = index
-                break
-        if first_active is None:
+        active = np.abs(values) > tol
+        first_active = int(active.argmax())
+        if not active[first_active]:
             return ("silent",)
-        flat_onset = 0
-        for index in range(1, len(values)):
-            if abs(values[index] - values[index - 1]) > tol:
-                flat_onset = index
+        # the flat tail starts after the last jump between neighbours
+        jumps = np.flatnonzero(np.abs(values[1:] - values[:-1]) > tol)
+        flat_onset = int(jumps[-1]) + 1 if len(jumps) else 0
         if len(values) - flat_onset < self.hold_ticks:
             return ("unstable",)
-        stable_total = round(math.fsum(values[flat_onset:]) / (len(values) - flat_onset))
+        tail = values[flat_onset:].tolist()
+        stable_total = round(math.fsum(tail) / len(tail))
         ramp_bucket = max(0, flat_onset - first_active) // self.bucket_width
         return (int(stable_total), int(ramp_bucket))
 

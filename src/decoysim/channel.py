@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import NonFiniteValue
 
 
@@ -24,6 +26,26 @@ class Reading(float):
     """
 
     __slots__ = ()
+
+
+class Readings:
+    """A block of public channel measurements, one per consecutive tick.
+
+    The bulk counterpart of :class:`Reading`: a transcript's bulk append
+    accepts only this type, which :func:`measure_pair` produces, and
+    rejects plain arrays.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: slice) -> "Readings":
+        return Readings(self.values[index])
 
 
 class ChannelState:
@@ -63,3 +85,19 @@ class ChannelState:
         if self.noise_sigma > 0.0:
             total += self.noise_sigma * rng.normal()
         return Reading(total)
+
+
+def measure_pair(first: np.ndarray, second: np.ndarray, noise_sigma: float, rng) -> Readings:
+    """Public measurements of two contributions over a block of ticks.
+
+    Tick by tick the same values as :meth:`ChannelState.measure` with the
+    two contributions applied: the float sum of two values is exactly
+    their fsum, and the block's noise is drawn in bulk, which yields the
+    same draws in the same order as one draw per tick.
+    """
+    total = first + second
+    if not np.isfinite(total).all():  # a non-finite contribution makes its sum non-finite
+        raise NonFiniteValue("a contribution is not finite")
+    if noise_sigma > 0.0:
+        total += noise_sigma * rng.normal(len(total))
+    return Readings(total)

@@ -1,10 +1,11 @@
 """Command-line front end: single runs, sweeps, adversary analyses, replay checks.
 
-Exit codes: 0 protocol success, 1 config/usage error, 2 protocol-level
-failure (timeout, rejected recovery, successful disruption or secret
-compromise).  Machine-readable mode (--format records) emits one JSON
-record per line; every report carries the tool version and the fully
-resolved scenario so a run can be replayed from its report alone.
+Exit codes: 0 protocol success, 1 config/usage error (or stdout closed
+before the report was written), 2 protocol-level failure (timeout,
+rejected recovery, successful disruption or secret compromise).
+Machine-readable mode (--format records) emits one JSON record per line;
+every report carries the tool version and the fully resolved scenario so
+a run can be replayed from its report alone.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ class _ReportFile:
         if self.handle is None:
             self.handle = open(self.path, "w", encoding="utf-8")
         self.handle.write(text)
+
+    def flush(self) -> None:
+        if self.handle is not None:
+            self.handle.flush()
 
     def close(self) -> None:
         if self.handle is not None:
@@ -486,7 +491,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     handler = _COMMANDS[args.command]
     out_stream = _ReportFile(args.out) if args.out else sys.stdout
     try:
-        return handler(args, out_stream)
+        code = handler(args, out_stream)
+        out_stream.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point the descriptor
+        # at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
     except (ConfigError, InvalidScenario, InsufficientSamples, FileNotFoundError) as exc:
         print(f"decoysim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,12 +11,13 @@ import enum
 import hashlib
 import math
 import struct
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
-from .channel import Reading
+from .channel import Reading, Readings
 from .errors import InvalidScenario
 
 
@@ -73,25 +74,35 @@ class RngStream:
     """One independent deterministic random stream.
 
     The underlying generator is keyed purely by (seed, stream_id), so any
-    consumer can be re-created in isolation and replays are bit-exact.
+    consumer can be re-created in isolation and replays are bit-exact.  It
+    is built on the first draw: a run creates several streams, and a
+    noiseless run never draws from its noise stream.
     """
 
     def __init__(self, seed: int, stream_id: int):
         self.seed = int(seed) & _U64
         self.stream_id = int(stream_id)
-        self._gen = np.random.default_rng([self.seed, self.stream_id])
+        self._gen: Optional[np.random.Generator] = None
 
-    def normal(self) -> float:
-        return float(self._gen.standard_normal())
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.default_rng([self.seed, self.stream_id])
+        return self._gen
+
+    def normal(self, size: int | None = None):
+        """One standard normal draw, or `size` of them as an array (the same values)."""
+        if size is None:
+            return float(self._generator().standard_normal())
+        return self._generator().standard_normal(size)
 
     def uniform(self, size: int | None = None):
         if size is None:
-            return float(self._gen.random())
-        return self._gen.random(size)
+            return float(self._generator().random())
+        return self._generator().random(size)
 
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
-        return int(self._gen.integers(low, high, endpoint=True))
+        return int(self._generator().integers(low, high, endpoint=True))
 
 
 # --- transcript -----------------------------------------------------------
@@ -121,26 +132,33 @@ TranscriptEntry = Union[Measurement, Announcement, Mark]
 class Transcript:
     """Append-only record of everything that happened in public space.
 
-    Entries are kept in insertion order and ticks may never decrease.
-    Measurements must be :class:`~decoysim.channel.Reading` instances,
-    i.e. values that came out of the channel's public measurement
-    operation; raw floats are rejected so private contribution values
-    cannot be smuggled into the public record.
+    Measurements are stored as two columns, ticks and values; announcements
+    and marks sit in a sparse event list, each with the number of
+    measurements recorded before it, so the entry order is kept exactly.
+    Ticks may never decrease.  Measurements must be
+    :class:`~decoysim.channel.Reading` instances (or, in bulk,
+    :class:`~decoysim.channel.Readings`), i.e. values that came out of the
+    channel's public measurement operation; raw floats and arrays are
+    rejected so private contribution values cannot be smuggled into the
+    public record.
     """
 
     def __init__(self):
-        self._entries: list[TranscriptEntry] = []
-        self._announcements: list[Announcement] = []
+        self._ticks = array("q")
+        self._values = array("d")
+        self._events: list[tuple[int, Union[Announcement, Mark]]] = []
+        self._last_tick = 0
 
     def _check_tick(self, tick: int) -> int:
         tick = int(tick)
         if tick < 0:
             raise ValueError("tick must be non-negative")
-        if self._entries and tick < self._entries[-1].tick:
+        if tick < self._last_tick:
             raise ValueError(
                 f"transcript ticks must be non-decreasing "
-                f"(got {tick} after {self._entries[-1].tick})"
+                f"(got {tick} after {self._last_tick})"
             )
+        self._last_tick = tick
         return tick
 
     def record_measurement(self, tick: int, reading: Reading) -> None:
@@ -149,47 +167,87 @@ class Transcript:
                 "transcripts only accept channel Readings as measurements; "
                 "got " + type(reading).__name__
             )
-        self._entries.append(Measurement(self._check_tick(tick), float(reading)))
+        self._ticks.append(self._check_tick(tick))
+        self._values.append(reading)
+
+    def record_readings(self, first_tick: int, readings: Readings) -> None:
+        """Append a block of readings, one per tick from `first_tick` on."""
+        if not isinstance(readings, Readings):
+            raise TypeError(
+                "transcripts only accept channel Readings as measurements; "
+                "got " + type(readings).__name__
+            )
+        if not len(readings):
+            return
+        first_tick = self._check_tick(first_tick)
+        last_tick = self._check_tick(first_tick + len(readings) - 1)
+        self._ticks.frombytes(np.arange(first_tick, last_tick + 1, dtype=np.int64).tobytes())
+        self._values.frombytes(np.ascontiguousarray(readings.values, np.float64).tobytes())
 
     def announce(self, tick: int, tag: str) -> None:
         announcement = Announcement(self._check_tick(tick), str(tag))
-        self._entries.append(announcement)
-        self._announcements.append(announcement)
+        self._events.append((len(self._values), announcement))
 
     def mark(self, tick: int, label: str) -> None:
-        self._entries.append(Mark(self._check_tick(tick), str(label)))
+        self._events.append((len(self._values), Mark(self._check_tick(tick), str(label))))
 
     @property
     def entries(self) -> tuple[TranscriptEntry, ...]:
-        return tuple(self._entries)
+        entries: list[TranscriptEntry] = []
+        start = 0
+        for index, event in self._events:
+            entries.extend(map(Measurement, self._ticks[start:index], self._values[start:index]))
+            entries.append(event)
+            start = index
+        entries.extend(map(Measurement, self._ticks[start:], self._values[start:]))
+        return tuple(entries)
 
     def measurements(self) -> list[tuple[int, float]]:
-        return [(e.tick, e.value) for e in self._entries if isinstance(e, Measurement)]
+        return list(zip(self._ticks, self._values))
+
+    def values(self) -> np.ndarray:
+        """The measured values, in order, as a new float64 array."""
+        return np.array(self._values, dtype=np.float64)
 
     def announcements(self) -> list[tuple[int, str]]:
-        return [(e.tick, e.tag) for e in self._announcements]
+        return [(e.tick, e.tag) for _, e in self._events if isinstance(e, Announcement)]
 
     def first_announcement(self, tag: str) -> Optional[int]:
         """Tick of the first announcement tagged `tag`, or None if there is none yet."""
-        for announcement in self._announcements:
-            if announcement.tag == tag:
-                return announcement.tick
+        for _, event in self._events:
+            if isinstance(event, Announcement) and event.tag == tag:
+                return event.tick
         return None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values) + len(self._events)
 
     def __iter__(self) -> Iterator[TranscriptEntry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transcript):
             return NotImplemented
-        return self._entries == other._entries
+        return (
+            self._ticks == other._ticks
+            and self._values == other._values
+            and self._events == other._events
+        )
 
 
 # Digest of an empty transcript; fixed for the life of the format.
 EMPTY_TRANSCRIPT_DIGEST = 0xB4B2797457A0A6E4
+
+# One measurement's digest bytes: b"M", the tick as <q, the value as <d.
+_MEASUREMENT_RECORD = np.dtype([("kind", "S1"), ("tick", "<i8"), ("value", "<f8")])
+
+
+def _event_bytes(event: Union[Announcement, Mark]) -> bytes:
+    if isinstance(event, Announcement):
+        kind, payload = b"A", event.tag.encode("utf-8")
+    else:
+        kind, payload = b"K", event.label.encode("utf-8")
+    return kind + struct.pack("<qI", event.tick, len(payload)) + payload
 
 
 def replay_digest(transcript: Transcript) -> int:
@@ -198,28 +256,23 @@ def replay_digest(transcript: Transcript) -> int:
     A pure function of the entries: equal transcripts hash equal, and any
     change -- down to one ulp of one measurement -- changes the digest
     with overwhelming probability.  Float payloads are hashed by their
-    IEEE-754 bit pattern, never by a decimal rendering.
+    IEEE-754 bit pattern, never by a decimal rendering.  The measurement
+    records are packed in one array and the event records spliced in
+    between them, which hashes the same bytes as one entry at a time.
     """
     h = hashlib.blake2b(digest_size=8)
-    for entry in transcript:
-        if isinstance(entry, Measurement):
-            h.update(b"M")
-            h.update(struct.pack("<q", entry.tick))
-            h.update(struct.pack("<d", entry.value))
-        elif isinstance(entry, Announcement):
-            payload = entry.tag.encode("utf-8")
-            h.update(b"A")
-            h.update(struct.pack("<q", entry.tick))
-            h.update(struct.pack("<I", len(payload)))
-            h.update(payload)
-        elif isinstance(entry, Mark):
-            payload = entry.label.encode("utf-8")
-            h.update(b"K")
-            h.update(struct.pack("<q", entry.tick))
-            h.update(struct.pack("<I", len(payload)))
-            h.update(payload)
-        else:  # pragma: no cover - the entry union is closed
-            raise TypeError(f"unknown transcript entry {entry!r}")
+    records = np.empty(len(transcript._values), dtype=_MEASUREMENT_RECORD)
+    records["kind"] = b"M"
+    records["tick"] = transcript._ticks
+    records["value"] = transcript._values
+    packed = memoryview(records.tobytes())
+    size = _MEASUREMENT_RECORD.itemsize
+    start = 0
+    for index, event in transcript._events:
+        h.update(packed[start * size : index * size])
+        h.update(_event_bytes(event))
+        start = index
+    h.update(packed[start * size :])
     return int.from_bytes(h.digest(), "little")
 
 

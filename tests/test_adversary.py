@@ -6,12 +6,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoysim import (
     AdversaryKind,
     InsufficientSamples,
     InvalidScenario,
     RampModel,
+    Reading,
     TranscriptFeatures,
     Transcript,
     analytic_split_posterior,
@@ -144,11 +147,57 @@ class TestTranscriptFeatures:
     def test_never_flat_run_is_unstable(self):
         features = TranscriptFeatures(hold_ticks=4, noise_sigma=0.0, bucket_width=1)
         transcript = Transcript()
-        from decoysim import Reading
-
         for tick in range(6):
             transcript.record_measurement(tick, Reading(float(tick)))
         assert features(transcript) == ("unstable",)
+
+
+def _features_by_walk(features: TranscriptFeatures, values: list) -> tuple:
+    """The features computed value by value, as their definition reads."""
+    if not values:
+        return ("empty",)
+    tol = features.tolerance
+    first_active = next((i for i, v in enumerate(values) if abs(v) > tol), None)
+    if first_active is None:
+        return ("silent",)
+    flat_onset = 0
+    for index in range(1, len(values)):
+        if abs(values[index] - values[index - 1]) > tol:
+            flat_onset = index
+    if len(values) - flat_onset < features.hold_ticks:
+        return ("unstable",)
+    stable_total = round(math.fsum(values[flat_onset:]) / (len(values) - flat_onset))
+    return (int(stable_total), max(0, flat_onset - first_active) // features.bucket_width)
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-9, 2e-9, 3.0, 3.0000000001]),
+            st.floats(-1e6, 1e6),
+        ),
+        max_size=40,
+    ),
+    hold=st.integers(1, 6),
+    sigma=st.sampled_from([0.0, 0.05, 1.0]),
+    width=st.integers(1, 5),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_array_features_match_the_value_walk(values, hold, sigma, width):
+    features = TranscriptFeatures(hold_ticks=hold, noise_sigma=sigma, bucket_width=width)
+    transcript = Transcript()
+    for tick, value in enumerate(values):
+        transcript.record_measurement(tick, Reading(value))
+    assert features(transcript) == _features_by_walk(features, values)
+
+
+def test_array_features_match_the_value_walk_on_runs():
+    for scenario in (sync_scenario(), decoy_scenario(noise_sigma=0.05, epsilon_stab=0.2)):
+        features = TranscriptFeatures.for_scenario(scenario)
+        for sample_seed in range(20):
+            transcript = run_decoy_transmission(with_seed(scenario, sample_seed)).transcript
+            values = [value for _, value in transcript.measurements()]
+            assert features(transcript) == _features_by_walk(features, values)
 
 
 class TestEstimatePosterior:

@@ -4,6 +4,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,6 +345,26 @@ class TestReplayCheck:
         assert code == 0
         digest = f"{EMPTY_TRANSCRIPT_DIGEST:016x}"
         assert out.splitlines() == [f"replay digests: {digest} {digest}", "replay: MATCH"]
+
+
+def test_stdout_closed_early_exits_one_without_a_traceback():
+    # `decoysim sweep ... | head -1`: the reader goes away after one line.
+    root = CONFIGS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "decoysim.cli", "sweep", "--config",
+         str(CONFIGS / "decoy.cfg"), "--runs", "3000", "--format", "records"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    stderr = process.stderr.read().decode()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 1, stderr
+    assert json.loads(first)["record"] == "run"
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
 def test_version_flag(capsys):

@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from decoysim import (
     EMPTY_TRANSCRIPT_DIGEST,
     Announcement,
     InvalidScenario,
+    Mark,
     Measurement,
     Ordering,
     Protocol,
@@ -23,6 +26,7 @@ from decoysim import (
     replay_digest,
     run_scenario,
 )
+from decoysim.channel import Readings, measure_pair
 from conftest import decoy_scenario, vessels_scenario, with_seed
 
 
@@ -93,6 +97,121 @@ class TestTranscript:
             transcript.announce(tick, "t")
         recorded = [entry.tick for entry in transcript]
         assert recorded == sorted(recorded)
+
+
+def _entry_walk_digest(entries) -> int:
+    """The replay digest computed one entry at a time, as the format defines it."""
+    h = hashlib.blake2b(digest_size=8)
+    for entry in entries:
+        if isinstance(entry, Measurement):
+            h.update(b"M")
+            h.update(struct.pack("<q", entry.tick))
+            h.update(struct.pack("<d", entry.value))
+        else:
+            kind = b"A" if isinstance(entry, Announcement) else b"K"
+            payload = (entry.tag if isinstance(entry, Announcement) else entry.label).encode()
+            h.update(kind)
+            h.update(struct.pack("<q", entry.tick))
+            h.update(struct.pack("<I", len(payload)))
+            h.update(payload)
+    return int.from_bytes(h.digest(), "little")
+
+
+def _block(*values: float) -> Readings:
+    return measure_pair(np.array(values), np.zeros(len(values)), 0.0, None)
+
+
+def _mixed_transcript() -> Transcript:
+    """Events before, between and after measurements; scalar and bulk appends."""
+    transcript = Transcript()
+    transcript.announce(0, "wave-params omega=1.0 phi=0.0")
+    transcript.record_readings(0, _block(0.0, 0.25, -1.5))
+    transcript.mark(2, "level=3")
+    transcript.record_measurement(3, Reading(-0.0))
+    transcript.announce(4, "in-business")
+    transcript.announce(4, "héllo")
+    transcript.record_readings(4, _block(1e300, math.pi, 5e-324))
+    transcript.record_readings(7, _block())
+    transcript.record_measurement(7, Reading(8.0))
+    transcript.mark(9, "done")
+    transcript.announce(9, "trailing")
+    return transcript
+
+
+class TestColumnarTranscript:
+    EXPECTED = [
+        Announcement(0, "wave-params omega=1.0 phi=0.0"),
+        Measurement(0, 0.0),
+        Measurement(1, 0.25),
+        Measurement(2, -1.5),
+        Mark(2, "level=3"),
+        Measurement(3, -0.0),
+        Announcement(4, "in-business"),
+        Announcement(4, "héllo"),
+        Measurement(4, 1e300),
+        Measurement(5, math.pi),
+        Measurement(6, 5e-324),
+        Measurement(7, 8.0),
+        Mark(9, "done"),
+        Announcement(9, "trailing"),
+    ]
+
+    def test_entries_keep_their_order(self):
+        transcript = _mixed_transcript()
+        assert transcript.entries == tuple(self.EXPECTED)
+        assert list(transcript) == self.EXPECTED
+        assert len(transcript) == len(self.EXPECTED)
+        assert all(type(e.value) is float for e in transcript.entries if isinstance(e, Measurement))
+
+    def test_measurements_and_announcements(self):
+        transcript = _mixed_transcript()
+        expected = [(e.tick, e.value) for e in self.EXPECTED if isinstance(e, Measurement)]
+        assert transcript.measurements() == expected
+        assert transcript.values().tolist() == [value for _, value in expected]
+        assert transcript.announcements() == [
+            (0, "wave-params omega=1.0 phi=0.0"), (4, "in-business"), (4, "héllo"), (9, "trailing")
+        ]
+
+    def test_digest_matches_the_entry_walk(self):
+        transcript = _mixed_transcript()
+        assert replay_digest(transcript) == _entry_walk_digest(self.EXPECTED)
+
+    def test_bulk_and_scalar_appends_are_equal(self):
+        scalar = Transcript()
+        for tick, value in enumerate([1.0, 2.0, 3.0]):
+            scalar.record_measurement(tick, Reading(value))
+        bulk = Transcript()
+        bulk.record_readings(0, _block(1.0, 2.0, 3.0))
+        assert bulk == scalar
+        assert replay_digest(bulk) == replay_digest(scalar)
+
+    def test_equality_sees_event_positions(self):
+        before = Transcript()
+        before.mark(0, "x")
+        before.record_measurement(0, Reading(1.0))
+        after = Transcript()
+        after.record_measurement(0, Reading(1.0))
+        after.mark(0, "x")
+        assert before != after
+        assert len(before) == len(after) == 2
+
+    def test_bulk_append_accepts_only_readings(self):
+        transcript = Transcript()
+        with pytest.raises(TypeError):
+            transcript.record_readings(0, np.array([1.0, 2.0]))
+        with pytest.raises(TypeError):
+            transcript.record_readings(0, [Reading(1.0)])
+        assert len(transcript) == 0
+
+    def test_bulk_append_keeps_ticks_non_decreasing(self):
+        transcript = Transcript()
+        transcript.mark(5, "x")
+        with pytest.raises(ValueError):
+            transcript.record_readings(4, _block(1.0))
+        transcript.record_readings(5, _block(1.0, 2.0))
+        with pytest.raises(ValueError):
+            transcript.announce(5, "late")
+        assert transcript.measurements() == [(5, 1.0), (6, 2.0)]
 
 
 def _random_transcript(rng: random.Random) -> Transcript:
