@@ -8,9 +8,13 @@ The corpus covers every configs/*.cfg, the 100 scenarios of acceptance
 criterion 9, and a grid of seeded runs over every decoy protocol x
 adversary x ramp model x defense setting plus the comparison protocols,
 with budgets and noise chosen so that timeouts and vessel aborts occur
-too.  One more group jams upward (``attack_jam`` with jam value +3), so
-that receivers reject the transmission as out of domain; its rows pin
-the attack's ``receiver_error`` (or "ok") in place of the run status.
+too.  Three more groups jam with other values (``attack_jam`` with jam
+value +3, 0 and -80; upward jams make receivers reject the transmission
+as out of domain); their rows pin the attack's ``receiver_error`` (or
+"ok") in place of the run status.  The forging groups run
+``attack_impersonate`` with a forged announcement, the defense on and
+off, under every noise level; their rows pin what the impersonator
+recovered (``null`` for nothing) in place of the run status.
 The scenarios are a pure function of this file; the corpus stores one
 ``[status, digest]`` row per scenario, in order, and
 test_golden_digests.py replays it.  Regenerate only for an intended
@@ -31,6 +35,7 @@ from decoysim import (
     Protocol,
     RampModel,
     Scenario,
+    attack_impersonate,
     attack_jam,
     load_scenario,
     replay_digest,
@@ -46,7 +51,13 @@ RUNS_PER_GROUP = 200
 # A vessel abort stops before any level is published: its record is the
 # empty transcript, so only its status is pinned.
 VESSEL_ABORTS = ("VesselEmpty", "VesselOverflow")
-UPWARD_JAM = "decoy_force/jammer/random_ramp/defense=True/jam_value=3"
+JAM_GROUP = "decoy_force/jammer/random_ramp/defense=True/jam_value="
+# group name -> jam value; the +3 group was the first and keeps its name
+JAM_VALUES = {f"{JAM_GROUP}{name}": value for name, value in (("3", 3.0), ("0", 0.0), ("-80", -80.0))}
+FORGED = "/forged"
+# The forger's own key, picked by seed: a whole key, a fractional one and
+# none at all (a forger that announces but never ramps).
+FORGER_KEYS = (4.0, 2.5, 0.0)
 # (noise_sigma, epsilon_stab): noiseless, the usual 4-sigma window, and a
 # window too tight to settle in, which often times out.
 NOISE_LEVELS = ((0.0, 0.0), (0.05, 0.2), (0.05, 0.01))
@@ -95,7 +106,15 @@ def groups() -> dict[str, list[Scenario]]:
                         defense_enabled=defense)
         out[name] = _decoy_group(name, base)
     base = Scenario(protocol=Protocol.DECOY_FORCE, adversary=AdversaryKind.JAMMER)
-    out[UPWARD_JAM] = _decoy_group(UPWARD_JAM, base)
+    for name in JAM_VALUES:
+        out[name] = _decoy_group(name, base)
+    for protocol, ramp_model, defense in itertools.product(
+        (Protocol.DECOY_FORCE, Protocol.DECOY_WAVE), RampModel, (True, False)
+    ):
+        name = f"{protocol.value}/impersonator/{ramp_model.value}/defense={defense}{FORGED}"
+        base = Scenario(protocol=protocol, adversary=AdversaryKind.IMPERSONATOR,
+                        ramp_model=ramp_model, defense_enabled=defense)
+        out[name] = _decoy_group(name, base)
     for protocol in COMPARISON_PROTOCOLS:
         out[protocol.value] = _comparison_group(protocol)
     return out
@@ -103,9 +122,13 @@ def groups() -> dict[str, list[Scenario]]:
 
 def pinned_row(group: str, scenario: Scenario) -> list:
     """``[status, digest]`` as the corpus stores it."""
-    if group == UPWARD_JAM:
-        attack = attack_jam(scenario, jam_value=3.0)
+    if group in JAM_VALUES:
+        attack = attack_jam(scenario, jam_value=JAM_VALUES[group])
         return [attack.receiver_error or "ok", f"{replay_digest(attack.transcript):016x}"]
+    if group.endswith(FORGED):
+        key = FORGER_KEYS[scenario.seed % len(FORGER_KEYS)]
+        attack = attack_impersonate(scenario, forge_announcement=True, adversary_key=key)
+        return [attack.adversary_recovered, f"{replay_digest(attack.transcript):016x}"]
     outcome = run_scenario(scenario)
     digest = replay_digest(outcome.transcript)
     if outcome.status in VESSEL_ABORTS:
@@ -120,7 +143,7 @@ def main() -> int:
     for name, scenarios in groups().items():
         rows = [pinned_row(name, scenario) for scenario in scenarios]
         for status, _ in rows:
-            statuses[status] = statuses.get(status, 0) + 1
+            statuses[str(status)] = statuses.get(str(status), 0) + 1
         body = ",\n".join(f"    {json.dumps(row)}" for row in rows)
         blocks.append(f"  {json.dumps(name)}: [\n{body}\n  ]")
     CORPUS.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")

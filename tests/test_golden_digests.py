@@ -2,7 +2,8 @@
 
 tests/golden_digests.json pins ``[status, digest]`` for the scenarios
 listed by make_golden_digests.groups(); a vessel abort is pinned by its
-status alone, and the upward-jam group by the receiver's error.
+status alone, the jam-value groups by the receiver's error and the
+forging groups by what the impersonator recovered.
 """
 
 import json
