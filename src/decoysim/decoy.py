@@ -168,7 +168,8 @@ def recover_secret(
         raise ValueError("total and own_key must be finite")
     diff = total - own_key
     n1, n2 = secret_domain
-    nearest = min(max(math.ceil(diff - 0.5), n1), n2)
+    # From 2^52 on every float is whole and diff - 0.5 would round.
+    nearest = min(max(int(diff) if diff.is_integer() else math.ceil(diff - 0.5), n1), n2)
     distance = abs(diff - nearest)
     if distance > 0.5 + 4.0 * noise_sigma:
         raise OutOfDomain(

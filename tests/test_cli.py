@@ -82,6 +82,17 @@ class TestRun:
             assert field in run_record
         assert run_record["flags"] == ["leak:b-a"]
 
+    def test_secret_just_below_2_to_the_53_is_recovered(self, capsys):
+        top = 2**53 - 1
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(CONFIGS / "decoy.cfg"),
+            "--set", f"secret_domain=1..{top}",
+            "--set", f"party_secrets.alice={top}",
+            "--set", "party_secrets.bob=5",
+        )
+        assert (code, err) == (0, "")
+        assert f'"recovered": {top}, "sender_secret": {top}, "success": true' in out
+
     def test_invalid_domain_exits_one_and_names_key(self, tmp_config, capsys):
         path = tmp_config(VESSELS_CFG.replace("1..50", "50..2"))
         code, _, err = run_cli(capsys, "run", "--config", path)

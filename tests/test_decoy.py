@@ -118,6 +118,15 @@ class TestRecoverSecret:
         assert recover_secret(8.5, 5.0, (1, 100)) == 3
         assert recover_secret(9.5, 5.0, (1, 100)) == 4
 
+    def test_whole_values_near_2_to_the_53_are_exact(self):
+        top = 2**53 - 1
+        assert recover_secret(float(top), 0.0, (1, top)) == top
+        assert recover_secret(float(2**52 + 1), 0.0, (1, top)) == 2**52 + 1
+
+    def test_half_ties_round_down_near_2_to_the_52(self):
+        assert recover_secret(2.0**51 + 0.5, 0.0, (1, 2**53)) == 2**51
+        assert recover_secret(2.0**52 - 0.5, 0.0, (1, 2**53)) == 2**52 - 1
+
     def test_clamps_to_domain_edge_within_tolerance(self):
         assert recover_secret(5.5, 5.0, (1, 100)) == 1
 
