@@ -24,6 +24,7 @@ import numpy as np
 from .decoy import (
     IN_BUSINESS,
     DecoyOutcome,
+    Forgery,
     detect_stabilization,
     generate_ramp,
     recover_secret,
@@ -348,7 +349,11 @@ _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
 class _JammerActor:
-    """Watches the public total; once it goes flat, leans on the medium."""
+    """A jammer one tick at a time: watches the public total; once it goes flat, leans on the medium.
+
+    The per-tick view of what `simulate_transmission` computes from the
+    jam value; nothing in the package steps it.
+    """
 
     def __init__(self, jam_value: float, scenario: Scenario):
         self.jam_value = float(jam_value)
@@ -373,40 +378,23 @@ class _JammerActor:
 
 
 class _ImpersonatorActor:
-    """Takes the receiver's place: stays silent, or forges his announcement."""
+    """An impersonator one tick at a time: stays silent, or forges the announcement.
 
-    def __init__(
-        self,
-        rng: RngStream,
-        scenario: Scenario,
-        forge_announcement: bool,
-        own_key: float,
-    ):
-        self.rng = rng
+    The per-tick view of what `simulate_transmission` computes from the
+    forgery; nothing in the package steps it.
+    """
+
+    def __init__(self, scenario: Scenario, forgery: Optional[Forgery]):
         self.scenario = scenario
-        self.forge = forge_announcement
-        self.own_key = float(own_key)
-        self.announce_tick = (
-            rng.integers(1, scenario.receiver_start_max) if forge_announcement else None
-        )
-        self.ramp = None
+        self.ramp = forgery.ramp if forgery else None
+        self.announce_tick = forgery.tick if forgery else None
         self.window: list[float] = []
         self.recovered: Optional[int] = None
 
     def on_tick(self, tick: int, channel, transcript) -> None:
-        if not self.forge:
-            return
         if tick == self.announce_tick:
             transcript.announce(tick, IN_BUSINESS)
-        if tick >= self.announce_tick and self.own_key > 0.0:
-            if self.ramp is None:
-                self.ramp = generate_ramp(
-                    self.rng,
-                    self.own_key,
-                    tick,
-                    self.scenario.max_ramp_ticks,
-                    RampModel.RANDOM_RAMP,
-                )
+        if self.ramp is not None and tick >= self.announce_tick:
             channel.set_contribution(ADVERSARY, self.ramp.value_at(tick))
 
     def on_reading(self, tick: int, reading: float) -> None:
@@ -436,12 +424,11 @@ def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
     """
     if scenario.adversary is not AdversaryKind.JAMMER:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
-    actor = _JammerActor(jam_value, scenario)
     sender_secret = scenario.secret_of(SENDER)
-    outcome = simulate_transmission(scenario, actor=actor)
+    outcome = simulate_transmission(scenario, jam_value=float(jam_value))
     receiver_recovered = outcome.recovered
     receiver_error = _RECEIVER_ERRORS.get(outcome.status)
-    disrupted = actor.jammed and jam_value != 0.0 and (
+    disrupted = outcome.jammed and jam_value != 0.0 and (
         receiver_error is not None or receiver_recovered != sender_secret
     )
     return AttackOutcome(
@@ -472,26 +459,31 @@ def attack_impersonate(
     """
     if scenario.adversary is not AdversaryKind.IMPERSONATOR:
         raise InvalidScenario("attack_impersonate needs scenario.adversary = impersonator")
-    actor = _ImpersonatorActor(
-        scenario.stream(STREAM_ADVERSARY),
-        scenario,
-        forge_announcement,
-        adversary_key if forge_announcement else 0.0,
-    )
+    forgery = None
+    if forge_announcement:
+        # The forged tick is the adversary stream's first draw, its ramp the next.
+        rng = scenario.stream(STREAM_ADVERSARY)
+        tick = rng.integers(1, scenario.receiver_start_max)
+        ramp = None
+        if float(adversary_key) > 0.0:
+            ramp = generate_ramp(
+                rng, float(adversary_key), tick, scenario.max_ramp_ticks, RampModel.RANDOM_RAMP
+            )
+        forgery = Forgery(tick, ramp)
     # No real receiver ever detects stabilization, so the run always
-    # exhausts its tick budget; the question is what the actor saw.
-    outcome = simulate_transmission(scenario, actor=actor)
-    learned = actor.recovered == scenario.secret_of(SENDER)
+    # exhausts its tick budget; the question is what the impersonator read.
+    outcome = simulate_transmission(scenario, forgery=forgery)
+    learned = outcome.adversary_recovered == scenario.secret_of(SENDER)
     return AttackOutcome(
         kind="impersonate",
         transcript=outcome.transcript,
         disrupted=True,
         adversary_learned=learned,
-        adversary_recovered=actor.recovered,
+        adversary_recovered=outcome.adversary_recovered,
         receiver_recovered=None,
         receiver_error="protocol_timeout",
         timeout=True,
-        forged_announce_tick=actor.announce_tick,
+        forged_announce_tick=forgery.tick if forgery else None,
     )
 
 

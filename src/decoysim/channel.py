@@ -3,13 +3,15 @@
 The public observable at any instant is the sum of every private
 contribution currently applied to the medium (forces on a rod, wave
 amplitudes in a waveguide), optionally blurred by Gaussian measurement
-noise.  Individual contributions never leave this module: the only value
-that may enter a transcript is the output of :meth:`ChannelState.measure`.
+noise.  Individual contributions never leave this module: the only values
+that may enter a transcript are the outputs of :func:`measure_block` and,
+one tick at a time, :meth:`ChannelState.measure`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class Readings:
     """A block of public channel measurements, one per consecutive tick.
 
     The bulk counterpart of :class:`Reading`: a transcript's bulk append
-    accepts only this type, which :func:`measure_pair` produces, and
+    accepts only this type, which :func:`measure_block` produces, and
     rejects plain arrays.
     """
 
@@ -54,7 +56,8 @@ class ChannelState:
     An absent contributor is equivalent to a contribution of 0.  Setting a
     contribution replaces the previous value (map semantics, not
     accumulation).  Negative values are allowed at this level; protocol
-    parties are constrained to positive targets elsewhere.
+    parties are constrained to positive targets elsewhere.  The per-tick
+    view of what :func:`measure_block` computes for a whole block.
     """
 
     def __init__(self, noise_sigma: float = 0.0):
@@ -87,17 +90,32 @@ class ChannelState:
         return Reading(total)
 
 
-def measure_pair(first: np.ndarray, second: np.ndarray, noise_sigma: float, rng) -> Readings:
-    """Public measurements of two contributions over a block of ticks.
+def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> Readings:
+    """Public measurements of two or three contributions over a block of ticks.
 
     Tick by tick the same values as :meth:`ChannelState.measure` with the
-    two contributions applied: the float sum of two values is exactly
-    their fsum, and the block's noise is drawn in bulk, which yields the
-    same draws in the same order as one draw per tick.
+    same contributions applied, when `noise` is noise_sigma times the same
+    draws (None without noise): the float sum of two values is exactly
+    their fsum, and so is ``(a + b) + c`` on every tick where both TwoSum
+    error terms are zero; the other ticks take math.fsum.
     """
-    total = first + second
+    total = parts[0] + parts[1]
+    if len(parts) == 3:
+        pair = total
+        total = pair + parts[2]
+        inexact = (_two_sum_error(parts[0], parts[1], pair) != 0) | (
+            _two_sum_error(pair, parts[2], total) != 0
+        )
+        for tick in np.flatnonzero(inexact).tolist():
+            total[tick] = math.fsum(part[tick] for part in parts)
     if not np.isfinite(total).all():  # a non-finite contribution makes its sum non-finite
         raise NonFiniteValue("a contribution is not finite")
-    if noise_sigma > 0.0:
-        total += noise_sigma * rng.normal(len(total))
+    if noise is not None:
+        total += noise
     return Readings(total)
+
+
+def _two_sum_error(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """What rounding took from total = a + b (Knuth's TwoSum); zero where the sum is exact."""
+    b_part = total - a
+    return (a - (total - b_part)) + (b - b_part)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelState, Readings, measure_pair
+from .channel import Readings, measure_block
 from .engine import (
     OK,
     OUT_OF_DOMAIN,
@@ -185,7 +185,9 @@ class DecoyOutcome:
 
     `status` is OK, TIMEOUT (no stabilization within max_ticks) or
     OUT_OF_DOMAIN (the recovery rejected the transmission); a failed run
-    has no recovered value and `detail` says why it failed.
+    has no recovered value and `detail` says why it failed.  `jammed`
+    says whether a jammer's force reached the medium, and
+    `adversary_recovered` is what an impersonator read, if anything.
     """
 
     recovered: Optional[int]
@@ -200,182 +202,46 @@ class DecoyOutcome:
     receiver_stabilize_tick: Optional[int]
     status: str = OK
     detail: str = ""
+    jammed: bool = False
+    adversary_recovered: Optional[int] = None
 
     @property
     def success(self) -> bool:
         return self.recovered == self.sender_secret
 
 
-def _receiver_ramp_model(model: RampModel) -> RampModel:
-    # The deterministic-rate control only makes the *sender* leaky; the
-    # receiver jumps so the observable ramp duration is the sender's alone.
-    if model is RampModel.DETERMINISTIC_RATE:
-        return RampModel.SYNCHRONOUS
-    return model
+@dataclass(frozen=True)
+class Forgery:
+    """A receiver impersonator's forged announcement and, with a key, its own ramp.
+
+    The ramp starts on the announcement tick and climbs to the key.
+    """
+
+    tick: int
+    ramp: Optional[RampProcess]
 
 
-class _Run:
-    """What both ways of running a transmission set up and report alike."""
+def simulate_transmission(
+    scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
+) -> DecoyOutcome:
+    """Run one transmission, under any adversary, in closed form.
 
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.rng_sender = scenario.stream(STREAM_SENDER)
-        self.rng_noise = scenario.stream(STREAM_NOISE)
-        rng_receiver = scenario.stream(STREAM_RECEIVER)
-        self.transcript = Transcript()
-        if scenario.protocol is Protocol.DECOY_WAVE:
-            self.transcript.announce(0, WAVE_PARAMS)
-        self.sender_secret = scenario.secret_of(SENDER)
-        # Drawn from the receiver's stream whether or not he shows up, so an
-        # impersonation run is tick-aligned with its honest twin.
-        self.receiver_start = rng_receiver.integers(1, scenario.receiver_start_max)
-        self.receiver_key: Optional[int] = None
-        self.receiver_ramp: Optional[RampProcess] = None
-        if scenario.adversary is not AdversaryKind.IMPERSONATOR:
-            self.receiver_key = scenario.secret_of(RECEIVER)
-            self.receiver_ramp = generate_ramp(
-                rng_receiver,
-                float(self.receiver_key),
-                self.receiver_start,
-                scenario.max_ramp_ticks,
-                _receiver_ramp_model(scenario.ramp_model),
-            )
-
-    def sender_ramp(self, start_tick: int) -> RampProcess:
-        scenario = self.scenario
-        return generate_ramp(
-            self.rng_sender,
-            float(self.sender_secret),
-            start_tick,
-            scenario.max_ramp_ticks,
-            scenario.ramp_model,
-            ticks_per_unit=max(1, scenario.max_ramp_ticks // scenario.n2),
-        )
-
-    def settled(self, level: Optional[float]) -> bool:
-        """Whether the receiver's window settled at a level worth reading."""
-        return level is not None and level >= self.scenario.n1 - 0.5
-
-    def finish(
-        self,
-        sender_ramp: Optional[RampProcess],
-        announce_tick: Optional[int],
-        detected_tick: Optional[int] = None,
-        estimate: Optional[float] = None,
-    ) -> DecoyOutcome:
-        """The outcome: a timeout without a detection, else what the receiver recovers."""
-        scenario = self.scenario
-        status, detail, recovered = OK, "", None
-        if detected_tick is None:
-            status = TIMEOUT
-            detail = f"no stabilization detected within {scenario.max_ticks} ticks"
-        else:
-            key = float(self.receiver_key)
-            try:
-                recovered = recover_secret(
-                    estimate + key, key, scenario.secret_domain, scenario.noise_sigma
-                )
-            except OutOfDomain as exc:
-                status, detail = OUT_OF_DOMAIN, str(exc)
-        receiver_ramp = self.receiver_ramp
-        return DecoyOutcome(
-            recovered=recovered,
-            sender_secret=self.sender_secret,
-            receiver_key=self.receiver_key,
-            transcript=self.transcript,
-            detected_tick=detected_tick,
-            stable_estimate=estimate,
-            announce_tick=announce_tick,
-            sender_start_tick=sender_ramp.start_tick if sender_ramp else None,
-            sender_stabilize_tick=sender_ramp.stabilize_tick if sender_ramp else None,
-            receiver_stabilize_tick=receiver_ramp.stabilize_tick if receiver_ramp else None,
-            status=status,
-            detail=detail,
-        )
-
-
-def simulate_transmission(scenario: Scenario, actor=None) -> DecoyOutcome:
-    """Run one transmission.
-
-    `actor`, when given, is an active adversary with two hooks:
-    ``on_tick(tick, channel, transcript)`` runs before the public
-    measurement (it may push a contribution or forge an announcement) and
-    ``on_reading(tick, reading)`` runs after it.  The receiver takes part
-    unless the scenario's adversary impersonates him.  A run whose
-    receiver never detects stabilization within max_ticks, or rejects what
-    he recovers, still returns its outcome, with that status.
-
-    Without an actor the run is computed in closed form; with one it
-    steps through the tick loop.  Both give the same outcome and the same
-    transcript.
+    An active adversary comes in as data: a jammer scenario's `jam_value`
+    is the force it adds once the public total goes flat, and an
+    impersonator scenario's `forgery` is its forged announcement (None for
+    a silent one).  The receiver takes part unless the scenario's
+    adversary impersonates him.  A run whose receiver never detects
+    stabilization within max_ticks, or rejects what he recovers, still
+    returns its outcome, with that status.
     """
     scenario.validate()
     if scenario.protocol not in DECOY_PROTOCOLS:
         raise ValueError(f"not a transmission protocol: {scenario.protocol}")
-    run = _Run(scenario)
-    if actor is None:
-        return _closed_form(run)
-    return _tick_loop(run, actor)
-
-
-def _tick_loop(run: _Run, actor) -> DecoyOutcome:
-    """One tick at a time, with the actor's hooks around each public measurement."""
-    scenario = run.scenario
-    transcript = run.transcript
-    channel = ChannelState(scenario.noise_sigma)
-    receiver_start = run.receiver_start
-    receiver_ramp = run.receiver_ramp
-    sender_ramp: Optional[RampProcess] = None
-    synchronized = scenario.ramp_model is RampModel.SYNCHRONOUS
-    announce_seen_tick: Optional[int] = None
-    window: list[float] = []
-
-    def sender_may_start(tick: int) -> bool:
-        if synchronized:
-            # Idealized control: both parties move at one public tick, so
-            # nobody's force is ever observable alone.
-            return tick >= receiver_start
-        if not scenario.defense_enabled:
-            return True
-        return announce_seen_tick is not None and tick > announce_seen_tick
-
-    for tick in range(scenario.max_ticks):
-        # 1. sender
-        if sender_ramp is None and sender_may_start(tick):
-            sender_ramp = run.sender_ramp(receiver_start if synchronized else tick)
-        if sender_ramp is not None:
-            channel.set_contribution(SENDER, sender_ramp.value_at(tick))
-
-        # 2. receiver
-        receiver_value = 0.0
-        if receiver_ramp is not None and tick >= receiver_start:
-            if tick == receiver_start:
-                transcript.announce(tick, IN_BUSINESS)
-            receiver_value = receiver_ramp.value_at(tick)
-            channel.set_contribution(RECEIVER, receiver_value)
-
-        # 3. adversary
-        actor.on_tick(tick, channel, transcript)
-
-        # 4. public measurement
-        reading = channel.measure(run.rng_noise)
-        transcript.record_measurement(tick, reading)
-        actor.on_reading(tick, float(reading))
-
-        # The sender reads announcements off the public record; a forged
-        # one is indistinguishable from the real thing.
-        if announce_seen_tick is None:
-            announce_seen_tick = transcript.first_announcement(IN_BUSINESS)
-
-        # 5. receiver-side detection: he subtracts his own known schedule
-        # and waits for the remainder to go flat for hold_ticks.
-        if receiver_ramp is not None:
-            window.append(float(reading) - receiver_value)
-            level = detect_stabilization(window, scenario.epsilon_stab, scenario.hold_ticks)
-            if run.settled(level):
-                return run.finish(sender_ramp, announce_seen_tick, tick, level)
-
-    return run.finish(sender_ramp, announce_seen_tick)
+    if (jam_value is not None and scenario.adversary is not AdversaryKind.JAMMER) or (
+        forgery is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
+    ):
+        raise ValueError("a jam value needs a jammer scenario, a forgery an impersonator one")
+    return _closed_form(scenario, jam_value, forgery)
 
 
 def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,62 +259,130 @@ def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
     return high, low
 
 
-def _closed_form(run: _Run) -> DecoyOutcome:
-    """An honest or passively observed run, computed in blocks of ticks.
+def _settled(
+    values: np.ndarray, first_tick: int, width: int, epsilon: float, floor: float
+) -> Iterator[tuple[int, float]]:
+    """(last tick, level) of every window that settles at `floor` or higher, in tick order.
 
-    Nothing but the two parties reaches the channel, and the sender's
-    start tick is known in advance: when the receiver starts for the
-    synchronous control, at once without the defense, and the tick after
-    his announcement with it.  So the readings are the ramps' sum plus
-    noise, built in blocks that double in length until the receiver
-    detects stabilization.  Only windows that pass a necessary condition
-    (spread within 2 * epsilon, highest value near the arming level) go
-    to the exact detector, in tick order.
+    `values[0]` was read on `first_tick`.  Only windows that pass a
+    necessary condition (spread within 2 * epsilon, highest value near the
+    floor) go to the exact detector.
     """
-    scenario = run.scenario
-    transcript = run.transcript
-    budget = scenario.max_ticks
-    hold = scenario.hold_ticks
-    epsilon = scenario.epsilon_stab
-    receiver_start = run.receiver_start
-    receiver_ramp = run.receiver_ramp
+    if len(values) < width:
+        return
+    high, low = _window_extremes(values, width)
+    # Slack for rounding: a window the exact detector accepts always passes.
+    passing = (high - low <= 2.0 * epsilon * (1.0 + 1e-9)) & (high >= floor * (1.0 - 1e-9))
+    for j in np.flatnonzero(passing).tolist():
+        level = detect_stabilization(values[j : j + width].tolist(), epsilon, width)
+        if level is not None and level >= floor:
+            yield first_tick + j + width - 1, level
+
+
+def _closed_form(
+    scenario: Scenario, jam_value: Optional[float], forgery: Optional[Forgery]
+) -> DecoyOutcome:
+    """Every decoy run, computed in blocks of ticks.
+
+    Each party's effect on the channel is open-loop once one trigger tick
+    is known.  The sender starts when the receiver does for the
+    synchronous control, at once without the defense, and the tick after
+    the first announcement (the receiver's or a forged one) with it.  A
+    forger ramps from its announcement tick.  A jammer arms on the first
+    window of max(1, hold // 2) raw readings that settles, and its force
+    joins from the next tick, unless the receiver detected first.  So the
+    readings are the contributions' sum plus noise: ``a + b``, or
+    ``(a + b) + c`` where TwoSum shows that sum exact and math.fsum on the
+    other ticks, the same values the channel's fsum gives.  They are built
+    in blocks that double in length until the receiver detects
+    stabilization; an impersonation always runs its whole budget, in one
+    block, and the impersonator reads the first settled window of
+    ``reading - own ramp`` that recover_secret does not reject.
+    """
+    budget, hold, epsilon = scenario.max_ticks, scenario.hold_ticks, scenario.epsilon_stab
+    floor = scenario.n1 - 0.5
+    rng_receiver = scenario.stream(STREAM_RECEIVER)
+    rng_noise = scenario.stream(STREAM_NOISE)
+    # Drawn from the receiver's stream whether or not he shows up, so an
+    # impersonation run is tick-aligned with its honest twin.
+    receiver_start = rng_receiver.integers(1, scenario.receiver_start_max)
+    receiver_key = receiver_ramp = None
+    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
+        receiver_key = scenario.secret_of(RECEIVER)
+        # The deterministic-rate control only makes the *sender* leaky; the
+        # receiver jumps so the observable ramp duration is the sender's alone.
+        model = scenario.ramp_model
+        if model is RampModel.DETERMINISTIC_RATE:
+            model = RampModel.SYNCHRONOUS
+        receiver_ramp = generate_ramp(
+            rng_receiver, float(receiver_key), receiver_start, scenario.max_ramp_ticks, model
+        )
+    # The second party on the medium, whose own contribution its listener
+    # subtracts, and its announcement tick (the budget for none).
+    if receiver_ramp is not None:
+        other, announce_tick = receiver_ramp, receiver_start
+    elif forgery is not None:
+        other, announce_tick = forgery.ramp, forgery.tick
+    else:
+        other, announce_tick = None, budget
     if scenario.ramp_model is RampModel.SYNCHRONOUS:
+        # Idealized control: both parties move at one public tick, so
+        # nobody's force is ever observable alone.
         sender_start = receiver_start
     elif not scenario.defense_enabled:
         sender_start = 0
-    elif receiver_ramp is not None:
-        sender_start = receiver_start + 1
-    else:  # the defended sender waits for an announcement nobody makes
-        sender_start = budget
-    sender_ramp = run.sender_ramp(sender_start) if sender_start < budget else None
-    parties = [ramp for ramp in (sender_ramp, receiver_ramp) if ramp is not None]
-    # Slack for rounding: a window the exact detector accepts always passes.
-    spread_limit = 2.0 * epsilon * (1.0 + 1e-9)
-    level_floor = (scenario.n1 - 0.5) * (1.0 - 1e-9)
+    else:
+        sender_start = announce_tick + 1
+    sender_secret = scenario.secret_of(SENDER)
+    sender_ramp = None
+    if sender_start < budget:
+        sender_ramp = generate_ramp(
+            scenario.stream(STREAM_SENDER),
+            float(sender_secret),
+            sender_start,
+            scenario.max_ramp_ticks,
+            scenario.ramp_model,
+            ticks_per_unit=max(1, scenario.max_ramp_ticks // scenario.n2),
+        )
 
+    def measure(parts: list[np.ndarray], noise: Optional[np.ndarray]) -> np.ndarray:
+        if jam_from < stop:  # the jammer's force is on the medium from jam_from on
+            jam = np.zeros(stop - first)
+            jam[max(0, jam_from - first) :] = jam_value
+            parts = [*parts, jam]
+        return measure_block(parts, noise).values
+
+    watching = jam_value is not None
+    jam_from = budget
     blocks: list[np.ndarray] = []
     window = np.zeros(0)  # the receiver's last hold - 1 window values
+    watched = np.zeros(0)  # the jammer's last watch - 1 readings
+    watch = max(1, hold // 2)
     first = 0
-    stop = min(budget, max([ramp.stabilize_tick for ramp in parties], default=0) + hold)
+    stop = budget
+    if receiver_ramp is not None:
+        stop = min(budget, max(r.stabilize_tick for r in (sender_ramp, receiver_ramp) if r) + hold)
     detected_tick = estimate = None
-    while detected_tick is None:
-        silent = np.zeros(stop - first)  # an absent party contributes 0
-        sender = sender_ramp.values(first, stop) if sender_ramp else silent
-        receiver = receiver_ramp.values(first, stop) if receiver_ramp else silent
-        readings = measure_pair(sender, receiver, scenario.noise_sigma, run.rng_noise)
-        blocks.append(readings.values)
+    while True:
+        parts = [r.values(first, stop) if r else np.zeros(stop - first) for r in (sender_ramp, other)]
+        noise = None
+        if scenario.noise_sigma > 0.0:
+            noise = scenario.noise_sigma * rng_noise.normal(stop - first)
+        readings = measure(parts, noise)
+        if watching:
+            watched = np.concatenate((watched, readings))
+            armed = next(_settled(watched, stop - len(watched), watch, epsilon, floor), None)
+            watched = watched[len(watched) - watch + 1 :]
+            if armed is not None:  # a detection on or before this tick ends the run unjammed
+                watching, jam_from = False, armed[0] + 1
+                readings = measure(parts, noise)
+        blocks.append(readings)
         if receiver_ramp is not None:
-            window = np.concatenate((window, readings.values - receiver))
-            if len(window) >= hold:
-                high, low = _window_extremes(window, hold)
-                passing = np.flatnonzero((high - low <= spread_limit) & (high >= level_floor))
-                # window index j holds the tick stop - len(window) + j
-                for j in passing.tolist():
-                    level = detect_stabilization(window[j : j + hold].tolist(), epsilon, hold)
-                    if run.settled(level):
-                        detected_tick = stop - len(window) + j + hold - 1
-                        estimate = level
-                        break
+            window = np.concatenate((window, readings - parts[1]))
+            hit = next(_settled(window, stop - len(window), hold, epsilon, floor), None)
+            if hit is not None:
+                detected_tick, estimate = hit
+                break
             window = window[len(window) - hold + 1 :]
         if stop == budget:
             break
@@ -456,17 +390,53 @@ def _closed_form(run: _Run) -> DecoyOutcome:
 
     last_tick = budget - 1 if detected_tick is None else detected_tick
     values = Readings(np.concatenate(blocks)[: last_tick + 1])
-    announce_tick = None
-    if receiver_ramp is not None and receiver_start <= last_tick:
-        announce_tick = receiver_start
-        transcript.record_readings(0, values[:receiver_start])
-        transcript.announce(receiver_start, IN_BUSINESS)
-        transcript.record_readings(receiver_start, values[receiver_start:])
+    adversary_recovered = None
+    if receiver_ramp is None:  # the impersonator reads, on one block of the whole run
+        own = parts[1]
+        for tick, level in _settled(values.values - own, 0, hold, epsilon, floor):
+            adversary_recovered, _ = _recover(scenario, level, float(own[tick]))
+            if adversary_recovered is not None:
+                break
+    transcript = Transcript()
+    if scenario.protocol is Protocol.DECOY_WAVE:
+        transcript.announce(0, WAVE_PARAMS)
+    if announce_tick <= last_tick:
+        transcript.record_readings(0, values[:announce_tick])
+        transcript.announce(announce_tick, IN_BUSINESS)
+        transcript.record_readings(announce_tick, values[announce_tick:])
     else:
+        announce_tick = None
         transcript.record_readings(0, values)
     if sender_ramp is not None and sender_ramp.start_tick > last_tick:
         sender_ramp = None
-    return run.finish(sender_ramp, announce_tick, detected_tick, estimate)
+    recovered, status, detail = None, TIMEOUT, f"no stabilization detected within {budget} ticks"
+    if detected_tick is not None:
+        recovered, detail = _recover(scenario, estimate, float(receiver_key))
+        status = OK if recovered is not None else OUT_OF_DOMAIN
+    return DecoyOutcome(
+        recovered=recovered,
+        sender_secret=sender_secret,
+        receiver_key=receiver_key,
+        transcript=transcript,
+        detected_tick=detected_tick,
+        stable_estimate=estimate,
+        announce_tick=announce_tick,
+        sender_start_tick=sender_ramp.start_tick if sender_ramp else None,
+        sender_stabilize_tick=sender_ramp.stabilize_tick if sender_ramp else None,
+        receiver_stabilize_tick=receiver_ramp.stabilize_tick if receiver_ramp else None,
+        status=status,
+        detail=detail,
+        jammed=jam_from <= last_tick,
+        adversary_recovered=adversary_recovered,
+    )
+
+
+def _recover(scenario: Scenario, level: float, own: float) -> tuple[Optional[int], str]:
+    """What a listener whose own contribution is `own` reads off a settled level, or why it cannot."""
+    try:
+        return recover_secret(level + own, own, scenario.secret_domain, scenario.noise_sigma), ""
+    except OutOfDomain as exc:
+        return None, str(exc)
 
 
 def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:

@@ -212,13 +212,6 @@ class Transcript:
     def announcements(self) -> list[tuple[int, str]]:
         return [(e.tick, e.tag) for _, e in self._events if isinstance(e, Announcement)]
 
-    def first_announcement(self, tag: str) -> Optional[int]:
-        """Tick of the first announcement tagged `tag`, or None if there is none yet."""
-        for _, event in self._events:
-            if isinstance(event, Announcement) and event.tag == tag:
-                return event.tick
-        return None
-
     def __len__(self) -> int:
         return len(self._values) + len(self._events)
 

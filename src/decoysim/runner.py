@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from . import adversary as adversary_mod
-from .channel import ChannelState
+from .channel import measure_block
 from .decoy import DecoyOutcome
 from .engine import (
     DECOY_PROTOCOLS,
@@ -62,13 +64,13 @@ def _even_track_length(scenario: Scenario) -> int:
 
 
 def _vessels_transcript(scenario: Scenario, outcome: ComparisonOutcome) -> Transcript:
-    """Measure the published level series; the level is the channel's one contribution."""
+    """Measure the published level series, one level per tick from tick 0, in one block."""
+    levels = np.array([event.value for event in outcome.public_observables], dtype=np.float64)
+    noise = None
+    if scenario.noise_sigma > 0.0:
+        noise = scenario.noise_sigma * scenario.stream(STREAM_NOISE).normal(len(levels))
     transcript = Transcript()
-    channel = ChannelState(scenario.noise_sigma)
-    rng_noise = scenario.stream(STREAM_NOISE)
-    for event in outcome.public_observables:
-        channel.set_contribution("level", event.value)
-        transcript.record_measurement(event.tick, channel.measure(rng_noise))
+    transcript.record_readings(0, measure_block([levels, np.zeros(len(levels))], noise))
     return transcript
 
 

@@ -1,36 +1,44 @@
-"""The closed-form honest run against the tick loop it replaces.
+"""The closed-form kernel against the tick-by-tick oracle it replaces.
 
-Without an actor `simulate_transmission` computes an honest or passive
-run in closed form; an actor whose hooks do nothing forces the tick loop
-on the same scenario.  The two must agree on every outcome field, every
-transcript entry and the replay digest.
+`simulate_transmission` computes every decoy run in closed form, under
+any adversary; `tick_oracle.transmission` steps the same run one tick at
+a time through the channel and the adversary's hooks.  The two must agree
+on every outcome field, every transcript entry and the replay digest, and
+so must the attack entry points run through either of them.
 """
 
 import dataclasses
 import math
 import time
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decoysim import AdversaryKind, Protocol, RampModel, Scenario, replay_digest
-from decoysim.decoy import DecoyOutcome, simulate_transmission
+import tick_oracle
+from decoysim import (
+    AdversaryKind,
+    Protocol,
+    RampModel,
+    RngStream,
+    Scenario,
+    attack_impersonate,
+    attack_jam,
+    detect_stabilization,
+    generate_ramp,
+    replay_digest,
+)
+from decoysim import channel, decoy
+from decoysim.channel import measure_block
+from decoysim.decoy import DecoyOutcome, Forgery, simulate_transmission
 from decoysim.engine import OK, OUT_OF_DOMAIN, TIMEOUT
+from decoysim.errors import OutOfDomain
 from conftest import decoy_scenario
 
 
-class _IdleActor:
-    """An actor that does nothing; passing one forces the tick loop."""
-
-    def on_tick(self, tick, channel, transcript):
-        pass
-
-    def on_reading(self, tick, reading):
-        pass
-
-
-def _public_fields(outcome: DecoyOutcome) -> dict:
-    """Every outcome field but the transcript, floats by their bit pattern."""
+def _fields(outcome) -> dict:
+    """Every field of an outcome but its transcript, floats by their bit pattern."""
     values = {}
     for f in dataclasses.fields(outcome):
         if f.name != "transcript":
@@ -39,18 +47,30 @@ def _public_fields(outcome: DecoyOutcome) -> dict:
     return values
 
 
-def assert_paths_agree(scenario: Scenario) -> DecoyOutcome:
-    closed = simulate_transmission(scenario)
-    looped = simulate_transmission(scenario, actor=_IdleActor())
-    assert _public_fields(closed) == _public_fields(looped)
+def _assert_agree(closed, looped) -> None:
+    assert _fields(closed) == _fields(looped)
     assert closed.transcript.entries == looped.transcript.entries
     assert closed.transcript == looped.transcript
     assert replay_digest(closed.transcript) == replay_digest(looped.transcript)
+
+
+def assert_paths_agree(scenario: Scenario, jam_value=None, forgery=None) -> DecoyOutcome:
+    closed = simulate_transmission(scenario, jam_value, forgery)
+    _assert_agree(closed, tick_oracle.transmission(scenario, jam_value, forgery))
+    return closed
+
+
+def assert_attacks_agree(scenario: Scenario, **options):
+    attack = attack_jam if scenario.adversary is AdversaryKind.JAMMER else attack_impersonate
+    closed = attack(scenario, **options)
+    with tick_oracle.attacks():
+        looped = attack(scenario, **options)
+    _assert_agree(closed, looped)
     return closed
 
 
 @st.composite
-def honest_scenarios(draw) -> Scenario:
+def scenarios(draw, adversaries=st.sampled_from(list(AdversaryKind))) -> Scenario:
     model = draw(st.sampled_from(list(RampModel)))
     n1 = draw(st.integers(1, 6))
     n2 = n1 + draw(st.integers(1, 30))
@@ -58,7 +78,7 @@ def honest_scenarios(draw) -> Scenario:
     # deterministic_rate needs max_ramp_ticks = (max_ticks - hold) // 6 >= N2
     floor = hold + 1 + (6 * n2 if model is RampModel.DETERMINISTIC_RATE else 0)
     tolerances = st.one_of(st.just(0.0), st.floats(0.0, float(n2)))
-    adversary = draw(st.sampled_from(list(AdversaryKind)))
+    adversary = draw(adversaries)
     secrets = {"alice": draw(st.integers(n1, n2))}
     if adversary is not AdversaryKind.IMPERSONATOR:
         secrets["bob"] = draw(st.integers(n1, n2))
@@ -77,10 +97,29 @@ def honest_scenarios(draw) -> Scenario:
     )
 
 
-@given(honest_scenarios())
+@st.composite
+def attacks(draw) -> tuple[Scenario, dict]:
+    active = st.sampled_from([AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR])
+    scenario = draw(scenarios(active))
+    reach = 2.0 * scenario.n2
+    if scenario.adversary is AdversaryKind.JAMMER:
+        jam = st.one_of(st.sampled_from([-2.0, 0.0, -80.0, 3.0]), st.floats(-reach, reach))
+        return scenario, {"jam_value": draw(jam)}
+    key = st.one_of(st.sampled_from([4.0, 2.5, 0.0]), st.floats(-1.0, reach))
+    return scenario, {"forge_announcement": draw(st.booleans()), "adversary_key": draw(key)}
+
+
+@given(scenarios())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_closed_form_matches_the_tick_loop(scenario):
     assert_paths_agree(scenario)
+
+
+@given(attacks())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_attacks_match_the_tick_loop(attack):
+    scenario, options = attack
+    assert_attacks_agree(scenario, **options)
 
 
 def test_noise_settling_before_the_sender_starts():
@@ -141,17 +180,146 @@ def test_zero_tolerance_under_noise_runs_the_whole_budget():
     assert len(outcome.transcript.measurements()) == outcome.transcript.entries[-1].tick + 1 == 120
 
 
+def _arming_tick(scenario: Scenario, values: list[float]):
+    """The first tick whose last max(1, hold // 2) readings settle at N1 - 0.5 or more."""
+    watch = max(1, scenario.hold_ticks // 2)
+    for tick in range(len(values)):
+        level = detect_stabilization(values[: tick + 1], scenario.epsilon_stab, watch)
+        if level is not None and level >= scenario.n1 - 0.5:
+            return tick
+    return None
+
+
+def test_jammer_arming_after_the_detection_leaves_the_run_honest():
+    # The sender is flat but the receiver still ramps when he detects, so
+    # the raw total the jammer watches has not settled yet.
+    scenario = decoy_scenario(adversary=AdversaryKind.JAMMER, defense_enabled=False, seed=0, hold_ticks=4)
+    outcome = assert_paths_agree(scenario, jam_value=-2.0)
+    values = [value for _, value in outcome.transcript.measurements()]
+    assert _arming_tick(scenario, values) is None
+    assert outcome.receiver_stabilize_tick > outcome.detected_tick
+    assert outcome.status == OK and outcome.recovered == 3 and not outcome.jammed
+    assert outcome.transcript == simulate_transmission(scenario).transcript
+
+
+def test_jammer_arming_on_the_last_tick_never_jams():
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.JAMMER,
+        seed=67,
+        max_ticks=49,
+        hold_ticks=8,
+        noise_sigma=0.05,
+        epsilon_stab=0.04,
+    )
+    outcome = assert_paths_agree(scenario, jam_value=-2.0)
+    values = [value for _, value in outcome.transcript.measurements()]
+    assert _arming_tick(scenario, values) == scenario.max_ticks - 1
+    assert outcome.status == TIMEOUT and not outcome.jammed
+
+
+def test_three_term_sum_falls_back_to_fsum():
+    # (a + b) + c rounds differently from the exact sum; fsum does not.
+    parts = [np.array([1.0, 1.0]), np.array([1e-16, 2.0]), np.array([-1.0, 0.5])]
+    assert measure_block(parts, None).values.tolist() == [1e-16, 3.5]
+
+
+def test_inexact_jammed_ticks_take_fsum():
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.JAMMER,
+        seed=0,
+        hold_ticks=2,
+        epsilon_stab=30.0,
+        party_secrets={"alice": 37, "bob": 58},
+    )
+    outcome = assert_paths_agree(scenario, jam_value=-2.7)
+    assert outcome.jammed
+    # Taking every three-term sum as exact changes the record.
+    no_error = lambda a, b, total: np.zeros_like(total)
+    with mock.patch.object(channel, "_two_sum_error", no_error):
+        assert simulate_transmission(scenario, -2.7).transcript != outcome.transcript
+
+
+def test_forged_announcement_past_the_budget():
+    scenario = decoy_scenario(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
+    tick = scenario.max_ticks + 3
+    ramp = generate_ramp(RngStream(1, 3), 4.0, tick, scenario.max_ramp_ticks)
+    outcome = assert_paths_agree(scenario, forgery=Forgery(tick, ramp))
+    assert outcome.announce_tick is None and outcome.transcript.announcements() == []
+    assert outcome.sender_start_tick is None and outcome.adversary_recovered is None
+
+
+def test_rejected_first_window_does_not_end_the_search():
+    # Near 2^53 the forger's own contribution rounds the public sum: the
+    # first settled window reads as 2^53, past N2; a later one reads N2.
+    top = 2**53 - 1
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.IMPERSONATOR,
+        seed=8,
+        secret_domain=(1, top),
+        party_secrets={"alice": top},
+        defense_enabled=False,
+    )
+    reads = []
+    with mock.patch.object(decoy, "recover_secret", _recorder(decoy.recover_secret, reads)):
+        attack = assert_attacks_agree(scenario, forge_announcement=True, adversary_key=3.0)
+    assert attack.adversary_recovered == top and attack.adversary_learned
+    assert reads[0] is None and reads[-1] == top
+
+
+def _recorder(function, results: list):
+    """`function`, recording each result, or None where it raised OutOfDomain."""
+
+    def recorded(*args):
+        try:
+            results.append(function(*args))
+        except OutOfDomain:
+            results.append(None)
+            raise
+        return results[-1]
+
+    return recorded
+
+
+def _best_us_per_tick(run, max_ticks: int) -> float:
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        outcome = run(max_ticks)
+        best = min(best, time.perf_counter() - started)
+        assert len(outcome.transcript.measurements()) == max_ticks
+    return best * 1e6 / max_ticks
+
+
+def _assert_linear(run) -> None:
+    short, long = _best_us_per_tick(run, 4000), _best_us_per_tick(run, 32000)
+    assert long <= 2.0 * short, f"{long:.2f} us/tick at 32k vs {short:.2f} at 4k"
+
+
 def test_closed_form_cost_is_linear_in_max_ticks():
     # Zero tolerance under noise never settles, so every run times out.
-    def best_us_per_tick(max_ticks):
-        scenario = decoy_scenario(noise_sigma=0.05, epsilon_stab=0.0, max_ticks=max_ticks)
-        best = math.inf
-        for _ in range(3):
-            started = time.perf_counter()
-            outcome = simulate_transmission(scenario)
-            best = min(best, time.perf_counter() - started)
-            assert len(outcome.transcript.measurements()) == max_ticks
-        return best * 1e6 / max_ticks
+    _assert_linear(
+        lambda max_ticks: simulate_transmission(
+            decoy_scenario(noise_sigma=0.05, epsilon_stab=0.0, max_ticks=max_ticks)
+        )
+    )
 
-    short, long = best_us_per_tick(4000), best_us_per_tick(32000)
-    assert long <= 2.0 * short, f"{long:.2f} us/tick at 32k vs {short:.2f} at 4k"
+
+def test_noisy_jammer_cost_is_linear_in_max_ticks():
+    # Neither the jammer nor the receiver ever settles at zero tolerance.
+    def run(max_ticks):
+        scenario = decoy_scenario(
+            adversary=AdversaryKind.JAMMER, noise_sigma=0.05, epsilon_stab=0.0, max_ticks=max_ticks
+        )
+        return attack_jam(scenario)
+
+    _assert_linear(run)
+
+
+def test_forging_impersonator_cost_is_linear_in_max_ticks():
+    def run(max_ticks):
+        scenario = decoy_scenario(
+            adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3}, max_ticks=max_ticks
+        )
+        return attack_impersonate(scenario, forge_announcement=True)
+
+    _assert_linear(run)

@@ -26,7 +26,7 @@ from decoysim import (
     replay_digest,
     run_scenario,
 )
-from decoysim.channel import Readings, measure_pair
+from decoysim.channel import Readings, measure_block
 from conftest import decoy_scenario, vessels_scenario, with_seed
 
 
@@ -70,15 +70,13 @@ class TestTranscript:
         transcript.announce(1, "second")
         assert [entry.tag for entry in transcript] == ["first", "second"]
 
-    def test_first_announcement_finds_the_earliest_tick_of_a_tag(self):
+    def test_announcements_list_tick_and_tag_in_order(self):
         transcript = Transcript()
-        assert transcript.first_announcement("in-business") is None
+        assert transcript.announcements() == []
         transcript.announce(0, "wave-params")
         transcript.record_measurement(1, Reading(2.0))
         transcript.announce(3, "in-business")
         transcript.announce(5, "in-business")
-        assert transcript.first_announcement("in-business") == 3
-        assert transcript.first_announcement("other") is None
         assert transcript.announcements() == [
             (0, "wave-params"), (3, "in-business"), (5, "in-business")
         ]
@@ -118,7 +116,7 @@ def _entry_walk_digest(entries) -> int:
 
 
 def _block(*values: float) -> Readings:
-    return measure_pair(np.array(values), np.zeros(len(values)), 0.0, None)
+    return measure_block([np.array(values), np.zeros(len(values))], None)
 
 
 def _mixed_transcript() -> Transcript:
