@@ -349,7 +349,7 @@ _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
 class _JammerActor:
-    """A jammer one tick at a time: watches the public total; once it goes flat, leans on the medium.
+    """A jammer, one tick at a time: once the public total goes flat, it leans on the medium.
 
     The per-tick view of what `simulate_transmission` computes from the
     jam value; nothing in the package steps it.
@@ -378,7 +378,7 @@ class _JammerActor:
 
 
 class _ImpersonatorActor:
-    """An impersonator one tick at a time: stays silent, or forges the announcement.
+    """An impersonator, one tick at a time: stays silent, or forges the announcement.
 
     The per-tick view of what `simulate_transmission` computes from the
     forgery; nothing in the package steps it.

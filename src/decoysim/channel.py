@@ -115,6 +115,11 @@ def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> R
     return Readings(total)
 
 
+def block_noise(noise_sigma: float, rng, size: int) -> Optional[np.ndarray]:
+    """Noise for `size` consecutive ticks, drawn in bulk; None, with no draw, at zero sigma."""
+    return noise_sigma * rng.normal(size) if noise_sigma > 0.0 else None
+
+
 def _two_sum_error(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
     """What rounding took from total = a + b (Knuth's TwoSum); zero where the sum is exact."""
     b_part = total - a

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import Readings, measure_block
+from .channel import Readings, block_noise, measure_block
 from .engine import (
     OK,
     OUT_OF_DOMAIN,
@@ -279,6 +279,18 @@ def _settled(
             yield first_tick + j + width - 1, level
 
 
+def _with_jam(
+    parts: list[np.ndarray], first: int, jam_from: int, jam_value: Optional[float]
+) -> list[np.ndarray]:
+    """A block's contributions from tick `first` on, plus the jammer's force from `jam_from` on."""
+    size = len(parts[0])
+    if jam_from >= first + size:
+        return parts
+    jam = np.zeros(size)
+    jam[max(0, jam_from - first) :] = jam_value
+    return [*parts, jam]
+
+
 def _closed_form(
     scenario: Scenario, jam_value: Optional[float], forgery: Optional[Forgery]
 ) -> DecoyOutcome:
@@ -345,13 +357,6 @@ def _closed_form(
             ticks_per_unit=max(1, scenario.max_ramp_ticks // scenario.n2),
         )
 
-    def measure(parts: list[np.ndarray], noise: Optional[np.ndarray]) -> np.ndarray:
-        if jam_from < stop:  # the jammer's force is on the medium from jam_from on
-            jam = np.zeros(stop - first)
-            jam[max(0, jam_from - first) :] = jam_value
-            parts = [*parts, jam]
-        return measure_block(parts, noise).values
-
     watching = jam_value is not None
     jam_from = budget
     blocks: list[np.ndarray] = []
@@ -364,18 +369,21 @@ def _closed_form(
         stop = min(budget, max(r.stabilize_tick for r in (sender_ramp, receiver_ramp) if r) + hold)
     detected_tick = estimate = None
     while True:
-        parts = [r.values(first, stop) if r else np.zeros(stop - first) for r in (sender_ramp, other)]
-        noise = None
-        if scenario.noise_sigma > 0.0:
-            noise = scenario.noise_sigma * rng_noise.normal(stop - first)
-        readings = measure(parts, noise)
+        parts = [
+            ramp.values(first, stop) if ramp else np.zeros(stop - first)
+            for ramp in (sender_ramp, other)
+        ]
+        noise = block_noise(scenario.noise_sigma, rng_noise, stop - first)
+        contributions = _with_jam(parts, first, jam_from, jam_value)
+        readings = measure_block(contributions, noise).values
         if watching:
             watched = np.concatenate((watched, readings))
             armed = next(_settled(watched, stop - len(watched), watch, epsilon, floor), None)
             watched = watched[len(watched) - watch + 1 :]
             if armed is not None:  # a detection on or before this tick ends the run unjammed
                 watching, jam_from = False, armed[0] + 1
-                readings = measure(parts, noise)
+                contributions = _with_jam(parts, first, jam_from, jam_value)
+                readings = measure_block(contributions, noise).values
         blocks.append(readings)
         if receiver_ramp is not None:
             window = np.concatenate((window, readings - parts[1]))
@@ -432,7 +440,7 @@ def _closed_form(
 
 
 def _recover(scenario: Scenario, level: float, own: float) -> tuple[Optional[int], str]:
-    """What a listener whose own contribution is `own` reads off a settled level, or why it cannot."""
+    """What a listener adding `own` reads off a settled level, or why it cannot."""
     try:
         return recover_secret(level + own, own, scenario.secret_domain, scenario.noise_sigma), ""
     except OutOfDomain as exc:

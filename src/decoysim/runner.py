@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import adversary as adversary_mod
-from .channel import measure_block
+from .channel import block_noise, measure_block
 from .decoy import DecoyOutcome
 from .engine import (
     DECOY_PROTOCOLS,
@@ -66,9 +66,7 @@ def _even_track_length(scenario: Scenario) -> int:
 def _vessels_transcript(scenario: Scenario, outcome: ComparisonOutcome) -> Transcript:
     """Measure the published level series, one level per tick from tick 0, in one block."""
     levels = np.array([event.value for event in outcome.public_observables], dtype=np.float64)
-    noise = None
-    if scenario.noise_sigma > 0.0:
-        noise = scenario.noise_sigma * scenario.stream(STREAM_NOISE).normal(len(levels))
+    noise = block_noise(scenario.noise_sigma, scenario.stream(STREAM_NOISE), len(levels))
     transcript = Transcript()
     transcript.record_readings(0, measure_block([levels, np.zeros(len(levels))], noise))
     return transcript

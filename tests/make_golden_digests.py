@@ -53,7 +53,7 @@ RUNS_PER_GROUP = 200
 VESSEL_ABORTS = ("VesselEmpty", "VesselOverflow")
 JAM_GROUP = "decoy_force/jammer/random_ramp/defense=True/jam_value="
 # group name -> jam value; the +3 group was the first and keeps its name
-JAM_VALUES = {f"{JAM_GROUP}{name}": value for name, value in (("3", 3.0), ("0", 0.0), ("-80", -80.0))}
+JAM_VALUES = {f"{JAM_GROUP}{value:g}": value for value in (3.0, 0.0, -80.0)}
 FORGED = "/forged"
 # The forger's own key, picked by seed: a whole key, a fractional one and
 # none at all (a forger that announces but never ramps).

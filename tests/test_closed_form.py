@@ -193,7 +193,9 @@ def _arming_tick(scenario: Scenario, values: list[float]):
 def test_jammer_arming_after_the_detection_leaves_the_run_honest():
     # The sender is flat but the receiver still ramps when he detects, so
     # the raw total the jammer watches has not settled yet.
-    scenario = decoy_scenario(adversary=AdversaryKind.JAMMER, defense_enabled=False, seed=0, hold_ticks=4)
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.JAMMER, defense_enabled=False, seed=0, hold_ticks=4
+    )
     outcome = assert_paths_agree(scenario, jam_value=-2.0)
     values = [value for _, value in outcome.transcript.measurements()]
     assert _arming_tick(scenario, values) is None
