@@ -33,7 +33,7 @@ from .engine import (
     Scenario,
     Transcript,
 )
-from .errors import InvalidTarget, OutOfDomain
+from .errors import InvalidTarget, NonFiniteValue, OutOfDomain
 
 IN_BUSINESS = "in-business"
 # The acoustic variant's publicly agreed wave parameters.  Both parties
@@ -230,7 +230,11 @@ def simulate_transmission(
     is the force it adds once the public total goes flat, and an
     impersonator scenario's `forgery` is its forged announcement (None for
     a silent one).  The receiver takes part unless the scenario's
-    adversary impersonates him.  A run whose receiver never detects
+    adversary impersonates him.  Each reading is what the channel
+    measures: the fsum of the contributions on the medium plus noise.  Two
+    contributions add exactly as ``a + b``; with a jammer's third,
+    ``(a + b) + c`` is used on the ticks where both TwoSum error terms are
+    zero and math.fsum on the others.  A run whose receiver never detects
     stabilization within max_ticks, or rejects what he recovers, still
     returns its outcome, with that status.
     """
@@ -241,6 +245,8 @@ def simulate_transmission(
         forgery is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
     ):
         raise ValueError("a jam value needs a jammer scenario, a forgery an impersonator one")
+    if jam_value is not None and not math.isfinite(jam_value):
+        raise NonFiniteValue(f"jam value is not finite: {jam_value!r}")
     return _closed_form(scenario, jam_value, forgery)
 
 

@@ -13,6 +13,7 @@ from decoysim import (
     AdversaryKind,
     InsufficientSamples,
     InvalidScenario,
+    NonFiniteValue,
     RampModel,
     Reading,
     TranscriptFeatures,
@@ -292,6 +293,11 @@ class TestAttackJam:
         assert analytic_split_posterior(
             round(jam_total - jam_value), domain
         ) == analytic_split_posterior(round(passive_total), domain)
+
+    @pytest.mark.parametrize("jam_value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_jam_is_rejected(self, jam_value):
+        with pytest.raises(NonFiniteValue):
+            attack_jam(self._jam_scenario(), jam_value=jam_value)
 
     def test_requires_jammer_scenario(self):
         with pytest.raises(InvalidScenario):
