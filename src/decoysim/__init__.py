@@ -14,6 +14,7 @@ from .adversary import (
     PosteriorReport,
     SplitSet,
     TranscriptFeatures,
+    TranscriptSamples,
     analytic_split_posterior,
     analytic_sum_mi,
     attack_impersonate,

@@ -17,7 +17,8 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,10 +26,13 @@ from .decoy import (
     IN_BUSINESS,
     DecoyOutcome,
     Forgery,
+    Run,
+    check_transmission,
     detect_stabilization,
     generate_ramp,
     recover_secret,
     run_decoy_transmission,
+    simulate_runs,
     simulate_transmission,
 )
 from .engine import (
@@ -194,22 +198,35 @@ class TranscriptFeatures:
 
     def __call__(self, transcript: Transcript) -> tuple:
         values = transcript.values()
-        if not len(values):
-            return ("empty",)
+        return self.of_rows(values[None, :], [len(values)])[0]
+
+    def of_rows(self, values: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
+        """The features of each row of `values`, whose first lengths[i] are run i's readings."""
+        lengths = np.asarray(lengths)
+        width = values.shape[1]
+        columns = np.arange(width)
+        inside = columns < lengths[:, None]
         tol = self.tolerance
-        active = np.abs(values) > tol
-        first_active = int(active.argmax())
-        if not active[first_active]:
-            return ("silent",)
+        active = (np.abs(values) > tol) & inside
+        first_active = np.where(active, columns, width).min(axis=1, initial=width)
         # the flat tail starts after the last jump between neighbours
-        jumps = np.flatnonzero(np.abs(values[1:] - values[:-1]) > tol)
-        flat_onset = int(jumps[-1]) + 1 if len(jumps) else 0
-        if len(values) - flat_onset < self.hold_ticks:
-            return ("unstable",)
-        tail = values[flat_onset:].tolist()
-        stable_total = round(math.fsum(tail) / len(tail))
-        ramp_bucket = max(0, flat_onset - first_active) // self.bucket_width
-        return (int(stable_total), int(ramp_bucket))
+        jumps = (np.abs(values[:, 1:] - values[:, :-1]) > tol) & inside[:, 1:]
+        flat_onset = np.where(jumps, columns[1:], 0).max(axis=1, initial=0)
+        features: list[tuple] = []
+        for row, (length, first, onset) in enumerate(
+            zip(lengths.tolist(), first_active.tolist(), flat_onset.tolist())
+        ):
+            if not length:
+                features.append(("empty",))
+            elif first == width:
+                features.append(("silent",))
+            elif length - onset < self.hold_ticks:
+                features.append(("unstable",))
+            else:
+                tail = values[row, onset:length].tolist()
+                stable_total = round(math.fsum(tail) / len(tail))
+                features.append((stable_total, max(0, onset - first) // self.bucket_width))
+        return features
 
 
 @dataclass
@@ -245,7 +262,9 @@ def estimate_posterior(
     set must cover every domain value at least min_per_class times.
     """
     n1, n2 = domain
-    class_counts = Counter(secret for secret, _ in samples)
+    batched = isinstance(samples, TranscriptSamples)
+    secrets = samples.secrets if batched else [secret for secret, _ in samples]
+    class_counts = Counter(secrets)
     for secret in range(n1, n2 + 1):
         if class_counts[secret] < min_per_class:
             raise InsufficientSamples(
@@ -253,7 +272,10 @@ def estimate_posterior(
                 f"[{n1}, {n2}]; secret {secret} has {class_counts[secret]}"
             )
 
-    featured = [(secret, features(transcript)) for secret, transcript in samples]
+    if batched and isinstance(features, TranscriptFeatures):
+        featured = list(zip(secrets, samples.features(features)))
+    else:
+        featured = [(secret, features(transcript)) for secret, transcript in samples]
     observed_feature = features(observed)
     matched = Counter(
         secret for secret, feature in featured if feature == observed_feature
@@ -286,30 +308,76 @@ def estimate_posterior(
     return report
 
 
-def collect_transmission_samples(
-    scenario: Scenario, n_samples: int
-) -> list[tuple[int, Transcript]]:
+class TranscriptSamples(Sequence):
+    """The (secret, Transcript) pairs of simulated runs, each run computed when it is read.
+
+    Iterating runs the samples through the kernel a batch at a time
+    (decoy.simulate_runs), and reading one sample runs it alone; either
+    way the transcript is the one transmit gives for that sample's
+    scenario.  `features` computes every sample's features in one array
+    pass per batch and builds no transcript.  Nothing is kept but the
+    samples' seeds and secrets, so memory does not grow with their
+    transcripts.
+    """
+
+    def __init__(self, scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float]):
+        self.scenario = scenario
+        self.runs = runs
+        self.jam_value = jam_value
+        self.secrets = [int(run.party_secrets[SENDER]) for run in runs]
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, index: int) -> tuple[int, Transcript]:
+        batch = next(simulate_runs(self.scenario, [self.runs[index]], self.jam_value))
+        return self.secrets[index], batch.transcript(0)
+
+    def __iter__(self) -> Iterator[tuple[int, Transcript]]:
+        secrets = iter(self.secrets)
+        for batch in simulate_runs(self.scenario, self.runs, self.jam_value):
+            for row in range(len(batch)):
+                yield next(secrets), batch.transcript(row)
+            del batch  # free each pass before the next one runs
+
+    def features(self, features: TranscriptFeatures) -> list[tuple]:
+        """features(transcript) of every sample, in order."""
+        found: list[tuple] = []
+        for batch in simulate_runs(self.scenario, self.runs, self.jam_value):
+            found += features.of_rows(batch.readings, batch.lengths)
+            del batch  # free each pass before the next one runs
+        return found
+
+
+def collect_transmission_samples(scenario: Scenario, n_samples: int) -> TranscriptSamples:
     """Simulate n_samples runs with secrets drawn uniformly over the domain.
 
     Per-run seeds are derived arithmetically from the base seed; the
     secret/key draws come from a dedicated sampler stream so they never
     interact with in-run randomness.  Timeouts and corrupted recoveries
     still contribute their transcripts (the adversary sees those runs
-    too).
+    too).  The draws and every check happen here; the runs themselves go
+    through the kernel together, when the samples are read (see
+    TranscriptSamples).
     """
     sampler = RngStream(scenario.seed, STREAM_SAMPLER)
     n1, n2 = scenario.secret_domain
     impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
-    samples: list[tuple[int, Transcript]] = []
+    runs = []
     for index in range(n_samples):
         secret = sampler.integers(n1, n2)
         key = sampler.integers(n1, n2)
         secrets = {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key}
-        sample = dataclasses.replace(
-            scenario, seed=scenario.seed + 1 + index, party_secrets=secrets
-        )
-        samples.append((secret, transmit(sample).transcript))
-    return samples
+        runs.append(Run(scenario.seed + 1 + index, secrets))
+    jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
+    if runs:
+        seed, secrets, _ = runs[0]
+        first = dataclasses.replace(scenario, seed=seed, party_secrets=secrets)
+        check_transmission(first, jam_value)
+        # The seeds rise by one from a valid first one: past 2^64 - 1, the first bad one is 2^64.
+        if runs[-1].seed >= 2**64:
+            dataclasses.replace(first, seed=2**64).validate()
+    return TranscriptSamples(scenario, runs, jam_value)
 
 
 def transmit(scenario: Scenario) -> DecoyOutcome | AttackOutcome:
@@ -343,6 +411,9 @@ class AttackOutcome:
     timeout: bool
     forged_announce_tick: Optional[int] = None
 
+
+# The force a jammer adds unless told otherwise.
+JAM_VALUE = -2.0
 
 # How the receiver's failed run reads in an attack report.
 _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
@@ -415,7 +486,7 @@ class _ImpersonatorActor:
                 pass
 
 
-def attack_jam(scenario: Scenario, jam_value: float = -2.0) -> AttackOutcome:
+def attack_jam(scenario: Scenario, jam_value: float = JAM_VALUE) -> AttackOutcome:
     """Active interference: add a constant force once the total stabilizes.
 
     The receiver either recovers a wrong value or rejects the transmission

@@ -97,7 +97,8 @@ def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> R
     same contributions applied, when `noise` is noise_sigma times the same
     draws (None without noise): the float sum of two values is exactly
     their fsum, and so is ``(a + b) + c`` on every tick where both TwoSum
-    error terms are zero; the other ticks take math.fsum.
+    error terms are zero; the other ticks take math.fsum.  The arrays may
+    be 2-D, one run's block per row.
     """
     total = parts[0] + parts[1]
     if len(parts) == 3:
@@ -106,8 +107,11 @@ def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> R
         inexact = (_two_sum_error(parts[0], parts[1], pair) != 0) | (
             _two_sum_error(pair, parts[2], total) != 0
         )
-        for tick in np.flatnonzero(inexact).tolist():
-            total[tick] = math.fsum(part[tick] for part in parts)
+        # Flat views index fastest; a fresh ufunc result is C-contiguous, so
+        # writing through its flat view writes `total`.
+        flat_total, flat_parts = total.reshape(-1), [part.reshape(-1) for part in parts]
+        for cell in np.flatnonzero(inexact).tolist():
+            flat_total[cell] = math.fsum(part[cell] for part in flat_parts)
     if not np.isfinite(total).all():  # a non-finite contribution makes its sum non-finite
         raise NonFiniteValue("a contribution is not finite")
     if noise is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,17 +63,6 @@ class RampProcess:
             return self.target
         return self.schedule[tick - self.start_tick]
 
-    def values(self, first: int, stop: int) -> np.ndarray:
-        """value_at(tick) for every tick in [first, stop), as an array."""
-        ramp_from = min(max(self.start_tick, first), stop)
-        flat_from = min(max(self.stabilize_tick, first), stop)
-        out = np.zeros(stop - first)
-        out[ramp_from - first : flat_from - first] = self.schedule[
-            ramp_from - self.start_tick : flat_from - self.start_tick
-        ]
-        out[flat_from - first :] = self.target
-        return out
-
     def check_invariants(self) -> None:
         assert self.target > 0
         assert self.start_tick <= self.stabilize_tick
@@ -122,11 +111,11 @@ def generate_ramp(
     if duration == 0:
         return RampProcess(target, start_tick, start_tick, ())
     weights = rng.uniform(size=duration)
-    total_weight = float(np.sum(weights))
+    total_weight = float(weights.sum())
     if total_weight <= 0.0:  # unreachable in practice; keeps the math total
         weights = np.ones(duration)
         total_weight = float(duration)
-    partial = np.cumsum(weights) / total_weight
+    partial = weights.cumsum() / total_weight
     # value at start_tick is 0; the j-th later tick carries the j-th partial sum
     schedule = (0.0, *(target * partial[:-1]).tolist())
     return RampProcess(target, start_tick, start_tick + duration, schedule)
@@ -221,6 +210,37 @@ class Forgery:
     ramp: Optional[RampProcess]
 
 
+
+
+# The padded arrays of one kernel pass hold about this many cells at most:
+# a batch goes through CELL_BUDGET // max_ticks runs at a time, and a run
+# whose tick budget alone is larger goes through on its own.
+CELL_BUDGET = 1 << 16
+
+
+class Run(NamedTuple):
+    """What sets one run of a batch apart from the scenario the batch shares."""
+
+    seed: int
+    party_secrets: Mapping[str, int]
+    forgery: Optional[Forgery] = None
+
+
+def check_transmission(
+    scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
+) -> None:
+    """Raise what simulate_transmission raises for these arguments before it runs."""
+    scenario.validate()
+    if scenario.protocol not in DECOY_PROTOCOLS:
+        raise ValueError(f"not a transmission protocol: {scenario.protocol}")
+    if (jam_value is not None and scenario.adversary is not AdversaryKind.JAMMER) or (
+        forgery is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
+    ):
+        raise ValueError("a jam value needs a jammer scenario, a forgery an impersonator one")
+    if jam_value is not None and not math.isfinite(jam_value):
+        raise NonFiniteValue(f"jam value is not finite: {jam_value!r}")
+
+
 def simulate_transmission(
     scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
 ) -> DecoyOutcome:
@@ -236,71 +256,295 @@ def simulate_transmission(
     ``(a + b) + c`` is used on the ticks where both TwoSum error terms are
     zero and math.fsum on the others.  A run whose receiver never detects
     stabilization within max_ticks, or rejects what he recovers, still
-    returns its outcome, with that status.
+    returns its outcome, with that status.  The run is a batch of one for
+    the kernel simulate_runs uses.
     """
-    scenario.validate()
-    if scenario.protocol not in DECOY_PROTOCOLS:
-        raise ValueError(f"not a transmission protocol: {scenario.protocol}")
-    if (jam_value is not None and scenario.adversary is not AdversaryKind.JAMMER) or (
-        forgery is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
+    check_transmission(scenario, jam_value, forgery)
+    run = Run(scenario.seed, scenario.party_secrets, forgery)
+    return _closed_form(scenario, [run], jam_value).outcome(0)
+
+
+def simulate_runs(
+    scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float] = None
+) -> Iterator["RunBatch"]:
+    """Run transmissions that share `scenario` but for their seeds, secrets and forgeries.
+
+    Yields one RunBatch per kernel pass, in order, over at most
+    max(1, CELL_BUDGET // max_ticks) runs each.  A run's outcome and
+    transcript are those simulate_transmission gives for `scenario` with
+    the run's seed and party secrets in place.  Nothing is checked here:
+    each run's scenario must pass check_transmission with `jam_value` and
+    the run's forgery.
+    """
+    size = max(1, CELL_BUDGET // scenario.max_ticks)
+    for start in range(0, len(runs), size):
+        yield _closed_form(scenario, runs[start : start + size], jam_value)
+
+
+class _Plan(NamedTuple):
+    """A run's open-loop part: its parties' ramps and when its second party announces."""
+
+    sender_secret: int
+    receiver_key: Optional[int]
+    receiver_ramp: Optional[RampProcess]
+    sender_ramp: Optional[RampProcess]
+    # The second party on the medium, whose own contribution its listener
+    # subtracts, and its announcement tick (the budget for none).
+    other: Optional[RampProcess]
+    announce_tick: int
+    noise: RngStream
+    stop: int  # where the first block of readings ends
+
+
+def _plans(scenario: Scenario, runs: Sequence[Run]) -> list[_Plan]:
+    budget, hold, model = scenario.max_ticks, scenario.hold_ticks, scenario.ramp_model
+    max_ramp, start_max = scenario.max_ramp_ticks, scenario.receiver_start_max
+    ticks_per_unit = max(1, max_ramp // scenario.n2)
+    receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
+    # The deterministic-rate control only makes the *sender* leaky; the
+    # receiver jumps so the observable ramp duration is the sender's alone.
+    receiver_model = RampModel.SYNCHRONOUS if model is RampModel.DETERMINISTIC_RATE else model
+    plans = []
+    for seed, secrets, forgery in runs:
+        rng_receiver = RngStream(seed, STREAM_RECEIVER)
+        rng_noise = RngStream(seed, STREAM_NOISE)
+        # Drawn from the receiver's stream whether or not he shows up, so an
+        # impersonation run is tick-aligned with its honest twin.
+        receiver_start = rng_receiver.integers(1, start_max)
+        receiver_key = receiver_ramp = None
+        if receives:
+            receiver_key = int(secrets[RECEIVER])
+            receiver_ramp = generate_ramp(
+                rng_receiver, float(receiver_key), receiver_start, max_ramp, receiver_model
+            )
+            other, announce_tick = receiver_ramp, receiver_start
+        elif forgery is not None:
+            other, announce_tick = forgery.ramp, forgery.tick
+        else:
+            other, announce_tick = None, budget
+        if model is RampModel.SYNCHRONOUS:
+            # Idealized control: both parties move at one public tick, so
+            # nobody's force is ever observable alone.
+            sender_start = receiver_start
+        elif not scenario.defense_enabled:
+            sender_start = 0
+        else:
+            sender_start = announce_tick + 1
+        sender_secret = int(secrets[SENDER])
+        sender_ramp = None
+        if sender_start < budget:
+            sender_ramp = generate_ramp(
+                RngStream(seed, STREAM_SENDER),
+                float(sender_secret),
+                sender_start,
+                max_ramp,
+                model,
+                ticks_per_unit=ticks_per_unit,
+            )
+        # An impersonation always runs its whole budget; an honest run's
+        # first block ends hold ticks after both ramps have settled.
+        stop = budget
+        if receives:
+            settled = receiver_ramp.stabilize_tick
+            if sender_ramp is not None and sender_ramp.stabilize_tick > settled:
+                settled = sender_ramp.stabilize_tick
+            stop = min(budget, settled + hold)
+        plans.append(
+            _Plan(
+                sender_secret,
+                receiver_key,
+                receiver_ramp,
+                sender_ramp,
+                other,
+                announce_tick,
+                rng_noise,
+                stop,
+            )
+        )
+    return plans
+
+
+class RunBatch:
+    """One kernel pass: its runs' public readings in one array, and what each run did.
+
+    Row i of `readings` holds run i's reading for every tick from 0 to
+    lengths[i] - 1, then NaN.  Transcripts and outcomes are built only
+    when asked for.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        readings: np.ndarray,
+        lengths: list[int],
+        plans: list[_Plan],
+        detected: list[Optional[tuple[int, float]]],
+        jam_from: list[int],
+        adversary_recovered: list[Optional[int]],
     ):
-        raise ValueError("a jam value needs a jammer scenario, a forgery an impersonator one")
-    if jam_value is not None and not math.isfinite(jam_value):
-        raise NonFiniteValue(f"jam value is not finite: {jam_value!r}")
-    return _closed_form(scenario, jam_value, forgery)
+        self.scenario = scenario
+        self.readings = readings
+        self.lengths = lengths
+        self._plans = plans
+        self._detected = detected
+        self._jam_from = jam_from
+        self._adversary_recovered = adversary_recovered
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def _announce_tick(self, index: int) -> Optional[int]:
+        tick = self._plans[index].announce_tick
+        return tick if tick < self.lengths[index] else None
+
+    def transcript(self, index: int) -> Transcript:
+        values = Readings(self.readings[index, : self.lengths[index]])
+        announce_tick = self._announce_tick(index)
+        transcript = Transcript()
+        if self.scenario.protocol is Protocol.DECOY_WAVE:
+            transcript.announce(0, WAVE_PARAMS)
+        if announce_tick is not None:
+            transcript.record_readings(0, values[:announce_tick])
+            transcript.announce(announce_tick, IN_BUSINESS)
+            transcript.record_readings(announce_tick, values[announce_tick:])
+        else:
+            transcript.record_readings(0, values)
+        return transcript
+
+    def outcome(self, index: int) -> DecoyOutcome:
+        scenario, plan, length = self.scenario, self._plans[index], self.lengths[index]
+        detected_tick = estimate = recovered = None
+        status, detail = TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks"
+        if self._detected[index] is not None:
+            detected_tick, estimate = self._detected[index]
+            recovered, detail = _recover(scenario, estimate, float(plan.receiver_key))
+            status = OK if recovered is not None else OUT_OF_DOMAIN
+        sender, receiver = plan.sender_ramp, plan.receiver_ramp
+        if sender is not None and sender.start_tick >= length:
+            sender = None
+        return DecoyOutcome(
+            recovered=recovered,
+            sender_secret=plan.sender_secret,
+            receiver_key=plan.receiver_key,
+            transcript=self.transcript(index),
+            detected_tick=detected_tick,
+            stable_estimate=estimate,
+            announce_tick=self._announce_tick(index),
+            sender_start_tick=sender.start_tick if sender else None,
+            sender_stabilize_tick=sender.stabilize_tick if sender else None,
+            receiver_stabilize_tick=receiver.stabilize_tick if receiver else None,
+            status=status,
+            detail=detail,
+            jammed=self._jam_from[index] < length,
+            adversary_recovered=self._adversary_recovered[index],
+        )
 
 
 def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of every run of `width` consecutive values, by doubling."""
+    """Max and min of every run of `width` consecutive values along the last axis, by doubling."""
     high = low = values
     span = 1
     while 2 * span <= width:
-        high = np.maximum(high[:-span], high[span:])
-        low = np.minimum(low[:-span], low[span:])
+        high = np.maximum(high[..., :-span], high[..., span:])
+        low = np.minimum(low[..., :-span], low[..., span:])
         span *= 2
     rest = width - span  # two overlapping spans cover the window
     if rest:
-        high = np.maximum(high[:-rest], high[rest:])
-        low = np.minimum(low[:-rest], low[rest:])
+        high = np.maximum(high[..., :-rest], high[..., rest:])
+        low = np.minimum(low[..., :-rest], low[..., rest:])
     return high, low
 
 
-def _settled(
-    values: np.ndarray, first_tick: int, width: int, epsilon: float, floor: float
-) -> Iterator[tuple[int, float]]:
-    """(last tick, level) of every window that settles at `floor` or higher, in tick order.
+def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float, read=None) -> list:
+    """Per row of `values`, the first window of `width` values that settles at `floor` or higher.
 
-    `values[0]` was read on `first_tick`.  Only windows that pass a
-    necessary condition (spread within 2 * epsilon, highest value near the
-    floor) go to the exact detector.
+    A row's entry is read(row, last column, level) of the first such
+    window for which that is not None (by default the pair (last column,
+    level)), or None.  Only windows that pass a necessary condition
+    (spread within 2 * epsilon, highest value near the floor) go to the
+    exact detector.
     """
-    if len(values) < width:
-        return
+    found: list = [None] * len(values)
+    if values.shape[1] < width:
+        return found
     high, low = _window_extremes(values, width)
     # Slack for rounding: a window the exact detector accepts always passes.
     passing = (high - low <= 2.0 * epsilon * (1.0 + 1e-9)) & (high >= floor * (1.0 - 1e-9))
-    for j in np.flatnonzero(passing).tolist():
-        level = detect_stabilization(values[j : j + width].tolist(), epsilon, width)
-        if level is not None and level >= floor:
-            yield first_tick + j + width - 1, level
+    for row, column in enumerate(passing.argmax(axis=1).tolist()):
+        if not passing[row, column]:
+            continue
+        later = None  # the row's other candidates, found once the first one fails
+        while column is not None:
+            window = values[row, column : column + width].tolist()
+            level = detect_stabilization(window, epsilon, width)
+            if level is not None and level >= floor:
+                end = column + width - 1
+                found[row] = (end, level) if read is None else read(row, end, level)
+                if found[row] is not None:
+                    break
+            if later is None:
+                later = iter((column + 1 + np.flatnonzero(passing[row, column + 1 :])).tolist())
+            column = next(later, None)
+    return found
 
 
-def _with_jam(
-    parts: list[np.ndarray], first: int, jam_from: int, jam_value: Optional[float]
-) -> list[np.ndarray]:
-    """A block's contributions from tick `first` on, plus the jammer's force from `jam_from` on."""
-    size = len(parts[0])
-    if jam_from >= first + size:
-        return parts
-    jam = np.zeros(size)
-    jam[max(0, jam_from - first) :] = jam_value
-    return [*parts, jam]
+def _contributions(ramps: list, first: int, size: int) -> np.ndarray:
+    """Row i holds ramps[i].value_at(first + j) in column j; a None ramp contributes 0."""
+    out = np.zeros((len(ramps), size))
+    for index, ramp in enumerate(ramps):
+        if ramp is not None:
+            start, flat = ramp.start_tick - first, ramp.stabilize_tick - first
+            if start < flat and start < size and flat > 0:  # the schedule reaches into the block
+                low, high = max(start, 0), min(flat, size)
+                out[index, low:high] = ramp.schedule[low - start : high - start]
+            if flat < size:
+                out[index, max(flat, 0) :] = ramp.target
+    return out
 
 
-def _closed_form(
-    scenario: Scenario, jam_value: Optional[float], forgery: Optional[Forgery]
-) -> DecoyOutcome:
-    """Every decoy run, computed in blocks of ticks.
+def _jam(
+    parts: list[np.ndarray],
+    noise: Optional[np.ndarray],
+    first: int,
+    rows: list[int],
+    jam_from: list[int],
+    jam_value: float,
+    watched: np.ndarray,
+    watch: int,
+    epsilon: float,
+    floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A block's readings with each jammer's force, which joins the tick after its watch settles.
+
+    Sets jam_from[row] for each run whose jammer arms in this block.
+    `watched` holds each run's last watch - 1 readings before the block;
+    its successor is returned with the readings.
+    """
+    size = parts[0].shape[1]
+    stop = first + size
+
+    def measure() -> np.ndarray:
+        jam = np.zeros((len(rows), size))
+        for index, row in enumerate(rows):
+            if jam_from[row] < stop:
+                jam[index, max(jam_from[row] - first, 0) :] = jam_value
+        return measure_block([*parts, jam], noise).values
+
+    unarmed = [index for index, row in enumerate(rows) if jam_from[row] >= stop]
+    readings = measure_block(parts, noise).values if len(unarmed) == len(rows) else measure()
+    seen = np.concatenate((watched, readings), 1)
+    if unarmed:
+        hits = _first_settled(seen[unarmed], watch, epsilon, floor)
+        for index, hit in zip(unarmed, hits):
+            if hit is not None:  # a detection on or before this tick ends the run unjammed
+                jam_from[rows[index]] = first - watched.shape[1] + hit[0] + 1
+        if any(hits):
+            readings = measure()
+    return readings, seen[:, seen.shape[1] - watch + 1 :]
+
+
+def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float]) -> RunBatch:
+    """A batch of decoy runs that differ only in seed, secrets and forgery, in blocks of ticks.
 
     Each party's effect on the channel is open-loop once one trigger tick
     is known.  The sender starts when the receiver does for the
@@ -311,138 +555,87 @@ def _closed_form(
     joins from the next tick, unless the receiver detected first.  So the
     readings are the contributions' sum plus noise: ``a + b``, or
     ``(a + b) + c`` where TwoSum shows that sum exact and math.fsum on the
-    other ticks, the same values the channel's fsum gives.  They are built
-    in blocks that double in length until the receiver detects
-    stabilization; an impersonation always runs its whole budget, in one
-    block, and the impersonator reads the first settled window of
-    ``reading - own ramp`` that recover_secret does not reject.
+    other ticks, the same values the channel's fsum gives.
+
+    Every run takes each draw from its own (seed, stream) generators, in
+    tick order, so where the blocks end changes no reading, and a run
+    reads the same in any batch as alone.  The first block runs until
+    hold ticks after the last ramp of the batch settles; the runs whose
+    receivers have not yet detected stabilization go on into blocks that
+    double in length, each block one runs-by-ticks array searched at
+    once.  An impersonation always runs its whole budget, in one block,
+    and the impersonator reads the first settled window of ``reading -
+    own ramp`` that recover_secret does not reject.
     """
     budget, hold, epsilon = scenario.max_ticks, scenario.hold_ticks, scenario.epsilon_stab
+    sigma = scenario.noise_sigma
     floor = scenario.n1 - 0.5
-    rng_receiver = scenario.stream(STREAM_RECEIVER)
-    rng_noise = scenario.stream(STREAM_NOISE)
-    # Drawn from the receiver's stream whether or not he shows up, so an
-    # impersonation run is tick-aligned with its honest twin.
-    receiver_start = rng_receiver.integers(1, scenario.receiver_start_max)
-    receiver_key = receiver_ramp = None
-    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
-        receiver_key = scenario.secret_of(RECEIVER)
-        # The deterministic-rate control only makes the *sender* leaky; the
-        # receiver jumps so the observable ramp duration is the sender's alone.
-        model = scenario.ramp_model
-        if model is RampModel.DETERMINISTIC_RATE:
-            model = RampModel.SYNCHRONOUS
-        receiver_ramp = generate_ramp(
-            rng_receiver, float(receiver_key), receiver_start, scenario.max_ramp_ticks, model
-        )
-    # The second party on the medium, whose own contribution its listener
-    # subtracts, and its announcement tick (the budget for none).
-    if receiver_ramp is not None:
-        other, announce_tick = receiver_ramp, receiver_start
-    elif forgery is not None:
-        other, announce_tick = forgery.ramp, forgery.tick
-    else:
-        other, announce_tick = None, budget
-    if scenario.ramp_model is RampModel.SYNCHRONOUS:
-        # Idealized control: both parties move at one public tick, so
-        # nobody's force is ever observable alone.
-        sender_start = receiver_start
-    elif not scenario.defense_enabled:
-        sender_start = 0
-    else:
-        sender_start = announce_tick + 1
-    sender_secret = scenario.secret_of(SENDER)
-    sender_ramp = None
-    if sender_start < budget:
-        sender_ramp = generate_ramp(
-            scenario.stream(STREAM_SENDER),
-            float(sender_secret),
-            sender_start,
-            scenario.max_ramp_ticks,
-            scenario.ramp_model,
-            ticks_per_unit=max(1, scenario.max_ramp_ticks // scenario.n2),
-        )
-
-    watching = jam_value is not None
-    jam_from = budget
-    blocks: list[np.ndarray] = []
-    window = np.zeros(0)  # the receiver's last hold - 1 window values
-    watched = np.zeros(0)  # the jammer's last watch - 1 readings
     watch = max(1, hold // 2)
-    first = 0
-    stop = budget
-    if receiver_ramp is not None:
-        stop = min(budget, max(r.stabilize_tick for r in (sender_ramp, receiver_ramp) if r) + hold)
-    detected_tick = estimate = None
+    plans = _plans(scenario, runs)
+    count = len(plans)
+    jam_from = [budget] * count  # where each jammer's force joins
+    detected: list[Optional[tuple[int, float]]] = [None] * count
+    adversary_recovered: list[Optional[int]] = [None] * count
+    blocks = []
+    rows = list(range(count))  # the runs still going, in order
+    # Their receivers' last hold - 1 window values and jammers' last
+    # watch - 1 readings, which the next block follows on from.
+    window = np.zeros((count, 0))
+    watched = np.zeros((count, 0)) if jam_value is not None else None
+    first, stop = 0, max(plan.stop for plan in plans)
     while True:
+        going = [plans[row] for row in rows]
         parts = [
-            ramp.values(first, stop) if ramp else np.zeros(stop - first)
-            for ramp in (sender_ramp, other)
+            _contributions([plan.sender_ramp for plan in going], first, stop - first),
+            _contributions([plan.other for plan in going], first, stop - first),
         ]
-        noise = block_noise(scenario.noise_sigma, rng_noise, stop - first)
-        contributions = _with_jam(parts, first, jam_from, jam_value)
-        readings = measure_block(contributions, noise).values
-        if watching:
-            watched = np.concatenate((watched, readings))
-            armed = next(_settled(watched, stop - len(watched), watch, epsilon, floor), None)
-            watched = watched[len(watched) - watch + 1 :]
-            if armed is not None:  # a detection on or before this tick ends the run unjammed
-                watching, jam_from = False, armed[0] + 1
-                contributions = _with_jam(parts, first, jam_from, jam_value)
-                readings = measure_block(contributions, noise).values
-        blocks.append(readings)
-        if receiver_ramp is not None:
-            window = np.concatenate((window, readings - parts[1]))
-            hit = next(_settled(window, stop - len(window), hold, epsilon, floor), None)
-            if hit is not None:
-                detected_tick, estimate = hit
-                break
-            window = window[len(window) - hold + 1 :]
-        if stop == budget:
+        noise = None
+        if sigma > 0.0:
+            noise = np.array([block_noise(sigma, plan.noise, stop - first) for plan in going])
+        readings = measure_block(parts, noise).values
+        if watched is not None:
+            readings, watched = _jam(
+                parts, noise, first, rows, jam_from, jam_value, watched, watch, epsilon, floor
+            )
+        blocks.append((rows, first, readings))
+        values = readings - parts[1]
+        if window.shape[1]:
+            values = np.concatenate((window, values), 1)
+        if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
+
+            def read(row, column, level):
+                return _recover(scenario, level, float(parts[1][row, column]))[0]
+
+            adversary_recovered = _first_settled(values, hold, epsilon, floor, read)
             break
+        undetected = []
+        for index, hit in enumerate(_first_settled(values, hold, epsilon, floor)):
+            if hit is None:
+                undetected.append(index)
+            else:
+                detected[rows[index]] = (first - window.shape[1] + hit[0], hit[1])
+        if not undetected or stop == budget:
+            break
+        if len(undetected) < len(rows):
+            rows = [rows[index] for index in undetected]
+            values = values[undetected]
+            if watched is not None:
+                watched = watched[undetected]
+        window = values[:, values.shape[1] - hold + 1 :]
         first, stop = stop, min(budget, 2 * stop)
 
-    last_tick = budget - 1 if detected_tick is None else detected_tick
-    values = Readings(np.concatenate(blocks)[: last_tick + 1])
-    adversary_recovered = None
-    if receiver_ramp is None:  # the impersonator reads, on one block of the whole run
-        own = parts[1]
-        for tick, level in _settled(values.values - own, 0, hold, epsilon, floor):
-            adversary_recovered, _ = _recover(scenario, level, float(own[tick]))
-            if adversary_recovered is not None:
-                break
-    transcript = Transcript()
-    if scenario.protocol is Protocol.DECOY_WAVE:
-        transcript.announce(0, WAVE_PARAMS)
-    if announce_tick <= last_tick:
-        transcript.record_readings(0, values[:announce_tick])
-        transcript.announce(announce_tick, IN_BUSINESS)
-        transcript.record_readings(announce_tick, values[announce_tick:])
+    lengths = [budget if hit is None else hit[0] + 1 for hit in detected]
+    width = max(lengths)
+    if len(blocks) == 1:
+        readings = blocks[0][2][:, :width]
     else:
-        announce_tick = None
-        transcript.record_readings(0, values)
-    if sender_ramp is not None and sender_ramp.start_tick > last_tick:
-        sender_ramp = None
-    recovered, status, detail = None, TIMEOUT, f"no stabilization detected within {budget} ticks"
-    if detected_tick is not None:
-        recovered, detail = _recover(scenario, estimate, float(receiver_key))
-        status = OK if recovered is not None else OUT_OF_DOMAIN
-    return DecoyOutcome(
-        recovered=recovered,
-        sender_secret=sender_secret,
-        receiver_key=receiver_key,
-        transcript=transcript,
-        detected_tick=detected_tick,
-        stable_estimate=estimate,
-        announce_tick=announce_tick,
-        sender_start_tick=sender_ramp.start_tick if sender_ramp else None,
-        sender_stabilize_tick=sender_ramp.stabilize_tick if sender_ramp else None,
-        receiver_stabilize_tick=receiver_ramp.stabilize_tick if receiver_ramp else None,
-        status=status,
-        detail=detail,
-        jammed=jam_from <= last_tick,
-        adversary_recovered=adversary_recovered,
-    )
+        readings = np.full((count, width), np.nan)
+        for rows, first, block in blocks:
+            into = slice(None) if len(rows) == count else rows
+            readings[into, first : first + block.shape[1]] = block[:, : width - first]
+    if min(lengths) < width:
+        readings[np.arange(width) >= np.array(lengths)[:, None]] = np.nan
+    return RunBatch(scenario, readings, lengths, plans, detected, jam_from, adversary_recovered)
 
 
 def _recover(scenario: Scenario, level: float, own: float) -> tuple[Optional[int], str]:

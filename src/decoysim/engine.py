@@ -86,7 +86,11 @@ class RngStream:
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.default_rng([self.seed, self.stream_id])
+            # The generator np.random.default_rng([seed, stream_id]) builds,
+            # from the same entropy words given as one array, which numpy
+            # takes without converting element by element.
+            words = np.array(_words(self.seed) + _words(self.stream_id), dtype=np.uint32)
+            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
         return self._gen
 
     def normal(self, size: int | None = None):
@@ -103,6 +107,18 @@ class RngStream:
     def integers(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
         return int(self._generator().integers(low, high, endpoint=True))
+
+
+def _words(value: int) -> list[int]:
+    """A non-negative int as numpy's SeedSequence reads it: 32-bit words, lowest first."""
+    if value < 0:
+        raise ValueError(f"seed words must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
 
 
 # --- transcript -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from decoysim import (
     estimate_posterior,
     run_decoy_transmission,
 )
+from decoysim.adversary import transmit
+from decoysim.decoy import simulate_runs
 from conftest import decoy_scenario, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
@@ -190,6 +193,47 @@ def test_array_features_match_the_value_walk(values, hold, sigma, width):
     for tick, value in enumerate(values):
         transcript.record_measurement(tick, Reading(value))
     assert features(transcript) == _features_by_walk(features, values)
+
+
+_READINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, 2e-9, 3.0, 3.0000000001]), st.floats(-1e6, 1e6)
+)
+
+
+@st.composite
+def reading_rows(draw) -> list:
+    """One run's readings: empty, silent, flat after a ramp, or anything."""
+    kind = draw(st.sampled_from(["empty", "silent", "flat", "any"]))
+    if kind == "empty":
+        return []
+    if kind == "silent":
+        return draw(st.lists(st.sampled_from([0.0, -0.0, 1e-9, -1e-9]), min_size=1, max_size=20))
+    if kind == "flat":
+        ramp = draw(st.lists(_READINGS, max_size=10))
+        return ramp + [draw(_READINGS)] * draw(st.integers(1, 10))
+    return draw(st.lists(_READINGS, min_size=1, max_size=30))
+
+
+@given(
+    rows=st.lists(reading_rows(), min_size=1, max_size=8),
+    extra=st.integers(0, 3),
+    pad=st.sampled_from([math.nan, 0.0, 5.0]),
+    hold=st.integers(1, 6),
+    sigma=st.sampled_from([0.0, 0.05, 1.0]),
+    width=st.integers(1, 5),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold, sigma, width):
+    features = TranscriptFeatures(hold_ticks=hold, noise_sigma=sigma, bucket_width=width)
+    padded = np.full((len(rows), max(map(len, rows)) + extra), pad)
+    for index, values in enumerate(rows):
+        padded[index, : len(values)] = values
+    batched = features.of_rows(padded, [len(values) for values in rows])
+    for values, feature in zip(rows, batched):
+        transcript = Transcript()
+        for tick, value in enumerate(values):
+            transcript.record_measurement(tick, Reading(value))
+        assert feature == features(transcript) == _features_by_walk(features, values)
 
 
 def test_array_features_match_the_value_walk_on_runs():
@@ -363,6 +407,53 @@ class TestCollectSamples:
         second = collect_transmission_samples(scenario, 50)
         assert [s for s, _ in first] == [s for s, _ in second]
         assert all(a == b for (_, a), (_, b) in zip(first, second))
+
+    def test_samples_are_the_transcripts_of_single_runs(self):
+        for scenario in (
+            sync_scenario(seed=702),
+            decoy_scenario(adversary=AdversaryKind.JAMMER, secret_domain=(1, 8), seed=703),
+            decoy_scenario(
+                adversary=AdversaryKind.IMPERSONATOR,
+                secret_domain=(1, 8),
+                party_secrets={"alice": 3},
+                defense_enabled=False,
+            ),
+        ):
+            samples = collect_transmission_samples(scenario, 30)
+            features = TranscriptFeatures.for_scenario(scenario)
+            assert samples.features(features) == [features(t) for _, t in samples]
+            for index, (secret, transcript) in enumerate(samples):
+                run = samples.runs[index]
+                alone = dataclasses.replace(
+                    scenario, seed=run.seed, party_secrets=run.party_secrets
+                )
+                assert secret == run.party_secrets["alice"]
+                assert transcript.entries == transmit(alone).transcript.entries
+                assert samples[index][1] == transcript
+
+    def test_working_set_stays_that_of_one_run(self):
+        # Long runs go through the kernel one at a time and no pass outlives
+        # the next, so 64 samples need no more memory than the longest alone.
+        scenario = decoy_scenario(max_ticks=200_000, seed=704, secret_domain=(1, 8))
+        features = TranscriptFeatures.for_scenario(scenario)
+        runs = collect_transmission_samples(scenario, 64).runs
+        lengths = [batch.lengths[0] for batch in simulate_runs(scenario, runs)]
+        longest = runs[lengths.index(max(lengths))]
+
+        def peak(action) -> int:
+            tracemalloc.start()
+            try:
+                action()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        alone = dataclasses.replace(
+            scenario, seed=longest.seed, party_secrets=longest.party_secrets
+        )
+        one_run = peak(lambda: transmit(alone))
+        samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
+        assert samples <= 2 * one_run
 
     def test_timeout_transcripts_are_still_samples(self):
         scenario = decoy_scenario(

@@ -317,6 +317,23 @@ class TestAnalyze:
         assert code == 1
         assert "samples" in err
 
+    def test_derived_seed_past_the_range_is_rejected(self, capsys):
+        # Sample i runs with seed + 1 + i, so the first sample's seed is 2^64.
+        code, out, err = run_cli(
+            capsys, "analyze", "--config", str(CONFIGS / "sync_analysis.cfg"),
+            "--samples", "1000", "--seed", "18446744073709551615",
+        )
+        assert code == 1 and out == ""
+        assert "seed must lie in [0, 2^64), got 18446744073709551616" in err
+
+    def test_derived_seeds_just_inside_the_range_run(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--config", str(CONFIGS / "sync_analysis.cfg"),
+            "--samples", "1000", "--seed", "18446744073709550000",
+        )
+        assert code == 0
+        assert "verdict: PASS" in out
+
     def test_records_analysis(self, tmp_config, capsys):
         path = tmp_config(SYNC_CFG)
         code, out, _ = run_cli(

@@ -4,7 +4,9 @@
 any adversary; `tick_oracle.transmission` steps the same run one tick at
 a time through the channel and the adversary's hooks.  The two must agree
 on every outcome field, every transcript entry and the replay digest, and
-so must the attack entry points run through either of them.
+so must the attack entry points run through either of them.  A batch of
+runs through `simulate_runs` must agree with the same runs made one at a
+time.
 """
 
 import dataclasses
@@ -29,10 +31,11 @@ from decoysim import (
     generate_ramp,
     replay_digest,
 )
-from decoysim import channel, decoy
+from decoysim import adversary, channel, decoy
+from decoysim.adversary import JAM_VALUE, transmit
 from decoysim.channel import measure_block
-from decoysim.decoy import DecoyOutcome, Forgery, simulate_transmission
-from decoysim.engine import OK, OUT_OF_DOMAIN, TIMEOUT
+from decoysim.decoy import DecoyOutcome, Forgery, Run, simulate_runs, simulate_transmission
+from decoysim.engine import OK, OUT_OF_DOMAIN, STREAM_ADVERSARY, TIMEOUT
 from decoysim.errors import OutOfDomain
 from conftest import decoy_scenario
 
@@ -120,6 +123,84 @@ def test_closed_form_matches_the_tick_loop(scenario):
 def test_attacks_match_the_tick_loop(attack):
     scenario, options = attack
     assert_attacks_agree(scenario, **options)
+
+
+@st.composite
+def batches(draw) -> tuple[Scenario, list[Run], float | None, int]:
+    """A scenario, runs that differ from it in seed, secrets and forgery, jam value, pass size."""
+    scenario = draw(scenarios())
+    n1, n2 = scenario.secret_domain
+    impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
+    runs = []
+    for _ in range(draw(st.integers(1, 9))):
+        seed = draw(st.integers(0, 2**64 - 1))
+        secrets = {"alice": draw(st.integers(n1, n2))}
+        forgery = None
+        if not impersonation:
+            secrets["bob"] = draw(st.integers(n1, n2))
+        elif draw(st.booleans()):
+            tick = draw(st.integers(1, scenario.max_ticks + 2))
+            key = draw(st.sampled_from([4.0, 2.5, 0.0]))
+            ramp = None
+            if key > 0.0:
+                ramp = generate_ramp(
+                    RngStream(seed, STREAM_ADVERSARY), key, tick, scenario.max_ramp_ticks
+                )
+            forgery = Forgery(tick, ramp)
+        runs.append(Run(seed, secrets, forgery))
+    jam_value = None
+    if scenario.adversary is AdversaryKind.JAMMER:
+        reach = 2.0 * n2
+        jam_value = draw(st.one_of(st.just(JAM_VALUE), st.floats(-reach, reach)))
+    return scenario, runs, jam_value, draw(st.integers(1, len(runs)))
+
+
+def _run_alone(scenario: Scenario, run: Run) -> Scenario:
+    return dataclasses.replace(scenario, seed=run.seed, party_secrets=run.party_secrets)
+
+
+def _batched(scenario: Scenario, runs: list[Run], jam_value, per_pass: int) -> list[DecoyOutcome]:
+    """Every run's outcome from simulate_runs, the kernel taking per_pass runs at a time."""
+    with mock.patch.object(decoy, "CELL_BUDGET", per_pass * scenario.max_ticks):
+        passes = list(simulate_runs(scenario, runs, jam_value))
+    sizes = [min(per_pass, len(runs) - start) for start in range(0, len(runs), per_pass)]
+    assert [len(batch) for batch in passes] == sizes
+    return [batch.outcome(row) for batch in passes for row in range(len(batch))]
+
+
+@given(batches())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_batch_matches_its_runs_one_at_a_time(batch):
+    scenario, runs, jam_value, per_pass = batch
+    for run, outcome in zip(runs, _batched(scenario, runs, jam_value, per_pass)):
+        alone = _run_alone(scenario, run)
+        _assert_agree(outcome, simulate_transmission(alone, jam_value, run.forgery))
+        # What transmit runs: the default jam value, and no forgery.
+        if run.forgery is None and jam_value in (None, JAM_VALUE):
+            with mock.patch.object(adversary, "simulate_transmission", lambda *_, **__: outcome):
+                through_the_batch = transmit(alone)
+            _assert_agree(through_the_batch, transmit(alone))
+
+
+def test_a_batch_spans_later_blocks_timeouts_and_passes():
+    # Tight tolerance under noise: most receivers detect only in a block
+    # after the first, and one never does.
+    scenario = decoy_scenario(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4, max_ticks=100)
+    runs = [Run(seed, {"alice": 3 + seed % 5, "bob": 5}) for seed in range(30)]
+    per_pass = 7
+    outcomes = _batched(scenario, runs, None, per_pass)
+    later = 0
+    for start in range(0, len(runs), per_pass):
+        in_pass = runs[start : start + per_pass]
+        first_block = max(plan.stop for plan in decoy._plans(scenario, in_pass))
+        later += sum(
+            outcome.detected_tick is not None and outcome.detected_tick >= first_block
+            for outcome in outcomes[start : start + per_pass]
+        )
+    assert later >= 10
+    assert any(outcome.status == TIMEOUT for outcome in outcomes)
+    for run, outcome in zip(runs, outcomes):
+        _assert_agree(outcome, simulate_transmission(_run_alone(scenario, run)))
 
 
 def test_noise_settling_before_the_sender_starts():

@@ -49,6 +49,16 @@ class TestRngStream:
     def test_negative_seed_wraps_to_u64(self):
         assert RngStream(-1, 0).seed == 2**64 - 1
 
+    def test_generator_is_default_rng_of_seed_and_stream(self):
+        rng = random.Random(11)
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        pairs = [(seed, stream) for seed in edges for stream in range(5)]
+        while len(pairs) < 100_000:
+            pairs.append((rng.getrandbits(rng.choice([16, 32, 33, 64])), rng.randrange(5)))
+        for seed, stream in pairs:
+            state = RngStream(seed, stream)._generator().bit_generator.state
+            assert state == np.random.default_rng([seed, stream]).bit_generator.state, (seed, stream)
+
 
 class TestTranscript:
     def test_measurement_requires_channel_reading(self):
