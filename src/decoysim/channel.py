@@ -107,11 +107,13 @@ def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> R
         inexact = (_two_sum_error(parts[0], parts[1], pair) != 0) | (
             _two_sum_error(pair, parts[2], total) != 0
         )
-        # Flat views index fastest; a fresh ufunc result is C-contiguous, so
-        # writing through its flat view writes `total`.
-        flat_total, flat_parts = total.reshape(-1), [part.reshape(-1) for part in parts]
-        for cell in np.flatnonzero(inexact).tolist():
-            flat_total[cell] = math.fsum(part[cell] for part in flat_parts)
+        cells = np.flatnonzero(inexact).tolist()
+        if cells:
+            # Flat views index fastest; a fresh ufunc result is C-contiguous,
+            # so writing through its flat view writes `total`.
+            flat_total, flat_parts = total.reshape(-1), [part.reshape(-1) for part in parts]
+            for cell in cells:
+                flat_total[cell] = math.fsum(part[cell] for part in flat_parts)
     if not np.isfinite(total).all():  # a non-finite contribution makes its sum non-finite
         raise NonFiniteValue("a contribution is not finite")
     if noise is not None:

@@ -531,15 +531,17 @@ def _jam(
         return measure_block([*parts, jam], noise).values
 
     unarmed = [index for index, row in enumerate(rows) if jam_from[row] >= stop]
-    readings = measure_block(parts, noise).values if len(unarmed) == len(rows) else measure()
+    if not unarmed:
+        return measure(), watched
+    everyone = len(unarmed) == len(rows)
+    readings = measure_block(parts, noise).values if everyone else measure()
     seen = np.concatenate((watched, readings), 1)
-    if unarmed:
-        hits = _first_settled(seen[unarmed], watch, epsilon, floor)
-        for index, hit in zip(unarmed, hits):
-            if hit is not None:  # a detection on or before this tick ends the run unjammed
-                jam_from[rows[index]] = first - watched.shape[1] + hit[0] + 1
-        if any(hits):
-            readings = measure()
+    hits = _first_settled(seen if everyone else seen[unarmed], watch, epsilon, floor)
+    for index, hit in zip(unarmed, hits):
+        if hit is not None:  # a detection on or before this tick ends the run unjammed
+            jam_from[rows[index]] = first - watched.shape[1] + hit[0] + 1
+    if any(hits):
+        readings = measure()
     return readings, seen[:, seen.shape[1] - watch + 1 :]
 
 
@@ -580,7 +582,7 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
     rows = list(range(count))  # the runs still going, in order
     # Their receivers' last hold - 1 window values and jammers' last
     # watch - 1 readings, which the next block follows on from.
-    window = np.zeros((count, 0))
+    window = None
     watched = np.zeros((count, 0)) if jam_value is not None else None
     first, stop = 0, max(plan.stop for plan in plans)
     while True:
@@ -592,14 +594,16 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
         noise = None
         if sigma > 0.0:
             noise = np.array([block_noise(sigma, plan.noise, stop - first) for plan in going])
-        readings = measure_block(parts, noise).values
-        if watched is not None:
+        if watched is None:
+            readings = measure_block(parts, noise).values
+        else:
             readings, watched = _jam(
                 parts, noise, first, rows, jam_from, jam_value, watched, watch, epsilon, floor
             )
         blocks.append((rows, first, readings))
         values = readings - parts[1]
-        if window.shape[1]:
+        held = 0 if window is None else window.shape[1]
+        if held:
             values = np.concatenate((window, values), 1)
         if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
 
@@ -613,7 +617,7 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
             if hit is None:
                 undetected.append(index)
             else:
-                detected[rows[index]] = (first - window.shape[1] + hit[0], hit[1])
+                detected[rows[index]] = (first - held + hit[0], hit[1])
         if not undetected or stop == budget:
             break
         if len(undetected) < len(rows):
