@@ -360,13 +360,13 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     through the kernel together, when the samples are read (see
     TranscriptSamples).
     """
-    sampler = RngStream(scenario.seed, STREAM_SAMPLER)
     n1, n2 = scenario.secret_domain
+    # Each sample's secret, then its key, drawn in one call.
+    draws = RngStream(scenario.seed, STREAM_SAMPLER).integers(n1, n2, 2 * n_samples)
     impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
     runs = []
     for index in range(n_samples):
-        secret = sampler.integers(n1, n2)
-        key = sampler.integers(n1, n2)
+        secret, key = draws[2 * index], draws[2 * index + 1]
         secrets = {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key}
         runs.append(Run(scenario.seed + 1 + index, secrets))
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None

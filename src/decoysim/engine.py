@@ -104,9 +104,14 @@ class RngStream:
             return float(self._generator().random())
         return self._generator().random(size)
 
-    def integers(self, low: int, high: int) -> int:
-        """Uniform integer in the inclusive range [low, high]."""
-        return int(self._generator().integers(low, high, endpoint=True))
+    def integers(self, low: int, high: int, size: int | None = None):
+        """Uniform integer in the inclusive range [low, high], or `size` of them as a list.
+
+        The list holds the values that many single draws give, in order.
+        """
+        if size is None:
+            return int(self._generator().integers(low, high, endpoint=True))
+        return self._generator().integers(low, high, size, endpoint=True).tolist()
 
 
 def _words(value: int) -> list[int]:

@@ -49,6 +49,13 @@ class TestRngStream:
     def test_negative_seed_wraps_to_u64(self):
         assert RngStream(-1, 0).seed == 2**64 - 1
 
+    def test_bulk_integers_are_successive_single_draws(self):
+        for low, high in [(1, 2), (1, 8), (3, 100), (1, 2**32), (1, 2**53)]:
+            single, bulk = RngStream(99, 4), RngStream(99, 4)
+            one_by_one = [single.integers(low, high) for _ in range(3000)]
+            assert bulk.integers(low, high, 3000) == one_by_one
+            assert bulk.integers(low, high) == single.integers(low, high)
+
     def test_generator_is_default_rng_of_seed_and_stream(self):
         rng = random.Random(11)
         edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -57,7 +64,8 @@ class TestRngStream:
             pairs.append((rng.getrandbits(rng.choice([16, 32, 33, 64])), rng.randrange(5)))
         for seed, stream in pairs:
             state = RngStream(seed, stream)._generator().bit_generator.state
-            assert state == np.random.default_rng([seed, stream]).bit_generator.state, (seed, stream)
+            expected = np.random.default_rng([seed, stream]).bit_generator.state
+            assert state == expected, (seed, stream)
 
 
 class TestTranscript:
