@@ -31,7 +31,6 @@ from .decoy import (
     detect_stabilization,
     generate_ramp,
     recover_secret,
-    run_decoy_transmission,
     simulate_runs,
     simulate_transmission,
 )
@@ -381,17 +380,35 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
 
 
 def transmit(scenario: Scenario) -> DecoyOutcome | AttackOutcome:
-    """Run one decoy transmission under the scenario's adversary.
+    """Run one decoy transmission under the scenario's adversary: transmit_seeds' batch of one."""
+    check_transmission(scenario)
+    return next(transmit_seeds(scenario, 1))
 
-    The one place that picks the attack entry point for an active
-    adversary; every run returns its outcome and public transcript,
-    whether it completed or failed.
+
+def transmit_seeds(scenario: Scenario, count: int) -> Iterator[DecoyOutcome | AttackOutcome]:
+    """transmit's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
+
+    The one place that picks what an active adversary does: a jammer adds
+    JAM_VALUE and an impersonator stays silent, as attack_jam and
+    attack_impersonate do by default.  Every run yields its outcome and
+    public transcript, whether it completed or failed.  The runs go
+    through the kernel a pass at a time (decoy.simulate_runs), and each
+    outcome is built when it is read.  Nothing is checked here: `scenario`
+    must pass check_transmission, and so must each of its seeds.
     """
-    if scenario.adversary is AdversaryKind.JAMMER:
-        return attack_jam(scenario)
-    if scenario.adversary is AdversaryKind.IMPERSONATOR:
-        return attack_impersonate(scenario)
-    return run_decoy_transmission(scenario)
+    kind = scenario.adversary
+    jam_value = JAM_VALUE if kind is AdversaryKind.JAMMER else None
+    secrets = scenario.party_secrets
+    runs = (Run(seed, secrets) for seed in range(scenario.seed, scenario.seed + count))
+    for batch in simulate_runs(scenario, runs, jam_value):
+        for row in range(len(batch)):
+            outcome = batch.outcome(row)
+            if kind is AdversaryKind.JAMMER:
+                yield _jam_result(outcome, jam_value)
+            elif kind is AdversaryKind.IMPERSONATOR:
+                yield _impersonation_result(outcome, None)
+            else:
+                yield outcome
 
 
 # --- active attacks ---------------------------------------------------------
@@ -495,12 +512,15 @@ def attack_jam(scenario: Scenario, jam_value: float = JAM_VALUE) -> AttackOutcom
     """
     if scenario.adversary is not AdversaryKind.JAMMER:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
-    sender_secret = scenario.secret_of(SENDER)
-    outcome = simulate_transmission(scenario, jam_value=float(jam_value))
+    return _jam_result(simulate_transmission(scenario, jam_value=float(jam_value)), jam_value)
+
+
+def _jam_result(outcome: DecoyOutcome, jam_value: float) -> AttackOutcome:
+    """What a jammer adding `jam_value` did to the run that gave `outcome`."""
     receiver_recovered = outcome.recovered
     receiver_error = _RECEIVER_ERRORS.get(outcome.status)
     disrupted = outcome.jammed and jam_value != 0.0 and (
-        receiver_error is not None or receiver_recovered != sender_secret
+        receiver_error is not None or receiver_recovered != outcome.sender_secret
     )
     return AttackOutcome(
         kind="jam",
@@ -541,15 +561,18 @@ def attack_impersonate(
                 rng, float(adversary_key), tick, scenario.max_ramp_ticks, RampModel.RANDOM_RAMP
             )
         forgery = Forgery(tick, ramp)
+    return _impersonation_result(simulate_transmission(scenario, forgery=forgery), forgery)
+
+
+def _impersonation_result(outcome: DecoyOutcome, forgery: Optional[Forgery]) -> AttackOutcome:
+    """What an impersonator forging `forgery` (None: silent) read in the run giving `outcome`."""
     # No real receiver ever detects stabilization, so the run always
     # exhausts its tick budget; the question is what the impersonator read.
-    outcome = simulate_transmission(scenario, forgery=forgery)
-    learned = outcome.adversary_recovered == scenario.secret_of(SENDER)
     return AttackOutcome(
         kind="impersonate",
         transcript=outcome.transcript,
         disrupted=True,
-        adversary_learned=learned,
+        adversary_learned=outcome.adversary_recovered == outcome.sender_secret,
         adversary_recovered=outcome.adversary_recovered,
         receiver_recovered=None,
         receiver_error="protocol_timeout",

@@ -11,7 +11,7 @@ a run can be replayed from its report alone.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import logging
 import math
@@ -27,7 +27,7 @@ from .decoy import DecoyOutcome
 from .engine import OK, Protocol, Scenario, replay_digest
 from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
-from .runner import RunOutcome, run_scenario
+from .runner import RunOutcome, run_scenario, run_seeds
 
 log = logging.getLogger("decoysim")
 
@@ -225,20 +225,18 @@ def cmd_sweep(args, stream: TextIO) -> int:
         failures = 0
         abs_errors: list[float] = []
         digests: list[str] = []
-        for index in range(args.runs):
-            outcome = run_scenario(dataclasses.replace(scenario, seed=scenario.seed + index))
+        # Records go out as the runs come, one kernel pass of them at a time.
+        for index, outcome in enumerate(run_seeds(scenario, args.runs)):
             digest = replay_digest(outcome.transcript)
             result = outcome.result
+            # A run succeeds when `run` would exit 0 on it.
+            successes += _exit_code_for(outcome) == EXIT_OK
             if outcome.status != OK:
                 failures += 1
             else:
                 digests.append(f"{digest:016x}")
                 if isinstance(result, DecoyOutcome):
-                    if result.success:
-                        successes += 1
                     abs_errors.append(abs(result.recovered - result.sender_secret))
-                else:
-                    successes += 1
             if args.format == "records":
                 findings = _findings_for(outcome)
                 _emit(
@@ -428,7 +426,9 @@ def _load(args, vary_override: Optional[str] = None) -> Scenario:
     return load_scenario(args.config, overrides)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="decoysim",
         description="Deterministic simulator for physics-based secure comparison "

@@ -9,9 +9,10 @@ the receiver's "in business" announcement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -265,20 +266,21 @@ def simulate_transmission(
 
 
 def simulate_runs(
-    scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float] = None
+    scenario: Scenario, runs: Iterable[Run], jam_value: Optional[float] = None
 ) -> Iterator["RunBatch"]:
     """Run transmissions that share `scenario` but for their seeds, secrets and forgeries.
 
     Yields one RunBatch per kernel pass, in order, over at most
-    max(1, CELL_BUDGET // max_ticks) runs each.  A run's outcome and
-    transcript are those simulate_transmission gives for `scenario` with
-    the run's seed and party secrets in place.  Nothing is checked here:
-    each run's scenario must pass check_transmission with `jam_value` and
-    the run's forgery.
+    max(1, CELL_BUDGET // max_ticks) runs each; `runs` is read one pass
+    at a time.  A run's outcome and transcript are those
+    simulate_transmission gives for `scenario` with the run's seed and
+    party secrets in place.  Nothing is checked here: each run's scenario
+    must pass check_transmission with `jam_value` and the run's forgery.
     """
     size = max(1, CELL_BUDGET // scenario.max_ticks)
-    for start in range(0, len(runs), size):
-        yield _closed_form(scenario, runs[start : start + size], jam_value)
+    runs = iter(runs)
+    while chunk := list(itertools.islice(runs, size)):
+        yield _closed_form(scenario, chunk, jam_value)
 
 
 class _Plan(NamedTuple):

@@ -8,8 +8,8 @@ every run, whatever the protocol, yields the same kind of public record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -102,19 +102,42 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
 
+def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
+    """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
+
+    Decoy runs go through the kernel a pass at a time
+    (adversary.transmit_seeds), so only one pass's readings are held at
+    once; comparison runs go one at a time.  The scenario is validated
+    once.  The seeds rise by one, so the first invalid one is 2^64: every
+    run before it is yielded, and then it raises the InvalidScenario that
+    validate() gives for it.
+    """
+    scenario.validate()
+    valid = min(count, 2**64 - scenario.seed)
+    seeds = range(scenario.seed, scenario.seed + valid)
+    if scenario.protocol in DECOY_PROTOCOLS:
+        for seed, result in zip(seeds, adversary_mod.transmit_seeds(scenario, valid)):
+            run = _with_seed(scenario, seed)
+            if isinstance(result, adversary_mod.AttackOutcome):
+                yield RunOutcome(run, result, result.transcript)
+            else:
+                yield RunOutcome(run, result, result.transcript, result.status, result.detail)
+    else:
+        for seed in seeds:
+            yield _comparison_run(_with_seed(scenario, seed))
+    if valid < count:
+        replace(scenario, seed=2**64).validate()
+
+
+def _with_seed(scenario: Scenario, seed: int) -> Scenario:
+    return scenario if seed == scenario.seed else replace(scenario, seed=seed)
+
+
 def run_scenario(scenario: Scenario) -> RunOutcome:
-    """Validate and execute one scenario, dispatching on its protocol.
+    """Validate and execute one scenario, dispatching on its protocol: run_seeds' batch of one.
 
     Raises InvalidScenario on bad inputs; every run that starts returns
     its outcome, failed or not.  An attack run is OK whatever it did to
     the receiver: its result reports that.
     """
-    scenario.validate()
-    if scenario.protocol in DECOY_PROTOCOLS:
-        result = adversary_mod.transmit(scenario)
-        if isinstance(result, adversary_mod.AttackOutcome):
-            return RunOutcome(scenario, result, result.transcript)
-        return RunOutcome(
-            scenario, result, result.transcript, status=result.status, detail=result.detail
-        )
-    return _comparison_run(scenario)
+    return next(run_seeds(scenario, 1))

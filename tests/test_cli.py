@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli
+from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, load_scenario
+from decoysim.decoy import CELL_BUDGET
+from decoysim.engine import OK, TIMEOUT
+from decoysim.runner import run_scenario, run_seeds
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -53,6 +56,46 @@ hold_ticks = 3
 CONTROL_CFG = SYNC_CFG.replace("synchronous", "deterministic_rate").replace(
     "defense_enabled = false", "defense_enabled = true"
 )
+
+
+def _one_run_per_seed(scenario, count):
+    """What a sweep runs, as one run_scenario call per seed."""
+    for index in range(count):
+        yield run_scenario(dataclasses.replace(scenario, seed=scenario.seed + index))
+
+
+VESSEL_ABORT_CFG = VESSELS_CFG.replace("hold_ticks = 10", "hold_ticks = 300").replace(
+    "max_ticks = 100", "max_ticks = 400"
+).replace("party_secrets.alice = 5", "party_secrets.alice = 50").replace(
+    "party_secrets.bob = 3", "party_secrets.bob = 1"
+)
+
+# name: (config path or text, sweep arguments, the distinct flag lists of its runs)
+SWEEP_CASES = {
+    "honest": (str(CONFIGS / "decoy.cfg"), ["--runs", "60"], {()}),
+    "noisy": (
+        str(CONFIGS / "noisy.cfg"), ["--runs", "30", "--vary", "noise_sigma=0,0.05,0.12"],
+        {(), ("ProtocolTimeout",)},
+    ),
+    "jammer": (
+        str(CONFIGS / "decoy.cfg"), ["--runs", "40", "--set", "adversary=jammer"],
+        {(), ("disrupted",)},
+    ),
+    "silent impersonator, defended": (
+        str(CONFIGS / "decoy.cfg"), ["--runs", "20", "--set", "adversary=impersonator"],
+        {("disrupted", "timeout")},
+    ),
+    "silent impersonator, undefended": (
+        str(CONFIGS / "decoy.cfg"),
+        ["--runs", "20", "--set", "adversary=impersonator", "--set", "defense_enabled=false"],
+        {("disrupted", "adversary-learned-secret", "timeout")},
+    ),
+    "one run per pass": (
+        str(CONFIGS / "decoy.cfg"), ["--runs", "4", "--set", "max_ticks=40000"], {()}
+    ),
+    "race": (VESSELS_CFG.replace("vessels", "race"), ["--runs", "5"], {("leak:max(a,b)",)}),
+    "vessels abort": (VESSEL_ABORT_CFG, ["--runs", "5"], {("VesselEmpty",)}),
+}
 
 
 def run_cli(capsys, *argv):
@@ -189,12 +232,7 @@ class TestRun:
 
     def test_vessel_abort_exits_two(self, tmp_config, capsys):
         # drift of -49 per tick drains 10000 units inside a 300-tick window
-        cfg = VESSELS_CFG.replace("hold_ticks = 10", "hold_ticks = 300").replace(
-            "max_ticks = 100", "max_ticks = 400"
-        ).replace("party_secrets.alice = 5", "party_secrets.alice = 50").replace(
-            "party_secrets.bob = 3", "party_secrets.bob = 1"
-        )
-        path = tmp_config(cfg)
+        path = tmp_config(VESSEL_ABORT_CFG)
         code, out, _ = run_cli(capsys, "run", "--config", path)
         assert code == 2
         assert "VesselEmpty" in out
@@ -281,6 +319,79 @@ class TestSweep:
             capsys, "sweep", "--config", path, "--runs", "2", "--vary", "oops"
         )
         assert code == 1
+
+    def test_runs_before_the_seed_boundary_are_written(self, capsys):
+        # Seeds 2^64 - 3 .. 2^64 - 1 run; seed 2^64 is the error.
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", str(CONFIGS / "decoy.cfg"), "--runs", "5",
+            "--seed", "18446744073709551613", "--format", "records",
+        )
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["record"] for r in records] == ["run"] * 3
+        assert [r["seed"] for r in records] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
+        assert err == (
+            "decoysim: error: seed must lie in [0, 2^64), got 18446744073709551616\n"
+        )
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_batched_sweep_matches_one_run_per_seed(self, case, tmp_config, capsys, monkeypatch):
+        config, argv, flag_sets = SWEEP_CASES[case]
+        if "\n" in config:
+            config = tmp_config(config)
+        argv = ["sweep", "--config", config, *argv, "--format", "records"]
+        batched = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "run_seeds", _one_run_per_seed)
+        assert run_cli(capsys, *argv) == batched
+        code, out, _ = batched
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        runs = [r for r in records if r["record"] == "run"]
+        assert runs and any(r["record"] == "aggregate" for r in records)
+        # The case covers what its name says.
+        assert {tuple(r["flags"]) for r in runs} == flag_sets
+
+    def test_noisy_case_mixes_detected_and_timed_out_runs_in_one_pass(self):
+        scenario = load_scenario(str(CONFIGS / "noisy.cfg"), ["noise_sigma=0.12"])
+        assert 30 <= CELL_BUDGET // scenario.max_ticks
+        statuses = {outcome.status for outcome in run_seeds(scenario, 30)}
+        assert statuses == {OK, TIMEOUT}
+
+    def test_success_rate_counts_runs_that_run_exits_zero_on(self, capsys):
+        decoy = str(CONFIGS / "decoy.cfg")
+        rates = []
+        for sets in (["adversary=jammer"], ["adversary=impersonator", "defense_enabled=false"]):
+            overrides = [arg for pair in sets for arg in ("--set", pair)]
+            code, out, _ = run_cli(
+                capsys, "sweep", "--config", decoy, "--runs", "20", "--seed", "5",
+                *overrides, "--format", "records",
+            )
+            assert code == 0
+            exits = [
+                run_cli(capsys, "run", "--config", decoy, "--seed", str(seed), *overrides)[0]
+                for seed in range(5, 25)
+            ]
+            rates.append(json.loads(out.splitlines()[-1])["success_rate"])
+            assert rates[-1] == exits.count(0) / 20
+        # The jammer disrupts some of these runs; the impersonator reads every secret.
+        assert 0 < rates[0] < 1
+        assert rates[1] == 0
+
+    def test_a_second_call_inherits_nothing_from_the_first(self, capsys):
+        decoy = str(CONFIGS / "decoy.cfg")
+        plain = ["sweep", "--config", decoy, "--runs", "3", "--format", "records"]
+        cli.build_parser.cache_clear()
+        fresh = run_cli(capsys, *plain)
+        run_cli(
+            capsys, *plain, "--set", "adversary=jammer", "--set", "noise_sigma=0.1",
+            "--vary", "max_ticks=300,500",
+        )
+        assert run_cli(capsys, *plain) == fresh
+        records = [json.loads(line) for line in fresh[1].splitlines()]
+        assert records[-1]["vary"] is None
+        assert {r["outcome"]["kind"] for r in records[:-1]} == {"decoy"}
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestAnalyze:
