@@ -312,7 +312,7 @@ class TranscriptSamples(Sequence):
 
     Iterating runs the samples through the kernel a batch at a time
     (decoy.simulate_runs), and reading one sample runs it alone; either
-    way the transcript is the one transmit gives for that sample's
+    way the transcript is the one run_scenario gives for that sample's
     scenario.  `features` computes every sample's features in one array
     pass per batch and builds no transcript.  Nothing is kept but the
     samples' seeds and secrets, so memory does not grow with their
@@ -379,14 +379,8 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     return TranscriptSamples(scenario, runs, jam_value)
 
 
-def transmit(scenario: Scenario) -> DecoyOutcome | AttackOutcome:
-    """Run one decoy transmission under the scenario's adversary: transmit_seeds' batch of one."""
-    check_transmission(scenario)
-    return next(transmit_seeds(scenario, 1))
-
-
 def transmit_seeds(scenario: Scenario, count: int) -> Iterator[DecoyOutcome | AttackOutcome]:
-    """transmit's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
+    """The outcome of one decoy run per seed scenario.seed + i, for i in range(count).
 
     The one place that picks what an active adversary does: a jammer adds
     JAM_VALUE and an impersonator stays silent, as attack_jam and

@@ -28,8 +28,8 @@ from decoysim import (
     estimate_mutual_information,
     estimate_posterior,
     run_decoy_transmission,
+    run_scenario,
 )
-from decoysim.adversary import transmit
 from decoysim.decoy import simulate_runs
 from conftest import decoy_scenario, sync_scenario, with_seed
 
@@ -428,7 +428,7 @@ class TestCollectSamples:
                     scenario, seed=run.seed, party_secrets=run.party_secrets
                 )
                 assert secret == run.party_secrets["alice"]
-                assert transcript.entries == transmit(alone).transcript.entries
+                assert transcript.entries == run_scenario(alone).transcript.entries
                 assert samples[index][1] == transcript
 
     def test_working_set_stays_that_of_one_run(self):
@@ -451,7 +451,7 @@ class TestCollectSamples:
         alone = dataclasses.replace(
             scenario, seed=longest.seed, party_secrets=longest.party_secrets
         )
-        one_run = peak(lambda: transmit(alone))
+        one_run = peak(lambda: run_scenario(alone))
         samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
         assert samples <= 2 * one_run
 

@@ -30,9 +30,11 @@ from decoysim import (
     detect_stabilization,
     generate_ramp,
     replay_digest,
+    run_decoy_transmission,
+    run_scenario,
 )
-from decoysim import adversary, channel, decoy
-from decoysim.adversary import JAM_VALUE, transmit
+from decoysim import channel, decoy
+from decoysim.adversary import JAM_VALUE, transmit_seeds
 from decoysim.channel import measure_block
 from decoysim.decoy import DecoyOutcome, Forgery, Run, simulate_runs, simulate_transmission
 from decoysim.engine import OK, OUT_OF_DOMAIN, STREAM_ADVERSARY, TIMEOUT
@@ -175,11 +177,56 @@ def test_a_batch_matches_its_runs_one_at_a_time(batch):
     for run, outcome in zip(runs, _batched(scenario, runs, jam_value, per_pass)):
         alone = _run_alone(scenario, run)
         _assert_agree(outcome, simulate_transmission(alone, jam_value, run.forgery))
-        # What transmit runs: the default jam value, and no forgery.
+        # What a run of the scenario does: the default jam value, and no forgery.
         if run.forgery is None and jam_value in (None, JAM_VALUE):
-            with mock.patch.object(adversary, "simulate_transmission", lambda *_, **__: outcome):
-                through_the_batch = transmit(alone)
-            _assert_agree(through_the_batch, transmit(alone))
+            _assert_agree(run_scenario(alone).result, _entry_point(alone))
+
+
+def _entry_point(scenario: Scenario):
+    """The single-run entry point for the scenario's adversary, run with its defaults."""
+    if scenario.adversary is AdversaryKind.JAMMER:
+        return attack_jam(scenario)
+    if scenario.adversary is AdversaryKind.IMPERSONATOR:
+        return attack_impersonate(scenario)
+    return run_decoy_transmission(scenario)
+
+
+def test_seeds_in_shared_passes_match_the_entry_points():
+    # transmit_seeds is what a sweep runs: several seeds to a pass, each
+    # outcome built from its row of the batch.
+    noisy = dict(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4)
+    impersonated = dict(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
+    seen = set()
+    for options in (
+        dict(noisy, max_ticks=60),
+        dict(adversary=AdversaryKind.PASSIVE),
+        dict(noisy, adversary=AdversaryKind.JAMMER, max_ticks=60),
+        dict(noisy, adversary=AdversaryKind.JAMMER, max_ticks=100),
+        impersonated,
+        dict(impersonated, defense_enabled=False),
+    ):
+        scenario = decoy_scenario(seed=2**64 - 12, **options)
+        with mock.patch.object(decoy, "CELL_BUDGET", 4 * scenario.max_ticks):
+            outcomes = list(transmit_seeds(scenario, 11))
+        assert len(outcomes) == 11
+        for index, outcome in enumerate(outcomes):
+            alone = dataclasses.replace(scenario, seed=scenario.seed + index)
+            _assert_agree(outcome, _entry_point(alone))
+            if isinstance(outcome, DecoyOutcome):
+                seen.add(outcome.status)
+            else:
+                seen.add((outcome.kind, outcome.disrupted, outcome.timeout, outcome.adversary_learned))
+    # Completed and timed-out runs, jams that did and did not disrupt, and
+    # impersonators that did and did not learn the secret.
+    assert seen == {
+        OK,
+        TIMEOUT,
+        ("jam", True, False, False),
+        ("jam", True, True, False),
+        ("jam", False, False, False),
+        ("impersonate", True, True, False),
+        ("impersonate", True, True, True),
+    }
 
 
 def test_a_batch_spans_later_blocks_timeouts_and_passes():
