@@ -306,10 +306,14 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> list[_Plan]:
     # The deterministic-rate control only makes the *sender* leaky; the
     # receiver jumps so the observable ramp duration is the sender's alone.
     receiver_model = RampModel.SYNCHRONOUS if model is RampModel.DETERMINISTIC_RATE else model
+    # Every stream of the pass seeded at once; a stream is still built only
+    # where a run uses it, so a sender that never starts gets none.
+    streams = (STREAM_RECEIVER, STREAM_NOISE, STREAM_SENDER)
+    rows = RngStream.seed_rows([seed for seed, _, _ in runs], streams)
     plans = []
-    for seed, secrets, forgery in runs:
-        rng_receiver = RngStream(seed, STREAM_RECEIVER)
-        rng_noise = RngStream(seed, STREAM_NOISE)
+    for (seed, secrets, forgery), (receiver_row, noise_row, sender_row) in zip(runs, rows):
+        rng_receiver = RngStream(seed, STREAM_RECEIVER, receiver_row)
+        rng_noise = RngStream(seed, STREAM_NOISE, noise_row)
         # Drawn from the receiver's stream whether or not he shows up, so an
         # impersonation run is tick-aligned with its honest twin.
         receiver_start = rng_receiver.integers(1, start_max)
@@ -336,7 +340,7 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> list[_Plan]:
         sender_ramp = None
         if sender_start < budget:
             sender_ramp = generate_ramp(
-                RngStream(seed, STREAM_SENDER),
+                RngStream(seed, STREAM_SENDER, sender_row),
                 float(sender_secret),
                 sender_start,
                 max_ramp,

@@ -8,12 +8,13 @@ that claim gets checked cheaply.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 import struct
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,21 +77,67 @@ class RngStream:
     The underlying generator is keyed purely by (seed, stream_id), so any
     consumer can be re-created in isolation and replays are bit-exact.  It
     is built on the first draw: a run creates several streams, and a
-    noiseless run never draws from its noise stream.
+    noiseless run never draws from its noise stream.  A stream given its
+    `row` from :meth:`seed_rows` seeds that generator from the row instead
+    of running numpy's SeedSequence itself.
     """
 
-    def __init__(self, seed: int, stream_id: int):
+    def __init__(self, seed: int, stream_id: int, row: Optional[np.ndarray] = None):
         self.seed = int(seed) & _U64
         self.stream_id = int(stream_id)
+        self._row = row
         self._gen: Optional[np.random.Generator] = None
+
+    @staticmethod
+    def seed_rows(seeds: Sequence[int], stream_ids: Sequence[int]) -> np.ndarray:
+        """What numpy's SeedSequence derives for every (seed, stream) pair, in one array pass.
+
+        Entry [i, j] is ``SeedSequence([seeds[i], stream_ids[j]]).generate_state(4,
+        np.uint64)``, the four words PCG64 seeds itself from, as a C-contiguous
+        row.  Seeds wrap to 64 bits as in ``RngStream``; stream ids are single
+        32-bit words.  The entropy, 1-2 seed words and the stream id, is
+        zero-padded to the pool of 4 words, mixed, and the state drawn from the
+        pool, each step one uint32 array operation over all pairs.
+        """
+        seeds = np.array([int(seed) & _U64 for seed in seeds], dtype=np.uint64)
+        streams = np.array(stream_ids, dtype=np.uint32)
+        low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+        two_words = (high != 0)[:, None]
+        # Word k of every pair's entropy in row k: the seed's words, then the stream id.
+        pool = np.zeros((4, len(seeds), len(streams)), dtype=np.uint32)
+        pool[0] = low[:, None]
+        pool[1] = np.where(two_words, high[:, None], streams)
+        pool[2] = np.where(two_words, streams, 0)
+        pool = pool.reshape(4, len(seeds) * len(streams))
+        pool ^= _HASH_A[:4]
+        pool *= _HASH_A[1:5]
+        pool ^= pool >> _XSHIFT
+        for source, xor, mult in _POOL_MIXES:
+            # The source word, hashed once per other word, mixed into it; the
+            # source's own row is computed in passing and put back.
+            hashed = (pool[source] ^ xor) * mult
+            hashed ^= hashed >> _XSHIFT
+            mixed = pool * _MIX_L - hashed * _MIX_R
+            mixed ^= mixed >> _XSHIFT
+            mixed[source] = pool[source]
+            pool = mixed
+        state = (np.concatenate((pool, pool)) ^ _HASH_B[:8]) * _HASH_B[1:9]
+        state ^= state >> _XSHIFT
+        # Word pairs, lowest first, as uint64: numpy's own little-endian view.
+        words = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+        return words.reshape(len(seeds), len(streams), 4)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
-            # The generator np.random.default_rng([seed, stream_id]) builds,
-            # from the same entropy words given as one array, which numpy
-            # takes without converting element by element.
-            words = np.array(_words(self.seed) + _words(self.stream_id), dtype=np.uint32)
-            self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+            if self._row is None:
+                # The generator np.random.default_rng([seed, stream_id]) builds,
+                # from the same entropy words given as one array, which numpy
+                # takes without converting element by element.
+                words = np.array(_words(self.seed) + _words(self.stream_id), dtype=np.uint32)
+                seed_sequence = np.random.SeedSequence(words)
+            else:
+                seed_sequence = _derived_seed_sequence()(self._row)
+            self._gen = np.random.Generator(np.random.PCG64(seed_sequence))
         return self._gen
 
     def normal(self, size: int | None = None):
@@ -124,6 +171,56 @@ def _words(value: int) -> list[int]:
         words.append(value & 0xFFFFFFFF)
         value >>= 32
     return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's running hash constant, init * mult**k mod 2^32 for k < count, as a column."""
+    constants = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(count)]
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+# numpy's SeedSequence constants.  Mixing the pool into itself hashes each
+# source word once per other word, so the 4 fills and 12 mixes use 17
+# consecutive constants of the first hash, and 8 output words 9 of the second.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _pool_mixes() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per source word, the hash constants of its mix into each other word (0 for itself)."""
+    mixes, k = [], 4
+    for source in range(4):
+        xor, mult = np.zeros((4, 1), np.uint32), np.zeros((4, 1), np.uint32)
+        for target in range(4):
+            if target != source:
+                xor[target], mult[target] = _HASH_A[k], _HASH_A[k + 1]
+                k += 1
+        mixes.append((source, xor, mult))
+    return mixes
+
+
+_POOL_MIXES = _pool_mixes()
+
+
+@functools.cache
+def _derived_seed_sequence() -> type:
+    """A seed sequence that hands PCG64 a row from RngStream.seed_rows.
+
+    Defined on first use, so importing decoysim does not import numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DerivedSeedSequence(ISeedSequence):
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for its 4 uint64 words and reads them from the
+            # array's memory, so the row is returned C-contiguous as it is.
+            return self.row
+
+    return DerivedSeedSequence
 
 
 # --- transcript -----------------------------------------------------------

@@ -19,7 +19,9 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.decoy import IN_BUSINESS
+from decoysim import decoy
+from decoysim.decoy import IN_BUSINESS, Run, simulate_runs
+from decoysim.engine import STREAM_NOISE, STREAM_RECEIVER, STREAM_SENDER
 from conftest import decoy_scenario, sync_scenario, with_seed
 
 
@@ -261,3 +263,39 @@ def test_tick_cost_is_linear_in_max_ticks():
 
     short, long = best_us_per_tick(4000), best_us_per_tick(32000)
     assert long <= 2.0 * short, f"{long:.2f} us/tick at 32k vs {short:.2f} at 4k"
+
+
+class TestStreamsAreLazy:
+    """A pass seeds every stream at once but builds only those its runs use."""
+
+    @staticmethod
+    def _noise_generators(noise_sigma):
+        scenario = decoy_scenario(noise_sigma=noise_sigma, epsilon_stab=0.2)
+        runs = [Run(seed, scenario.party_secrets) for seed in range(20)]
+        (batch,) = simulate_runs(scenario, runs)
+        return [plan.noise._gen for plan in batch._plans]
+
+    def test_noiseless_batch_builds_no_noise_generator(self):
+        assert all(gen is None for gen in self._noise_generators(0.0))
+        assert all(gen is not None for gen in self._noise_generators(0.05))
+
+    @pytest.mark.parametrize("defended", [True, False])
+    def test_sender_facing_a_silent_impersonator_gets_a_stream_only_undefended(
+        self, defended, monkeypatch
+    ):
+        built = []
+
+        class Recorded(RngStream):
+            def __init__(self, seed, stream_id, row=None):
+                built.append(stream_id)
+                super().__init__(seed, stream_id, row)
+
+        monkeypatch.setattr(decoy, "RngStream", Recorded)
+        scenario = decoy_scenario(
+            adversary=AdversaryKind.IMPERSONATOR,
+            party_secrets={"alice": 3},
+            defense_enabled=defended,
+        )
+        run_scenario(scenario)
+        sender = [] if defended else [STREAM_SENDER]
+        assert built == [STREAM_RECEIVER, STREAM_NOISE, *sender]

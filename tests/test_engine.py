@@ -3,8 +3,12 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,53 @@ class TestRngStream:
             state = RngStream(seed, stream)._generator().bit_generator.state
             expected = np.random.default_rng([seed, stream]).bit_generator.state
             assert state == expected, (seed, stream)
+
+    def test_seed_rows_give_default_rng_of_seed_and_stream(self):
+        # One batch mixing one- and two-word seeds, every stream of each:
+        # the generator a row seeds has default_rng's state, which a row
+        # PCG64 misreads (one not C-contiguous, say) would not give.
+        rng = random.Random(12)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        while len(seeds) < 20_000:
+            seeds.append(rng.getrandbits(rng.choice([16, 32, 33, 64])))
+        rows = RngStream.seed_rows(seeds, range(5))
+        assert rows.shape == (len(seeds), 5, 4)
+        for seed, seed_rows in zip(seeds, rows):
+            for stream, row in enumerate(seed_rows):
+                state = RngStream(seed, stream, row)._generator().bit_generator.state
+                expected = np.random.default_rng([seed, stream]).bit_generator.state
+                assert state == expected, (seed, stream)
+
+    def test_seed_rows_of_one_pair_and_of_negative_seeds(self):
+        for seed in [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345, 2**40 + 7]:
+            for stream in range(5):
+                (row,), = RngStream.seed_rows([seed], [stream])
+                state = RngStream(seed, stream, row)._generator().bit_generator.state
+                assert state == np.random.default_rng([seed, stream]).bit_generator.state
+        # A negative seed wraps to 64 bits, as RngStream(seed, ...) does.
+        negative, wrapped = [-1, -(2**63), -5], [2**64 - 1, 2**63, 2**64 - 5]
+        rows = RngStream.seed_rows(negative, [0, 3])
+        assert np.array_equal(rows, RngStream.seed_rows(wrapped, [0, 3]))
+        stream = RngStream(-1, 3, rows[0, 1])
+        assert stream.seed == 2**64 - 1
+        assert stream.normal(8).tolist() == RngStream(-1, 3).normal(8).tolist()
+
+    def test_import_and_config_leave_numpy_random_unloaded(self):
+        # numpy.random is imported on the first draw, not by importing
+        # decoysim or reading a config.
+        code = (
+            "import sys, decoysim\n"
+            "decoysim.load_scenario(sys.argv[1])\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "-c", code, str(root / "configs" / "decoy.cfg")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestTranscript:
