@@ -216,8 +216,8 @@ def _derived_seed_sequence() -> type:
             self.row = row
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            # PCG64 asks for its 4 uint64 words and reads them from the
-            # array's memory, so the row is returned C-contiguous as it is.
+            # PCG64 asks for 4 uint64 words and reads them straight from the
+            # array's memory; seed_rows' rows are C-contiguous, so as they are.
             return self.row
 
     return DerivedSeedSequence
