@@ -17,7 +17,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
 import numpy as np
@@ -248,9 +248,9 @@ class PosteriorReport:
 
 
 def estimate_posterior(
-    samples: Sequence[tuple[int, Transcript]],
+    samples: TranscriptSamples,
     observed: Transcript,
-    features: Callable[[Transcript], tuple],
+    features: TranscriptFeatures,
     domain: tuple[int, int],
     min_per_class: int = 100,
 ) -> PosteriorReport:
@@ -261,9 +261,7 @@ def estimate_posterior(
     set must cover every domain value at least min_per_class times.
     """
     n1, n2 = domain
-    batched = isinstance(samples, TranscriptSamples)
-    secrets = samples.secrets if batched else [secret for secret, _ in samples]
-    class_counts = Counter(secrets)
+    class_counts = Counter(samples.secrets)
     for secret in range(n1, n2 + 1):
         if class_counts[secret] < min_per_class:
             raise InsufficientSamples(
@@ -271,10 +269,7 @@ def estimate_posterior(
                 f"[{n1}, {n2}]; secret {secret} has {class_counts[secret]}"
             )
 
-    if batched and isinstance(features, TranscriptFeatures):
-        featured = list(zip(secrets, samples.features(features)))
-    else:
-        featured = [(secret, features(transcript)) for secret, transcript in samples]
+    featured = list(zip(samples.secrets, samples.features(features)))
     observed_feature = features(observed)
     matched = Counter(
         secret for secret, feature in featured if feature == observed_feature
@@ -307,16 +302,15 @@ def estimate_posterior(
     return report
 
 
-class TranscriptSamples(Sequence):
+class TranscriptSamples:
     """The (secret, Transcript) pairs of simulated runs, each run computed when it is read.
 
     Iterating runs the samples through the kernel a batch at a time
-    (decoy.simulate_runs), and reading one sample runs it alone; either
-    way the transcript is the one run_scenario gives for that sample's
-    scenario.  `features` computes every sample's features in one array
-    pass per batch and builds no transcript.  Nothing is kept but the
-    samples' seeds and secrets, so memory does not grow with their
-    transcripts.
+    (decoy.simulate_runs); each transcript is the one run_scenario gives
+    for that sample's scenario.  `features` computes every sample's
+    features in one array pass per batch and builds no transcript.
+    Nothing is kept but the samples' seeds and secrets, so memory does
+    not grow with their transcripts.
     """
 
     def __init__(self, scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float]):
@@ -327,10 +321,6 @@ class TranscriptSamples(Sequence):
 
     def __len__(self) -> int:
         return len(self.runs)
-
-    def __getitem__(self, index: int) -> tuple[int, Transcript]:
-        batch = next(simulate_runs(self.scenario, [self.runs[index]], self.jam_value))
-        return self.secrets[index], batch.transcript(0)
 
     def __iter__(self) -> Iterator[tuple[int, Transcript]]:
         secrets = iter(self.secrets)

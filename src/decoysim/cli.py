@@ -24,7 +24,7 @@ from . import __version__
 from . import adversary as adversary_mod
 from .config import load_scenario
 from .decoy import DecoyOutcome
-from .engine import OK, Protocol, Scenario, replay_digest
+from .engine import DECOY_PROTOCOLS, OK, Scenario, replay_digest
 from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
 from .runner import RunOutcome, run_scenario, run_seeds
@@ -34,6 +34,9 @@ log = logging.getLogger("decoysim")
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PROTOCOL = 2
+
+# analyze's sample count bound: peak memory grows by about 0.45 KB a sample.
+MAX_SAMPLES = 10**6
 
 
 def _configure_logging() -> None:
@@ -110,44 +113,31 @@ def _outcome_summary(outcome: RunOutcome) -> dict:
     }
 
 
-def _run_flags(outcome: RunOutcome, findings) -> list[str]:
-    if outcome.status != OK:
-        return [outcome.status]
-    flags: list[str] = []
-    result = outcome.result
-    if isinstance(result, DecoyOutcome) and not result.success:
-        flags.append("recovery-mismatch")
-    if isinstance(result, adversary_mod.AttackOutcome):
-        if result.disrupted:
-            flags.append("disrupted")
-        if result.adversary_learned:
-            flags.append("adversary-learned-secret")
-        if result.timeout:
-            flags.append("timeout")
-    for finding in findings:
-        if finding.exceeds_comparison_bit:
-            flags.append(f"leak:{finding.quantity}")
-    return flags
+def _assess(outcome: RunOutcome) -> tuple[list, list[str], int]:
+    """A run's leakage findings, report flags and exit code.
 
-
-def _exit_code_for(outcome: RunOutcome) -> int:
+    A failed run, a decoy run that recovered the wrong secret and an
+    attack that disrupted the run, learned the secret or timed out each
+    exit EXIT_PROTOCOL; a comparison's leak flags leave the exit code 0.
+    """
     if outcome.status != OK:
-        return EXIT_PROTOCOL
+        return [], [outcome.status], EXIT_PROTOCOL
     result = outcome.result
+    if isinstance(result, ComparisonOutcome):
+        scenario = outcome.scenario
+        findings = adversary_mod.audit_comparison(result, scenario.protocol, dt=scenario.dt)
+        leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
+        return findings, leaks, EXIT_OK
     if isinstance(result, DecoyOutcome):
-        return EXIT_OK if result.success else EXIT_PROTOCOL
-    if isinstance(result, adversary_mod.AttackOutcome):
-        compromised = result.disrupted or result.adversary_learned or result.timeout
-        return EXIT_PROTOCOL if compromised else EXIT_OK
-    return EXIT_OK
-
-
-def _findings_for(outcome: RunOutcome):
-    if outcome.status == OK and isinstance(outcome.result, ComparisonOutcome):
-        return adversary_mod.audit_comparison(
-            outcome.result, outcome.scenario.protocol, dt=outcome.scenario.dt
-        )
-    return []
+        flags = [] if result.success else ["recovery-mismatch"]
+    else:
+        checks = {
+            "disrupted": result.disrupted,
+            "adversary-learned-secret": result.adversary_learned,
+            "timeout": result.timeout,
+        }
+        flags = [flag for flag, raised in checks.items() if raised]
+    return [], flags, EXIT_PROTOCOL if flags else EXIT_OK
 
 
 def _run_record(run_id: int, outcome: RunOutcome, digest: int, flags) -> dict:
@@ -190,14 +180,13 @@ def cmd_run(args, stream: TextIO) -> int:
     if outcome.status != OK:
         log.warning("protocol failed: %s", outcome.detail)
     digest = replay_digest(outcome.transcript)
-    findings = _findings_for(outcome)
-    flags = _run_flags(outcome, findings)
+    findings, flags, code = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
         _emit(stream, json.dumps(_run_record(0, outcome, digest, flags)))
     else:
         _print_text_report(stream, outcome, digest, findings, flags, wall_ms)
-    return _exit_code_for(outcome)
+    return code
 
 
 def _parse_vary(spec: Optional[str]) -> list[tuple[Optional[str], Optional[str]]]:
@@ -229,8 +218,9 @@ def cmd_sweep(args, stream: TextIO) -> int:
         for index, outcome in enumerate(run_seeds(scenario, args.runs)):
             digest = replay_digest(outcome.transcript)
             result = outcome.result
+            _, flags, code = _assess(outcome)
             # A run succeeds when `run` would exit 0 on it.
-            successes += _exit_code_for(outcome) == EXIT_OK
+            successes += code == EXIT_OK
             if outcome.status != OK:
                 failures += 1
             else:
@@ -238,13 +228,7 @@ def cmd_sweep(args, stream: TextIO) -> int:
                 if isinstance(result, DecoyOutcome):
                     abs_errors.append(abs(result.recovered - result.sender_secret))
             if args.format == "records":
-                findings = _findings_for(outcome)
-                _emit(
-                    stream,
-                    json.dumps(
-                        _run_record(index, outcome, digest, _run_flags(outcome, findings))
-                    ),
-                )
+                _emit(stream, json.dumps(_run_record(index, outcome, digest, flags)))
         sorted_errors = sorted(abs_errors)
 
         def percentile(q: float) -> Optional[float]:
@@ -281,6 +265,8 @@ def cmd_sweep(args, stream: TextIO) -> int:
 def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
     if args.samples < 1000:
         raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     features = adversary_mod.TranscriptFeatures.for_scenario(scenario)
     samples = adversary_mod.collect_transmission_samples(scenario, args.samples)
     observed = run_scenario(scenario).transcript
@@ -351,7 +337,7 @@ def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
     if outcome.status != OK:
         print(f"decoysim: protocol error: {outcome.detail}", file=sys.stderr)
         return EXIT_PROTOCOL
-    findings = _findings_for(outcome)
+    findings, _, _ = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
         _emit(
@@ -388,7 +374,7 @@ def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
 
 def cmd_analyze(args, stream: TextIO) -> int:
     scenario = _load(args)
-    if scenario.protocol in (Protocol.DECOY_FORCE, Protocol.DECOY_WAVE):
+    if scenario.protocol in DECOY_PROTOCOLS:
         return _analyze_decoy(args, scenario, stream)
     return _analyze_comparison(args, scenario, stream)
 

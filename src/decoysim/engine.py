@@ -77,9 +77,10 @@ class RngStream:
     The underlying generator is keyed purely by (seed, stream_id), so any
     consumer can be re-created in isolation and replays are bit-exact.  It
     is built on the first draw: a run creates several streams, and a
-    noiseless run never draws from its noise stream.  A stream given its
-    `row` from :meth:`seed_rows` seeds that generator from the row instead
-    of running numpy's SeedSequence itself.
+    noiseless run never draws from its noise stream.  Its seed words are
+    the stream's `row` of :meth:`seed_rows`: a kernel pass derives the rows
+    of all its streams at once, and a stream built without one derives
+    its own.
     """
 
     def __init__(self, seed: int, stream_id: int, row: Optional[np.ndarray] = None):
@@ -130,14 +131,8 @@ class RngStream:
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
             if self._row is None:
-                # The generator np.random.default_rng([seed, stream_id]) builds,
-                # from the same entropy words given as one array, which numpy
-                # takes without converting element by element.
-                words = np.array(_words(self.seed) + _words(self.stream_id), dtype=np.uint32)
-                seed_sequence = np.random.SeedSequence(words)
-            else:
-                seed_sequence = _derived_seed_sequence()(self._row)
-            self._gen = np.random.Generator(np.random.PCG64(seed_sequence))
+                self._row = self.seed_rows([self.seed], [self.stream_id])[0, 0]
+            self._gen = np.random.Generator(np.random.PCG64(_derived_seed_sequence()(self._row)))
         return self._gen
 
     def normal(self, size: int | None = None):
@@ -159,18 +154,6 @@ class RngStream:
         if size is None:
             return int(self._generator().integers(low, high, endpoint=True))
         return self._generator().integers(low, high, size, endpoint=True).tolist()
-
-
-def _words(value: int) -> list[int]:
-    """A non-negative int as numpy's SeedSequence reads it: 32-bit words, lowest first."""
-    if value < 0:
-        raise ValueError(f"seed words must be non-negative, got {value}")
-    words = [value & 0xFFFFFFFF]
-    value >>= 32
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:

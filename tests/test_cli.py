@@ -420,13 +420,17 @@ class TestAnalyze:
         assert code == 0
         assert "verdict: FAIL" in out
 
-    def test_sample_floor_enforced(self, tmp_config, capsys):
+    @pytest.mark.parametrize("count", ["500", "1000000000000"])
+    def test_sample_floor_enforced(self, tmp_config, capsys, count):
+        # Counts below 1000 or above 10^6 are refused before any draw: at
+        # about 0.45 KB a sample, 10^12 would end in a MemoryError.
         path = tmp_config(SYNC_CFG)
-        code, _, err = run_cli(
-            capsys, "analyze", "--config", path, "--samples", "500"
+        code, out, err = run_cli(
+            capsys, "analyze", "--config", path, "--samples", count
         )
-        assert code == 1
-        assert "samples" in err
+        assert code == 1 and out == ""
+        bound = ">= 1000" if int(count) < 1000 else "<= 1000000"
+        assert f"--samples must be {bound}, got {count}" in err
 
     def test_derived_seed_past_the_range_is_rejected(self, capsys):
         # Sample i runs with seed + 1 + i, so the first sample's seed is 2^64.
