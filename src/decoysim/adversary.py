@@ -579,6 +579,13 @@ class LeakageFinding:
     exceeds_comparison_bit: bool
 
 
+# The auditor's protocol tags, read once rather than through the enum on every call.
+_VESSELS = Protocol.VESSELS.value
+_ELEVATOR = Protocol.ELEVATOR.value
+_RACE = Protocol.RACE.value
+_RACE_BITSTRING = Protocol.RACE_BITSTRING.value
+
+
 def audit_comparison(
     outcome: ComparisonOutcome, protocol: Protocol | str, dt: float = 1.0
 ) -> list[LeakageFinding]:
@@ -593,7 +600,7 @@ def audit_comparison(
     findings: list[LeakageFinding] = []
     observables = outcome.public_observables
 
-    if tag == Protocol.VESSELS.value:
+    if tag == _VESSELS:
         levels = [event.value for event in observables if event.label == "level"]
         if len(levels) >= 2:
             diffs = [levels[i + 1] - levels[i] for i in range(len(levels) - 1)]
@@ -608,7 +615,7 @@ def audit_comparison(
                     exceeds_comparison_bit=True,
                 )
             )
-    elif tag == Protocol.ELEVATOR.value:
+    elif tag == _ELEVATOR:
         doors = [event for event in observables if event.label == "doors_open"]
         findings.append(
             LeakageFinding(
@@ -620,7 +627,7 @@ def audit_comparison(
                 exceeds_comparison_bit=True,
             )
         )
-    elif tag == Protocol.RACE.value:
+    elif tag == _RACE:
         marks = [event for event in observables if event.label == "mark"]
         if marks:
             mark_tick = marks[0].tick
@@ -643,7 +650,7 @@ def audit_comparison(
                     exceeds_comparison_bit=True,
                 )
             )
-    elif tag == Protocol.RACE_BITSTRING.value:
+    elif tag == _RACE_BITSTRING:
         finals = [event for event in observables if event.label == "final_string"]
         if finals:
             text = finals[0].value

@@ -35,7 +35,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PROTOCOL = 2
 
-# analyze's sample count bound: peak memory grows by about 0.45 KB a sample.
+# analyze's sample count on decoy configs, and its bound: peak memory
+# grows by about 0.45 KB a sample.
+DEFAULT_SAMPLES = 2000
 MAX_SAMPLES = 10**6
 
 
@@ -263,12 +265,13 @@ def cmd_sweep(args, stream: TextIO) -> int:
 
 
 def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
-    if args.samples < 1000:
-        raise ConfigError(f"--samples must be >= 1000, got {args.samples}")
-    if args.samples > MAX_SAMPLES:
-        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
+    count = DEFAULT_SAMPLES if args.samples is None else args.samples
+    if count < 1000:
+        raise ConfigError(f"--samples must be >= 1000, got {count}")
+    if count > MAX_SAMPLES:
+        raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {count}")
     features = adversary_mod.TranscriptFeatures.for_scenario(scenario)
-    samples = adversary_mod.collect_transmission_samples(scenario, args.samples)
+    samples = adversary_mod.collect_transmission_samples(scenario, count)
     observed = run_scenario(scenario).transcript
     domain = scenario.secret_domain
     report = adversary_mod.estimate_posterior(samples, observed, features, domain)
@@ -333,6 +336,11 @@ def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
 
 
 def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
+    if args.samples is not None:
+        raise ConfigError(
+            f"--samples applies only to decoy protocols; {scenario.protocol.value} "
+            "is a comparison protocol, which analyze audits from one run"
+        )
     outcome = run_scenario(scenario)
     if outcome.status != OK:
         print(f"decoysim: protocol error: {outcome.detail}", file=sys.stderr)
@@ -453,7 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="posterior/MI or leakage analysis")
     common(p_analyze)
     p_analyze.add_argument(
-        "--samples", type=int, default=2000, help="sample runs for the estimators"
+        "--samples",
+        type=int,
+        default=None,
+        help=f"sample runs for the decoy estimators (default {DEFAULT_SAMPLES}); "
+        "not accepted on comparison protocols",
     )
 
     p_replay = sub.add_parser("replay-check", help="run twice and compare digests")

@@ -54,6 +54,11 @@ COMPARISON_PROTOCOLS = (
     Protocol.RACE_BITSTRING,
     Protocol.VESSELS,
 )
+# These comparisons publish up to one event per tick (a door, a write, a
+# level), at about 0.4 KB of peak memory each once the run is recorded, so
+# their budget is capped lower: about 0.45 GB at the cap.
+PER_TICK_COMPARISONS = (Protocol.ELEVATOR, Protocol.RACE_BITSTRING, Protocol.VESSELS)
+MAX_PER_TICK_COMPARISON_TICKS = 10**6
 
 # Fixed stream labels: enabling an adversary or noise must never perturb
 # the draws any other consumer sees.
@@ -496,6 +501,14 @@ class Scenario:
             if self.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR):
                 raise InvalidScenario(
                     "active adversaries are only modeled for the decoy protocols"
+                )
+            if (
+                self.protocol in PER_TICK_COMPARISONS
+                and self.max_ticks > MAX_PER_TICK_COMPARISON_TICKS
+            ):
+                raise InvalidScenario(
+                    f"max_ticks must be <= 10^6 for {self.protocol.value}, which publishes "
+                    f"an event per tick, got {self.max_ticks}"
                 )
 
     def as_mapping(self) -> dict:

@@ -5,14 +5,22 @@ the single bit each party walks away with, and the list of values that
 were physically observable outside the private spaces.  That observable
 list is what the auditor later inspects for over-leakage; party-visible
 fields never contain the other side's number.
+
+The comparators decide first and publish on demand: the ordering, the
+parties' knowledge, the notes and the tick of the last public event are
+computed in closed form, and the public record is built on its first
+read.  The base-m reduction reads only orderings, and a run that needs
+more ticks than its budget is refused before anything is built.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from functools import partial
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import DomainError, VesselEmpty, VesselOverflow
 
@@ -31,17 +39,63 @@ class PublicEvent(NamedTuple):
     value: object
 
 
-@dataclass
+Observables = Union[list[PublicEvent], Callable[[], list[PublicEvent]]]
+
+
 class ComparisonOutcome:
-    ordering: Ordering
-    alice_knows: str
-    bob_knows: str
-    public_observables: list[PublicEvent] = field(default_factory=list)
-    notes: tuple[str, ...] = ()
+    """A comparison's result: ordering, each party's knowledge, notes and public record.
+
+    `public_observables` may be given as the list itself or as a
+    zero-argument callable that builds it on the first read (the list is
+    then kept, so every read returns the same object).  `last_tick` is
+    the tick of the last public event, 0 when there is none; a caller
+    that passes a builder passes it too, so the budget can be checked
+    without building anything.
+    """
+
+    __slots__ = ("ordering", "alice_knows", "bob_knows", "notes", "last_tick", "_observables")
+
+    def __init__(
+        self,
+        ordering: Ordering,
+        alice_knows: str,
+        bob_knows: str,
+        public_observables: Optional[Observables] = None,
+        notes: tuple[str, ...] = (),
+        last_tick: Optional[int] = None,
+    ) -> None:
+        self.ordering = ordering
+        self.alice_knows = alice_knows
+        self.bob_knows = bob_knows
+        self.notes = notes
+        self._observables = [] if public_observables is None else public_observables
+        if last_tick is None:
+            last_tick = max((event.tick for event in self.public_observables), default=0)
+        self.last_tick = last_tick
+
+    @property
+    def public_observables(self) -> list[PublicEvent]:
+        if callable(self._observables):
+            self._observables = self._observables()
+        return self._observables
 
     def party_view(self) -> tuple:
         """Everything the parties themselves learn (excludes auditor data)."""
         return (self.ordering, self.alice_knows, self.bob_knows, self.notes)
+
+    def _fields(self) -> tuple:
+        return (self.ordering, self.alice_knows, self.bob_knows, self.public_observables, self.notes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            "ComparisonOutcome(ordering={!r}, alice_knows={!r}, bob_knows={!r}, "
+            "public_observables={!r}, notes={!r})".format(*self._fields())
+        )
 
 
 def _knowledge(ordering: Ordering) -> tuple[str, str]:
@@ -59,16 +113,13 @@ def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
     with the doors opening at every floor strictly below b.  Alice watches
     floor a: if the doors ever open there, his number is larger.  Equal
     values are indistinguishable from a > b inside the protocol, so they
-    are reported on the not-larger branch with a note.
+    are reported on the not-larger branch with a note.  The doors open
+    at floor b - t on tick t, so the last door event is on tick b - 1.
     """
     if not (1 <= a <= n_floors and 1 <= b <= n_floors):
         raise DomainError(
             f"floors must lie in [1, {n_floors}], got a={a} b={b}"
         )
-    observables = [
-        PublicEvent(tick=step, label="doors_open", value=floor)
-        for step, floor in enumerate(range(b - 1, 0, -1), start=1)
-    ]
     if a < b:
         ordering = Ordering.A_LESS
         alice_knows = "my number is smaller"
@@ -85,9 +136,14 @@ def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
         ordering=ordering,
         alice_knows=alice_knows,
         bob_knows=bob_knows,
-        public_observables=observables,
+        public_observables=partial(_door_events, b),
         notes=notes,
+        last_tick=b - 1,
     )
+
+
+def _door_events(b: int) -> list[PublicEvent]:
+    return [PublicEvent(tick=step, label="doors_open", value=b - step) for step in range(1, b)]
 
 
 def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
@@ -107,17 +163,22 @@ def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
     time_a = half / a
     time_b = half / b
     mark_tick = math.ceil(min(time_a, time_b) / dt)
-    observables = [PublicEvent(tick=mark_tick, label="mark", value=half)]
     if time_a < time_b:
         ordering = Ordering.A_GREATER
     elif time_a > time_b:
         ordering = Ordering.A_LESS
     else:
         ordering = Ordering.EQUAL
-        observables.append(PublicEvent(tick=mark_tick, label="mark", value=half))
     alice, bob = _knowledge(ordering)
     notes = ("both parties arrived together",) if ordering is Ordering.EQUAL else ()
-    return ComparisonOutcome(ordering, alice, bob, observables, notes)
+    marks = 2 if ordering is Ordering.EQUAL else 1  # both runners leave one
+    return ComparisonOutcome(
+        ordering, alice, bob, partial(_marks, mark_tick, half, marks), notes, mark_tick
+    )
+
+
+def _marks(tick: int, half: int, count: int) -> list[PublicEvent]:
+    return [PublicEvent(tick=tick, label="mark", value=half)] * count
 
 
 def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
@@ -126,36 +187,16 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
     Alice rewrites one symbol per a ticks left to right, Bob one per b
     ticks right to left; whoever completes n/2 replacements writes an X
     and stops, and the program that stops first belongs to the *smaller*
-    number.  The string's evolution is public.
+    number.  The string's evolution is public, and it freezes on the
+    decision tick min(a, b) * n/2.
     """
     if a < 1 or b < 1:
         raise DomainError(f"periods must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:
         raise DomainError(f"string length must be even and >= 2, got {n}")
-    half = n // 2
-    finish_a = a * half
-    finish_b = b * half
-    decision_tick = min(finish_a, finish_b)
-
-    cells = ["1"] * n
-    events: list[PublicEvent] = []
-    writes = []
-    for j in range(1, half + 1):
-        symbol = "X" if j == half else "0"
-        writes.append((a * j, j - 1, symbol))         # alice, left to right
-        writes.append((b * j, n - j, symbol))         # bob, right to left
-    for tick, position, symbol in sorted(writes):
-        if tick > decision_tick:
-            break  # everything freezes once the first program stops
-        cells[position] = symbol
-        events.append(PublicEvent(tick=tick, label="write", value=f"{position}:{symbol}"))
-    events.append(
-        PublicEvent(tick=decision_tick, label="final_string", value="".join(cells))
-    )
-
-    if finish_a < finish_b:
+    if a < b:
         ordering = Ordering.A_LESS
-    elif finish_a > finish_b:
+    elif a > b:
         ordering = Ordering.A_GREATER
     else:
         ordering = Ordering.EQUAL
@@ -165,7 +206,36 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
         if ordering is Ordering.EQUAL
         else ()
     )
-    return ComparisonOutcome(ordering, alice, bob, events, notes)
+    decision_tick = min(a, b) * (n // 2)
+    return ComparisonOutcome(
+        ordering, alice, bob, partial(_bitstring_events, a, b, n), notes, decision_tick
+    )
+
+
+def _bitstring_events(a: int, b: int, n: int) -> list[PublicEvent]:
+    """Every write up to the decision tick, in tick order, then the frozen string.
+
+    Alice's j-th write lands on cell j - 1 at tick a*j, Bob's on cell
+    n - j at tick b*j; the n/2-th is an X, the others a 0.  Their cells
+    never meet, and on a shared tick Alice's write (the lower cell) comes
+    first.
+    """
+    half = n // 2
+    decision_tick = min(a, b) * half
+    done_a = min(half, decision_tick // a)
+    done_b = min(half, decision_tick // b)
+
+    def symbol(j: int) -> str:
+        return "X" if j == half else "0"
+
+    events = [PublicEvent(a * j, "write", f"{j - 1}:{symbol(j)}") for j in range(1, done_a + 1)]
+    events += [PublicEvent(b * j, "write", f"{n - j}:{symbol(j)}") for j in range(1, done_b + 1)]
+    events.sort(key=attrgetter("tick"))  # stable: Alice first on a shared tick
+    left = "0" * done_a if done_a < half else "0" * (half - 1) + "X"
+    right = "0" * done_b if done_b < half else "X" + "0" * (half - 1)
+    final = left + "1" * (n - done_a - done_b) + right
+    events.append(PublicEvent(tick=decision_tick, label="final_string", value=final))
+    return events
 
 
 def compare_vessels(
@@ -180,7 +250,8 @@ def compare_vessels(
     A falling level means a > b, a rising one a < b.  A perfectly flat
     level (not discussed by the physical story) is reported as Equal.  The
     run aborts if the system runs dry or overflows before the observation
-    window ends.
+    window ends.  The level on tick t is initial_level + (b - a) * t, one
+    public level per tick from tick 0 to observation_ticks.
     """
     if a < 1 or b < 1:
         raise DomainError(f"pump rates must be >= 1, got a={a} b={b}")
@@ -189,21 +260,22 @@ def compare_vessels(
     if not (0 < initial_level < capacity):
         raise DomainError("initial_level must lie strictly inside (0, capacity)")
     drift = float(b - a)
-    levels = []
-    for tick in range(observation_ticks + 1):
+
+    def outside(tick: int) -> bool:
         level = initial_level + drift * tick
-        if level <= 0.0:
+        return level <= 0.0 or level >= capacity
+
+    if outside(observation_ticks):
+        # The rounded level is monotone in the tick and starts inside, so
+        # the first tick outside is a bisection away.
+        tick = bisect.bisect_left(range(observation_ticks + 1), True, key=outside)
+        if initial_level + drift * tick <= 0.0:
             raise VesselEmpty(f"vessels ran dry at tick {tick}")
-        if level >= capacity:
-            raise VesselOverflow(f"vessels overflowed at tick {tick}")
-        levels.append(level)
-    observables = [
-        PublicEvent(tick=tick, label="level", value=level)
-        for tick, level in enumerate(levels)
-    ]
-    if levels[-1] < levels[0]:
+        raise VesselOverflow(f"vessels overflowed at tick {tick}")
+    final_level = initial_level + drift * observation_ticks
+    if final_level < initial_level:
         ordering = Ordering.A_GREATER
-    elif levels[-1] > levels[0]:
+    elif final_level > initial_level:
         ordering = Ordering.A_LESS
     else:
         ordering = Ordering.EQUAL
@@ -213,7 +285,15 @@ def compare_vessels(
         if ordering is Ordering.EQUAL
         else ()
     )
-    return ComparisonOutcome(ordering, alice, bob, observables, notes)
+    levels = partial(_level_events, initial_level, drift, observation_ticks)
+    return ComparisonOutcome(ordering, alice, bob, levels, notes, observation_ticks)
+
+
+def _level_events(initial_level: float, drift: float, observation_ticks: int) -> list[PublicEvent]:
+    return [
+        PublicEvent(tick=tick, label="level", value=initial_level + drift * tick)
+        for tick in range(observation_ticks + 1)
+    ]
 
 
 # --- base-m reduction -------------------------------------------------------
@@ -288,7 +368,7 @@ def compare_digitwise(
         PublicEvent(tick=invocations, label="subprotocol_invocations", value=invocations)
     )
     alice, bob = _knowledge(ordering)
-    return ComparisonOutcome(ordering, alice, bob, events, ())
+    return ComparisonOutcome(ordering, alice, bob, events, (), invocations)
 
 
 # Ready-made sub-comparators for the base-m reduction.

@@ -93,9 +93,8 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
         raise ValueError(f"not a comparison protocol: {protocol}")
 
     transcript = Transcript()
-    last_tick = max((event.tick for event in outcome.public_observables), default=0)
-    if last_tick > scenario.max_ticks:
-        needs = f"protocol needs tick {last_tick} but max_ticks is {scenario.max_ticks}"
+    if outcome.last_tick > scenario.max_ticks:  # refused before any event is built
+        needs = f"protocol needs tick {outcome.last_tick} but max_ticks is {scenario.max_ticks}"
         return RunOutcome(scenario, outcome, transcript, TIMEOUT, needs)
     for event in sorted(outcome.public_observables, key=lambda e: e.tick):
         transcript.mark(event.tick, f"{event.label}={event.value}")

@@ -1,0 +1,182 @@
+"""The build-everything reference for the four comparators.
+
+Each function here simulates its protocol the long way, as the
+comparators did before they decided in closed form: each builds its whole
+public record up front, the bit string sorts every write of both programs
+(those after the decision tick included), and the vessels step the level
+tick by tick, aborting on the first tick that runs dry or overflows.  The closed-form comparators must give
+equal outcomes (ordering, knowledge, notes and the same public list) and
+raise the same aborts with the same messages.
+"""
+
+from __future__ import annotations
+
+import math
+
+from decoysim.errors import DomainError, VesselEmpty, VesselOverflow
+from decoysim.millionaires import ComparisonOutcome, Ordering, PublicEvent, _knowledge
+
+
+def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
+    """One party rides the elevator down; the other watches her own floor.
+
+    Bob boards at floor b (the car is his private space) and rides down
+    with the doors opening at every floor strictly below b.  Alice watches
+    floor a: if the doors ever open there, his number is larger.  Equal
+    values are indistinguishable from a > b inside the protocol, so they
+    are reported on the not-larger branch with a note.
+    """
+    if not (1 <= a <= n_floors and 1 <= b <= n_floors):
+        raise DomainError(
+            f"floors must lie in [1, {n_floors}], got a={a} b={b}"
+        )
+    observables = [
+        PublicEvent(tick=step, label="doors_open", value=floor)
+        for step, floor in enumerate(range(b - 1, 0, -1), start=1)
+    ]
+    if a < b:
+        ordering = Ordering.A_LESS
+        alice_knows = "my number is smaller"
+        bob_knows = "my number is larger"
+        notes: tuple[str, ...] = ("alice saw the doors open",)
+    else:
+        ordering = Ordering.A_GREATER
+        alice_knows = "my number is not smaller"
+        bob_knows = "my number is not larger"
+        notes = ("alice never saw the doors open",)
+        if a == b:
+            notes += ("equal values are reported on the not-larger branch",)
+    return ComparisonOutcome(
+        ordering=ordering,
+        alice_knows=alice_knows,
+        bob_knows=bob_knows,
+        public_observables=observables,
+        notes=notes,
+    )
+
+
+def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
+    """Run toward each other; first to the midpoint leaves a mark and turns back.
+
+    Speeds are the private numbers, so the first arrival has the larger
+    one.  The mark appearing at the midpoint is the public event; its tick
+    pins down the faster speed for anyone timing it.
+    """
+    if a < 1 or b < 1:
+        raise DomainError(f"speeds must be >= 1, got a={a} b={b}")
+    if n < 2 or n % 2 != 0:
+        raise DomainError(f"track length must be even and >= 2, got {n}")
+    if not (dt > 0):
+        raise DomainError(f"dt must be positive, got {dt}")
+    half = n // 2
+    time_a = half / a
+    time_b = half / b
+    mark_tick = math.ceil(min(time_a, time_b) / dt)
+    observables = [PublicEvent(tick=mark_tick, label="mark", value=half)]
+    if time_a < time_b:
+        ordering = Ordering.A_GREATER
+    elif time_a > time_b:
+        ordering = Ordering.A_LESS
+    else:
+        ordering = Ordering.EQUAL
+        observables.append(PublicEvent(tick=mark_tick, label="mark", value=half))
+    alice, bob = _knowledge(ordering)
+    notes = ("both parties arrived together",) if ordering is Ordering.EQUAL else ()
+    return ComparisonOutcome(ordering, alice, bob, observables, notes)
+
+
+def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
+    """The race as two programs zeroing a shared bit string from both ends.
+
+    Alice rewrites one symbol per a ticks left to right, Bob one per b
+    ticks right to left; whoever completes n/2 replacements writes an X
+    and stops, and the program that stops first belongs to the *smaller*
+    number.  The string's evolution is public.
+    """
+    if a < 1 or b < 1:
+        raise DomainError(f"periods must be >= 1, got a={a} b={b}")
+    if n < 2 or n % 2 != 0:
+        raise DomainError(f"string length must be even and >= 2, got {n}")
+    half = n // 2
+    finish_a = a * half
+    finish_b = b * half
+    decision_tick = min(finish_a, finish_b)
+
+    cells = ["1"] * n
+    events: list[PublicEvent] = []
+    writes = []
+    for j in range(1, half + 1):
+        symbol = "X" if j == half else "0"
+        writes.append((a * j, j - 1, symbol))         # alice, left to right
+        writes.append((b * j, n - j, symbol))         # bob, right to left
+    for tick, position, symbol in sorted(writes):
+        if tick > decision_tick:
+            break  # everything freezes once the first program stops
+        cells[position] = symbol
+        events.append(PublicEvent(tick=tick, label="write", value=f"{position}:{symbol}"))
+    events.append(
+        PublicEvent(tick=decision_tick, label="final_string", value="".join(cells))
+    )
+
+    if finish_a < finish_b:
+        ordering = Ordering.A_LESS
+    elif finish_a > finish_b:
+        ordering = Ordering.A_GREATER
+    else:
+        ordering = Ordering.EQUAL
+    alice, bob = _knowledge(ordering)
+    notes = (
+        ("both programs stopped on the same tick; their X symbols meet at the center",)
+        if ordering is Ordering.EQUAL
+        else ()
+    )
+    return ComparisonOutcome(ordering, alice, bob, events, notes)
+
+
+def compare_vessels(
+    a: int,
+    b: int,
+    observation_ticks: int,
+    initial_level: float = 10_000.0,
+    capacity: float = 20_000.0,
+) -> ComparisonOutcome:
+    """Pump out at rate a, pump in at rate b, and watch the shared level.
+
+    A falling level means a > b, a rising one a < b.  A perfectly flat
+    level (not discussed by the physical story) is reported as Equal.  The
+    run aborts if the system runs dry or overflows before the observation
+    window ends.
+    """
+    if a < 1 or b < 1:
+        raise DomainError(f"pump rates must be >= 1, got a={a} b={b}")
+    if observation_ticks < 1:
+        raise DomainError(f"observation_ticks must be >= 1, got {observation_ticks}")
+    if not (0 < initial_level < capacity):
+        raise DomainError("initial_level must lie strictly inside (0, capacity)")
+    drift = float(b - a)
+    levels = []
+    for tick in range(observation_ticks + 1):
+        level = initial_level + drift * tick
+        if level <= 0.0:
+            raise VesselEmpty(f"vessels ran dry at tick {tick}")
+        if level >= capacity:
+            raise VesselOverflow(f"vessels overflowed at tick {tick}")
+        levels.append(level)
+    observables = [
+        PublicEvent(tick=tick, label="level", value=level)
+        for tick, level in enumerate(levels)
+    ]
+    if levels[-1] < levels[0]:
+        ordering = Ordering.A_GREATER
+    elif levels[-1] > levels[0]:
+        ordering = Ordering.A_LESS
+    else:
+        ordering = Ordering.EQUAL
+    alice, bob = _knowledge(ordering)
+    notes = (
+        ("flat level: the physical story does not cover equal rates",)
+        if ordering is Ordering.EQUAL
+        else ()
+    )
+    return ComparisonOutcome(ordering, alice, bob, observables, notes)
+

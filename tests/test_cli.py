@@ -432,6 +432,25 @@ class TestAnalyze:
         bound = ">= 1000" if int(count) < 1000 else "<= 1000000"
         assert f"--samples must be {bound}, got {count}" in err
 
+    @pytest.mark.parametrize("count", ["5", "2000"])
+    def test_samples_on_a_comparison_config_is_a_config_error(self, capsys, count):
+        # A comparison is audited from its one run, so a sample count is a mistake.
+        code, out, err = run_cli(
+            capsys, "analyze", "--config", str(CONFIGS / "vessels.cfg"), "--samples", count
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "decoysim: error: --samples applies only to decoy protocols; vessels is a "
+            "comparison protocol, which analyze audits from one run\n"
+        )
+
+    def test_decoy_config_without_samples_draws_the_default(self, tmp_config, capsys):
+        path = tmp_config(SYNC_CFG)
+        code, out, _ = run_cli(capsys, "analyze", "--config", path, "--format", "records")
+        assert code == 0
+        analysis = [json.loads(line) for line in out.splitlines()][-1]
+        assert analysis["samples"] == cli.DEFAULT_SAMPLES == 2000
+
     def test_derived_seed_past_the_range_is_rejected(self, capsys):
         # Sample i runs with seed + 1 + i, so the first sample's seed is 2^64.
         code, out, err = run_cli(
@@ -508,6 +527,52 @@ def test_stdout_closed_early_exits_one_without_a_traceback():
     assert process.wait(timeout=120) == 1, stderr
     assert json.loads(first)["record"] == "run"
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+
+
+# Runs the CLI as its only child, under a 1 GB address-space limit so that
+# a run that tried to build a 2^53-event record fails fast, and prints the
+# child's exit code and peak RSS in KB.
+PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+
+def limit():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+command = [sys.executable, "-m", "decoysim.cli", *sys.argv[1:]]
+code = subprocess.call(command, stdout=subprocess.DEVNULL, preexec_fn=limit)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def _exit_code_and_peak_kb(*argv):
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, peak = probe.stdout.split()
+    return int(code), int(peak)
+
+
+@pytest.mark.parametrize(
+    "protocol, secrets",
+    [
+        ("race_bitstring", []),
+        ("elevator", [f"party_secrets.alice={2**53 - 1}", f"party_secrets.bob={2**53}"]),
+    ],
+)
+def test_over_budget_run_on_a_2_to_the_53_domain_exits_two_at_small_domain_memory(
+    protocol, secrets
+):
+    # The budget is checked against the closed-form last tick before any
+    # public event is built, so a 2^53-cell string or 2^53 door events
+    # never exist.
+    run = ["run", "--config", str(CONFIGS / "vessels.cfg"), "--set", f"protocol={protocol}"]
+    small_code, small_kb = _exit_code_and_peak_kb(*run)
+    overrides = [f"--set={pair}" for pair in [f"secret_domain=1..{2**53}", *secrets]]
+    code, peak_kb = _exit_code_and_peak_kb(*run, *overrides)
+    assert (small_code, code) == (0, 2)
+    assert peak_kb <= small_kb + 8 * 1024, (peak_kb, small_kb)
 
 
 def test_version_flag(capsys):

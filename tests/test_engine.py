@@ -389,6 +389,18 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match=field):
             decoy_scenario(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "protocol", [Protocol.ELEVATOR, Protocol.RACE_BITSTRING, Protocol.VESSELS]
+    )
+    def test_per_tick_comparisons_cap_the_budget_at_10_to_the_6(self, protocol):
+        # One public event per tick costs about 0.4 KB once recorded, so
+        # 10^7 ticks would need about 4 GB; the race publishes one mark.
+        vessels_scenario(protocol=protocol, max_ticks=10**6).validate()
+        message = f"max_ticks must be <= 10\\^6 for {protocol.value}, .* got 1000001"
+        with pytest.raises(InvalidScenario, match=message):
+            vessels_scenario(protocol=protocol, max_ticks=10**6 + 1).validate()
+        vessels_scenario(protocol=Protocol.RACE, max_ticks=10**7).validate()
+
     def test_comparison_rejects_active_adversary(self):
         from decoysim import AdversaryKind
 

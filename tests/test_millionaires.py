@@ -19,13 +19,21 @@ from decoysim import (
     compare_race_bitstring,
     compare_vessels,
 )
+from decoysim import millionaires
+from decoysim.engine import TIMEOUT
 from decoysim.millionaires import (
+    ComparisonOutcome,
+    PublicEvent,
     bitstring_sub,
     digits_base,
     elevator_sub,
     race_sub,
     vessels_sub,
 )
+from decoysim.runner import run_scenario
+
+import comparator_oracle as oracle
+from conftest import vessels_scenario
 
 
 def sign_oracle(a: int, b: int) -> Ordering:
@@ -306,3 +314,164 @@ class TestAuditFindings:
         finding = audit_comparison(outcome, "digitwise")[0]
         assert finding.quantity == "common_prefix_rounds"
         assert finding.value == 2
+
+
+def _outcome_or_abort(comparator, *args, **kwargs):
+    """The comparator's outcome, or the type and message of the vessel abort it raised."""
+    try:
+        return comparator(*args, **kwargs)
+    except (VesselEmpty, VesselOverflow) as exc:
+        return type(exc), str(exc)
+
+
+# comparator name -> (closed form, build-everything oracle, argument sets over a 1..m grid)
+GRIDS = {
+    "elevator": (
+        compare_elevator, oracle.compare_elevator,
+        [(a, b, m) for m in (1, 2, 7, 20) for a in range(1, m + 1) for b in range(1, m + 1)],
+    ),
+    "race": (
+        compare_race, oracle.compare_race,
+        [
+            (a, b, n, dt)
+            for n in (2, 14, 40) for dt in (1.0, 0.5, 0.1, 3.0)
+            for a in range(1, 21) for b in range(1, 21)
+        ],
+    ),
+    "race_bitstring": (
+        compare_race_bitstring, oracle.compare_race_bitstring,
+        [(a, b, n) for n in (2, 6, 24) for a in range(1, 13) for b in range(1, 13)],
+    ),
+    "vessels": (
+        compare_vessels, oracle.compare_vessels,
+        [
+            (a, b, ticks, initial, capacity)
+            for ticks in (1, 4, 10, 60)
+            # the default tank, tanks that run dry or overflow within the
+            # window, and levels too large for every tick to change them
+            for initial, capacity in (
+                (10_000.0, 20_000.0), (5.0, 100.0), (95.0, 100.0), (0.5, 30.7),
+                (1e17, 1e17 + 200.0), (1e17 + 8.0, 2e17),
+            )
+            for a in range(1, 16) for b in range(1, 16)
+        ],
+    ),
+}
+
+
+class TestDecideFirstPublishOnDemand:
+    """The closed-form comparators against the build-everything oracle."""
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_outcomes_and_public_lists_equal_the_oracle(self, name):
+        comparator, reference, grid = GRIDS[name]
+        for args in grid:
+            expected = _outcome_or_abort(reference, *args)
+            outcome = _outcome_or_abort(comparator, *args)
+            assert outcome == expected, args  # aborts: same type, same message
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_closed_form_last_tick_is_the_last_public_event(self, name):
+        comparator, _, grid = GRIDS[name]
+        for args in grid:
+            outcome = _outcome_or_abort(comparator, *args)
+            if isinstance(outcome, ComparisonOutcome):
+                ticks = [event.tick for event in outcome.public_observables]
+                assert outcome.last_tick == max(ticks, default=0), args
+
+    def test_vessel_aborts_match_the_tick_loop_on_slow_rounding_levels(self):
+        # Near 1e20 a level moves in steps of 16384, so the first tick that
+        # rounds to the capacity is decided by rounding, not by the slope.
+        for a, b in [(1, 2), (1, 3), (4, 1), (2, 7)]:
+            for capacity in (1e20 + 2.0**16, 1e20 + 3 * 2.0**15):
+                args = (a, b, 40_000, 1e20, capacity)
+                assert _outcome_or_abort(compare_vessels, *args) == _outcome_or_abort(
+                    oracle.compare_vessels, *args
+                ), args
+        args = (7, 1, 30, 3.0, 100.0)
+        assert _outcome_or_abort(compare_vessels, *args) == (
+            VesselEmpty, "vessels ran dry at tick 1"
+        )
+
+    def test_public_list_is_built_once_and_kept(self):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return [PublicEvent(3, "mark", 5)]
+
+        outcome = ComparisonOutcome(Ordering.EQUAL, "x", "y", build, (), last_tick=3)
+        assert builds == []
+        first = outcome.public_observables
+        assert outcome.public_observables is first
+        assert builds == [1]
+        for comparator in (
+            lambda: compare_elevator(2, 6, n_floors=10),
+            lambda: compare_race(3, 5, 20),
+            lambda: compare_race_bitstring(3, 5, 20),
+            lambda: compare_vessels(3, 5, 10),
+        ):
+            outcome = comparator()
+            assert outcome.public_observables is outcome.public_observables
+
+    def test_digitwise_never_builds_a_sub_outcome_record(self):
+        def unreadable():
+            raise AssertionError("a sub-outcome's public record was built")
+
+        def spy(sub):
+            def compare(x, y):
+                real = sub(x, y)
+                return ComparisonOutcome(
+                    real.ordering, real.alice_knows, real.bob_knows, unreadable,
+                    real.notes, real.last_tick,
+                )
+            return compare
+
+        for sub in (elevator_sub(7), race_sub(7), bitstring_sub(7), vessels_sub()):
+            for a in range(0, 60, 3):
+                for b in range(0, 60, 2):
+                    outcome = compare_digitwise(a, b, 7, spy(sub))
+                    assert outcome.ordering is sign_oracle(a, b), (a, b)
+
+    def test_constructor_equality_and_repr_keep_their_public_face(self):
+        events = [PublicEvent(1, "mark", 2)]
+        positional = ComparisonOutcome(Ordering.EQUAL, "x", "y", events, ("n",))
+        keyword = ComparisonOutcome(
+            ordering=Ordering.EQUAL, alice_knows="x", bob_knows="y",
+            public_observables=list(events), notes=("n",),
+        )
+        lazy = ComparisonOutcome(Ordering.EQUAL, "x", "y", lambda: list(events), ("n",), 1)
+        assert positional == keyword == lazy
+        assert positional.public_observables is events and positional.last_tick == 1
+        assert positional != ComparisonOutcome(Ordering.EQUAL, "x", "y", [], ("n",))
+        assert ComparisonOutcome(Ordering.EQUAL, "x", "y").public_observables == []
+        assert repr(lazy) == (
+            "ComparisonOutcome(ordering=<Ordering.EQUAL: 'equal'>, alice_knows='x', "
+            "bob_knows='y', public_observables=[PublicEvent(tick=1, label='mark', "
+            "value=2)], notes=('n',))"
+        )
+        assert positional.party_view() == (Ordering.EQUAL, "x", "y", ("n",))
+
+    @pytest.mark.parametrize(
+        "protocol, builder, secrets",
+        [
+            (Protocol.RACE_BITSTRING, "_bitstring_events", (3, 2**53 - 1)),
+            (Protocol.ELEVATOR, "_door_events", (2**53 - 1, 2**53)),
+        ],
+    )
+    def test_an_over_budget_run_times_out_before_building_its_record(
+        self, monkeypatch, protocol, builder, secrets
+    ):
+        def unbuildable(*args):
+            raise AssertionError("an over-budget run built its public record")
+
+        monkeypatch.setattr(millionaires, builder, unbuildable)
+        scenario = vessels_scenario(
+            protocol=protocol, secret_domain=(1, 2**53),
+            party_secrets=dict(zip(("alice", "bob"), secrets)),
+        )
+        run = run_scenario(scenario)
+        assert run.status == TIMEOUT and len(run.transcript) == 0
+        assert run.detail == (
+            f"protocol needs tick {run.result.last_tick} but max_ticks is 120"
+        )
