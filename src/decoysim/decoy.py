@@ -108,9 +108,19 @@ def generate_ramp(
         schedule = tuple((target * np.arange(duration, dtype=np.float64) / duration).tolist())
         return RampProcess(target, start_tick, start_tick + duration, schedule)
 
+    schedule = _random_schedule(rng, target, max_ramp_ticks)
+    return RampProcess(target, start_tick, start_tick + len(schedule), tuple(schedule.tolist()))
+
+
+def _random_schedule(rng: RngStream, target: float, max_ramp_ticks: int) -> np.ndarray:
+    """A random ramp's values from its start tick until it settles, drawn from `rng`.
+
+    The duration is uniform in [0, max_ramp_ticks]; the values climb by
+    uniform increments renormalized to land exactly on the target.
+    """
     duration = rng.integers(0, max_ramp_ticks)
     if duration == 0:
-        return RampProcess(target, start_tick, start_tick, ())
+        return np.empty(0)
     weights = rng.uniform(size=duration)
     total_weight = float(weights.sum())
     if total_weight <= 0.0:  # unreachable in practice; keeps the math total
@@ -118,8 +128,7 @@ def generate_ramp(
         total_weight = float(duration)
     partial = weights.cumsum() / total_weight
     # value at start_tick is 0; the j-th later tick carries the j-th partial sum
-    schedule = (0.0, *(target * partial[:-1]).tolist())
-    return RampProcess(target, start_tick, start_tick + duration, schedule)
+    return np.concatenate(([0.0], target * partial[:-1]))
 
 
 def detect_stabilization(
@@ -283,91 +292,134 @@ def simulate_runs(
         yield _closed_form(scenario, chunk, jam_value)
 
 
-class _Plan(NamedTuple):
-    """A run's open-loop part: its parties' ramps and when its second party announces."""
+class _Ramps(NamedTuple):
+    """One party's ramp in every run of a pass, as columns.
 
-    sender_secret: int
-    receiver_key: Optional[int]
-    receiver_ramp: Optional[RampProcess]
-    sender_ramp: Optional[RampProcess]
+    Run i's contribution is 0 before start[i] and target[i] from
+    stabilize[i] on.  In between it is schedules[i] (random ramps), or
+    target * (tick - start) / (stabilize - start) with `rate` (the
+    deterministic-rate ramps, the same float operations generate_ramp
+    does).  A party that never moves starts at the tick budget.
+    """
+
+    target: np.ndarray
+    start: np.ndarray
+    stabilize: np.ndarray
+    schedules: Optional[list[np.ndarray]] = None
+    rate: bool = False
+
+
+class _Plans(NamedTuple):
+    """A pass's open-loop part, per run: its parties' ramps and when its second party announces."""
+
+    sender_secrets: list[int]
+    receiver_keys: Optional[list[int]]  # None when an impersonator takes the receiver's place
+    sender: _Ramps
     # The second party on the medium, whose own contribution its listener
-    # subtracts, and its announcement tick (the budget for none).
-    other: Optional[RampProcess]
-    announce_tick: int
-    noise: RngStream
-    stop: int  # where the first block of readings ends
+    # subtracts: the receiver, a forger, or nobody.
+    other: _Ramps
+    announce: np.ndarray  # the second party's announcement tick (the budget for none)
+    noise: Optional[list[RngStream]]  # None when the channel is noiseless
+    stop: np.ndarray  # where each run's first block of readings ends
 
 
-def _plans(scenario: Scenario, runs: Sequence[Run]) -> list[_Plan]:
+def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
+    """Every run's plan, drawn from its (seed, stream) generators as generate_ramp would.
+
+    Only random ramps draw more than the receiver's start tick, so only
+    they build a generator per run; every other pass draws the starts for
+    all its runs at once (RngStream.first_integers) and computes the rest
+    in array operations.  Seed rows are derived only for the streams the
+    pass draws from.
+    """
     budget, hold, model = scenario.max_ticks, scenario.hold_ticks, scenario.ramp_model
     max_ramp, start_max = scenario.max_ramp_ticks, scenario.receiver_start_max
-    ticks_per_unit = max(1, max_ramp // scenario.n2)
     receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
-    # The deterministic-rate control only makes the *sender* leaky; the
-    # receiver jumps so the observable ramp duration is the sender's alone.
-    receiver_model = RampModel.SYNCHRONOUS if model is RampModel.DETERMINISTIC_RATE else model
-    # Every stream of the pass seeded at once; a stream is still built only
-    # where a run uses it, so a sender that never starts gets none.
-    streams = (STREAM_RECEIVER, STREAM_NOISE, STREAM_SENDER)
-    rows = RngStream.seed_rows([seed for seed, _, _ in runs], streams)
-    plans = []
-    for (seed, secrets, forgery), (receiver_row, noise_row, sender_row) in zip(runs, rows):
-        rng_receiver = RngStream(seed, STREAM_RECEIVER, receiver_row)
-        rng_noise = RngStream(seed, STREAM_NOISE, noise_row)
-        # Drawn from the receiver's stream whether or not he shows up, so an
-        # impersonation run is tick-aligned with its honest twin.
-        receiver_start = rng_receiver.integers(1, start_max)
-        receiver_key = receiver_ramp = None
-        if receives:
-            receiver_key = int(secrets[RECEIVER])
-            receiver_ramp = generate_ramp(
-                rng_receiver, float(receiver_key), receiver_start, max_ramp, receiver_model
-            )
-            other, announce_tick = receiver_ramp, receiver_start
-        elif forgery is not None:
-            other, announce_tick = forgery.ramp, forgery.tick
-        else:
-            other, announce_tick = None, budget
-        if model is RampModel.SYNCHRONOUS:
-            # Idealized control: both parties move at one public tick, so
-            # nobody's force is ever observable alone.
-            sender_start = receiver_start
-        elif not scenario.defense_enabled:
-            sender_start = 0
-        else:
-            sender_start = announce_tick + 1
-        sender_secret = int(secrets[SENDER])
-        sender_ramp = None
-        if sender_start < budget:
-            sender_ramp = generate_ramp(
-                RngStream(seed, STREAM_SENDER, sender_row),
-                float(sender_secret),
-                sender_start,
-                max_ramp,
-                model,
-                ticks_per_unit=ticks_per_unit,
-            )
-        # An impersonation always runs its whole budget; an honest run's
-        # first block ends hold ticks after both ramps have settled.
-        stop = budget
-        if receives:
-            settled = receiver_ramp.stabilize_tick
-            if sender_ramp is not None and sender_ramp.stabilize_tick > settled:
-                settled = sender_ramp.stabilize_tick
-            stop = min(budget, settled + hold)
-        plans.append(
-            _Plan(
-                sender_secret,
-                receiver_key,
-                receiver_ramp,
-                sender_ramp,
-                other,
-                announce_tick,
-                rng_noise,
-                stop,
-            )
+    randomized = model is RampModel.RANDOM_RAMP
+    streams = [STREAM_RECEIVER]
+    if scenario.noise_sigma > 0.0:
+        streams.append(STREAM_NOISE)
+    if randomized:
+        streams.append(STREAM_SENDER)
+    seeds = [run.seed for run in runs]
+    rows = dict(zip(streams, RngStream.seed_rows(seeds, streams).transpose(1, 0, 2)))
+    sender_secrets = [int(run.party_secrets[SENDER]) for run in runs]
+    receiver_keys = None
+    # The receiver's start is drawn from his stream whether or not he shows
+    # up, so an impersonation run is tick-aligned with its honest twin.
+    if receives and randomized:  # his ramp draws from his stream after the start
+        receivers = [
+            RngStream(seed, STREAM_RECEIVER, row) for seed, row in zip(seeds, rows[STREAM_RECEIVER])
+        ]
+        receiver_start = np.array([rng.integers(1, start_max) for rng in receivers])
+    else:
+        receiver_start = RngStream.first_integers(
+            seeds, STREAM_RECEIVER, rows[STREAM_RECEIVER], 1, start_max
         )
-    return plans
+    if receives:
+        receiver_keys = [int(run.party_secrets[RECEIVER]) for run in runs]
+        keys = np.array(receiver_keys, dtype=np.float64)
+        if randomized:
+            schedules = [
+                _random_schedule(rng, key, max_ramp) for rng, key in zip(receivers, keys.tolist())
+            ]
+            durations = np.array([len(schedule) for schedule in schedules])
+            other = _Ramps(keys, receiver_start, receiver_start + durations, schedules)
+        else:
+            # The deterministic-rate control only makes the *sender* leaky; the
+            # receiver jumps so the observable ramp duration is the sender's alone.
+            other = _Ramps(keys, receiver_start, receiver_start)
+        announce = receiver_start
+    else:
+        other, announce = _forgeries(runs, budget)
+    targets = np.array(sender_secrets, dtype=np.float64)
+    if model is RampModel.SYNCHRONOUS:
+        # Idealized control: both parties move at one public tick, so
+        # nobody's force is ever observable alone.
+        sender = _Ramps(targets, receiver_start, receiver_start)
+    else:
+        start = np.zeros(len(runs), dtype=np.int64)
+        if scenario.defense_enabled:
+            start = np.minimum(announce + 1, budget)
+        if model is RampModel.DETERMINISTIC_RATE:
+            ticks_per_unit = max(1, max_ramp // scenario.n2)
+            durations = np.maximum(1, np.rint(ticks_per_unit * targets)).astype(np.int64)
+            sender = _Ramps(targets, start, start + durations, rate=True)
+        else:
+            schedules = [
+                _random_schedule(RngStream(seed, STREAM_SENDER, row), target, max_ramp)
+                if moves
+                else np.empty(0)
+                for seed, row, target, moves in zip(
+                    seeds, rows[STREAM_SENDER], targets.tolist(), (start < budget).tolist()
+                )
+            ]
+            durations = np.array([len(schedule) for schedule in schedules])
+            sender = _Ramps(targets, start, start + durations, schedules)
+    noise = None
+    if scenario.noise_sigma > 0.0:
+        noise = [RngStream(seed, STREAM_NOISE, row) for seed, row in zip(seeds, rows[STREAM_NOISE])]
+    # An impersonation always runs its whole budget; an honest run's first
+    # block ends hold ticks after both ramps (his start is early enough for
+    # hers to begin within the budget) have settled.
+    stop = np.full(len(runs), budget)
+    if receives:
+        stop = np.minimum(budget, np.maximum(sender.stabilize, other.stabilize) + hold)
+    return _Plans(sender_secrets, receiver_keys, sender, other, announce, noise, stop)
+
+
+def _forgeries(runs: Sequence[Run], budget: int) -> tuple[_Ramps, np.ndarray]:
+    """The forged ramps and announcement ticks; a silent impersonator announces at the budget."""
+    silent = Forgery(budget, RampProcess(0.0, budget, budget, ()))
+    forgeries = [run.forgery or silent for run in runs]
+    ramps = [forgery.ramp or silent.ramp for forgery in forgeries]
+    columns = _Ramps(
+        np.array([ramp.target for ramp in ramps]),
+        np.array([ramp.start_tick for ramp in ramps]),
+        np.array([ramp.stabilize_tick for ramp in ramps]),
+        [np.array(ramp.schedule, dtype=np.float64) for ramp in ramps],
+    )
+    return columns, np.array([forgery.tick for forgery in forgeries])
 
 
 class RunBatch:
@@ -383,7 +435,7 @@ class RunBatch:
         scenario: Scenario,
         readings: np.ndarray,
         lengths: list[int],
-        plans: list[_Plan],
+        plans: _Plans,
         detected: list[Optional[tuple[int, float]]],
         jam_from: list[int],
         adversary_recovered: list[Optional[int]],
@@ -400,7 +452,7 @@ class RunBatch:
         return len(self.lengths)
 
     def _announce_tick(self, index: int) -> Optional[int]:
-        tick = self._plans[index].announce_tick
+        tick = int(self._plans.announce[index])
         return tick if tick < self.lengths[index] else None
 
     def transcript(self, index: int) -> Transcript:
@@ -418,27 +470,29 @@ class RunBatch:
         return transcript
 
     def outcome(self, index: int) -> DecoyOutcome:
-        scenario, plan, length = self.scenario, self._plans[index], self.lengths[index]
+        scenario, plans, length = self.scenario, self._plans, self.lengths[index]
+        receiver_key = None if plans.receiver_keys is None else plans.receiver_keys[index]
         detected_tick = estimate = recovered = None
         status, detail = TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks"
         if self._detected[index] is not None:
             detected_tick, estimate = self._detected[index]
-            recovered, detail = _recover(scenario, estimate, float(plan.receiver_key))
+            recovered, detail = _recover(scenario, estimate, float(receiver_key))
             status = OK if recovered is not None else OUT_OF_DOMAIN
-        sender, receiver = plan.sender_ramp, plan.receiver_ramp
-        if sender is not None and sender.start_tick >= length:
-            sender = None
+        sender_start = int(plans.sender.start[index])
+        moved = sender_start < length
         return DecoyOutcome(
             recovered=recovered,
-            sender_secret=plan.sender_secret,
-            receiver_key=plan.receiver_key,
+            sender_secret=plans.sender_secrets[index],
+            receiver_key=receiver_key,
             transcript=self.transcript(index),
             detected_tick=detected_tick,
             stable_estimate=estimate,
             announce_tick=self._announce_tick(index),
-            sender_start_tick=sender.start_tick if sender else None,
-            sender_stabilize_tick=sender.stabilize_tick if sender else None,
-            receiver_stabilize_tick=receiver.stabilize_tick if receiver else None,
+            sender_start_tick=sender_start if moved else None,
+            sender_stabilize_tick=int(plans.sender.stabilize[index]) if moved else None,
+            receiver_stabilize_tick=(
+                None if receiver_key is None else int(plans.other.stabilize[index])
+            ),
             status=status,
             detail=detail,
             jammed=self._jam_from[index] < length,
@@ -494,17 +548,24 @@ def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float,
     return found
 
 
-def _contributions(ramps: list, first: int, size: int) -> np.ndarray:
-    """Row i holds ramps[i].value_at(first + j) in column j; a None ramp contributes 0."""
-    out = np.zeros((len(ramps), size))
-    for index, ramp in enumerate(ramps):
-        if ramp is not None:
-            start, flat = ramp.start_tick - first, ramp.stabilize_tick - first
-            if start < flat and start < size and flat > 0:  # the schedule reaches into the block
-                low, high = max(start, 0), min(flat, size)
-                out[index, low:high] = ramp.schedule[low - start : high - start]
-            if flat < size:
-                out[index, max(flat, 0) :] = ramp.target
+def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.ndarray:
+    """Row j holds run rows[j]'s ramp value on each tick from `first` to first + size - 1."""
+    ticks = np.arange(first, first + size)
+    target, stabilize = ramps.target[rows, None], ramps.stabilize[rows, None]
+    out = np.where(ticks >= stabilize, target, 0.0)
+    if ramps.rate:
+        start = ramps.start[rows, None]
+        climbing = (ticks >= start) & (ticks < stabilize)
+        steps = (ticks - start).astype(np.float64)
+        out = np.where(climbing, target * steps / np.maximum(stabilize - start, 1), out)
+    if ramps.schedules is not None:
+        starts, stabilizes = ramps.start.tolist(), ramps.stabilize.tolist()
+        for index, row in enumerate(rows):
+            begin = starts[row]
+            low, high = max(begin, first), min(stabilizes[row], first + size)
+            if low < high:  # the schedule reaches into the block
+                schedule = ramps.schedules[row]
+                out[index, low - first : high - first] = schedule[low - begin : high - begin]
     return out
 
 
@@ -580,7 +641,7 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
     floor = scenario.n1 - 0.5
     watch = max(1, hold // 2)
     plans = _plans(scenario, runs)
-    count = len(plans)
+    count = len(runs)
     jam_from = [budget] * count  # where each jammer's force joins
     detected: list[Optional[tuple[int, float]]] = [None] * count
     adversary_recovered: list[Optional[int]] = [None] * count
@@ -590,16 +651,15 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
     # watch - 1 readings, which the next block follows on from.
     window = None
     watched = np.zeros((count, 0)) if jam_value is not None else None
-    first, stop = 0, max(plan.stop for plan in plans)
+    first, stop = 0, int(plans.stop.max())
     while True:
-        going = [plans[row] for row in rows]
         parts = [
-            _contributions([plan.sender_ramp for plan in going], first, stop - first),
-            _contributions([plan.other for plan in going], first, stop - first),
+            _contributions(plans.sender, rows, first, stop - first),
+            _contributions(plans.other, rows, first, stop - first),
         ]
         noise = None
         if sigma > 0.0:
-            noise = np.array([block_noise(sigma, plan.noise, stop - first) for plan in going])
+            noise = np.array([block_noise(sigma, plans.noise[row], stop - first) for row in rows])
         if watched is None:
             readings = measure_block(parts, noise).values
         else:

@@ -107,31 +107,79 @@ class RngStream:
         """
         seeds = np.array([int(seed) & _U64 for seed in seeds], dtype=np.uint64)
         streams = np.array(stream_ids, dtype=np.uint32)
-        low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
-        two_words = (high != 0)[:, None]
+        count = len(seeds) * len(streams)
         # Word k of every pair's entropy in row k: the seed's words, then the stream id.
+        halves = seeds.view(np.uint32).reshape(len(seeds), 1, 2)  # low word first
+        low, high = halves[..., 0], halves[..., 1]
+        one_word = high == 0
         pool = np.zeros((4, len(seeds), len(streams)), dtype=np.uint32)
-        pool[0] = low[:, None]
-        pool[1] = np.where(two_words, high[:, None], streams)
-        pool[2] = np.where(two_words, streams, 0)
-        pool = pool.reshape(4, len(seeds) * len(streams))
+        pool[0] = low
+        pool[1] = high + streams * one_word
+        pool[2] = streams * ~one_word
+        pool = pool.reshape(4, count)
         pool ^= _HASH_A[:4]
         pool *= _HASH_A[1:5]
         pool ^= pool >> _XSHIFT
+        # Each step mixes the source word, hashed once per other word, into
+        # the others, in place; the source's own row is computed in passing
+        # and put back.
+        hashed, mixed = np.empty_like(pool), np.empty_like(pool)
         for source, xor, mult in _POOL_MIXES:
-            # The source word, hashed once per other word, mixed into it; the
-            # source's own row is computed in passing and put back.
-            hashed = (pool[source] ^ xor) * mult
+            np.bitwise_xor(pool[source], xor, out=hashed)
+            hashed *= mult
             hashed ^= hashed >> _XSHIFT
-            mixed = pool * _MIX_L - hashed * _MIX_R
+            hashed *= _MIX_R
+            np.multiply(pool, _MIX_L, out=mixed)
+            mixed -= hashed
             mixed ^= mixed >> _XSHIFT
             mixed[source] = pool[source]
-            pool = mixed
-        state = (np.concatenate((pool, pool)) ^ _HASH_B[:8]) * _HASH_B[1:9]
+            pool, mixed = mixed, pool
+        state = np.concatenate((pool, pool))
+        state ^= _HASH_B[:8]
+        state *= _HASH_B[1:9]
         state ^= state >> _XSHIFT
         # Word pairs, lowest first, as uint64: numpy's own little-endian view.
         words = np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
         return words.reshape(len(seeds), len(streams), 4)
+
+    @classmethod
+    def first_integers(
+        cls, seeds: Sequence[int], stream_id: int, rows: np.ndarray, low: int, high: int
+    ) -> np.ndarray:
+        """Each stream's first integers(low, high) draw, for a pass of streams at once, as int64.
+
+        Entry i is ``RngStream(seeds[i], stream_id, rows[i]).integers(low,
+        high)``, where rows[i] is the stream's row of seed_rows.  PCG64 is
+        a 128-bit LCG with XSL-RR output (O'Neill 2014): seeding steps the
+        zero state, adds the seed and steps again, and a draw steps once
+        more.  numpy bounds the low 32 bits of that output with Lemire's
+        method (ACM TOMACS 29, 2019), which redraws when the product's low
+        word falls below 2^32 mod the range; those rows, and ranges wider
+        than 32 bits, draw from their generator instead.  A range of one
+        value draws nothing.
+        """
+        span = high - low + 1  # numpy's rng + 1
+        values = np.full(len(rows), low, dtype=np.int64)
+        if span == 1:
+            return values
+        redraw = np.ones(len(rows), dtype=bool)
+        if span <= 1 << 32:
+            w0, w1, w2, w3 = (rows[:, k] for k in range(4))
+            one = np.uint64(1)
+            inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
+            state = _pcg_add(inc, (w0, w1))
+            for _ in range(2):
+                state = _pcg_add(_pcg_times_multiplier(state), inc)
+            high_word, low_word = state
+            rotation = high_word >> np.uint64(58)
+            xored = high_word ^ low_word
+            output = xored >> rotation | xored << (np.uint64(64) - rotation & np.uint64(63))
+            scaled = (output & _LOW32) * np.uint64(span)
+            redraw = (scaled & _LOW32) < np.uint64((1 << 32) % span)
+            values += (scaled >> _SHIFT32).astype(np.int64)
+        for index in np.flatnonzero(redraw).tolist():
+            values[index] = cls(seeds[index], stream_id, rows[index]).integers(low, high)
+        return values
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -172,7 +220,8 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
 # consecutive constants of the first hash, and 8 output words 9 of the second.
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# 0-d arrays, which numpy combines with an array faster than its scalars.
+_MIX_L, _MIX_R, _XSHIFT = (np.array(value, np.uint32) for value in (0xCA01F9DD, 0x4973F715, 16))
 
 
 def _pool_mixes() -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -189,6 +238,28 @@ def _pool_mixes() -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 
 _POOL_MIXES = _pool_mixes()
+
+# PCG64's 128-bit multiplier as high and low 64-bit words, and the low-word mask.
+_PCG_MULT_HIGH, _PCG_MULT_LOW = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _pcg_add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2^128, each a pair of uint64 arrays (high word, low word)."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _pcg_times_multiplier(state: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """state * PCG64's multiplier mod 2^128, in 32-bit halves where a product overflows."""
+    high, low = state
+    # The high word of low * _PCG_MULT_LOW, from the four products of halves.
+    a_low, a_high = low & _LOW32, low >> _SHIFT32
+    b_low, b_high = _PCG_MULT_LOW & _LOW32, _PCG_MULT_LOW >> _SHIFT32
+    middle = a_high * b_low + (a_low * b_low >> _SHIFT32)
+    middle_too = a_low * b_high + (middle & _LOW32)
+    carried = a_high * b_high + (middle >> _SHIFT32) + (middle_too >> _SHIFT32)
+    return carried + high * _PCG_MULT_LOW + low * _PCG_MULT_HIGH, low * _PCG_MULT_LOW
 
 
 @functools.cache
@@ -429,6 +500,16 @@ class Scenario:
 
     def stream(self, stream_id: int) -> RngStream:
         return RngStream(self.seed, stream_id)
+
+    def with_seed(self, seed: int) -> "Scenario":
+        """``dataclasses.replace(self, seed=seed)`` as a copy of the fields.
+
+        The generated __init__ only sets the fields, so skipping it saves its
+        cost and changes nothing.
+        """
+        scenario = object.__new__(Scenario)
+        scenario.__dict__.update(self.__dict__, seed=seed)
+        return scenario
 
     def secret_of(self, party: str) -> int:
         return int(self.party_secrets[party])

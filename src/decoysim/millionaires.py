@@ -22,6 +22,8 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Union
 
+import numpy as np
+
 from .errors import DomainError, VesselEmpty, VesselOverflow
 
 
@@ -238,11 +240,15 @@ def _bitstring_events(a: int, b: int, n: int) -> list[PublicEvent]:
     return events
 
 
+# The vessels' level before either pump runs, unless a caller sets another.
+VESSEL_INITIAL_LEVEL = 10_000.0
+
+
 def compare_vessels(
     a: int,
     b: int,
     observation_ticks: int,
-    initial_level: float = 10_000.0,
+    initial_level: float = VESSEL_INITIAL_LEVEL,
     capacity: float = 20_000.0,
 ) -> ComparisonOutcome:
     """Pump out at rate a, pump in at rate b, and watch the shared level.
@@ -285,15 +291,23 @@ def compare_vessels(
         if ordering is Ordering.EQUAL
         else ()
     )
-    levels = partial(_level_events, initial_level, drift, observation_ticks)
+    levels = partial(_level_events, a, b, observation_ticks, initial_level)
     return ComparisonOutcome(ordering, alice, bob, levels, notes, observation_ticks)
 
 
-def _level_events(initial_level: float, drift: float, observation_ticks: int) -> list[PublicEvent]:
-    return [
-        PublicEvent(tick=tick, label="level", value=initial_level + drift * tick)
-        for tick in range(observation_ticks + 1)
-    ]
+def vessel_levels(
+    a: int, b: int, observation_ticks: int, initial_level: float = VESSEL_INITIAL_LEVEL
+) -> np.ndarray:
+    """The public level on each tick from 0 to observation_ticks, as compare_vessels publishes.
+
+    initial_level + (b - a) * tick, the float operations of compare_vessels' own checks.
+    """
+    return initial_level + float(b - a) * np.arange(observation_ticks + 1, dtype=np.float64)
+
+
+def _level_events(a: int, b: int, observation_ticks: int, initial_level: float) -> list[PublicEvent]:
+    levels = vessel_levels(a, b, observation_ticks, initial_level).tolist()
+    return [PublicEvent(tick, "level", level) for tick, level in enumerate(levels)]
 
 
 # --- base-m reduction -------------------------------------------------------

@@ -8,7 +8,7 @@ every run, whatever the protocol, yields the same kind of public record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -34,6 +34,7 @@ from .millionaires import (
     compare_race,
     compare_race_bitstring,
     compare_vessels,
+    vessel_levels,
 )
 
 RunResult = Union[DecoyOutcome, ComparisonOutcome, adversary_mod.AttackOutcome]
@@ -63,9 +64,9 @@ def _even_track_length(scenario: Scenario) -> int:
     return max(2, length)
 
 
-def _vessels_transcript(scenario: Scenario, outcome: ComparisonOutcome) -> Transcript:
+def _vessels_transcript(scenario: Scenario, a: int, b: int) -> Transcript:
     """Measure the published level series, one level per tick from tick 0, in one block."""
-    levels = np.array([event.value for event in outcome.public_observables], dtype=np.float64)
+    levels = vessel_levels(a, b, scenario.hold_ticks)
     noise = block_noise(scenario.noise_sigma, scenario.stream(STREAM_NOISE), len(levels))
     transcript = Transcript()
     transcript.record_readings(0, measure_block([levels, np.zeros(len(levels))], noise))
@@ -88,7 +89,7 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
             outcome = compare_vessels(a, b, observation_ticks=scenario.hold_ticks)
         except (VesselEmpty, VesselOverflow) as exc:
             return RunOutcome(scenario, None, Transcript(), type(exc).__name__, str(exc))
-        return RunOutcome(scenario, outcome, _vessels_transcript(scenario, outcome))
+        return RunOutcome(scenario, outcome, _vessels_transcript(scenario, a, b))
     else:  # pragma: no cover - dispatch is exhaustive
         raise ValueError(f"not a comparison protocol: {protocol}")
 
@@ -96,7 +97,7 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     if outcome.last_tick > scenario.max_ticks:  # refused before any event is built
         needs = f"protocol needs tick {outcome.last_tick} but max_ticks is {scenario.max_ticks}"
         return RunOutcome(scenario, outcome, transcript, TIMEOUT, needs)
-    for event in sorted(outcome.public_observables, key=lambda e: e.tick):
+    for event in outcome.public_observables:  # in tick order, as every comparator publishes
         transcript.mark(event.tick, f"{event.label}={event.value}")
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
@@ -116,20 +117,16 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     seeds = range(scenario.seed, scenario.seed + valid)
     if scenario.protocol in DECOY_PROTOCOLS:
         for seed, result in zip(seeds, adversary_mod.transmit_seeds(scenario, valid)):
-            run = _with_seed(scenario, seed)
+            run = scenario.with_seed(seed)
             if isinstance(result, adversary_mod.AttackOutcome):
                 yield RunOutcome(run, result, result.transcript)
             else:
                 yield RunOutcome(run, result, result.transcript, result.status, result.detail)
     else:
         for seed in seeds:
-            yield _comparison_run(_with_seed(scenario, seed))
+            yield _comparison_run(scenario.with_seed(seed))
     if valid < count:
-        replace(scenario, seed=2**64).validate()
-
-
-def _with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return scenario if seed == scenario.seed else replace(scenario, seed=seed)
+        scenario.with_seed(2**64).validate()
 
 
 def run_scenario(scenario: Scenario) -> RunOutcome:

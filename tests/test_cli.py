@@ -358,6 +358,26 @@ class TestSweep:
         statuses = {outcome.status for outcome in run_seeds(scenario, 30)}
         assert statuses == {OK, TIMEOUT}
 
+    @pytest.mark.parametrize(
+        "config, sets",
+        [
+            ("decoy.cfg", []),
+            ("noisy.cfg", ["max_ticks=100"]),
+            ("decoy.cfg", ["adversary=jammer"]),
+            ("decoy.cfg", ["adversary=impersonator"]),
+            ("vessels.cfg", []),
+            ("vessels.cfg", ["protocol=race"]),
+        ],
+    )
+    def test_every_run_carries_its_scenario_with_its_seed(self, config, sets):
+        scenario = load_scenario(str(CONFIGS / config), sets)
+        outcomes = list(run_seeds(scenario, 2 * CELL_BUDGET // scenario.max_ticks + 3))
+        for index, outcome in enumerate(outcomes):
+            expected = dataclasses.replace(scenario, seed=scenario.seed + index)
+            assert type(outcome.scenario) is Scenario
+            assert outcome.scenario == expected and vars(outcome.scenario) == vars(expected)
+            assert repr(outcome.scenario) == repr(expected)
+
     def test_success_rate_counts_runs_that_run_exits_zero_on(self, capsys):
         decoy = str(CONFIGS / "decoy.cfg")
         rates = []
@@ -573,6 +593,18 @@ def test_over_budget_run_on_a_2_to_the_53_domain_exits_two_at_small_domain_memor
     code, peak_kb = _exit_code_and_peak_kb(*run, *overrides)
     assert (small_code, code) == (0, 2)
     assert peak_kb <= small_kb + 8 * 1024, (peak_kb, small_kb)
+
+
+def test_a_million_tick_vessels_replay_builds_no_level_events():
+    # The transcript measures the level series as one array; reading it
+    # off 10^6 public events peaked near 230 MB.
+    replay = ["replay-check", "--config", str(CONFIGS / "vessels.cfg")]
+    small_code, small_kb = _exit_code_and_peak_kb(*replay)
+    sets = ["party_secrets.alice=3", "party_secrets.bob=3", "hold_ticks=999999"]
+    sets.append("max_ticks=1000000")
+    code, peak_kb = _exit_code_and_peak_kb(*replay, *[f"--set={pair}" for pair in sets])
+    assert (small_code, code) == (0, 0)
+    assert peak_kb <= small_kb + 96 * 1024, (peak_kb, small_kb)
 
 
 def test_version_flag(capsys):

@@ -10,6 +10,7 @@ time.
 """
 
 import dataclasses
+import itertools
 import math
 import time
 from unittest import mock
@@ -37,7 +38,14 @@ from decoysim import channel, decoy
 from decoysim.adversary import JAM_VALUE, transmit_seeds
 from decoysim.channel import measure_block
 from decoysim.decoy import DecoyOutcome, Forgery, Run, simulate_runs, simulate_transmission
-from decoysim.engine import OK, OUT_OF_DOMAIN, STREAM_ADVERSARY, TIMEOUT
+from decoysim.engine import (
+    OK,
+    OUT_OF_DOMAIN,
+    STREAM_ADVERSARY,
+    STREAM_RECEIVER,
+    STREAM_SENDER,
+    TIMEOUT,
+)
 from decoysim.errors import OutOfDomain
 from conftest import decoy_scenario
 
@@ -239,7 +247,7 @@ def test_a_batch_spans_later_blocks_timeouts_and_passes():
     later = 0
     for start in range(0, len(runs), per_pass):
         in_pass = runs[start : start + per_pass]
-        first_block = max(plan.stop for plan in decoy._plans(scenario, in_pass))
+        first_block = int(decoy._plans(scenario, in_pass).stop.max())
         later += sum(
             outcome.detected_tick is not None and outcome.detected_tick >= first_block
             for outcome in outcomes[start : start + per_pass]
@@ -248,6 +256,100 @@ def test_a_batch_spans_later_blocks_timeouts_and_passes():
     assert any(outcome.status == TIMEOUT for outcome in outcomes)
     for run, outcome in zip(runs, outcomes):
         _assert_agree(outcome, simulate_transmission(_run_alone(scenario, run)))
+
+
+def _bits(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def _oracle_set_up(scenario: Scenario, jam_value, forgery):
+    """The ramps tick_oracle.transmission builds for a run, by the stream each draws from.
+
+    Its outcome comes with them.
+    """
+    ramps = {}
+
+    def recorded(rng, *args, **kwargs):
+        ramps[rng.stream_id] = ramp = generate_ramp(rng, *args, **kwargs)
+        return ramp
+
+    with mock.patch.object(tick_oracle, "generate_ramp", recorded):
+        outcome = tick_oracle.transmission(scenario, jam_value, forgery)
+    return ramps, outcome
+
+
+def _assert_columns_hold(columns: "decoy._Ramps", ramp, budget: int) -> None:
+    """Run 0 of the columns is `ramp`: field by field, then every tick's value by bit pattern."""
+    fields = (columns.target[0], columns.start[0], columns.stabilize[0])
+    assert fields == (ramp.target, ramp.start_tick, ramp.stabilize_tick)
+    if columns.schedules is not None:
+        assert _bits(columns.schedules[0]) == _bits(ramp.schedule)
+    values = decoy._contributions(columns, [0], 0, budget)[0]
+    assert _bits(values) == _bits(ramp.value_at(tick) for tick in range(budget))
+
+
+def _assert_plan_is_the_oracles(scenario: Scenario, forgery=None) -> None:
+    scenario.validate()
+    budget = scenario.max_ticks
+    jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
+    ramps, looped = _oracle_set_up(scenario, jam_value, forgery)
+    plans = decoy._plans(scenario, [Run(scenario.seed, scenario.party_secrets, forgery)])
+    receiver, sender = ramps.get(STREAM_RECEIVER), ramps.get(STREAM_SENDER)
+    if scenario.adversary is AdversaryKind.IMPERSONATOR:
+        assert receiver is None and plans.receiver_keys is None
+        other = forgery.ramp if forgery else None
+        announce = forgery.tick if forgery else budget
+    else:
+        assert plans.receiver_keys == [scenario.party_secrets["bob"]]
+        other, announce = receiver, receiver.start_tick
+    if other is None:
+        assert not decoy._contributions(plans.other, [0], 0, budget).any()
+    else:
+        _assert_columns_hold(plans.other, other, budget)
+    assert plans.announce[0] == announce
+    assert looped.announce_tick in (None, announce)
+    if sender is None:  # the run ended before the oracle's sender would start
+        assert plans.sender.start[0] >= len(looped.transcript.measurements())
+    else:
+        _assert_columns_hold(plans.sender, sender, budget)
+    if receiver is None:
+        assert plans.stop[0] == budget
+    elif sender is not None:
+        settled = max(receiver.stabilize_tick, sender.stabilize_tick)
+        assert plans.stop[0] == min(budget, settled + scenario.hold_ticks)
+    assert (plans.noise is None) == (scenario.noise_sigma == 0.0)
+
+
+def test_columnar_plans_are_the_tick_loops_set_up():
+    # Every ramp model, defense on and off, every adversary (a silent
+    # impersonator and forgers with and without a ramp), noise and none,
+    # and a budget whose receiver always starts at tick 1.
+    checked = 0
+    for max_ticks, domain in ((120, (1, 8)), (20, (1, 2))):
+        secrets = {"alice": 2, "bob": 1}
+        base = decoy_scenario(max_ticks=max_ticks, secret_domain=domain, party_secrets=secrets)
+        assert (base.receiver_start_max == 1) == (max_ticks == 20)
+        for model, defended, noise, adversary in itertools.product(
+            RampModel, (True, False), (0.0, 0.05), AdversaryKind
+        ):
+            scenario = dataclasses.replace(
+                base, ramp_model=model, defense_enabled=defended, noise_sigma=noise
+            )
+            scenario = dataclasses.replace(scenario, adversary=adversary)
+            if adversary is AdversaryKind.IMPERSONATOR:
+                scenario = dataclasses.replace(scenario, party_secrets={"alice": 2})
+            for seed in range(4):
+                run = dataclasses.replace(scenario, seed=seed)
+                forgeries = [None]
+                if adversary is AdversaryKind.IMPERSONATOR:
+                    rng = RngStream(seed, STREAM_ADVERSARY)
+                    tick = rng.integers(1, run.receiver_start_max)
+                    ramp = generate_ramp(rng, 4.0, tick, run.max_ramp_ticks)
+                    forgeries += [Forgery(tick, ramp), Forgery(tick, None)]
+                for forgery in forgeries:
+                    _assert_plan_is_the_oracles(run, forgery)
+                    checked += 1
+    assert checked == 2 * 3 * 2 * 2 * (3 + 3) * 4
 
 
 def test_noise_settling_before_the_sender_starts():

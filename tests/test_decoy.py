@@ -266,18 +266,40 @@ def test_tick_cost_is_linear_in_max_ticks():
 
 
 class TestStreamsAreLazy:
-    """A pass seeds every stream at once but builds only those its runs use."""
+    """A pass seeds only the streams it draws from and builds only the generators its runs use."""
 
     @staticmethod
-    def _noise_generators(noise_sigma):
-        scenario = decoy_scenario(noise_sigma=noise_sigma, epsilon_stab=0.2)
-        runs = [Run(seed, scenario.party_secrets) for seed in range(20)]
-        (batch,) = simulate_runs(scenario, runs)
-        return [plan.noise._gen for plan in batch._plans]
+    def _generators_built(monkeypatch, scenario, count=20) -> list[int]:
+        """The stream id of each generator built as `count` runs of `scenario` go through a pass."""
+        built = []
+        generator = RngStream._generator
 
-    def test_noiseless_batch_builds_no_noise_generator(self):
-        assert all(gen is None for gen in self._noise_generators(0.0))
-        assert all(gen is not None for gen in self._noise_generators(0.05))
+        def recorded(stream):
+            if stream._gen is None:
+                built.append(stream.stream_id)
+            return generator(stream)
+
+        monkeypatch.setattr(RngStream, "_generator", recorded)
+        runs = [Run(seed, scenario.party_secrets) for seed in range(count)]
+        (batch,) = simulate_runs(scenario, runs)
+        assert len(batch) == count
+        return built
+
+    def test_noiseless_batch_builds_no_noise_generator(self, monkeypatch):
+        noiseless = decoy_scenario(noise_sigma=0.0, epsilon_stab=0.2)
+        assert STREAM_NOISE not in self._generators_built(monkeypatch, noiseless)
+        noisy = dataclasses.replace(noiseless, noise_sigma=0.05)
+        assert self._generators_built(monkeypatch, noisy).count(STREAM_NOISE) == 20
+
+    @pytest.mark.parametrize("model", [RampModel.SYNCHRONOUS, RampModel.DETERMINISTIC_RATE])
+    def test_synchronous_and_rate_passes_build_no_generator(self, model, monkeypatch):
+        # The receiver's start is their only draw, made for the whole pass
+        # in array operations.
+        scenario = decoy_scenario(ramp_model=model, secret_domain=(1, 8), defense_enabled=False)
+        assert self._generators_built(monkeypatch, scenario, 200) == []
+        random_ramps = dataclasses.replace(scenario, ramp_model=RampModel.RANDOM_RAMP)
+        built = self._generators_built(monkeypatch, random_ramps, 200)
+        assert sorted(built) == [STREAM_SENDER] * 200 + [STREAM_RECEIVER] * 200
 
     @pytest.mark.parametrize("defended", [True, False])
     def test_sender_facing_a_silent_impersonator_gets_a_stream_only_undefended(
@@ -297,5 +319,6 @@ class TestStreamsAreLazy:
             defense_enabled=defended,
         )
         run_scenario(scenario)
-        sender = [] if defended else [STREAM_SENDER]
-        assert built == [STREAM_RECEIVER, STREAM_NOISE, *sender]
+        # The receiver's start comes from the pass's array draw, and a
+        # noiseless run has no noise stream.
+        assert built == ([] if defended else [STREAM_SENDER])

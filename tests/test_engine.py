@@ -33,6 +33,11 @@ from decoysim import (
 from decoysim.channel import Readings, measure_block
 from conftest import decoy_scenario, vessels_scenario, with_seed
 
+# The receiver's widest start range, at the largest budget validate() allows.
+LARGEST_START_RANGE = Scenario(
+    Protocol.DECOY_FORCE, max_ticks=10**7, hold_ticks=1
+).receiver_start_max
+
 
 class TestRngStream:
     def test_same_seed_same_stream_replays(self):
@@ -106,6 +111,53 @@ class TestRngStream:
         assert stream.seed == 2**64 - 1
         expected = np.random.default_rng([2**64 - 1, 3]).standard_normal(8)
         assert stream.normal(8).tolist() == expected.tolist()
+
+    def test_first_integers_are_each_streams_first_draw(self):
+        # 100,000 streams with the edge seeds of a seed_rows pass of one,
+        # drawing the start range of sync_analysis.cfg.
+        rng = random.Random(13)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345, 2**40 + 7]
+        while len(seeds) < 100_000:
+            seeds.append(rng.getrandbits(rng.choice([16, 32, 33, 64])))
+        rows = RngStream.seed_rows(seeds, [1])[:, 0]
+        drawn = RngStream.first_integers(seeds, 1, rows, 1, 9)
+        assert drawn.dtype == np.int64
+        expected = [
+            np.random.default_rng([seed, 1]).integers(1, 9, endpoint=True) for seed in seeds
+        ]
+        assert drawn.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "low, high, redraws",
+        [
+            (1, 1, False),  # one value: no draw at all
+            (1, LARGEST_START_RANGE, None),  # redraws about once in 5,000 rows
+            (1, 2**31 + 1, True),  # 2^32 mod the range is 2^31 - 1: about half the rows redraw
+            (0, 2**32 - 1, False),  # the whole 32-bit output, never rejected
+            (1, 2**33, True),  # numpy's 64-bit method: every row draws from its generator
+        ],
+    )
+    def test_first_integers_fall_back_to_the_generator_where_lemire_redraws(
+        self, low, high, redraws
+    ):
+        built = []
+
+        class Recorded(RngStream):
+            def __init__(self, seed, stream_id, row=None):
+                built.append(seed)
+                super().__init__(seed, stream_id, row)
+
+        rng = random.Random(14)
+        seeds = [rng.getrandbits(64) for _ in range(2_000)]
+        rows = RngStream.seed_rows(seeds, [3])[:, 0]
+        drawn = Recorded.first_integers(seeds, 3, rows, low, high).tolist()
+        expected = [
+            np.random.default_rng([seed, 3]).integers(low, high, endpoint=True) for seed in seeds
+        ]
+        assert drawn == expected
+        assert redraws is None or bool(built) == redraws
+        if high == 2**31 + 1:
+            assert 800 <= len(built) <= 1200, len(built)
 
     def test_import_and_config_leave_numpy_random_unloaded(self):
         # numpy.random is imported on the first draw, not by importing

@@ -379,6 +379,16 @@ class TestDecideFirstPublishOnDemand:
                 ticks = [event.tick for event in outcome.public_observables]
                 assert outcome.last_tick == max(ticks, default=0), args
 
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_public_events_come_in_tick_order(self, name):
+        # The runner marks them into a transcript as they come.
+        comparator, _, grid = GRIDS[name]
+        for args in grid:
+            outcome = _outcome_or_abort(comparator, *args)
+            if isinstance(outcome, ComparisonOutcome):
+                ticks = [event.tick for event in outcome.public_observables]
+                assert ticks == sorted(ticks), args
+
     def test_vessel_aborts_match_the_tick_loop_on_slow_rounding_levels(self):
         # Near 1e20 a level moves in steps of 16384, so the first tick that
         # rounds to the capacity is decided by rounding, not by the slope.
