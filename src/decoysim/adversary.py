@@ -14,10 +14,11 @@ only; nothing in this module touches a party's private ramp state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Optional
 
 import numpy as np
@@ -43,6 +44,7 @@ from .engine import (
     STREAM_SAMPLER,
     TIMEOUT,
     AdversaryKind,
+    BuiltOnRead,
     Protocol,
     RampModel,
     RngStream,
@@ -369,16 +371,21 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     return TranscriptSamples(scenario, runs, jam_value)
 
 
-def transmit_seeds(scenario: Scenario, count: int) -> Iterator[DecoyOutcome | AttackOutcome]:
-    """The outcome of one decoy run per seed scenario.seed + i, for i in range(count).
+def transmit_seeds(
+    scenario: Scenario, count: int
+) -> Iterator[tuple[DecoyOutcome | AttackOutcome, Callable[[], int]]]:
+    """The outcome of one decoy run per seed scenario.seed + i, for i in range(count), and its digest.
 
     The one place that picks what an active adversary does: a jammer adds
     JAM_VALUE and an impersonator stays silent, as attack_jam and
     attack_impersonate do by default.  Every run yields its outcome and
-    public transcript, whether it completed or failed.  The runs go
-    through the kernel a pass at a time (decoy.simulate_runs), and each
-    outcome is built when it is read.  Nothing is checked here: `scenario`
-    must pass check_transmission, and so must each of its seeds.
+    public transcript, whether it completed or failed, with a
+    zero-argument call that gives the transcript's replay digest from the
+    kernel pass, without building the transcript.  The runs go through
+    the kernel a pass at a time (decoy.simulate_runs); each outcome is
+    built when it is read and its transcript when that is read.  Nothing
+    is checked here: `scenario` must pass check_transmission, and so must
+    each of its seeds.
     """
     kind = scenario.adversary
     jam_value = JAM_VALUE if kind is AdversaryKind.JAMMER else None
@@ -386,13 +393,13 @@ def transmit_seeds(scenario: Scenario, count: int) -> Iterator[DecoyOutcome | At
     runs = (Run(seed, secrets) for seed in range(scenario.seed, scenario.seed + count))
     for batch in simulate_runs(scenario, runs, jam_value):
         for row in range(len(batch)):
-            outcome = batch.outcome(row)
+            outcome, digest = batch.outcome(row), functools.partial(batch.digest, row)
             if kind is AdversaryKind.JAMMER:
-                yield _jam_result(outcome, jam_value)
+                yield _jam_result(outcome, jam_value), digest
             elif kind is AdversaryKind.IMPERSONATOR:
-                yield _impersonation_result(outcome, None)
+                yield _impersonation_result(outcome, None), digest
             else:
-                yield outcome
+                yield outcome, digest
 
 
 # --- active attacks ---------------------------------------------------------
@@ -400,10 +407,14 @@ def transmit_seeds(scenario: Scenario, count: int) -> Iterator[DecoyOutcome | At
 
 @dataclass
 class AttackOutcome:
-    """What an active adversary achieved, and what it cost the protocol."""
+    """What an active adversary achieved, and what it cost the protocol.
+
+    `transcript` may be given as a zero-argument builder, which runs on
+    the first read.
+    """
 
     kind: str
-    transcript: Transcript
+    transcript: Transcript = BuiltOnRead()
     disrupted: bool
     adversary_learned: bool
     adversary_recovered: Optional[int]
@@ -508,7 +519,7 @@ def _jam_result(outcome: DecoyOutcome, jam_value: float) -> AttackOutcome:
     )
     return AttackOutcome(
         kind="jam",
-        transcript=outcome.transcript,
+        transcript=functools.partial(getattr, outcome, "transcript"),
         disrupted=disrupted,
         adversary_learned=False,
         adversary_recovered=None,
@@ -554,7 +565,7 @@ def _impersonation_result(outcome: DecoyOutcome, forgery: Optional[Forgery]) -> 
     # exhausts its tick budget; the question is what the impersonator read.
     return AttackOutcome(
         kind="impersonate",
-        transcript=outcome.transcript,
+        transcript=functools.partial(getattr, outcome, "transcript"),
         disrupted=True,
         adversary_learned=outcome.adversary_recovered == outcome.sender_secret,
         adversary_recovered=outcome.adversary_recovered,
@@ -598,13 +609,11 @@ def audit_comparison(
     """
     tag = protocol.value if isinstance(protocol, Protocol) else str(protocol)
     findings: list[LeakageFinding] = []
-    observables = outcome.public_observables
 
     if tag == _VESSELS:
-        levels = [event.value for event in observables if event.label == "level"]
+        levels = outcome.levels
         if len(levels) >= 2:
-            diffs = [levels[i + 1] - levels[i] for i in range(len(levels) - 1)]
-            slope = math.fsum(diffs) / len(diffs)
+            slope = math.fsum(np.diff(levels)) / (len(levels) - 1)
             findings.append(
                 LeakageFinding(
                     protocol=tag,
@@ -615,7 +624,9 @@ def audit_comparison(
                     exceeds_comparison_bit=True,
                 )
             )
-    elif tag == _ELEVATOR:
+        return findings
+    observables = outcome.public_observables
+    if tag == _ELEVATOR:
         doors = [event for event in observables if event.label == "doors_open"]
         findings.append(
             LeakageFinding(

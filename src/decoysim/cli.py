@@ -218,7 +218,7 @@ def cmd_sweep(args, stream: TextIO) -> int:
         digests: list[str] = []
         # Records go out as the runs come, one kernel pass of them at a time.
         for index, outcome in enumerate(run_seeds(scenario, args.runs)):
-            digest = replay_digest(outcome.transcript)
+            digest = outcome.digest
             result = outcome.result
             _, flags, code = _assess(outcome)
             # A run succeeds when `run` would exit 0 on it.

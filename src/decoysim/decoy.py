@@ -9,6 +9,7 @@ the receiver's "in business" announcement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,11 +29,14 @@ from .engine import (
     TIMEOUT,
     DECOY_PROTOCOLS,
     AdversaryKind,
+    Announcement,
+    BuiltOnRead,
     Protocol,
     RampModel,
     RngStream,
     Scenario,
     Transcript,
+    row_digests,
 )
 from .errors import InvalidTarget, NonFiniteValue, OutOfDomain
 
@@ -108,27 +112,45 @@ def generate_ramp(
         schedule = tuple((target * np.arange(duration, dtype=np.float64) / duration).tolist())
         return RampProcess(target, start_tick, start_tick + duration, schedule)
 
-    schedule = _random_schedule(rng, target, max_ramp_ticks)
-    return RampProcess(target, start_tick, start_tick + len(schedule), tuple(schedule.tolist()))
+    durations, schedules = _random_ramps([rng], np.array([target]), max_ramp_ticks)
+    schedule = tuple(schedules[0, : durations[0]].tolist())
+    return RampProcess(target, start_tick, start_tick + len(schedule), schedule)
 
 
-def _random_schedule(rng: RngStream, target: float, max_ramp_ticks: int) -> np.ndarray:
-    """A random ramp's values from its start tick until it settles, drawn from `rng`.
+def _random_ramps(
+    rngs: Sequence[Optional[RngStream]], targets: np.ndarray, max_ramp_ticks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random ramps, one per stream in `rngs`: their durations and, as rows, their schedules.
 
-    The duration is uniform in [0, max_ramp_ticks]; the values climb by
-    uniform increments renormalized to land exactly on the target.
+    Each duration is uniform in [0, max_ramp_ticks] (0 with no draw for a
+    None stream); row i's first durations[i] values climb from 0 by
+    uniform increments renormalized to land exactly on targets[i], the
+    value on each tick from the start until the ramp settles.  Every
+    stream draws its duration and weights itself and sums its weights with
+    numpy's own pairwise sum.  The running sums, the division and the
+    scaling then run once on the zero-padded rows: add.accumulate adds
+    along a row in order, as a single ramp's cumsum does, so each row's
+    values do not depend on the padding.
     """
-    duration = rng.integers(0, max_ramp_ticks)
-    if duration == 0:
-        return np.empty(0)
-    weights = rng.uniform(size=duration)
-    total_weight = float(weights.sum())
-    if total_weight <= 0.0:  # unreachable in practice; keeps the math total
-        weights = np.ones(duration)
-        total_weight = float(duration)
-    partial = weights.cumsum() / total_weight
-    # value at start_tick is 0; the j-th later tick carries the j-th partial sum
-    return np.concatenate(([0.0], target * partial[:-1]))
+    weights = np.zeros((len(rngs), max_ramp_ticks))
+    totals = np.ones(len(rngs))
+    durations = np.zeros(len(rngs), dtype=np.int64)
+    for index, rng in enumerate(rngs):
+        duration = 0 if rng is None else rng.integers(0, max_ramp_ticks)
+        if duration:
+            drawn = rng.uniform(size=duration)
+            total = float(drawn.sum())
+            if total <= 0.0:  # unreachable in practice; keeps the math total
+                drawn, total = np.ones(duration), float(duration)
+            weights[index, :duration] = drawn
+            totals[index] = total
+            durations[index] = duration
+    partial = np.cumsum(weights, axis=1)
+    partial /= totals[:, None]
+    # The value on the start tick is 0; the j-th later tick carries the j-th partial sum.
+    schedules = np.zeros((len(rngs), max_ramp_ticks + 1))
+    np.multiply(targets[:, None], partial, out=schedules[:, 1:])
+    return durations, schedules
 
 
 def detect_stabilization(
@@ -187,12 +209,14 @@ class DecoyOutcome:
     has no recovered value and `detail` says why it failed.  `jammed`
     says whether a jammer's force reached the medium, and
     `adversary_recovered` is what an impersonator read, if anything.
+    `transcript` may be given as a zero-argument builder, which runs on
+    the first read.
     """
 
     recovered: Optional[int]
     sender_secret: int
     receiver_key: Optional[int]
-    transcript: Transcript
+    transcript: Transcript = BuiltOnRead()
     detected_tick: Optional[int]
     stable_estimate: Optional[float]
     announce_tick: Optional[int]
@@ -296,16 +320,17 @@ class _Ramps(NamedTuple):
     """One party's ramp in every run of a pass, as columns.
 
     Run i's contribution is 0 before start[i] and target[i] from
-    stabilize[i] on.  In between it is schedules[i] (random ramps), or
-    target * (tick - start) / (stabilize - start) with `rate` (the
-    deterministic-rate ramps, the same float operations generate_ramp
-    does).  A party that never moves starts at the tick budget.
+    stabilize[i] on.  In between it is the first stabilize[i] - start[i]
+    values of schedules[i] (random ramps), or target * (tick - start) /
+    (stabilize - start) with `rate` (the deterministic-rate ramps, the
+    same float operations generate_ramp does).  A party that never moves
+    starts at the tick budget.
     """
 
     target: np.ndarray
     start: np.ndarray
     stabilize: np.ndarray
-    schedules: Optional[list[np.ndarray]] = None
+    schedules: Optional[np.ndarray] = None
     rate: bool = False
 
 
@@ -360,10 +385,7 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
         receiver_keys = [int(run.party_secrets[RECEIVER]) for run in runs]
         keys = np.array(receiver_keys, dtype=np.float64)
         if randomized:
-            schedules = [
-                _random_schedule(rng, key, max_ramp) for rng, key in zip(receivers, keys.tolist())
-            ]
-            durations = np.array([len(schedule) for schedule in schedules])
+            durations, schedules = _random_ramps(receivers, keys, max_ramp)
             other = _Ramps(keys, receiver_start, receiver_start + durations, schedules)
         else:
             # The deterministic-rate control only makes the *sender* leaky; the
@@ -386,15 +408,11 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
             durations = np.maximum(1, np.rint(ticks_per_unit * targets)).astype(np.int64)
             sender = _Ramps(targets, start, start + durations, rate=True)
         else:
-            schedules = [
-                _random_schedule(RngStream(seed, STREAM_SENDER, row), target, max_ramp)
-                if moves
-                else np.empty(0)
-                for seed, row, target, moves in zip(
-                    seeds, rows[STREAM_SENDER], targets.tolist(), (start < budget).tolist()
-                )
+            senders = [
+                RngStream(seed, STREAM_SENDER, row) if moves else None
+                for seed, row, moves in zip(seeds, rows[STREAM_SENDER], (start < budget).tolist())
             ]
-            durations = np.array([len(schedule) for schedule in schedules])
+            durations, schedules = _random_ramps(senders, targets, max_ramp)
             sender = _Ramps(targets, start, start + durations, schedules)
     noise = None
     if scenario.noise_sigma > 0.0:
@@ -413,11 +431,14 @@ def _forgeries(runs: Sequence[Run], budget: int) -> tuple[_Ramps, np.ndarray]:
     silent = Forgery(budget, RampProcess(0.0, budget, budget, ()))
     forgeries = [run.forgery or silent for run in runs]
     ramps = [forgery.ramp or silent.ramp for forgery in forgeries]
+    schedules = np.zeros((len(ramps), 1 + max(len(ramp.schedule) for ramp in ramps)))
+    for row, ramp in zip(schedules, ramps):
+        row[: len(ramp.schedule)] = ramp.schedule
     columns = _Ramps(
         np.array([ramp.target for ramp in ramps]),
         np.array([ramp.start_tick for ramp in ramps]),
         np.array([ramp.stabilize_tick for ramp in ramps]),
-        [np.array(ramp.schedule, dtype=np.float64) for ramp in ramps],
+        schedules,
     )
     return columns, np.array([forgery.tick for forgery in forgeries])
 
@@ -427,7 +448,8 @@ class RunBatch:
 
     Row i of `readings` holds run i's reading for every tick from 0 to
     lengths[i] - 1, then NaN.  Transcripts and outcomes are built only
-    when asked for.
+    when asked for; the replay digests of the pass are hashed from the
+    readings at the first digest asked for, and need no transcript.
     """
 
     def __init__(
@@ -447,6 +469,7 @@ class RunBatch:
         self._detected = detected
         self._jam_from = jam_from
         self._adversary_recovered = adversary_recovered
+        self._digests: Optional[list[int]] = None
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -455,19 +478,33 @@ class RunBatch:
         tick = int(self._plans.announce[index])
         return tick if tick < self.lengths[index] else None
 
+    def _events(self, index: int) -> list[tuple[int, Announcement]]:
+        """Run `index`'s announcements, each after the number of readings before it."""
+        events = []
+        if self.scenario.protocol is Protocol.DECOY_WAVE:
+            events.append((0, Announcement(0, WAVE_PARAMS)))
+        announce_tick = self._announce_tick(index)
+        if announce_tick is not None:
+            events.append((announce_tick, Announcement(announce_tick, IN_BUSINESS)))
+        return events
+
     def transcript(self, index: int) -> Transcript:
         values = Readings(self.readings[index, : self.lengths[index]])
-        announce_tick = self._announce_tick(index)
         transcript = Transcript()
-        if self.scenario.protocol is Protocol.DECOY_WAVE:
-            transcript.announce(0, WAVE_PARAMS)
-        if announce_tick is not None:
-            transcript.record_readings(0, values[:announce_tick])
-            transcript.announce(announce_tick, IN_BUSINESS)
-            transcript.record_readings(announce_tick, values[announce_tick:])
-        else:
-            transcript.record_readings(0, values)
+        start = 0
+        for count, event in self._events(index):
+            transcript.record_readings(start, values[start:count])
+            transcript.announce(event.tick, event.tag)
+            start = count
+        transcript.record_readings(start, values[start:])
         return transcript
+
+    def digest(self, index: int) -> int:
+        """replay_digest(self.transcript(index)), without building the transcript."""
+        if self._digests is None:
+            events = [self._events(row) for row in range(len(self))]
+            self._digests = row_digests(self.readings, self.lengths, events)
+        return self._digests[index]
 
     def outcome(self, index: int) -> DecoyOutcome:
         scenario, plans, length = self.scenario, self._plans, self.lengths[index]
@@ -484,7 +521,7 @@ class RunBatch:
             recovered=recovered,
             sender_secret=plans.sender_secrets[index],
             receiver_key=receiver_key,
-            transcript=self.transcript(index),
+            transcript=functools.partial(self.transcript, index),
             detected_tick=detected_tick,
             stable_estimate=estimate,
             announce_tick=self._announce_tick(index),
@@ -515,14 +552,52 @@ def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
     return high, low
 
 
+def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
+    """Sum of every run of `width` consecutive values along the last axis, from power-of-two spans."""
+    count = values.shape[-1] - width + 1
+    sums, spans, span, offset = None, values, 1, 0
+    while True:
+        if width & span:  # the window's next span, after the shorter ones already added
+            part = spans[..., offset : offset + count]
+            sums = part.copy() if sums is None else sums + part
+            offset += span
+        if 2 * span > width:
+            return sums
+        spans = spans[..., :-span] + spans[..., span:]
+        span *= 2
+
+
+def _may_settle(
+    values: np.ndarray, high: np.ndarray, low: np.ndarray, width: int, epsilon: float, floor: float
+) -> np.ndarray:
+    """False for each window the exact detector surely rejects, judged by its approximate mean.
+
+    With u = 2^-53 and A the window's largest magnitude, a float sum of
+    the window in any order is within (width - 1) u width A of the exact
+    sum, so its mean is within (width + 3) u A of the detector's (fsum,
+    rounded, then divided); `slack` is twice that.  The detector needs
+    max - mean and mean - min to round to at most epsilon, so to be at
+    most epsilon (1 + u) plus half the smallest subnormal, and mean >=
+    floor; a window is rejected only where the approximate mean misses a
+    test by more than the slack and the tests' own rounding.
+    """
+    means = _window_sums(values, width) / width
+    magnitude = np.maximum(np.abs(high), np.abs(low))
+    slack = 2.0 * (width + 3) * 2.0**-53 * magnitude + 2.0**-1022
+    tolerance = (epsilon + slack) * (1.0 + 2.0**-40)
+    return (high - means <= tolerance) & (means - low <= tolerance) & (means + slack >= floor)
+
+
 def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float, read=None) -> list:
     """Per row of `values`, the first window of `width` values that settles at `floor` or higher.
 
     A row's entry is read(row, last column, level) of the first such
     window for which that is not None (by default the pair (last column,
-    level)), or None.  Only windows that pass a necessary condition
-    (spread within 2 * epsilon, highest value near the floor) go to the
-    exact detector.
+    level)), or None.  Only windows that pass necessary conditions go to
+    the exact detector: spread within 2 * epsilon, highest value near the
+    floor and, with a tolerance, an approximate mean that leaves room to
+    settle (_may_settle).  With none, only flat windows pass the spread
+    test, and their mean is their value.
     """
     found: list = [None] * len(values)
     if values.shape[1] < width:
@@ -530,6 +605,8 @@ def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float,
     high, low = _window_extremes(values, width)
     # Slack for rounding: a window the exact detector accepts always passes.
     passing = (high - low <= 2.0 * epsilon * (1.0 + 1e-9)) & (high >= floor * (1.0 - 1e-9))
+    if epsilon > 0.0:
+        passing &= _may_settle(values, high, low, width, epsilon, floor)
     for row, column in enumerate(passing.argmax(axis=1).tolist()):
         if not passing[row, column]:
             continue
@@ -559,13 +636,12 @@ def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.
         steps = (ticks - start).astype(np.float64)
         out = np.where(climbing, target * steps / np.maximum(stabilize - start, 1), out)
     if ramps.schedules is not None:
-        starts, stabilizes = ramps.start.tolist(), ramps.stabilize.tolist()
-        for index, row in enumerate(rows):
-            begin = starts[row]
-            low, high = max(begin, first), min(stabilizes[row], first + size)
-            if low < high:  # the schedule reaches into the block
-                schedule = ramps.schedules[row]
-                out[index, low - first : high - first] = schedule[low - begin : high - begin]
+        steps = ticks - ramps.start[rows, None]
+        climbing = (steps >= 0) & (ticks < stabilize)
+        if climbing.any():  # a schedule reaches into the block
+            # Each climbing cell's value, by its flat index into the schedule rows.
+            cells = np.where(climbing, steps, 0) + np.array(rows)[:, None] * ramps.schedules.shape[1]
+            out = np.where(climbing, ramps.schedules.take(cells), out)
     return out
 
 

@@ -405,6 +405,28 @@ class Transcript:
         )
 
 
+class BuiltOnRead:
+    """A dataclass field given as its value or as a zero-argument builder, run on its first read.
+
+    The built value replaces the builder, so every read returns the same
+    object.  The field has no default.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:  # a dataclass asking for a default: there is none
+            raise AttributeError(self.slot[1:])
+        value = instance.__dict__[self.slot]
+        if callable(value):
+            value = instance.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, instance, value) -> None:
+        instance.__dict__[self.slot] = value
+
+
 # Digest of an empty transcript; fixed for the life of the format.
 EMPTY_TRANSCRIPT_DIGEST = 0xB4B2797457A0A6E4
 
@@ -418,6 +440,39 @@ def _event_bytes(event: Union[Announcement, Mark]) -> bytes:
     else:
         kind, payload = b"K", event.label.encode("utf-8")
     return kind + struct.pack("<qI", event.tick, len(payload)) + payload
+
+
+def row_digests(
+    readings: np.ndarray,
+    lengths: Sequence[int],
+    events: Sequence[Sequence[tuple[int, Union[Announcement, Mark]]]],
+) -> list[int]:
+    """replay_digest of a transcript per row of `readings`, without building the transcripts.
+
+    Row i's transcript holds its first lengths[i] readings, one a tick
+    from tick 0, with events[i] spliced in as a Transcript keeps them:
+    each event after the number of readings recorded before it.  Every
+    row's measurement records are packed in one array, and each row
+    hashes its slices of it and its event records in entry order, the
+    bytes replay_digest hashes.
+    """
+    size = _MEASUREMENT_RECORD.itemsize
+    records = np.empty(readings.shape, dtype=_MEASUREMENT_RECORD)
+    records["kind"] = b"M"
+    records["tick"] = np.arange(readings.shape[1])
+    records["value"] = readings
+    packed = memoryview(records.reshape(-1).view(np.uint8))
+    digests = []
+    for row, (length, row_events) in enumerate(zip(lengths, events)):
+        h = hashlib.blake2b(digest_size=8)
+        first = start = row * readings.shape[1] * size
+        for index, event in row_events:
+            h.update(packed[start : first + index * size])
+            h.update(_event_bytes(event))
+            start = first + index * size
+        h.update(packed[start : first + length * size])
+        digests.append(int.from_bytes(h.digest(), "little"))
+    return digests
 
 
 def replay_digest(transcript: Transcript) -> int:

@@ -52,10 +52,14 @@ class ComparisonOutcome:
     then kept, so every read returns the same object).  `last_tick` is
     the tick of the last public event, 0 when there is none; a caller
     that passes a builder passes it too, so the budget can be checked
-    without building anything.
+    without building anything.  A comparator that publishes a level series
+    may also pass `levels`, a zero-argument callable that gives it as an
+    array without the events.
     """
 
-    __slots__ = ("ordering", "alice_knows", "bob_knows", "notes", "last_tick", "_observables")
+    __slots__ = (
+        "ordering", "alice_knows", "bob_knows", "notes", "last_tick", "_observables", "_levels"
+    )
 
     def __init__(
         self,
@@ -65,12 +69,14 @@ class ComparisonOutcome:
         public_observables: Optional[Observables] = None,
         notes: tuple[str, ...] = (),
         last_tick: Optional[int] = None,
+        levels: Optional[Callable[[], np.ndarray]] = None,
     ) -> None:
         self.ordering = ordering
         self.alice_knows = alice_knows
         self.bob_knows = bob_knows
         self.notes = notes
         self._observables = [] if public_observables is None else public_observables
+        self._levels = levels
         if last_tick is None:
             last_tick = max((event.tick for event in self.public_observables), default=0)
         self.last_tick = last_tick
@@ -80,6 +86,14 @@ class ComparisonOutcome:
         if callable(self._observables):
             self._observables = self._observables()
         return self._observables
+
+    @property
+    def levels(self) -> np.ndarray:
+        """The values of the "level" events, in order, as a float64 array."""
+        if self._levels is not None:
+            return self._levels()
+        events = self.public_observables
+        return np.array([event.value for event in events if event.label == "level"], np.float64)
 
     def party_view(self) -> tuple:
         """Everything the parties themselves learn (excludes auditor data)."""
@@ -291,8 +305,16 @@ def compare_vessels(
         if ordering is Ordering.EQUAL
         else ()
     )
-    levels = partial(_level_events, a, b, observation_ticks, initial_level)
-    return ComparisonOutcome(ordering, alice, bob, levels, notes, observation_ticks)
+    series = (a, b, observation_ticks, initial_level)
+    return ComparisonOutcome(
+        ordering,
+        alice,
+        bob,
+        partial(_level_events, *series),
+        notes,
+        observation_ticks,
+        partial(vessel_levels, *series),
+    )
 
 
 def vessel_levels(

@@ -8,8 +8,9 @@ every run, whatever the protocol, yields the same kind of public record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+import functools
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -23,9 +24,11 @@ from .engine import (
     SENDER,
     STREAM_NOISE,
     TIMEOUT,
+    BuiltOnRead,
     Protocol,
     Scenario,
     Transcript,
+    replay_digest,
 )
 from .errors import VesselEmpty, VesselOverflow
 from .millionaires import (
@@ -47,14 +50,23 @@ class RunOutcome:
     `status` is OK or the name of the failure that ended the run
     (ProtocolTimeout, OutOfDomain, VesselEmpty, VesselOverflow), with
     `detail` saying why.  A failed run still carries its public record;
-    a vessel abort has no result and an empty transcript.
+    a vessel abort has no result and an empty transcript.  `transcript`
+    may be given as a zero-argument builder, which runs on the first
+    read; a decoy run's is built only then, and its `digest` comes from
+    its kernel pass (`batch_digest`) without it.
     """
 
     scenario: Scenario
     result: Optional[RunResult]
-    transcript: Transcript
+    transcript: Transcript = BuiltOnRead()
     status: str = OK
     detail: str = ""
+    batch_digest: Optional[Callable[[], int]] = field(default=None, repr=False, compare=False)
+
+    @property
+    def digest(self) -> int:
+        """replay_digest(self.transcript)."""
+        return replay_digest(self.transcript) if self.batch_digest is None else self.batch_digest()
 
 
 def _even_track_length(scenario: Scenario) -> int:
@@ -116,12 +128,13 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     valid = min(count, 2**64 - scenario.seed)
     seeds = range(scenario.seed, scenario.seed + valid)
     if scenario.protocol in DECOY_PROTOCOLS:
-        for seed, result in zip(seeds, adversary_mod.transmit_seeds(scenario, valid)):
+        for seed, (result, digest) in zip(seeds, adversary_mod.transmit_seeds(scenario, valid)):
             run = scenario.with_seed(seed)
-            if isinstance(result, adversary_mod.AttackOutcome):
-                yield RunOutcome(run, result, result.transcript)
-            else:
-                yield RunOutcome(run, result, result.transcript, result.status, result.detail)
+            transcript = functools.partial(getattr, result, "transcript")
+            status, detail = OK, ""
+            if isinstance(result, DecoyOutcome):
+                status, detail = result.status, result.detail
+            yield RunOutcome(run, result, transcript, status, detail, digest)
     else:
         for seed in seeds:
             yield _comparison_run(scenario.with_seed(seed))

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, load_scenario
+from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, engine, load_scenario
 from decoysim.decoy import CELL_BUDGET
 from decoysim.engine import OK, TIMEOUT
 from decoysim.runner import run_scenario, run_seeds
@@ -351,6 +352,36 @@ class TestSweep:
         assert runs and any(r["record"] == "aggregate" for r in records)
         # The case covers what its name says.
         assert {tuple(r["flags"]) for r in runs} == flag_sets
+
+    @pytest.mark.parametrize(
+        "sets", [[], ["adversary=jammer"], ["adversary=impersonator", "defense_enabled=false"]]
+    )
+    def test_records_sweep_builds_no_transcript(self, sets, capsys, monkeypatch):
+        # A sweep's digests come from its kernel passes, not from transcripts.
+        built = []
+        monkeypatch.setattr(engine.Transcript, "__init__", lambda self: built.append(self))
+        overrides = [arg for pair in sets for arg in ("--set", pair)]
+        code, out, _ = run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--vary",
+            "noise_sigma=0,0.05", "--runs", "50", *overrides, "--format", "records",
+        )
+        assert code == 0 and len(out.splitlines()) == 102
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "seed, sha256",
+        [
+            ("5", "53b1bff9c86540eb026b85a46bef2947876456d174383cf8c17b2fe9405baa20"),
+            ("977", "fe9f978fb09f5f292c89431a671ed1c210ca2c8a36cebbdbda15768a45d58f02"),
+        ],
+    )
+    def test_records_sweep_stdout_is_pinned(self, seed, sha256, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--vary",
+            "noise_sigma=0,0.05", "--runs", "50", "--format", "records", "--seed", seed,
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_noisy_case_mixes_detected_and_timed_out_runs_in_one_pass(self):
         scenario = load_scenario(str(CONFIGS / "noisy.cfg"), ["noise_sigma=0.12"])

@@ -217,9 +217,10 @@ def test_seeds_in_shared_passes_match_the_entry_points():
         with mock.patch.object(decoy, "CELL_BUDGET", 4 * scenario.max_ticks):
             outcomes = list(transmit_seeds(scenario, 11))
         assert len(outcomes) == 11
-        for index, outcome in enumerate(outcomes):
+        for index, (outcome, digest) in enumerate(outcomes):
             alone = dataclasses.replace(scenario, seed=scenario.seed + index)
             _assert_agree(outcome, _entry_point(alone))
+            assert digest() == replay_digest(outcome.transcript)
             if isinstance(outcome, DecoyOutcome):
                 seen.add(outcome.status)
             else:
@@ -283,7 +284,8 @@ def _assert_columns_hold(columns: "decoy._Ramps", ramp, budget: int) -> None:
     fields = (columns.target[0], columns.start[0], columns.stabilize[0])
     assert fields == (ramp.target, ramp.start_tick, ramp.stabilize_tick)
     if columns.schedules is not None:
-        assert _bits(columns.schedules[0]) == _bits(ramp.schedule)
+        duration = columns.stabilize[0] - columns.start[0]
+        assert _bits(columns.schedules[0, :duration]) == _bits(ramp.schedule)
     values = decoy._contributions(columns, [0], 0, budget)[0]
     assert _bits(values) == _bits(ramp.value_at(tick) for tick in range(budget))
 
@@ -555,3 +557,86 @@ def test_forging_impersonator_cost_is_linear_in_max_ticks():
         return attack_impersonate(scenario, forge_announcement=True)
 
     _assert_linear(run)
+
+
+def _settled_by_brute_force(values, width, epsilon, floor, read=None) -> list:
+    """_first_settled's answer from the exact detector run on every window of every row."""
+    found = []
+    for row in range(len(values)):
+        hit = None
+        for column in range(values.shape[1] - width + 1):
+            level = detect_stabilization(values[row, column : column + width].tolist(), epsilon, width)
+            if level is not None and level >= floor:
+                end = column + width - 1
+                hit = (end, level) if read is None else read(row, end, level)
+                if hit is not None:
+                    break
+        found.append(hit)
+    return found
+
+
+def _ulps(value: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+@st.composite
+def settle_searches(draw):
+    """Values, window width, tolerance and floor for _first_settled.
+
+    Each row sits on a level (the floor, one ulp either side of it, or
+    above it) plus offsets of 0, +-epsilon, +-2 epsilon or anything
+    between, and with or without Gaussian noise, at magnitudes up to
+    about 2^52.  The tolerance then becomes one window's tightest
+    tolerance, the floor its exact mean, or both, each nudged by an ulp.
+    """
+    width = draw(st.integers(1, 6))
+    # Often a single window per row, so that the nudged window decides.
+    columns = max(0, width + draw(st.one_of(st.just(0), st.integers(-2, 24))))
+    rows = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 1e-3, 2.0**40, 3.0e15]))
+    floor = scale * draw(st.sampled_from([0.5, 1.0, 2.5]))
+    epsilon = scale * draw(st.sampled_from([0.0, 0.25, 0.1, 2.0**-20]))
+    sigma = scale * draw(st.sampled_from([0.0, 0.05, 0.01]))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, columns))
+    levels = st.sampled_from([floor, _ulps(floor, -1), _ulps(floor, 1), floor + epsilon, 3 * floor])
+    offsets = st.sampled_from([0.0, epsilon, -epsilon, 2 * epsilon, -2 * epsilon])
+    if epsilon:
+        offsets |= st.floats(-3 * epsilon, 3 * epsilon)
+    values = np.array(
+        [
+            draw(levels) + np.array(draw(st.lists(offsets, min_size=columns, max_size=columns)))
+            for _ in range(rows)
+        ]
+    ).reshape(rows, columns) + sigma * noise
+    if columns >= width:
+        row = draw(st.integers(0, rows - 1))
+        column = draw(st.one_of(st.just(0), st.integers(0, columns - width)))
+        window = values[row, column : column + width].tolist()
+        mean = math.fsum(window) / width
+        retarget = draw(st.sampled_from(["epsilon", "floor", "both"]))
+        if retarget != "floor":
+            tightest = max(max(window) - mean, mean - min(window))
+            epsilon = max(0.0, _ulps(tightest, draw(st.sampled_from([0, -1, 1]))))
+        if retarget != "epsilon":
+            floor = _ulps(mean, draw(st.sampled_from([0, -1, 1])))
+    return values, width, epsilon, floor
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(settle_searches(), st.booleans())
+def test_first_settled_is_the_exact_scan_of_every_window(search, rejecting):
+    # The spread, floor and mean tests only drop windows the exact
+    # detector rejects: the first settled window is the brute-force one,
+    # also when a reader rejects some settled windows.
+    values, width, epsilon, floor = search
+    read = None
+    if rejecting:
+
+        def read(row, end, level):
+            return None if end % 2 else (row, end, level)
+
+    found = decoy._first_settled(values, width, epsilon, floor, read)
+    expected = _settled_by_brute_force(values, width, epsilon, floor, read)
+    assert repr(found) == repr(expected)
