@@ -52,9 +52,10 @@ class ComparisonOutcome:
     then kept, so every read returns the same object).  `last_tick` is
     the tick of the last public event, 0 when there is none; a caller
     that passes a builder passes it too, so the budget can be checked
-    without building anything.  A comparator that publishes a level series
-    may also pass `levels`, a zero-argument callable that gives it as an
-    array without the events.
+    without building anything.  A comparator that publishes one level a
+    tick from tick 0, and nothing else, passes `levels` instead: a
+    zero-argument callable that gives them as an array, from which the
+    "level" events are built on their first read.
     """
 
     __slots__ = (
@@ -75,7 +76,7 @@ class ComparisonOutcome:
         self.alice_knows = alice_knows
         self.bob_knows = bob_knows
         self.notes = notes
-        self._observables = [] if public_observables is None else public_observables
+        self._observables = public_observables
         self._levels = levels
         if last_tick is None:
             last_tick = max((event.tick for event in self.public_observables), default=0)
@@ -83,7 +84,10 @@ class ComparisonOutcome:
 
     @property
     def public_observables(self) -> list[PublicEvent]:
-        if callable(self._observables):
+        if self._observables is None:
+            levels = [] if self._levels is None else self._levels().tolist()
+            self._observables = [PublicEvent(tick, "level", level) for tick, level in enumerate(levels)]
+        elif callable(self._observables):
             self._observables = self._observables()
         return self._observables
 
@@ -305,16 +309,8 @@ def compare_vessels(
         if ordering is Ordering.EQUAL
         else ()
     )
-    series = (a, b, observation_ticks, initial_level)
-    return ComparisonOutcome(
-        ordering,
-        alice,
-        bob,
-        partial(_level_events, *series),
-        notes,
-        observation_ticks,
-        partial(vessel_levels, *series),
-    )
+    levels = partial(vessel_levels, a, b, observation_ticks, initial_level)
+    return ComparisonOutcome(ordering, alice, bob, None, notes, observation_ticks, levels)
 
 
 def vessel_levels(
@@ -325,11 +321,6 @@ def vessel_levels(
     initial_level + (b - a) * tick, the float operations of compare_vessels' own checks.
     """
     return initial_level + float(b - a) * np.arange(observation_ticks + 1, dtype=np.float64)
-
-
-def _level_events(a: int, b: int, observation_ticks: int, initial_level: float) -> list[PublicEvent]:
-    levels = vessel_levels(a, b, observation_ticks, initial_level).tolist()
-    return [PublicEvent(tick, "level", level) for tick, level in enumerate(levels)]
 
 
 # --- base-m reduction -------------------------------------------------------
