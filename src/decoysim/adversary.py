@@ -374,7 +374,7 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
 def transmit_seeds(
     scenario: Scenario, count: int
 ) -> Iterator[tuple[DecoyOutcome | AttackOutcome, Callable[[], int]]]:
-    """The outcome of one decoy run per seed scenario.seed + i, for i in range(count), and its digest.
+    """The outcome and digest of one decoy run per seed scenario.seed + i, for i in range(count).
 
     The one place that picks what an active adversary does: a jammer adds
     JAM_VALUE and an impersonator stays silent, as attack_jam and

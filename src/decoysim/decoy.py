@@ -553,7 +553,7 @@ def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
 
 
 def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
-    """Sum of every run of `width` consecutive values along the last axis, from power-of-two spans."""
+    """Sum of every run of `width` consecutive values along the last axis, by power-of-two spans."""
     count = values.shape[-1] - width + 1
     sums, spans, span, offset = None, values, 1, 0
     while True:
@@ -640,7 +640,8 @@ def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.
         climbing = (steps >= 0) & (ticks < stabilize)
         if climbing.any():  # a schedule reaches into the block
             # Each climbing cell's value, by its flat index into the schedule rows.
-            cells = np.where(climbing, steps, 0) + np.array(rows)[:, None] * ramps.schedules.shape[1]
+            row_starts = np.array(rows)[:, None] * ramps.schedules.shape[1]
+            cells = np.where(climbing, steps, 0) + row_starts
             out = np.where(climbing, ramps.schedules.take(cells), out)
     return out
 

@@ -86,7 +86,9 @@ class ComparisonOutcome:
     def public_observables(self) -> list[PublicEvent]:
         if self._observables is None:
             levels = [] if self._levels is None else self._levels().tolist()
-            self._observables = [PublicEvent(tick, "level", level) for tick, level in enumerate(levels)]
+            self._observables = [
+                PublicEvent(tick, "level", level) for tick, level in enumerate(levels)
+            ]
         elif callable(self._observables):
             self._observables = self._observables()
         return self._observables

@@ -354,6 +354,26 @@ def test_columnar_plans_are_the_tick_loops_set_up():
     assert checked == 2 * 3 * 2 * 2 * (3 + 3) * 4
 
 
+def test_padded_random_ramps_are_each_ramps_own_cumsum():
+    # The padded matrix gives each row the values one ramp computed on its
+    # own gives: its cumsum, divided by its own pairwise sum, scaled.
+    # Long ramps make numpy's pairwise sum differ from a sequential one.
+    for max_ramp in (1, 7, 66, 300):
+        seeds = range(40)
+        targets = np.array([1.0 + seed % 9 for seed in seeds]) * 2.0**-3
+        rngs = [RngStream(seed, STREAM_SENDER) for seed in seeds]
+        durations, schedules = decoy._random_ramps(rngs, targets, max_ramp)
+        for seed, target, duration, row in zip(seeds, targets, durations, schedules):
+            rng = RngStream(seed, STREAM_SENDER)
+            assert duration == rng.integers(0, max_ramp)
+            expected = []
+            if duration:
+                weights = rng.uniform(size=duration)
+                partial = weights.cumsum() / float(weights.sum())
+                expected = np.concatenate(([0.0], target * partial[:-1]))
+            assert _bits(row[:duration]) == _bits(expected)
+
+
 def test_noise_settling_before_the_sender_starts():
     # A defended sender waits for the announcement; large noise with a
     # wide tolerance settles first, so her ramp never starts.
