@@ -124,14 +124,15 @@ def analytic_sum_mi(
         for k in range(k1, k2 + 1):
             joint[(s, s + k)] += 1
     n = (s2 - s1 + 1) * (k2 - k1 + 1)
-
-    def entropy(counts: Iterable[int]) -> float:
-        return -sum((c / n) * math.log2(c / n) for c in counts)
-
-    h_s = entropy(Counter(s for s, _ in joint.elements()).values())
-    h_t = entropy(Counter(t for _, t in joint.elements()).values())
-    h_st = entropy(joint.values())
+    h_s = _entropy_bits(Counter(s for s, _ in joint.elements()).values(), n)
+    h_t = _entropy_bits(Counter(t for _, t in joint.elements()).values(), n)
+    h_st = _entropy_bits(joint.values(), n)
     return h_s + h_t - h_st
+
+
+def _entropy_bits(counts: Iterable[int], n: int) -> float:
+    """Plug-in entropy in bits of n samples whose symbols occur `counts` times, summed in order."""
+    return -sum((c / n) * math.log2(c / n) for c in counts)
 
 
 # --- plug-in estimators -----------------------------------------------------
@@ -163,8 +164,7 @@ def estimate_mutual_information(
     ln2 = math.log(2.0)
 
     def entropy_mm(counter: Counter) -> float:
-        h = -sum((c / n) * math.log2(c / n) for c in counter.values())
-        return h + (len(counter) - 1) / (2.0 * n * ln2)
+        return _entropy_bits(counter.values(), n) + (len(counter) - 1) / (2.0 * n * ln2)
 
     return entropy_mm(counts_s) + entropy_mm(counts_t) - entropy_mm(counts_st)
 

@@ -1,8 +1,9 @@
 """Command-line front end: single runs, sweeps, adversary analyses, replay checks.
 
-Exit codes: 0 protocol success, 1 config/usage error (or stdout closed
-before the report was written), 2 protocol-level failure (timeout,
-rejected recovery, successful disruption or secret compromise).
+Exit codes: 0 protocol success, 1 config/usage error or a file that cannot
+be read or written (or stdout closed before the report was written), 2
+protocol-level failure (timeout, rejected recovery, successful disruption
+or secret compromise).
 Machine-readable mode (--format records) emits one JSON record per line;
 every report carries the tool version and the fully resolved scenario so
 a run can be replayed from its report alone.
@@ -82,12 +83,30 @@ def _meta_record(scenario: Scenario) -> dict:
     }
 
 
-def _outcome_summary(outcome: RunOutcome) -> dict:
+def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
+    """A run's outcome summary, leakage findings, report flags and exit code.
+
+    A failed run, a decoy run that recovered the wrong secret and an
+    attack that disrupted the run, learned the secret or timed out each
+    exit EXIT_PROTOCOL; a comparison's leak flags leave the exit code 0.
+    """
     if outcome.status != OK:
-        return {"kind": "error", "error": outcome.status}
+        return {"kind": "error", "error": outcome.status}, [], [outcome.status], EXIT_PROTOCOL
     result = outcome.result
+    if isinstance(result, ComparisonOutcome):
+        summary = {
+            "kind": "comparison",
+            "ordering": result.ordering.value,
+            "alice_knows": result.alice_knows,
+            "bob_knows": result.bob_knows,
+            "notes": list(result.notes),
+        }
+        scenario = outcome.scenario
+        findings = adversary_mod.audit_comparison(result, scenario.protocol, dt=scenario.dt)
+        leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
+        return summary, findings, leaks, EXIT_OK
     if isinstance(result, DecoyOutcome):
-        return {
+        summary = {
             "kind": "decoy",
             "recovered": result.recovered,
             "sender_secret": result.sender_secret,
@@ -95,67 +114,41 @@ def _outcome_summary(outcome: RunOutcome) -> dict:
             "detected_tick": result.detected_tick,
             "announce_tick": result.announce_tick,
         }
-    if isinstance(result, ComparisonOutcome):
-        return {
-            "kind": "comparison",
-            "ordering": result.ordering.value,
-            "alice_knows": result.alice_knows,
-            "bob_knows": result.bob_knows,
-            "notes": list(result.notes),
-        }
-    return {
-        "kind": "attack",
-        "attack": result.kind,
-        "disrupted": result.disrupted,
-        "adversary_learned": result.adversary_learned,
-        "adversary_recovered": result.adversary_recovered,
-        "receiver_recovered": result.receiver_recovered,
-        "receiver_error": result.receiver_error,
-        "timeout": result.timeout,
-    }
-
-
-def _assess(outcome: RunOutcome) -> tuple[list, list[str], int]:
-    """A run's leakage findings, report flags and exit code.
-
-    A failed run, a decoy run that recovered the wrong secret and an
-    attack that disrupted the run, learned the secret or timed out each
-    exit EXIT_PROTOCOL; a comparison's leak flags leave the exit code 0.
-    """
-    if outcome.status != OK:
-        return [], [outcome.status], EXIT_PROTOCOL
-    result = outcome.result
-    if isinstance(result, ComparisonOutcome):
-        scenario = outcome.scenario
-        findings = adversary_mod.audit_comparison(result, scenario.protocol, dt=scenario.dt)
-        leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
-        return findings, leaks, EXIT_OK
-    if isinstance(result, DecoyOutcome):
         flags = [] if result.success else ["recovery-mismatch"]
     else:
+        summary = {
+            "kind": "attack",
+            "attack": result.kind,
+            "disrupted": result.disrupted,
+            "adversary_learned": result.adversary_learned,
+            "adversary_recovered": result.adversary_recovered,
+            "receiver_recovered": result.receiver_recovered,
+            "receiver_error": result.receiver_error,
+            "timeout": result.timeout,
+        }
         checks = {
             "disrupted": result.disrupted,
             "adversary-learned-secret": result.adversary_learned,
             "timeout": result.timeout,
         }
         flags = [flag for flag, raised in checks.items() if raised]
-    return [], flags, EXIT_PROTOCOL if flags else EXIT_OK
+    return summary, [], flags, EXIT_PROTOCOL if flags else EXIT_OK
 
 
-def _run_record(run_id: int, outcome: RunOutcome, digest: int, flags) -> dict:
+def _run_record(run_id: int, outcome: RunOutcome, summary: dict, digest: int, flags) -> dict:
     return {
         "record": "run",
         "run_id": run_id,
         "protocol": outcome.scenario.protocol.value,
         "seed": outcome.scenario.seed,
-        "outcome": _outcome_summary(outcome),
+        "outcome": summary,
         "digest": f"{digest:016x}",
         "flags": list(flags),
     }
 
 
 def _print_text_report(
-    stream: TextIO, outcome: RunOutcome, digest: int, findings, flags, wall_ms: float
+    stream: TextIO, outcome: RunOutcome, summary: dict, digest: int, findings, flags, wall_ms
 ) -> None:
     scenario = outcome.scenario
     _emit(stream, f"decoysim {__version__}")
@@ -163,7 +156,7 @@ def _print_text_report(
     if outcome.status != OK:
         _emit(stream, f"protocol failure: {outcome.status}: {outcome.detail}")
         return
-    _emit(stream, "outcome: " + json.dumps(_outcome_summary(outcome)))
+    _emit(stream, "outcome: " + json.dumps(summary))
     _emit(stream, f"digest: {digest:016x}")
     if findings:
         _emit(stream, "findings:")
@@ -181,13 +174,13 @@ def cmd_run(args, stream: TextIO) -> int:
     wall_ms = (time.perf_counter() - started) * 1e3
     if outcome.status != OK:
         log.warning("protocol failed: %s", outcome.detail)
-    digest = replay_digest(outcome.transcript)
-    findings, flags, code = _assess(outcome)
+    digest = outcome.digest
+    summary, findings, flags, code = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
-        _emit(stream, json.dumps(_run_record(0, outcome, digest, flags)))
+        _emit(stream, json.dumps(_run_record(0, outcome, summary, digest, flags)))
     else:
-        _print_text_report(stream, outcome, digest, findings, flags, wall_ms)
+        _print_text_report(stream, outcome, summary, digest, findings, flags, wall_ms)
     return code
 
 
@@ -219,18 +212,17 @@ def cmd_sweep(args, stream: TextIO) -> int:
         # Records go out as the runs come, one kernel pass of them at a time.
         for index, outcome in enumerate(run_seeds(scenario, args.runs)):
             digest = outcome.digest
-            result = outcome.result
-            _, flags, code = _assess(outcome)
+            summary, _, flags, code = _assess(outcome)
             # A run succeeds when `run` would exit 0 on it.
             successes += code == EXIT_OK
             if outcome.status != OK:
                 failures += 1
             else:
                 digests.append(f"{digest:016x}")
-                if isinstance(result, DecoyOutcome):
-                    abs_errors.append(abs(result.recovered - result.sender_secret))
+                if summary["kind"] == "decoy":
+                    abs_errors.append(abs(summary["recovered"] - summary["sender_secret"]))
             if args.format == "records":
-                _emit(stream, json.dumps(_run_record(index, outcome, digest, flags)))
+                _emit(stream, json.dumps(_run_record(index, outcome, summary, digest, flags)))
         sorted_errors = sorted(abs_errors)
 
         def percentile(q: float) -> Optional[float]:
@@ -345,7 +337,7 @@ def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
     if outcome.status != OK:
         print(f"decoysim: protocol error: {outcome.detail}", file=sys.stderr)
         return EXIT_PROTOCOL
-    findings, _, _ = _assess(outcome)
+    _, findings, _, _ = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
         _emit(
@@ -497,7 +489,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # at devnull so the flush at interpreter exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
-    except (ConfigError, InvalidScenario, InsufficientSamples, FileNotFoundError) as exc:
+    except (ConfigError, InvalidScenario, InsufficientSamples, OSError) as exc:
         print(f"decoysim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DecoySimError as exc:

@@ -146,7 +146,11 @@ def scenario_from_fields(raw_fields: dict) -> Scenario:
 def load_scenario(path, overrides: list[str] | None = None) -> Scenario:
     """Read a config file, apply overrides, validate, return the Scenario."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_fields = parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    raw_fields = parse_config_text(text)
     if overrides:
         raw_fields = apply_overrides(raw_fields, overrides)
     return scenario_from_fields(raw_fields)

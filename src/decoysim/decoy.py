@@ -321,17 +321,14 @@ class _Ramps(NamedTuple):
 
     Run i's contribution is 0 before start[i] and target[i] from
     stabilize[i] on.  In between it is the first stabilize[i] - start[i]
-    values of schedules[i] (random ramps), or target * (tick - start) /
-    (stabilize - start) with `rate` (the deterministic-rate ramps, the
-    same float operations generate_ramp does).  A party that never moves
-    starts at the tick budget.
+    values of schedules[i], which only ramps that climb have.  A party
+    that never moves starts at the tick budget.
     """
 
     target: np.ndarray
     start: np.ndarray
     stabilize: np.ndarray
     schedules: Optional[np.ndarray] = None
-    rate: bool = False
 
 
 class _Plans(NamedTuple):
@@ -406,7 +403,10 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
         if model is RampModel.DETERMINISTIC_RATE:
             ticks_per_unit = max(1, max_ramp // scenario.n2)
             durations = np.maximum(1, np.rint(ticks_per_unit * targets)).astype(np.int64)
-            sender = _Ramps(targets, start, start + durations, rate=True)
+            # generate_ramp's float operations, target * step / duration, on padded rows.
+            steps = np.arange(durations.max(), dtype=np.float64)
+            schedules = targets[:, None] * steps / durations[:, None]
+            sender = _Ramps(targets, start, start + durations, schedules)
         else:
             senders = [
                 RngStream(seed, STREAM_SENDER, row) if moves else None
@@ -630,11 +630,6 @@ def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.
     ticks = np.arange(first, first + size)
     target, stabilize = ramps.target[rows, None], ramps.stabilize[rows, None]
     out = np.where(ticks >= stabilize, target, 0.0)
-    if ramps.rate:
-        start = ramps.start[rows, None]
-        climbing = (ticks >= start) & (ticks < stabilize)
-        steps = (ticks - start).astype(np.float64)
-        out = np.where(climbing, target * steps / np.maximum(stabilize - start, 1), out)
     if ramps.schedules is not None:
         steps = ticks - ramps.start[rows, None]
         climbing = (steps >= 0) & (ticks < stabilize)

@@ -442,6 +442,25 @@ def _event_bytes(event: Union[Announcement, Mark]) -> bytes:
     return kind + struct.pack("<qI", event.tick, len(payload)) + payload
 
 
+def _spliced_digest(
+    packed: memoryview, events: Sequence[tuple[int, Union[Announcement, Mark]]]
+) -> int:
+    """blake2b-64 of the measurement records in `packed` with each event's record spliced in.
+
+    Each event goes after the number of measurements recorded before it,
+    as a Transcript keeps them, so the bytes are the entries' in order.
+    """
+    size = _MEASUREMENT_RECORD.itemsize
+    h = hashlib.blake2b(digest_size=8)
+    start = 0
+    for index, event in events:
+        h.update(packed[start : index * size])
+        h.update(_event_bytes(event))
+        start = index * size
+    h.update(packed[start:])
+    return int.from_bytes(h.digest(), "little")
+
+
 def row_digests(
     readings: np.ndarray,
     lengths: Sequence[int],
@@ -450,11 +469,9 @@ def row_digests(
     """replay_digest of a transcript per row of `readings`, without building the transcripts.
 
     Row i's transcript holds its first lengths[i] readings, one a tick
-    from tick 0, with events[i] spliced in as a Transcript keeps them:
-    each event after the number of readings recorded before it.  Every
-    row's measurement records are packed in one array, and each row
-    hashes its slices of it and its event records in entry order, the
-    bytes replay_digest hashes.
+    from tick 0, with events[i] spliced in as a Transcript keeps them.
+    Every row's measurement records are packed in one array, and each row
+    hashes its slice of it with its event records.
     """
     size = _MEASUREMENT_RECORD.itemsize
     records = np.empty(readings.shape, dtype=_MEASUREMENT_RECORD)
@@ -464,14 +481,8 @@ def row_digests(
     packed = memoryview(records.reshape(-1).view(np.uint8))
     digests = []
     for row, (length, row_events) in enumerate(zip(lengths, events)):
-        h = hashlib.blake2b(digest_size=8)
-        first = start = row * readings.shape[1] * size
-        for index, event in row_events:
-            h.update(packed[start : first + index * size])
-            h.update(_event_bytes(event))
-            start = first + index * size
-        h.update(packed[start : first + length * size])
-        digests.append(int.from_bytes(h.digest(), "little"))
+        first = row * readings.shape[1] * size
+        digests.append(_spliced_digest(packed[first : first + length * size], row_events))
     return digests
 
 
@@ -485,20 +496,11 @@ def replay_digest(transcript: Transcript) -> int:
     records are packed in one array and the event records spliced in
     between them, which hashes the same bytes as one entry at a time.
     """
-    h = hashlib.blake2b(digest_size=8)
     records = np.empty(len(transcript._values), dtype=_MEASUREMENT_RECORD)
     records["kind"] = b"M"
     records["tick"] = transcript._ticks
     records["value"] = transcript._values
-    packed = memoryview(records.tobytes())
-    size = _MEASUREMENT_RECORD.itemsize
-    start = 0
-    for index, event in transcript._events:
-        h.update(packed[start * size : index * size])
-        h.update(_event_bytes(event))
-        start = index
-    h.update(packed[start * size :])
-    return int.from_bytes(h.digest(), "little")
+    return _spliced_digest(memoryview(records.tobytes()), transcript._events)
 
 
 # --- scenario --------------------------------------------------------------

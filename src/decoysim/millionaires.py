@@ -120,6 +120,15 @@ class ComparisonOutcome:
         )
 
 
+def _ordering(x, y) -> Ordering:
+    """A_LESS if x < y, A_GREATER if x > y, else EQUAL."""
+    if x < y:
+        return Ordering.A_LESS
+    if x > y:
+        return Ordering.A_GREATER
+    return Ordering.EQUAL
+
+
 def _knowledge(ordering: Ordering) -> tuple[str, str]:
     if ordering is Ordering.A_LESS:
         return "my number is smaller", "my number is larger"
@@ -185,12 +194,7 @@ def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
     time_a = half / a
     time_b = half / b
     mark_tick = math.ceil(min(time_a, time_b) / dt)
-    if time_a < time_b:
-        ordering = Ordering.A_GREATER
-    elif time_a > time_b:
-        ordering = Ordering.A_LESS
-    else:
-        ordering = Ordering.EQUAL
+    ordering = _ordering(time_b, time_a)  # the larger speed arrives first
     alice, bob = _knowledge(ordering)
     notes = ("both parties arrived together",) if ordering is Ordering.EQUAL else ()
     marks = 2 if ordering is Ordering.EQUAL else 1  # both runners leave one
@@ -216,12 +220,7 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
         raise DomainError(f"periods must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:
         raise DomainError(f"string length must be even and >= 2, got {n}")
-    if a < b:
-        ordering = Ordering.A_LESS
-    elif a > b:
-        ordering = Ordering.A_GREATER
-    else:
-        ordering = Ordering.EQUAL
+    ordering = _ordering(a, b)
     alice, bob = _knowledge(ordering)
     notes = (
         ("both programs stopped on the same tick; their X symbols meet at the center",)
@@ -299,12 +298,7 @@ def compare_vessels(
             raise VesselEmpty(f"vessels ran dry at tick {tick}")
         raise VesselOverflow(f"vessels overflowed at tick {tick}")
     final_level = initial_level + drift * observation_ticks
-    if final_level < initial_level:
-        ordering = Ordering.A_GREATER
-    elif final_level > initial_level:
-        ordering = Ordering.A_LESS
-    else:
-        ordering = Ordering.EQUAL
+    ordering = _ordering(initial_level, final_level)  # a rising level means a < b
     alice, bob = _knowledge(ordering)
     notes = (
         ("flat level: the physical story does not cover equal rates",)

@@ -37,7 +37,6 @@ from .millionaires import (
     compare_race,
     compare_race_bitstring,
     compare_vessels,
-    vessel_levels,
 )
 
 RunResult = Union[DecoyOutcome, ComparisonOutcome, adversary_mod.AttackOutcome]
@@ -76,9 +75,9 @@ def _even_track_length(scenario: Scenario) -> int:
     return max(2, length)
 
 
-def _vessels_transcript(scenario: Scenario, a: int, b: int) -> Transcript:
+def _vessels_transcript(scenario: Scenario, outcome: ComparisonOutcome) -> Transcript:
     """Measure the published level series, one level per tick from tick 0, in one block."""
-    levels = vessel_levels(a, b, scenario.hold_ticks)
+    levels = outcome.levels
     noise = block_noise(scenario.noise_sigma, scenario.stream(STREAM_NOISE), len(levels))
     transcript = Transcript()
     transcript.record_readings(0, measure_block([levels, np.zeros(len(levels))], noise))
@@ -101,7 +100,7 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
             outcome = compare_vessels(a, b, observation_ticks=scenario.hold_ticks)
         except (VesselEmpty, VesselOverflow) as exc:
             return RunOutcome(scenario, None, Transcript(), type(exc).__name__, str(exc))
-        return RunOutcome(scenario, outcome, _vessels_transcript(scenario, a, b))
+        return RunOutcome(scenario, outcome, _vessels_transcript(scenario, outcome))
     else:  # pragma: no cover - dispatch is exhaustive
         raise ValueError(f"not a comparison protocol: {protocol}")
 

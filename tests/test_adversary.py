@@ -98,6 +98,17 @@ class TestAnalyticOracles:
         h_t = -sum(p * math.log2(p) for p in p_t.values())
         assert abs(analytic_sum_mi((1, 8)) - (h_t - 3.0)) < 1e-12
 
+    def test_entropy_sums_are_pinned_bit_for_bit(self):
+        # repr round-trips a float, so a change to a sum's order or expression shows.
+        rng = random.Random(2024)
+        pairs = []
+        for _ in range(3000):
+            secret = rng.randint(1, 6)
+            pairs.append((secret, secret + rng.randint(1, 6)))
+        assert repr(analytic_sum_mi((1, 8))) == "0.7023191426459228"
+        assert repr(analytic_sum_mi((1, 100))) == "0.7211650140991868"
+        assert repr(estimate_mutual_information(pairs)) == "0.710884769041269"
+
     def test_split_posterior_uniform_over_consistent_set(self):
         posterior = analytic_split_posterior(8, (1, 8), max_key=8)
         assert set(posterior) == set(range(1, 8))

@@ -184,6 +184,24 @@ class TestRun:
         assert code == 1
         assert report.read_text() == "previous report\n"
 
+    @pytest.mark.parametrize(
+        "case", ["config is a directory", "config is not UTF-8", "out is a directory"]
+    )
+    def test_unreadable_file_exits_one_without_a_traceback(self, case, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"protocol = vessels\n# \xff\xfe\n")
+        named, argv = {
+            "config is a directory": (tmp_path, ["--config", str(tmp_path)]),
+            "config is not UTF-8": (binary, ["--config", str(binary)]),
+            "out is a directory": (
+                tmp_path, ["--config", str(CONFIGS / "decoy.cfg"), "--out", str(tmp_path)]
+            ),
+        }[case]
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("decoysim: error: ") and err.count("\n") == 1
+        assert str(named) in err
+
     def test_same_seed_twice_same_digest(self, tmp_config, capsys):
         path = tmp_config(DECOY_CFG)
         digests = []
@@ -257,6 +275,27 @@ class TestRun:
         path = tmp_config(VESSELS_CFG)
         code, _, _ = run_cli(capsys, "run", "--config", path)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "config, sets",
+        [(path.name, []) for path in sorted(CONFIGS.glob("*.cfg"))]
+        + [("decoy.cfg", ["adversary=jammer"]), ("decoy.cfg", ["adversary=impersonator"])],
+    )
+    def test_records_run_digest_is_the_transcripts_without_building_it(
+        self, config, sets, capsys, monkeypatch
+    ):
+        # `run` reads its digest where a sweep does; on a decoy config that builds no transcript.
+        scenario = load_scenario(str(CONFIGS / config), sets)
+        expected = f"{engine.replay_digest(run_scenario(scenario).transcript):016x}"
+        built = []
+        if scenario.protocol in engine.DECOY_PROTOCOLS:
+            monkeypatch.setattr(engine.Transcript, "__init__", lambda self: built.append(self))
+        overrides = [arg for pair in sets for arg in ("--set", pair)]
+        _, out, _ = run_cli(
+            capsys, "run", "--config", str(CONFIGS / config), *overrides, "--format", "records"
+        )
+        assert json.loads(out.splitlines()[1])["digest"] == expected
+        assert built == []
 
 
 class TestSweep:
