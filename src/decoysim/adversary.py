@@ -18,7 +18,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .decoy import (
     DecoyOutcome,
     Forgery,
     Run,
+    RunBatch,
     check_transmission,
     detect_stabilization,
     generate_ramp,
@@ -308,17 +309,16 @@ class TranscriptSamples:
     """The (secret, Transcript) pairs of simulated runs, each run computed when it is read.
 
     Iterating runs the samples through the kernel a batch at a time
-    (decoy.simulate_runs); each transcript is the one run_scenario gives
+    (adversary_runs); each transcript is the one run_scenario gives
     for that sample's scenario.  `features` computes every sample's
     features in one array pass per batch and builds no transcript.
     Nothing is kept but the samples' seeds and secrets, so memory does
     not grow with their transcripts.
     """
 
-    def __init__(self, scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float]):
+    def __init__(self, scenario: Scenario, runs: Sequence[Run]):
         self.scenario = scenario
         self.runs = runs
-        self.jam_value = jam_value
         self.secrets = [int(run.party_secrets[SENDER]) for run in runs]
 
     def __len__(self) -> int:
@@ -326,7 +326,7 @@ class TranscriptSamples:
 
     def __iter__(self) -> Iterator[tuple[int, Transcript]]:
         secrets = iter(self.secrets)
-        for batch in simulate_runs(self.scenario, self.runs, self.jam_value):
+        for batch in adversary_runs(self.scenario, self.runs):
             for row in range(len(batch)):
                 yield next(secrets), batch.transcript(row)
             del batch  # free each pass before the next one runs
@@ -334,7 +334,7 @@ class TranscriptSamples:
     def features(self, features: TranscriptFeatures) -> list[tuple]:
         """features(transcript) of every sample, in order."""
         found: list[tuple] = []
-        for batch in simulate_runs(self.scenario, self.runs, self.jam_value):
+        for batch in adversary_runs(self.scenario, self.runs):
             found += features.of_rows(batch.readings, batch.lengths)
             del batch  # free each pass before the next one runs
         return found
@@ -360,46 +360,14 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
         secret, key = draws[2 * index], draws[2 * index + 1]
         secrets = {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key}
         runs.append(Run(scenario.seed + 1 + index, secrets))
-    jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     if runs:
         seed, secrets, _ = runs[0]
         first = dataclasses.replace(scenario, seed=seed, party_secrets=secrets)
-        check_transmission(first, jam_value)
+        check_transmission(first)
         # The seeds rise by one from a valid first one: past 2^64 - 1, the first bad one is 2^64.
         if runs[-1].seed >= 2**64:
             dataclasses.replace(first, seed=2**64).validate()
-    return TranscriptSamples(scenario, runs, jam_value)
-
-
-def transmit_seeds(
-    scenario: Scenario, count: int
-) -> Iterator[tuple[DecoyOutcome | AttackOutcome, Callable[[], int]]]:
-    """The outcome and digest of one decoy run per seed scenario.seed + i, for i in range(count).
-
-    The one place that picks what an active adversary does: a jammer adds
-    JAM_VALUE and an impersonator stays silent, as attack_jam and
-    attack_impersonate do by default.  Every run yields its outcome and
-    public transcript, whether it completed or failed, with a
-    zero-argument call that gives the transcript's replay digest from the
-    kernel pass, without building the transcript.  The runs go through
-    the kernel a pass at a time (decoy.simulate_runs); each outcome is
-    built when it is read and its transcript when that is read.  Nothing
-    is checked here: `scenario` must pass check_transmission, and so must
-    each of its seeds.
-    """
-    kind = scenario.adversary
-    jam_value = JAM_VALUE if kind is AdversaryKind.JAMMER else None
-    secrets = scenario.party_secrets
-    runs = (Run(seed, secrets) for seed in range(scenario.seed, scenario.seed + count))
-    for batch in simulate_runs(scenario, runs, jam_value):
-        for row in range(len(batch)):
-            outcome, digest = batch.outcome(row), functools.partial(batch.digest, row)
-            if kind is AdversaryKind.JAMMER:
-                yield _jam_result(outcome, jam_value), digest
-            elif kind is AdversaryKind.IMPERSONATOR:
-                yield _impersonation_result(outcome, None), digest
-            else:
-                yield outcome, digest
+    return TranscriptSamples(scenario, runs)
 
 
 # --- active attacks ---------------------------------------------------------
@@ -429,6 +397,15 @@ JAM_VALUE = -2.0
 
 # How the receiver's failed run reads in an attack report.
 _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
+
+
+def adversary_runs(scenario: Scenario, runs: Iterable[Run]) -> Iterator[RunBatch]:
+    """decoy.simulate_runs with the adversary's default action: the one place that picks it.
+
+    A jammer adds JAM_VALUE; an impersonator forges only what a run's `forgery` holds.
+    """
+    jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
+    return simulate_runs(scenario, runs, jam_value)
 
 
 class _JammerActor:
@@ -507,26 +484,8 @@ def attack_jam(scenario: Scenario, jam_value: float = JAM_VALUE) -> AttackOutcom
     """
     if scenario.adversary is not AdversaryKind.JAMMER:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
-    return _jam_result(simulate_transmission(scenario, jam_value=float(jam_value)), jam_value)
-
-
-def _jam_result(outcome: DecoyOutcome, jam_value: float) -> AttackOutcome:
-    """What a jammer adding `jam_value` did to the run that gave `outcome`."""
-    receiver_recovered = outcome.recovered
-    receiver_error = _RECEIVER_ERRORS.get(outcome.status)
-    disrupted = outcome.jammed and jam_value != 0.0 and (
-        receiver_error is not None or receiver_recovered != outcome.sender_secret
-    )
-    return AttackOutcome(
-        kind="jam",
-        transcript=functools.partial(getattr, outcome, "transcript"),
-        disrupted=disrupted,
-        adversary_learned=False,
-        adversary_recovered=None,
-        receiver_recovered=receiver_recovered,
-        receiver_error=receiver_error,
-        timeout=outcome.status == TIMEOUT,
-    )
+    outcome = simulate_transmission(scenario, jam_value=float(jam_value))
+    return attack_result(outcome, scenario.adversary, jam_value)
 
 
 def attack_impersonate(
@@ -556,23 +515,32 @@ def attack_impersonate(
                 rng, float(adversary_key), tick, scenario.max_ramp_ticks, RampModel.RANDOM_RAMP
             )
         forgery = Forgery(tick, ramp)
-    return _impersonation_result(simulate_transmission(scenario, forgery=forgery), forgery)
+    return attack_result(simulate_transmission(scenario, forgery=forgery), scenario.adversary)
 
 
-def _impersonation_result(outcome: DecoyOutcome, forgery: Optional[Forgery]) -> AttackOutcome:
-    """What an impersonator forging `forgery` (None: silent) read in the run giving `outcome`."""
-    # No real receiver ever detects stabilization, so the run always
-    # exhausts its tick budget; the question is what the impersonator read.
+def attack_result(
+    outcome: DecoyOutcome, kind: AdversaryKind, jam_value: float = JAM_VALUE
+) -> AttackOutcome:
+    """What an active adversary of `kind` did in the run that gave `outcome`.
+
+    A jammer disrupted the run if its force, `jam_value`, reached the
+    medium and the receiver failed or recovered a wrong value.  An
+    impersonator leaves no receiver to detect stabilization, so its runs
+    are disrupted and time out; what it read is the question.
+    """
+    receiver_error = _RECEIVER_ERRORS.get(outcome.status)
+    failed = receiver_error is not None or outcome.recovered != outcome.sender_secret
+    jam = kind is AdversaryKind.JAMMER
     return AttackOutcome(
-        kind="impersonate",
+        kind="jam" if jam else "impersonate",
         transcript=functools.partial(getattr, outcome, "transcript"),
-        disrupted=True,
+        disrupted=failed and (not jam or (outcome.jammed and jam_value != 0.0)),
         adversary_learned=outcome.adversary_recovered == outcome.sender_secret,
         adversary_recovered=outcome.adversary_recovered,
-        receiver_recovered=None,
-        receiver_error="protocol_timeout",
-        timeout=True,
-        forged_announce_tick=forgery.tick if forgery else None,
+        receiver_recovered=outcome.recovered,
+        receiver_error=receiver_error,
+        timeout=outcome.status == TIMEOUT,
+        forged_announce_tick=None if jam else outcome.announce_tick,
     )
 
 

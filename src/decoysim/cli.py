@@ -201,10 +201,9 @@ def cmd_sweep(args, stream: TextIO) -> int:
         raise ConfigError(f"--runs must be >= 1, got {args.runs}")
     base = _load(args)
     variants = _parse_vary(args.vary)
-    for vary_key, vary_value in variants:
-        scenario = base
-        if vary_key is not None:
-            scenario = _load(args, f"{vary_key}={vary_value}")
+    # Every variant is loaded before the first run, so a bad one fails before any output.
+    scenarios = [base if key is None else _load(args, f"{key}={value}") for key, value in variants]
+    for (vary_key, vary_value), scenario in zip(variants, scenarios):
         successes = 0
         failures = 0
         abs_errors: list[float] = []

@@ -608,6 +608,8 @@ class Scenario:
         if not (0 <= self.seed <= _U64):
             raise InvalidScenario(f"seed must lie in [0, 2^64), got {self.seed}")
         for party, secret in self.party_secrets.items():
+            if party not in (SENDER, RECEIVER):
+                raise InvalidScenario(f"party_secrets.{party}: unknown party (alice or bob)")
             if not (n1 <= int(secret) <= n2):
                 raise InvalidScenario(
                     f"party_secrets.{party}: {secret} outside secret_domain [{n1}, {n2}]"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from .channel import block_noise, measure_block
-from .decoy import DecoyOutcome
+from .decoy import DecoyOutcome, Run
 from .engine import (
     DECOY_PROTOCOLS,
     OK,
@@ -24,6 +24,7 @@ from .engine import (
     SENDER,
     STREAM_NOISE,
     TIMEOUT,
+    AdversaryKind,
     BuiltOnRead,
     Protocol,
     Scenario,
@@ -117,7 +118,7 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
 
     Decoy runs go through the kernel a pass at a time
-    (adversary.transmit_seeds), so only one pass's readings are held at
+    (adversary.adversary_runs), so only one pass's readings are held at
     once; comparison runs go one at a time.  The scenario is validated
     once.  The seeds rise by one, so the first invalid one is 2^64: every
     run before it is yielded, and then it raises the InvalidScenario that
@@ -127,13 +128,19 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     valid = min(count, 2**64 - scenario.seed)
     seeds = range(scenario.seed, scenario.seed + valid)
     if scenario.protocol in DECOY_PROTOCOLS:
-        for seed, (result, digest) in zip(seeds, adversary_mod.transmit_seeds(scenario, valid)):
-            run = scenario.with_seed(seed)
-            transcript = functools.partial(getattr, result, "transcript")
-            status, detail = OK, ""
-            if isinstance(result, DecoyOutcome):
-                status, detail = result.status, result.detail
-            yield RunOutcome(run, result, transcript, status, detail, digest)
+        kind = scenario.adversary
+        attacked = kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
+        runs = (Run(seed, scenario.party_secrets) for seed in seeds)
+        scenarios = map(scenario.with_seed, seeds)
+        for batch in adversary_mod.adversary_runs(scenario, runs):
+            for row in range(len(batch)):
+                result = outcome = batch.outcome(row)
+                status, detail = outcome.status, outcome.detail
+                if attacked:  # an attack run is OK whatever it did: its result says
+                    result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
+                transcript = functools.partial(getattr, outcome, "transcript")
+                digest = functools.partial(batch.digest, row)
+                yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
     else:
         for seed in seeds:
             yield _comparison_run(scenario.with_seed(seed))

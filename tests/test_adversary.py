@@ -30,7 +30,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.decoy import simulate_runs
+from decoysim.decoy import simulate_runs, simulate_transmission
 from conftest import decoy_scenario, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
@@ -324,6 +324,14 @@ class TestAttackJam:
         outcome = attack_jam(self._jam_scenario(), jam_value=0.0)
         assert outcome.receiver_recovered == 3
         assert not outcome.disrupted
+
+    def test_jam_within_rounding_reaches_the_medium_but_does_not_disrupt(self):
+        scenario = self._jam_scenario()
+        for jam_value in (0.3, -0.3):
+            assert simulate_transmission(scenario, jam_value=jam_value).jammed
+            outcome = attack_jam(scenario, jam_value=jam_value)
+            assert (outcome.receiver_recovered, outcome.receiver_error) == (3, None)
+            assert not outcome.disrupted
 
     def test_large_jam_triggers_rejection(self):
         outcome = attack_jam(self._jam_scenario(), jam_value=-80.0)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -148,6 +149,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", path)
         assert code == 1
         assert "mystery" in err and "line" in err
+
+    def test_unknown_party_exits_one_and_names_it(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(CONFIGS / "decoy.cfg"), "--set", "party_secrets.Alice=7"
+        )
+        assert (code, out) == (1, "")
+        assert err == "decoysim: error: party_secrets.Alice: unknown party (alice or bob)\n"
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "--config", "/nonexistent.cfg")
@@ -359,6 +367,21 @@ class TestSweep:
             capsys, "sweep", "--config", path, "--runs", "2", "--vary", "oops"
         )
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_bad_later_vary_value_fails_before_any_output(self, fmt, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text("previous report\n")
+        argv = [
+            "sweep", "--config", str(CONFIGS / "decoy.cfg"), "--runs", "3",
+            "--vary", "noise_sigma=0,-1", "--format", fmt,
+        ]
+        assert run_cli(capsys, *argv) == (
+            1, "", "decoysim: error: noise_sigma must be >= 0, got -1.0\n"
+        )
+        code, out, _ = run_cli(capsys, *argv, "--out", str(report))
+        assert (code, out) == (1, "")
+        assert report.read_text() == "previous report\n"
 
     def test_runs_before_the_seed_boundary_are_written(self, capsys):
         # Seeds 2^64 - 3 .. 2^64 - 1 run; seed 2^64 is the error.
@@ -741,3 +764,20 @@ def test_arbitrary_overrides_exit_cleanly(small_decoy_config, protocol, override
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    # Every `decoysim ...` line of README's CLI block, run from the checkout's root.
+    root = CONFIGS.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("decoysim ")]
+    assert len(lines) == 7
+    assert sum("# prints a FAIL verdict" in line for line in lines) == 1
+    monkeypatch.chdir(root)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert code == 0, line
+        if "prints a FAIL verdict" in comment:
+            assert "verdict: FAIL" in out, line

@@ -35,7 +35,7 @@ from decoysim import (
     run_scenario,
 )
 from decoysim import channel, decoy
-from decoysim.adversary import JAM_VALUE, transmit_seeds
+from decoysim.adversary import JAM_VALUE
 from decoysim.channel import measure_block
 from decoysim.decoy import DecoyOutcome, Forgery, Run, simulate_runs, simulate_transmission
 from decoysim.engine import (
@@ -47,6 +47,7 @@ from decoysim.engine import (
     TIMEOUT,
 )
 from decoysim.errors import OutOfDomain
+from decoysim.runner import run_seeds
 from conftest import decoy_scenario
 
 
@@ -200,7 +201,7 @@ def _entry_point(scenario: Scenario):
 
 
 def test_seeds_in_shared_passes_match_the_entry_points():
-    # transmit_seeds is what a sweep runs: several seeds to a pass, each
+    # run_seeds is what a sweep runs: several seeds to a pass, each
     # outcome built from its row of the batch.
     noisy = dict(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4)
     impersonated = dict(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
@@ -215,12 +216,16 @@ def test_seeds_in_shared_passes_match_the_entry_points():
     ):
         scenario = decoy_scenario(seed=2**64 - 12, **options)
         with mock.patch.object(decoy, "CELL_BUDGET", 4 * scenario.max_ticks):
-            outcomes = list(transmit_seeds(scenario, 11))
-        assert len(outcomes) == 11
-        for index, (outcome, digest) in enumerate(outcomes):
+            runs = list(run_seeds(scenario, 11))
+        assert len(runs) == 11
+        for index, run in enumerate(runs):
             alone = dataclasses.replace(scenario, seed=scenario.seed + index)
+            assert run.scenario == alone
+            outcome = run.result
             _assert_agree(outcome, _entry_point(alone))
-            assert digest() == replay_digest(outcome.transcript)
+            assert run.status == (outcome.status if isinstance(outcome, DecoyOutcome) else OK)
+            assert run.transcript is outcome.transcript
+            assert run.digest == replay_digest(outcome.transcript)
             if isinstance(outcome, DecoyOutcome):
                 seen.add(outcome.status)
             else:

@@ -424,6 +424,13 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="N1"):
             decoy_scenario(secret_domain=(0, 5)).validate()
 
+    @pytest.mark.parametrize("party", ["Alice", "carol", "eve"])
+    def test_unknown_party_is_named(self, party):
+        # Decoy and comparison scenarios alike have two parties, alice and bob.
+        for scenario in (decoy_scenario, vessels_scenario):
+            with pytest.raises(InvalidScenario, match=rf"^party_secrets\.{party}: unknown party"):
+                scenario(party_secrets={"alice": 3, "bob": 5, party: 4}).validate()
+
     def test_missing_receiver_key(self):
         with pytest.raises(InvalidScenario, match="bob"):
             decoy_scenario(party_secrets={"alice": 3}).validate()
