@@ -12,6 +12,7 @@ a run can be replayed from its report alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import logging
@@ -55,11 +56,16 @@ def _emit(stream: TextIO, text: str) -> None:
 
 
 class _ReportFile:
-    """The --out file, opened at its first write so a config error leaves it alone."""
+    """The --out file, checked at once but opened at its first write: a config error spares it."""
 
     def __init__(self, path: str):
         self.path = path
         self.handle: Optional[TextIO] = None
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path) or not os.access(parent, os.W_OK):
+            parent_error = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+            code = errno.EISDIR if os.path.isdir(path) else parent_error
+            raise OSError(code, os.strerror(code), path)
 
     def write(self, text: str) -> None:
         if self.handle is None:
@@ -478,8 +484,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
-    out_stream = _ReportFile(args.out) if args.out else sys.stdout
+    out_stream = sys.stdout
     try:
+        out_stream = _ReportFile(args.out) if args.out else sys.stdout
         code = handler(args, out_stream)
         out_stream.flush()
         return code
@@ -495,7 +502,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"decoysim: protocol error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     finally:
-        if args.out:
+        if out_stream is not sys.stdout:
             out_stream.close()
 
 

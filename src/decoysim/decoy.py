@@ -112,45 +112,61 @@ def generate_ramp(
         schedule = tuple((target * np.arange(duration, dtype=np.float64) / duration).tolist())
         return RampProcess(target, start_tick, start_tick + duration, schedule)
 
-    durations, schedules = _random_ramps([rng], np.array([target]), max_ramp_ticks)
-    schedule = tuple(schedules[0, : durations[0]].tolist())
-    return RampProcess(target, start_tick, start_tick + len(schedule), schedule)
+    duration = rng.integers(0, max_ramp_ticks)
+    weights = rng.uniform(size=(1, duration))
+    schedule = _ramp_schedules(weights, np.array([duration]), np.array([target]))[0, :duration]
+    return RampProcess(target, start_tick, start_tick + duration, tuple(schedule.tolist()))
 
 
 def _random_ramps(
-    rngs: Sequence[Optional[RngStream]], targets: np.ndarray, max_ramp_ticks: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random ramps, one per stream in `rngs`: their durations and, as rows, their schedules.
+    seeds: Sequence[int], stream_id: int, rows: np.ndarray, max_ramp: int, start_max: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the streams (seeds[i], stream_id) draw for random ramps: starts, durations, weights.
 
-    Each duration is uniform in [0, max_ramp_ticks] (0 with no draw for a
-    None stream); row i's first durations[i] values climb from 0 by
-    uniform increments renormalized to land exactly on targets[i], the
-    value on each tick from the start until the ramp settles.  Every
-    stream draws its duration and weights itself and sums its weights with
-    numpy's own pairwise sum.  The running sums, the division and the
-    scaling then run once on the zero-padded rows: add.accumulate adds
-    along a row in order, as a single ramp's cumsum does, so each row's
-    values do not depend on the padding.
+    Stream i, whose row of seed_rows is rows[i], draws a start in
+    [1, start_max], a duration in [0, max_ramp] and that many uniform
+    weights, the first durations[i] of weights row i, as its generator
+    would.  They are decoded from its first PCG64 outputs: numpy's 32-bit
+    draws bound the low, then the high half of output 1 (RngStream.lemire;
+    a range of one value draws nothing), and weight j is (x >> 11) * 2^-53
+    of output j + 2.  A stream Lemire would redraw draws from its generator.
     """
-    weights = np.zeros((len(rngs), max_ramp_ticks))
-    totals = np.ones(len(rngs))
-    durations = np.zeros(len(rngs), dtype=np.int64)
-    for index, rng in enumerate(rngs):
-        duration = 0 if rng is None else rng.integers(0, max_ramp_ticks)
-        if duration:
-            drawn = rng.uniform(size=duration)
-            total = float(drawn.sum())
-            if total <= 0.0:  # unreachable in practice; keeps the math total
-                drawn, total = np.ones(duration), float(duration)
-            weights[index, :duration] = drawn
-            totals[index] = total
-            durations[index] = duration
-    partial = np.cumsum(weights, axis=1)
-    partial /= totals[:, None]
+    outputs = RngStream.first_outputs(rows, max_ramp + 1)
+    halves = np.array([0, 32 if start_max > 1 else 0], dtype=np.uint64)
+    spans = np.array([start_max, max_ramp + 1], dtype=np.uint64)
+    drawn, redraws = RngStream.lemire(outputs[:, :1] >> halves, spans)
+    starts, durations = drawn[:, 0] + 1, drawn[:, 1]
+    weights = (outputs[:, 1:] >> np.uint64(11)) * 2.0**-53
+    for index in dict.fromkeys(redraws.nonzero()[0].tolist()):  # each redrawing row once
+        rng = RngStream(seeds[index], stream_id, rows[index])
+        starts[index] = rng.integers(1, start_max)
+        durations[index] = duration = rng.integers(0, max_ramp)
+        weights[index, :duration] = rng.uniform(size=duration)
+    return starts, durations, weights
+
+
+def _ramp_schedules(weights: np.ndarray, durations: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Ramps' schedules, as rows, from their weights, the first durations[i] of row i.
+
+    Row i's first durations[i] values climb from 0 by those weights
+    renormalized to land exactly on targets[i], one value per tick from the
+    start until the ramp settles; the values after them are never read.
+    Each row's weights are summed on their own with numpy's pairwise sum;
+    the running sums, the division and the scaling then run on the padded
+    rows: add.accumulate adds along a row in order, as one ramp's cumsum
+    does, so a row's values do not depend on what follows them.
+    """
+    lengths = durations.tolist()
+    totals = [np.add.reduce(row[:d]) if d else 1.0 for row, d in zip(weights, lengths)]
+    for index, total in enumerate(totals):
+        if total <= 0.0:  # unreachable in practice; keeps the math total
+            weights[index, : lengths[index]], totals[index] = 1.0, lengths[index]
+    partial = np.add.accumulate(weights, axis=1)
+    partial /= np.array(totals)[:, None]
     # The value on the start tick is 0; the j-th later tick carries the j-th partial sum.
-    schedules = np.zeros((len(rngs), max_ramp_ticks + 1))
+    schedules = np.zeros((len(weights), weights.shape[1] + 1))
     np.multiply(targets[:, None], partial, out=schedules[:, 1:])
-    return durations, schedules
+    return schedules
 
 
 def detect_stabilization(
@@ -346,13 +362,11 @@ class _Plans(NamedTuple):
 
 
 def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
-    """Every run's plan, drawn from its (seed, stream) generators as generate_ramp would.
+    """Every run's plan, drawn from its (seed, stream) streams as generate_ramp would.
 
-    Only random ramps draw more than the receiver's start tick, so only
-    they build a generator per run; every other pass draws the starts for
-    all its runs at once (RngStream.first_integers) and computes the rest
-    in array operations.  Seed rows are derived only for the streams the
-    pass draws from.
+    A pass seeds only the streams it draws from, and draws for all its runs
+    at once: the receiver's start alone (RngStream.first_integers), or the
+    random ramps (_random_ramps).  Only the noise streams build a generator.
     """
     budget, hold, model = scenario.max_ticks, scenario.hold_ticks, scenario.ramp_model
     max_ramp, start_max = scenario.max_ramp_ticks, scenario.receiver_start_max
@@ -366,31 +380,27 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
     seeds = [run.seed for run in runs]
     rows = dict(zip(streams, RngStream.seed_rows(seeds, streams).transpose(1, 0, 2)))
     sender_secrets = [int(run.party_secrets[SENDER]) for run in runs]
-    receiver_keys = None
+    receiver_keys = [int(run.party_secrets[RECEIVER]) for run in runs] if receives else None
+    keys = np.array(receiver_keys or [], dtype=np.float64)
     # The receiver's start is drawn from his stream whether or not he shows
     # up, so an impersonation run is tick-aligned with its honest twin.
     if receives and randomized:  # his ramp draws from his stream after the start
-        receivers = [
-            RngStream(seed, STREAM_RECEIVER, row) for seed, row in zip(seeds, rows[STREAM_RECEIVER])
-        ]
-        receiver_start = np.array([rng.integers(1, start_max) for rng in receivers])
+        receiver_start, durations, weights = _random_ramps(
+            seeds, STREAM_RECEIVER, rows[STREAM_RECEIVER], max_ramp, start_max
+        )
+        schedules = _ramp_schedules(weights, durations, keys)
+        other = _Ramps(keys, receiver_start, receiver_start + durations, schedules)
     else:
         receiver_start = RngStream.first_integers(
             seeds, STREAM_RECEIVER, rows[STREAM_RECEIVER], 1, start_max
         )
-    if receives:
-        receiver_keys = [int(run.party_secrets[RECEIVER]) for run in runs]
-        keys = np.array(receiver_keys, dtype=np.float64)
-        if randomized:
-            durations, schedules = _random_ramps(receivers, keys, max_ramp)
-            other = _Ramps(keys, receiver_start, receiver_start + durations, schedules)
-        else:
-            # The deterministic-rate control only makes the *sender* leaky; the
-            # receiver jumps so the observable ramp duration is the sender's alone.
-            other = _Ramps(keys, receiver_start, receiver_start)
-        announce = receiver_start
-    else:
+    announce = receiver_start
+    if not receives:
         other, announce = _forgeries(runs, budget)
+    elif not randomized:
+        # The deterministic-rate control only makes the *sender* leaky; the
+        # receiver jumps so the observable ramp duration is the sender's alone.
+        other = _Ramps(keys, receiver_start, receiver_start)
     targets = np.array(sender_secrets, dtype=np.float64)
     if model is RampModel.SYNCHRONOUS:
         # Idealized control: both parties move at one public tick, so
@@ -408,11 +418,14 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
             schedules = targets[:, None] * steps / durations[:, None]
             sender = _Ramps(targets, start, start + durations, schedules)
         else:
-            senders = [
-                RngStream(seed, STREAM_SENDER, row) if moves else None
-                for seed, row, moves in zip(seeds, rows[STREAM_SENDER], (start < budget).tolist())
-            ]
-            durations, schedules = _random_ramps(senders, targets, max_ramp)
+            moves = (start < budget).nonzero()[0]  # a sender who never moves draws nothing
+            durations = np.zeros(len(runs), dtype=np.int64)
+            weights = np.zeros((len(runs), max_ramp))
+            movers = [seeds[index] for index in moves.tolist()]
+            _, durations[moves], weights[moves] = _random_ramps(
+                movers, STREAM_SENDER, rows[STREAM_SENDER][moves], max_ramp
+            )
+            schedules = _ramp_schedules(weights, durations, targets)
             sender = _Ramps(targets, start, start + durations, schedules)
     noise = None
     if scenario.noise_sigma > 0.0:

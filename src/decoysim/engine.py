@@ -152,34 +152,50 @@ class RngStream:
         high)``, where rows[i] is the stream's row of seed_rows.  PCG64 is
         a 128-bit LCG with XSL-RR output (O'Neill 2014): seeding steps the
         zero state, adds the seed and steps again, and a draw steps once
-        more.  numpy bounds the low 32 bits of that output with Lemire's
-        method (ACM TOMACS 29, 2019), which redraws when the product's low
-        word falls below 2^32 mod the range; those rows, and ranges wider
-        than 32 bits, draw from their generator instead.  A range of one
-        value draws nothing.
+        more.  numpy bounds the low 32 bits of that output (lemire); rows
+        it would redraw, and ranges wider than 32 bits, draw from their
+        generator instead.
         """
-        span = high - low + 1  # numpy's rng + 1
-        values = np.full(len(rows), low, dtype=np.int64)
-        if span == 1:
-            return values
-        redraw = np.ones(len(rows), dtype=bool)
-        if span <= 1 << 32:
-            w0, w1, w2, w3 = (rows[:, k] for k in range(4))
-            one = np.uint64(1)
-            inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
-            state = _pcg_add(inc, (w0, w1))
-            for _ in range(2):
-                state = _pcg_add(_pcg_times_multiplier(state), inc)
-            high_word, low_word = state
-            rotation = high_word >> np.uint64(58)
-            xored = high_word ^ low_word
-            output = xored >> rotation | xored << (np.uint64(64) - rotation & np.uint64(63))
-            scaled = (output & _LOW32) * np.uint64(span)
-            redraw = (scaled & _LOW32) < np.uint64((1 << 32) % span)
-            values += (scaled >> _SHIFT32).astype(np.int64)
+        w0, w1, w2, w3 = (rows[:, k] for k in range(4))
+        one = np.uint64(1)
+        inc = (w2 << one | w3 >> np.uint64(63), w3 << one | one)
+        state = _pcg_add(inc, (w0, w1))
+        for _ in range(2):
+            state = _pcg_add(_pcg_times_multiplier(state), inc)
+        high_word, low_word = state
+        rotation = high_word >> np.uint64(58)
+        xored = high_word ^ low_word
+        output = xored >> rotation | xored << (np.uint64(64) - rotation & np.uint64(63))
+        span = high - low + 1
+        values, redraw = cls.lemire(output, min(span, 1 << 32))
+        values += low
+        redraw |= span > 1 << 32  # numpy's 64-bit method
         for index in np.flatnonzero(redraw).tolist():
             values[index] = cls(seeds[index], stream_id, rows[index]).integers(low, high)
         return values
+
+    @staticmethod
+    def lemire(words: np.ndarray, spans) -> tuple[np.ndarray, np.ndarray]:
+        """numpy's draws in [0, span) from the words' low 32 bits, as int64, and where they redraw.
+
+        Lemire's method (ACM TOMACS 29, 2019), for spans up to 2^32, which
+        broadcast against the words: the high word of draw * span, drawn
+        again while the low word is below 2^32 mod span.
+        """
+        spans = np.asarray(spans, dtype=np.uint64)
+        scaled = (words & _LOW32) * spans
+        redraw = (scaled & _LOW32) < _TWO32 % spans
+        return (scaled >> _SHIFT32).view(np.int64), redraw
+
+    @staticmethod
+    def first_outputs(rows: np.ndarray, count: int) -> np.ndarray:
+        """The first `count` PCG64 outputs of each stream, given by its row of seed_rows, as rows.
+
+        One PCG64 and one random_raw call per stream, and no Generator.
+        """
+        seeded = _derived_seed_sequence()
+        outputs = [np.random.PCG64(seeded(row)).random_raw(count) for row in rows]
+        return np.array(outputs, dtype=np.uint64).reshape(len(rows), count)
 
     def _generator(self) -> np.random.Generator:
         if self._gen is None:
@@ -241,7 +257,7 @@ _POOL_MIXES = _pool_mixes()
 
 # PCG64's 128-bit multiplier as high and low 64-bit words, and the low-word mask.
 _PCG_MULT_HIGH, _PCG_MULT_LOW = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_LOW32, _SHIFT32, _TWO32 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(1 << 32)
 
 
 def _pcg_add(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -313,6 +313,24 @@ class TestSweep:
         assert code == 1
         assert "runs" in err
 
+    @pytest.mark.parametrize("out", ["a directory", "in a missing directory"])
+    def test_out_that_cannot_be_opened_fails_before_any_run(
+        self, out, tmp_path, capsys, monkeypatch
+    ):
+        # A text sweep writes its report only after its first variant, so it
+        # would run all 3,000 runs first; nothing is created on the way.
+        started = []
+        monkeypatch.setattr(cli, "run_seeds", lambda *args: started.append(args) or iter(()))
+        path = tmp_path if out == "a directory" else tmp_path / "missing" / "report.txt"
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--runs", "3000",
+            "--out", str(path),
+        )
+        assert (code, stdout, started) == (1, "", [])
+        assert err.startswith("decoysim: error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_noiseless_sweep_is_perfect(self, tmp_config, capsys):
         path = tmp_config(DECOY_CFG)
         code, out, _ = run_cli(

@@ -12,10 +12,12 @@ time.
 import dataclasses
 import itertools
 import math
+import random
 import time
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -363,11 +365,13 @@ def test_padded_random_ramps_are_each_ramps_own_cumsum():
     # The padded matrix gives each row the values one ramp computed on its
     # own gives: its cumsum, divided by its own pairwise sum, scaled.
     # Long ramps make numpy's pairwise sum differ from a sequential one.
+    # generate_ramp, drawing from a live stream, gives the same schedule.
     for max_ramp in (1, 7, 66, 300):
-        seeds = range(40)
+        seeds = list(range(40))
         targets = np.array([1.0 + seed % 9 for seed in seeds]) * 2.0**-3
-        rngs = [RngStream(seed, STREAM_SENDER) for seed in seeds]
-        durations, schedules = decoy._random_ramps(rngs, targets, max_ramp)
+        rows = RngStream.seed_rows(seeds, [STREAM_SENDER])[:, 0]
+        _, durations, weights = decoy._random_ramps(seeds, STREAM_SENDER, rows, max_ramp)
+        schedules = decoy._ramp_schedules(weights, durations, targets)
         for seed, target, duration, row in zip(seeds, targets, durations, schedules):
             rng = RngStream(seed, STREAM_SENDER)
             assert duration == rng.integers(0, max_ramp)
@@ -377,6 +381,85 @@ def test_padded_random_ramps_are_each_ramps_own_cumsum():
                 partial = weights.cumsum() / float(weights.sum())
                 expected = np.concatenate(([0.0], target * partial[:-1]))
             assert _bits(row[:duration]) == _bits(expected)
+            ramp = generate_ramp(RngStream(seed, STREAM_SENDER), target, 0, max_ramp)
+            assert _bits(ramp.schedule) == _bits(expected)
+    # Weights that sum to zero (unreachable from a stream) climb evenly.
+    flat = decoy._ramp_schedules(np.zeros((2, 4)), np.array([3, 0]), np.array([6.0, 1.0]))
+    assert flat.tolist() == [[0.0, 2.0, 4.0, 6.0, 6.0], [0.0] * 5]
+
+
+def test_random_ramp_draws_are_each_streams_generator_draws():
+    # 100,000 streams with the edge seeds of a seed_rows pass of one, split
+    # over (stream, start range, ramp bound) cases: decoy.cfg's and
+    # noisy.cfg's receivers, budgets whose receiver draws no start, a start
+    # range where Lemire redraws about half the rows, and a sender.
+    rng = random.Random(16)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345, 2**40 + 7]
+    while len(seeds) < 100_000:
+        seeds.append(rng.getrandbits(rng.choice([16, 32, 33, 64])))
+    cases = [
+        (STREAM_RECEIVER, 32, 65),
+        (STREAM_RECEIVER, 45, 91),
+        (STREAM_RECEIVER, 1, 1),
+        (STREAM_RECEIVER, 1, 2),
+        (STREAM_RECEIVER, 1, 3),
+        (STREAM_RECEIVER, 2**31 + 1, 4),
+        (STREAM_SENDER, 1, 129),
+    ]
+    size = -(-len(seeds) // len(cases))
+    for number, (stream, start_max, max_ramp) in enumerate(cases):
+        chunk = seeds[number * size : (number + 1) * size]
+        rows = RngStream.seed_rows(chunk, [stream])[:, 0]
+        starts, durations, weights = decoy._random_ramps(chunk, stream, rows, max_ramp, start_max)
+        expected_starts, expected_durations = [], []
+        expected_weights = np.zeros_like(weights)
+        for index, seed in enumerate(chunk):
+            generator = np.random.default_rng([seed, stream])
+            expected_starts.append(generator.integers(1, start_max, endpoint=True))
+            expected_durations.append(duration := generator.integers(0, max_ramp, endpoint=True))
+            expected_weights[index, :duration] = generator.random(duration)
+        assert starts.tolist() == expected_starts, (stream, start_max, max_ramp)
+        assert durations.tolist() == expected_durations, (stream, start_max, max_ramp)
+        # Past its duration a row's weights are never read.
+        drawn = np.where(np.arange(max_ramp) < durations[:, None], weights, 0.0)
+        assert np.array_equal(drawn.view(np.uint64), expected_weights.view(np.uint64))
+        assert {0, 1, max_ramp} <= set(expected_durations)
+
+
+# A duration in [0, 39,649], the ramp bound at max_ticks 237,897, redraws
+# when the low word of its product falls below 2^32 mod 39,650 = 39,647:
+# about once in 108,000 streams.  RngStream.lemire found these seeds among
+# 0 to 399,999; the receiver's start range is [1, 19,824].
+LEMIRE_REDRAWS = {
+    "sender's duration": (47_984, STREAM_SENDER, 0, "duration"),
+    "receiver's duration": (51_016, STREAM_RECEIVER, 32, "duration"),
+    "receiver's start": (206_376, STREAM_RECEIVER, 0, "start"),
+}
+
+
+@pytest.mark.parametrize("case", LEMIRE_REDRAWS)
+def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
+    seed, stream, shift, draw = LEMIRE_REDRAWS[case]
+    scenario = decoy_scenario(max_ticks=237_897, seed=seed)
+    span = scenario.receiver_start_max if draw == "start" else scenario.max_ramp_ticks + 1
+    rows = RngStream.seed_rows([seed], [stream])[:, 0]
+    word = RngStream.first_outputs(rows, 1)[:, 0] >> np.uint64(shift)
+    assert RngStream.lemire(word, span)[1].tolist() == [True]
+    built = []
+    generator = RngStream._generator
+
+    def recorded(rng):
+        if rng._gen is None:
+            built.append((rng.seed, rng.stream_id))
+        return generator(rng)
+
+    with mock.patch.object(RngStream, "_generator", recorded):
+        (batch,) = simulate_runs(scenario, [Run(seed, scenario.party_secrets)])
+    assert built == [(seed, stream)]
+    looped = tick_oracle.transmission(scenario)
+    _assert_agree(batch.outcome(0), looped)
+    assert batch.digest(0) == replay_digest(looped.transcript)
+    _assert_plan_is_the_oracles(scenario)
 
 
 def test_noise_settling_before_the_sender_starts():

@@ -292,25 +292,42 @@ class TestStreamsAreLazy:
         assert self._generators_built(monkeypatch, noisy).count(STREAM_NOISE) == 20
 
     @pytest.mark.parametrize("model", [RampModel.SYNCHRONOUS, RampModel.DETERMINISTIC_RATE])
-    def test_synchronous_and_rate_passes_build_no_generator(self, model, monkeypatch):
-        # The receiver's start is their only draw, made for the whole pass
-        # in array operations.
+    def test_passes_build_no_generator_for_their_ramps(self, model, monkeypatch):
+        # The receiver's start is a synchronous or rate pass's only draw,
+        # made for the whole pass in array operations.  A random-ramp pass
+        # reads each receiver's and sender's raw outputs once instead; only a
+        # stream Lemire would redraw builds its generator, and none of these
+        # 200 seeds does.
         scenario = decoy_scenario(ramp_model=model, secret_domain=(1, 8), defense_enabled=False)
         assert self._generators_built(monkeypatch, scenario, 200) == []
+        drawn = []
+        outputs = RngStream.first_outputs
+
+        def recorded(rows, count):
+            drawn.extend(rows.tolist())
+            return outputs(rows, count)
+
+        monkeypatch.setattr(RngStream, "first_outputs", staticmethod(recorded))
         random_ramps = dataclasses.replace(scenario, ramp_model=RampModel.RANDOM_RAMP)
-        built = self._generators_built(monkeypatch, random_ramps, 200)
-        assert sorted(built) == [STREAM_SENDER] * 200 + [STREAM_RECEIVER] * 200
+        assert self._generators_built(monkeypatch, random_ramps, 200) == []
+        streams = RngStream.seed_rows(range(200), [STREAM_RECEIVER, STREAM_SENDER])
+        assert sorted(drawn) == sorted(streams.reshape(-1, 4).tolist())
 
     @pytest.mark.parametrize("defended", [True, False])
-    def test_sender_facing_a_silent_impersonator_gets_a_stream_only_undefended(
+    def test_sender_facing_a_silent_impersonator_draws_only_undefended(
         self, defended, monkeypatch
     ):
-        built = []
+        built, drawn = [], []
 
         class Recorded(RngStream):
             def __init__(self, seed, stream_id, row=None):
                 built.append(stream_id)
                 super().__init__(seed, stream_id, row)
+
+            @staticmethod
+            def first_outputs(rows, count):
+                drawn.extend(rows.tolist())
+                return RngStream.first_outputs(rows, count)
 
         monkeypatch.setattr(decoy, "RngStream", Recorded)
         scenario = decoy_scenario(
@@ -319,6 +336,9 @@ class TestStreamsAreLazy:
             defense_enabled=defended,
         )
         run_scenario(scenario)
-        # The receiver's start comes from the pass's array draw, and a
-        # noiseless run has no noise stream.
-        assert built == ([] if defended else [STREAM_SENDER])
+        # The receiver's start comes from the pass's array draw, a noiseless
+        # run has no noise stream, and an undefended sender's ramp is
+        # decoded from her stream's raw outputs: no stream builds a generator.
+        assert built == []
+        sender = RngStream.seed_rows([scenario.seed], [STREAM_SENDER])[0].tolist()
+        assert drawn == ([] if defended else sender)
