@@ -85,7 +85,9 @@ class RngStream:
     noiseless run never draws from its noise stream.  Its seed words are
     the stream's `row` of :meth:`seed_rows`: a kernel pass derives the rows
     of all its streams at once, and a stream built without one derives
-    its own.
+    its own.  A pass reads start ticks and random ramps straight from the
+    rows (first_integers, first_outputs), with a stream only where Lemire
+    redraws.
     """
 
     def __init__(self, seed: int, stream_id: int, row: Optional[np.ndarray] = None):
