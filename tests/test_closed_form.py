@@ -370,8 +370,8 @@ def test_padded_random_ramps_are_each_ramps_own_cumsum():
         seeds = list(range(40))
         targets = np.array([1.0 + seed % 9 for seed in seeds]) * 2.0**-3
         rows = RngStream.seed_rows(seeds, [STREAM_SENDER])[:, 0]
-        _, durations, weights = decoy._random_ramps(seeds, STREAM_SENDER, rows, max_ramp)
-        schedules = decoy._ramp_schedules(weights, durations, targets)
+        _, durations, padded = decoy._random_ramps(seeds, STREAM_SENDER, rows, max_ramp)
+        schedules = decoy._ramp_schedules(padded, durations, targets)
         for seed, target, duration, row in zip(seeds, targets, durations, schedules):
             rng = RngStream(seed, STREAM_SENDER)
             assert duration == rng.integers(0, max_ramp)

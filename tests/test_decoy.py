@@ -338,7 +338,7 @@ class TestStreamsAreLazy:
         run_scenario(scenario)
         # The receiver's start comes from the pass's array draw, a noiseless
         # run has no noise stream, and an undefended sender's ramp is
-        # decoded from her stream's raw outputs: no stream builds a generator.
+        # decoded from her stream's raw outputs: no RngStream is built.
         assert built == []
         sender = RngStream.seed_rows([scenario.seed], [STREAM_SENDER])[0].tolist()
         assert drawn == ([] if defended else sender)
