@@ -154,13 +154,10 @@ def estimate_mutual_information(
         raise InsufficientSamples(
             f"mutual information needs >= {min_samples} samples, got {n}"
         )
-    counts_s: Counter = Counter()
-    counts_t: Counter = Counter()
-    counts_st: Counter = Counter()
-    for s, t in pairs:
-        counts_s[s] += 1
-        counts_t[t] += 1
-        counts_st[(s, t)] += 1
+    # Counter(iterable) counts in C; each key keeps its first occurrence's place.
+    counts_s = Counter(s for s, _ in pairs)
+    counts_t = Counter(t for _, t in pairs)
+    counts_st = Counter(pairs)
 
     ln2 = math.log(2.0)
 
@@ -203,7 +200,18 @@ class TranscriptFeatures:
         return self.of_rows(values[None, :], [len(values)])[0]
 
     def of_rows(self, values: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
-        """The features of each row of `values`, whose first lengths[i] are run i's readings."""
+        """The features of each row of `values`, whose first lengths[i] are run i's readings.
+
+        A stable total is round(math.fsum(tail) / len(tail)), taken from
+        one float sum per row.  With u = 2^-53 and A the tail's largest
+        magnitude, a float sum of the row's `width` values (zeros outside
+        the tail) in any order is within (width - 1) u len(tail) A of the
+        exact sum, so its mean is within (width + 2) u A of the exact one's
+        (fsum, rounded, then divided); `slack` is twice that, as in
+        decoy._may_settle.  Where the float mean lies further than the
+        slack from every half-integer, both round to the same integer;
+        elsewhere, and where it is not finite, the row takes fsum.
+        """
         lengths = np.asarray(lengths)
         width = values.shape[1]
         columns = np.arange(width)
@@ -214,9 +222,22 @@ class TranscriptFeatures:
         # the flat tail starts after the last jump between neighbours
         jumps = (np.abs(values[:, 1:] - values[:, :-1]) > tol) & inside[:, 1:]
         flat_onset = np.where(jumps, columns[1:], 0).max(axis=1, initial=0)
+        stable = (first_active < width) & (lengths - flat_onset >= self.hold_ticks)
+        tail = inside & (columns >= flat_onset[:, None])
+        means = np.where(tail, values, 0.0).sum(axis=1) / np.maximum(lengths - flat_onset, 1)
+        magnitude = np.where(tail, np.abs(values), 0.0).max(axis=1, initial=0.0)
+        slack = (2.0 * (width + 3) * 2.0**-53 * magnitude + 2.0**-1022) * (1.0 + 2.0**-40)
+        near_half = np.abs(means - np.floor(means) - 0.5) <= slack
+        exact = stable & (near_half | ~np.isfinite(means))
+        # Every half is near one, so rint meets no tie; the exact rows' totals follow.
+        totals = np.rint(np.where(stable & ~exact, means, 0.0)).astype(np.int64).tolist()
+        for row in np.flatnonzero(exact).tolist():
+            tail_values = values[row, flat_onset[row] : lengths[row]].tolist()
+            totals[row] = round(math.fsum(tail_values) / len(tail_values))
+        buckets = (np.maximum(flat_onset - first_active, 0) // self.bucket_width).tolist()
         features: list[tuple] = []
-        for row, (length, first, onset) in enumerate(
-            zip(lengths.tolist(), first_active.tolist(), flat_onset.tolist())
+        for length, first, onset, total, bucket in zip(
+            lengths.tolist(), first_active.tolist(), flat_onset.tolist(), totals, buckets
         ):
             if not length:
                 features.append(("empty",))
@@ -225,9 +246,7 @@ class TranscriptFeatures:
             elif length - onset < self.hold_ticks:
                 features.append(("unstable",))
             else:
-                tail = values[row, onset:length].tolist()
-                stable_total = round(math.fsum(tail) / len(tail))
-                features.append((stable_total, max(0, onset - first) // self.bucket_width))
+                features.append((total, bucket))
         return features
 
 
@@ -355,11 +374,10 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     # Each sample's secret, then its key, drawn in one call.
     draws = RngStream(scenario.seed, STREAM_SAMPLER).integers(n1, n2, 2 * n_samples)
     impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
-    runs = []
-    for index in range(n_samples):
-        secret, key = draws[2 * index], draws[2 * index + 1]
-        secrets = {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key}
-        runs.append(Run(scenario.seed + 1 + index, secrets))
+    runs = [
+        Run(seed, {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key})
+        for seed, (secret, key) in enumerate(zip(draws[0::2], draws[1::2]), scenario.seed + 1)
+    ]
     if runs:
         seed, secrets, _ = runs[0]
         first = dataclasses.replace(scenario, seed=seed, party_secrets=secrets)

@@ -606,20 +606,36 @@ def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float,
 
     A row's entry is read(row, last column, level) of the first such
     window for which that is not None (by default the pair (last column,
-    level)), or None.  Only windows that pass necessary conditions go to
-    the exact detector: spread within 2 * epsilon, highest value near the
-    floor and, with a tolerance, an approximate mean that leaves room to
-    settle (_may_settle).  With none, only flat windows pass the spread
-    test, and their mean is their value.
+    level)), or None.  With a tolerance, only windows that pass necessary
+    conditions go to the exact detector: spread within 2 * epsilon,
+    highest value near the floor and an approximate mean that leaves room
+    to settle (_may_settle).  With none, the test is exact: a window the
+    detector accepts is flat at some v, and its mean is fsum([v] * width)
+    / width, where fsum is the correctly rounded v * width; that mean can
+    miss v (884295128254041.2 at width 3).  So without a reader no window
+    goes to the detector.  (Where v * width overflows, the detector's
+    fsum raises, and here the window is rejected.)
     """
     found: list = [None] * len(values)
     if values.shape[1] < width:
         return found
     high, low = _window_extremes(values, width)
     # Slack for rounding: a window the exact detector accepts always passes.
-    passing = (high - low <= 2.0 * epsilon * (1.0 + 1e-9)) & (high >= floor * (1.0 - 1e-9))
+    passing = high - low <= 2.0 * epsilon * (1.0 + 1e-9)  # false on an infinite window
     if epsilon > 0.0:
+        passing &= high >= floor * (1.0 - 1e-9)
         passing &= _may_settle(values, high, low, width, epsilon, floor)
+    else:
+        passing &= ((high * width) / width == high) & (high >= floor)
+        if read is None:
+            rows, columns = np.arange(len(values)), passing.argmax(axis=1)
+            levels = high[rows, columns] + 0.0  # fsum's sum of zeros is +0.0
+            return [
+                (column + width - 1, level) if hit else None
+                for hit, column, level in zip(
+                    passing[rows, columns].tolist(), columns.tolist(), levels.tolist()
+                )
+            ]
     for row, column in enumerate(passing.argmax(axis=1).tolist()):
         if not passing[row, column]:
             continue

@@ -247,6 +247,34 @@ def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold,
         assert feature == features(transcript) == _features_by_walk(features, values)
 
 
+# Tails whose stable total of_rows takes from math.fsum, as (noise_sigma,
+# tail): exact halves, which round half to even; a mean just off a half
+# that the row's float sum rounds onto it; and tails near 2^53, where a
+# float sum of the readings rounds too.
+_NEAR_HALF_TAILS = {
+    "2.5 gives 2": (0.0, [2.5] * 3),
+    "3.5 gives 4": (0.0, [3.5] * 4),
+    "just above 2.5": (
+        0.0,
+        [2.500000000000001, 2.5, 2.4999999999999996, 2.5000000000000004, 2.5000000000000004],
+    ),
+    "flat at 2^53 - 1": (0.0, [2.0**53 - 1] * 3),
+    "within noise of 2^53": (1.0, [2.0**53 - k for k in (1, 2, 0, 0, 0, 1, 3)]),
+}
+
+
+@pytest.mark.parametrize("sigma, tail", _NEAR_HALF_TAILS.values(), ids=list(_NEAR_HALF_TAILS))
+def test_stable_totals_near_a_half_are_the_value_walks(sigma, tail):
+    features = TranscriptFeatures(hold_ticks=3, noise_sigma=sigma, bucket_width=1)
+    rows = [[0.0, 1.0] + tail, tail]  # after a ramp, and from the first tick
+    padded = np.full((2, len(tail) + 3), math.nan)
+    for index, values in enumerate(rows):
+        padded[index, : len(values)] = values
+    for values, feature in zip(rows, features.of_rows(padded, [len(values) for values in rows])):
+        assert feature == _features_by_walk(features, values)
+        assert feature[0] == round(math.fsum(tail) / len(tail))
+
+
 def test_array_features_match_the_value_walk_on_runs():
     for scenario in (sync_scenario(), decoy_scenario(noise_sigma=0.05, epsilon_stab=0.2)):
         features = TranscriptFeatures.for_scenario(scenario)

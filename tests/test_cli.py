@@ -599,6 +599,32 @@ class TestAnalyze:
         assert code == 0
         assert "verdict: PASS" in out
 
+    @pytest.mark.parametrize(
+        "config, overrides, pinned",
+        [
+            ("sync_analysis.cfg", [], ("0.6951206842830135", "0.15639374425023", ["8", "0"], "PASS")),
+            ("control_analysis.cfg", [], ("3.0002754513729677", "1.0", ["8", "3"], "FAIL")),
+            (
+                "sync_analysis.cfg",
+                ["--set", "ramp_model=random_ramp", "--set", "defense_enabled=true"],
+                ("0.4556094037179328", "0.13168724279835392", ["unstable"], "PASS"),
+            ),
+        ],
+        ids=["sync", "control", "random ramp with the defense"],
+    )
+    def test_ten_thousand_sample_records_are_pinned(self, capsys, config, overrides, pinned):
+        # repr round-trips a float, so any change to the estimate's value shows.
+        code, out, _ = run_cli(
+            capsys, "analyze", "--config", str(CONFIGS / config), *overrides,
+            "--samples", "10000", "--format", "records",
+        )
+        assert code == 0
+        analysis = json.loads(out.splitlines()[-1])
+        assert (
+            repr(analysis["mi_bits"]), repr(analysis["max_prob"]),
+            analysis["observed_feature"], analysis["verdict"],
+        ) == pinned
+
     def test_records_analysis(self, tmp_config, capsys):
         path = tmp_config(SYNC_CFG)
         code, out, _ = run_cli(

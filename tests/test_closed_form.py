@@ -748,3 +748,32 @@ def test_first_settled_is_the_exact_scan_of_every_window(search, rejecting):
     found = decoy._first_settled(values, width, epsilon, floor, read)
     expected = _settled_by_brute_force(values, width, epsilon, floor, read)
     assert repr(found) == repr(expected)
+
+
+# Flat windows whose fsum mean misses their value, so that the exact
+# detector rejects them at zero tolerance: (width, value).
+_UNSETTLED_FLAT = [(3, 884295128254041.2), (5, 1852357561398350.2), (6, 1083569804167152.8)]
+
+
+@pytest.mark.parametrize("width, value", _UNSETTLED_FLAT)
+def test_zero_tolerance_rejects_a_flat_window_whose_mean_misses_its_value(width, value):
+    assert math.fsum([value] * width) / width != value
+    settled = 7.0
+    values = np.array(
+        [
+            [value] * (3 * width),  # alone
+            [value] * width + [settled] * (2 * width),  # followed by a settled window
+            [settled] * width + [value] * (2 * width),  # after one
+        ]
+    )
+    first_settled = [None, (2 * width - 1, settled), (width - 1, settled)]
+    assert decoy._first_settled(values[:1, :width], width, 0.0, 0.5) == [None]
+    assert decoy._first_settled(values, width, 0.0, 0.5) == first_settled
+    assert _settled_by_brute_force(values, width, 0.0, 0.5) == first_settled
+
+    def read(row, end, level):  # rejects each row's first settled window
+        return None if end == first_settled[row][0] else (row, end, level)
+
+    found = decoy._first_settled(values, width, 0.0, 0.5, read)
+    assert found == _settled_by_brute_force(values, width, 0.0, 0.5, read)
+    assert found == [None, (1, 2 * width, settled), None]
