@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from .decoy import (
     IN_BUSINESS,
     DecoyOutcome,
     Forgery,
-    Run,
     RunBatch,
+    Runs,
     check_transmission,
     detect_stabilization,
     generate_ramp,
@@ -111,23 +112,21 @@ def analytic_sum_mi(
 ) -> float:
     """Exact I(secret; secret + key) in bits, both uniform on their domains.
 
-    Computed by full enumeration.  This is NOT zero on a bounded domain:
-    extreme totals pin the secret down (total = 2 forces secret = 1), so
-    this enumerated value -- not zero -- is the reference an empirical
-    estimator of the sum channel must match.
+    Each entropy sums the counts that enumerating the (secret, key) pairs
+    would give, in the same order, without building the pairs.  This is
+    NOT zero on a bounded domain: extreme totals pin the secret down
+    (total = 2 forces secret = 1), so this exact value -- not zero -- is
+    the reference an empirical estimator of the sum channel must match.
     """
     if key_domain is None:
         key_domain = secret_domain
     s1, s2 = secret_domain
     k1, k2 = key_domain
-    joint: Counter = Counter()
-    for s in range(s1, s2 + 1):
-        for k in range(k1, k2 + 1):
-            joint[(s, s + k)] += 1
     n = (s2 - s1 + 1) * (k2 - k1 + 1)
-    h_s = _entropy_bits(Counter(s for s, _ in joint.elements()).values(), n)
-    h_t = _entropy_bits(Counter(t for _, t in joint.elements()).values(), n)
-    h_st = _entropy_bits(joint.values(), n)
+    h_s = _entropy_bits(itertools.repeat(k2 - k1 + 1, s2 - s1 + 1), n)
+    totals = range(s1 + k1, s2 + k2 + 1)
+    h_t = _entropy_bits((min(s2, t - k1) - max(s1, t - k2) + 1 for t in totals), n)
+    h_st = _entropy_bits(itertools.repeat(1, n), n)
     return h_s + h_t - h_st
 
 
@@ -283,7 +282,7 @@ def estimate_posterior(
     set must cover every domain value at least min_per_class times.
     """
     n1, n2 = domain
-    class_counts = Counter(samples.secrets)
+    class_counts = Counter(samples.runs.secrets)
     for secret in range(n1, n2 + 1):
         if class_counts[secret] < min_per_class:
             raise InsufficientSamples(
@@ -291,7 +290,7 @@ def estimate_posterior(
                 f"[{n1}, {n2}]; secret {secret} has {class_counts[secret]}"
             )
 
-    featured = list(zip(samples.secrets, samples.features(features)))
+    featured = list(zip(samples.runs.secrets, samples.features(features)))
     observed_feature = features(observed)
     matched = Counter(
         secret for secret, feature in featured if feature == observed_feature
@@ -331,20 +330,19 @@ class TranscriptSamples:
     (adversary_runs); each transcript is the one run_scenario gives
     for that sample's scenario.  `features` computes every sample's
     features in one array pass per batch and builds no transcript.
-    Nothing is kept but the samples' seeds and secrets, so memory does
-    not grow with their transcripts.
+    Nothing is kept but the samples' columns of seeds, secrets and keys,
+    so memory does not grow with their transcripts.
     """
 
-    def __init__(self, scenario: Scenario, runs: Sequence[Run]):
+    def __init__(self, scenario: Scenario, runs: Runs):
         self.scenario = scenario
         self.runs = runs
-        self.secrets = [int(run.party_secrets[SENDER]) for run in runs]
 
     def __len__(self) -> int:
-        return len(self.runs)
+        return len(self.runs.seeds)
 
     def __iter__(self) -> Iterator[tuple[int, Transcript]]:
-        secrets = iter(self.secrets)
+        secrets = iter(self.runs.secrets)
         for batch in adversary_runs(self.scenario, self.runs):
             for row in range(len(batch)):
                 yield next(secrets), batch.transcript(row)
@@ -373,19 +371,15 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     n1, n2 = scenario.secret_domain
     # Each sample's secret, then its key, drawn in one call.
     draws = RngStream(scenario.seed, STREAM_SAMPLER).integers(n1, n2, 2 * n_samples)
-    impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
-    runs = [
-        Run(seed, {SENDER: secret} if impersonation else {SENDER: secret, RECEIVER: key})
-        for seed, (secret, key) in enumerate(zip(draws[0::2], draws[1::2]), scenario.seed + 1)
-    ]
-    if runs:
-        seed, secrets, _ = runs[0]
-        first = dataclasses.replace(scenario, seed=seed, party_secrets=secrets)
+    seeds = range(scenario.seed + 1, scenario.seed + 1 + n_samples)
+    if n_samples:
+        secrets = {SENDER: draws[0], RECEIVER: draws[1]}
+        first = dataclasses.replace(scenario, seed=seeds[0], party_secrets=secrets)
         check_transmission(first)
         # The seeds rise by one from a valid first one: past 2^64 - 1, the first bad one is 2^64.
-        if runs[-1].seed >= 2**64:
+        if seeds[-1] >= 2**64:
             dataclasses.replace(first, seed=2**64).validate()
-    return TranscriptSamples(scenario, runs)
+    return TranscriptSamples(scenario, Runs(seeds, draws[0::2], draws[1::2]))
 
 
 # --- active attacks ---------------------------------------------------------
@@ -417,10 +411,10 @@ JAM_VALUE = -2.0
 _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
-def adversary_runs(scenario: Scenario, runs: Iterable[Run]) -> Iterator[RunBatch]:
+def adversary_runs(scenario: Scenario, runs: Runs) -> Iterator[RunBatch]:
     """decoy.simulate_runs with the adversary's default action: the one place that picks it.
 
-    A jammer adds JAM_VALUE; an impersonator forges only what a run's `forgery` holds.
+    A jammer adds JAM_VALUE; an impersonator forges only what the runs' `forgeries` hold.
     """
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     return simulate_runs(scenario, runs, jam_value)

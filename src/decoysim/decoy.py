@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -268,12 +268,13 @@ class Forgery:
 CELL_BUDGET = 1 << 16
 
 
-class Run(NamedTuple):
-    """What sets one run of a batch apart from the scenario the batch shares."""
+class Runs(NamedTuple):
+    """The len(seeds) runs of a batch as columns: what sets each apart from the scenario."""
 
-    seed: int
-    party_secrets: Mapping[str, int]
-    forgery: Optional[Forgery] = None
+    seeds: Sequence[int]
+    secrets: Sequence[int]  # the sender's
+    keys: Sequence[int]  # the receiver's, unread where an impersonator takes his place
+    forgeries: Sequence[Optional[Forgery]] = ()  # an impersonator's; None or no column: silent
 
 
 def check_transmission(
@@ -310,26 +311,26 @@ def simulate_transmission(
     the kernel simulate_runs uses.
     """
     check_transmission(scenario, jam_value, forgery)
-    run = Run(scenario.seed, scenario.party_secrets, forgery)
-    return _closed_form(scenario, [run], jam_value).outcome(0)
+    secrets = scenario.party_secrets
+    runs = Runs([scenario.seed], [secrets[SENDER]], [secrets.get(RECEIVER)], [forgery])
+    return _closed_form(scenario, runs, jam_value).outcome(0)
 
 
 def simulate_runs(
-    scenario: Scenario, runs: Iterable[Run], jam_value: Optional[float] = None
+    scenario: Scenario, runs: Runs, jam_value: Optional[float] = None
 ) -> Iterator["RunBatch"]:
     """Run transmissions that share `scenario` but for their seeds, secrets and forgeries.
 
     Yields one RunBatch per kernel pass, in order, over at most
-    max(1, CELL_BUDGET // max_ticks) runs each; `runs` is read one pass
-    at a time.  A run's outcome and transcript are those
+    max(1, CELL_BUDGET // max_ticks) runs each; each pass takes its slice
+    of every column.  A run's outcome and transcript are those
     simulate_transmission gives for `scenario` with the run's seed and
     party secrets in place.  Nothing is checked here: each run's scenario
     must pass check_transmission with `jam_value` and the run's forgery.
     """
     size = max(1, CELL_BUDGET // scenario.max_ticks)
-    runs = iter(runs)
-    while chunk := list(itertools.islice(runs, size)):
-        yield _closed_form(scenario, chunk, jam_value)
+    for start in range(0, len(runs.seeds), size):
+        yield _closed_form(scenario, runs._make(c[start : start + size] for c in runs), jam_value)
 
 
 class _Ramps(NamedTuple):
@@ -350,8 +351,7 @@ class _Ramps(NamedTuple):
 class _Plans(NamedTuple):
     """A pass's open-loop part, per run: its parties' ramps and when its second party announces."""
 
-    sender_secrets: list[int]
-    receiver_keys: Optional[list[int]]  # None when an impersonator takes the receiver's place
+    runs: Runs  # the pass's columns, from which the plans are drawn
     sender: _Ramps
     # The second party on the medium, whose own contribution its listener
     # subtracts: the receiver, a forger, or nobody.
@@ -361,7 +361,7 @@ class _Plans(NamedTuple):
     stop: np.ndarray  # where each run's first block of readings ends
 
 
-def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
+def _plans(scenario: Scenario, runs: Runs) -> _Plans:
     """Every run's plan, drawn from its (seed, stream) streams as generate_ramp would.
 
     A pass seeds only the streams it draws from, and draws for all its runs
@@ -377,11 +377,9 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
         streams.append(STREAM_NOISE)
     if randomized:
         streams.append(STREAM_SENDER)
-    seeds = [run.seed for run in runs]
+    seeds = runs.seeds
     rows = dict(zip(streams, RngStream.seed_rows(seeds, streams).transpose(1, 0, 2)))
-    sender_secrets = [int(run.party_secrets[SENDER]) for run in runs]
-    receiver_keys = [int(run.party_secrets[RECEIVER]) for run in runs] if receives else None
-    keys = np.array(receiver_keys or [], dtype=np.float64)
+    keys = np.asarray(runs.keys, dtype=np.float64) if receives else None
     # The receiver's start is drawn from his stream whether or not he shows
     # up, so an impersonation run is tick-aligned with its honest twin.
     if receives and randomized:  # his ramp draws from his stream after the start
@@ -401,13 +399,13 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
         # The deterministic-rate control only makes the *sender* leaky; the
         # receiver jumps so the observable ramp duration is the sender's alone.
         other = _Ramps(keys, receiver_start, receiver_start)
-    targets = np.array(sender_secrets, dtype=np.float64)
+    targets = np.asarray(runs.secrets, dtype=np.float64)
     if model is RampModel.SYNCHRONOUS:
         # Idealized control: both parties move at one public tick, so
         # nobody's force is ever observable alone.
         sender = _Ramps(targets, receiver_start, receiver_start)
     else:
-        start = np.zeros(len(runs), dtype=np.int64)
+        start = np.zeros(len(seeds), dtype=np.int64)
         if scenario.defense_enabled:
             start = np.minimum(announce + 1, budget)
         if model is RampModel.DETERMINISTIC_RATE:
@@ -419,9 +417,9 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
             sender = _Ramps(targets, start, start + durations, schedules)
         else:
             moves = (start < budget).nonzero()[0]  # a sender who never moves draws nothing
-            durations = np.zeros(len(runs), dtype=np.int64)
-            weights = np.zeros((len(runs), max_ramp))
-            movers = [seeds[index] for index in moves.tolist()]
+            durations = np.zeros(len(seeds), dtype=np.int64)
+            weights = np.zeros((len(seeds), max_ramp))
+            movers = list(itertools.compress(seeds, start < budget))
             _, durations[moves], weights[moves] = _random_ramps(
                 movers, STREAM_SENDER, rows[STREAM_SENDER][moves], max_ramp
             )
@@ -429,20 +427,23 @@ def _plans(scenario: Scenario, runs: Sequence[Run]) -> _Plans:
             sender = _Ramps(targets, start, start + durations, schedules)
     noise = None
     if scenario.noise_sigma > 0.0:
-        noise = [RngStream(seed, STREAM_NOISE, row) for seed, row in zip(seeds, rows[STREAM_NOISE])]
+        noise = list(map(RngStream, seeds, itertools.repeat(STREAM_NOISE), rows[STREAM_NOISE]))
     # An impersonation always runs its whole budget; an honest run's first
     # block ends hold ticks after both ramps (his start is early enough for
     # hers to begin within the budget) have settled.
-    stop = np.full(len(runs), budget)
+    stop = np.full(len(seeds), budget)
     if receives:
         stop = np.minimum(budget, np.maximum(sender.stabilize, other.stabilize) + hold)
-    return _Plans(sender_secrets, receiver_keys, sender, other, announce, noise, stop)
+    return _Plans(runs, sender, other, announce, noise, stop)
 
 
-def _forgeries(runs: Sequence[Run], budget: int) -> tuple[_Ramps, np.ndarray]:
+def _forgeries(runs: Runs, budget: int) -> tuple[_Ramps, np.ndarray]:
     """The forged ramps and announcement ticks; a silent impersonator announces at the budget."""
+    if not runs.forgeries:  # every impersonator is silent
+        never = np.full(len(runs.seeds), budget)
+        return _Ramps(np.zeros(len(runs.seeds)), never, never), never
     silent = Forgery(budget, RampProcess(0.0, budget, budget, ()))
-    forgeries = [run.forgery or silent for run in runs]
+    forgeries = [forgery or silent for forgery in runs.forgeries]
     ramps = [forgery.ramp or silent.ramp for forgery in forgeries]
     schedules = np.zeros((len(ramps), 1 + max(len(ramp.schedule) for ramp in ramps)))
     for row, ramp in zip(schedules, ramps):
@@ -521,7 +522,8 @@ class RunBatch:
 
     def outcome(self, index: int) -> DecoyOutcome:
         scenario, plans, length = self.scenario, self._plans, self.lengths[index]
-        receiver_key = None if plans.receiver_keys is None else plans.receiver_keys[index]
+        receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
+        receiver_key = int(plans.runs.keys[index]) if receives else None
         detected_tick = estimate = recovered = None
         status, detail = TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks"
         if self._detected[index] is not None:
@@ -532,7 +534,7 @@ class RunBatch:
         moved = sender_start < length
         return DecoyOutcome(
             recovered=recovered,
-            sender_secret=plans.sender_secrets[index],
+            sender_secret=int(plans.runs.secrets[index]),
             receiver_key=receiver_key,
             transcript=functools.partial(self.transcript, index),
             detected_tick=detected_tick,
@@ -713,7 +715,7 @@ def _jam(
     return readings, seen[:, seen.shape[1] - watch + 1 :]
 
 
-def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[float]) -> RunBatch:
+def _closed_form(scenario: Scenario, runs: Runs, jam_value: Optional[float]) -> RunBatch:
     """A batch of decoy runs that differ only in seed, secrets and forgery, in blocks of ticks.
 
     Each party's effect on the channel is open-loop once one trigger tick
@@ -742,7 +744,7 @@ def _closed_form(scenario: Scenario, runs: Sequence[Run], jam_value: Optional[fl
     floor = scenario.n1 - 0.5
     watch = max(1, hold // 2)
     plans = _plans(scenario, runs)
-    count = len(runs)
+    count = len(runs.seeds)
     jam_from = [budget] * count  # where each jammer's force joins
     detected: list[Optional[tuple[int, float]]] = [None] * count
     adversary_recovered: list[Optional[int]] = [None] * count

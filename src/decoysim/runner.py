@@ -16,7 +16,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from .channel import block_noise, measure_block
-from .decoy import DecoyOutcome, Run
+from .decoy import DecoyOutcome, Runs
 from .engine import (
     DECOY_PROTOCOLS,
     OK,
@@ -118,11 +118,11 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
 
     Decoy runs go through the kernel a pass at a time
-    (adversary.adversary_runs), so only one pass's readings are held at
-    once; comparison runs go one at a time.  The scenario is validated
-    once.  The seeds rise by one, so the first invalid one is 2^64: every
-    run before it is yielded, and then it raises the InvalidScenario that
-    validate() gives for it.
+    (adversary.adversary_runs), from a range of seeds and zero-stride
+    secrets and keys, so memory does not grow with `count`; comparison
+    runs go one at a time.  The scenario is validated once.  The seeds
+    rise by one, so the first invalid one is 2^64: every run before it is
+    yielded, and then it raises the InvalidScenario validate() gives.
     """
     scenario.validate()
     valid = min(count, 2**64 - scenario.seed)
@@ -130,17 +130,20 @@ def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
     if scenario.protocol in DECOY_PROTOCOLS:
         kind = scenario.adversary
         attacked = kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
-        runs = (Run(seed, scenario.party_secrets) for seed in seeds)
+        secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
         scenarios = map(scenario.with_seed, seeds)
-        for batch in adversary_mod.adversary_runs(scenario, runs):
-            for row in range(len(batch)):
-                result = outcome = batch.outcome(row)
-                status, detail = outcome.status, outcome.detail
-                if attacked:  # an attack run is OK whatever it did: its result says
-                    result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
-                transcript = functools.partial(getattr, outcome, "transcript")
-                digest = functools.partial(batch.digest, row)
-                yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
+        # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
+        for span in (seeds[first : first + 2**32] for first in range(0, valid, 2**32)):
+            runs = Runs(span, np.broadcast_to(secret, len(span)), np.broadcast_to(key, len(span)))
+            for batch in adversary_mod.adversary_runs(scenario, runs):
+                for row in range(len(batch)):
+                    result = outcome = batch.outcome(row)
+                    status, detail = outcome.status, outcome.detail
+                    if attacked:  # an attack run is OK whatever it did: its result says
+                        result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
+                    transcript = functools.partial(getattr, outcome, "transcript")
+                    digest = functools.partial(batch.digest, row)
+                    yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
     else:
         for seed in seeds:
             yield _comparison_run(scenario.with_seed(seed))

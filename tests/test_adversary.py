@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from decoysim import (
     NonFiniteValue,
     RampModel,
     Reading,
+    Scenario,
     TranscriptFeatures,
     Transcript,
     analytic_split_posterior,
@@ -30,7 +32,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.decoy import simulate_runs, simulate_transmission
+from decoysim.decoy import Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
@@ -97,6 +99,45 @@ class TestAnalyticOracles:
                 p_t[s + k] = p_t.get(s + k, 0) + 1 / 64
         h_t = -sum(p * math.log2(p) for p in p_t.values())
         assert abs(analytic_sum_mi((1, 8)) - (h_t - 3.0)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "secret_domain, key_domain",
+        [
+            ((1, 8), (1, 8)),
+            ((1, 100), (1, 100)),
+            ((1, 8), (1, 3)),
+            ((2, 9), (5, 7)),
+            ((3, 4), (1, 50)),
+            ((1, 30), (10, 11)),
+            ((7, 20), (1, 100)),
+            ((40, 41), (3, 90)),
+            ((5, 60), (2, 17)),
+        ],
+    )
+    def test_sum_mi_is_the_enumeration_bit_for_bit(self, secret_domain, key_domain):
+        # The oracle counts every (secret, total) pair and sums each entropy
+        # over its Counter, whose order is each outcome's first occurrence.
+        (s1, s2), (k1, k2) = secret_domain, key_domain
+        joint = Counter((s, s + k) for s in range(s1, s2 + 1) for k in range(k1, k2 + 1))
+        n = sum(joint.values())
+
+        def entropy(counts) -> float:
+            return -sum((c / n) * math.log2(c / n) for c in counts)
+
+        h_s = entropy(Counter(s for s, _ in joint.elements()).values())
+        h_t = entropy(Counter(t for _, t in joint.elements()).values())
+        enumerated = h_s + h_t - entropy(joint.values())
+        assert repr(analytic_sum_mi(secret_domain, key_domain)) == repr(enumerated)
+
+    def test_sum_mi_memory_does_not_grow_with_the_domain(self):
+        # Counting the 4 * 10^6 pairs of (1, 2000) took over 500 MB.
+        tracemalloc.start()
+        try:
+            analytic_sum_mi((1, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_entropy_sums_are_pinned_bit_for_bit(self):
         # repr round-trips a float, so a change to a sum's order or expression shows.
@@ -440,6 +481,14 @@ class TestAttackImpersonate:
             attack_impersonate(decoy_scenario())
 
 
+def _sample_scenario(scenario: Scenario, runs: Runs, index: int) -> Scenario:
+    """The scenario sample `index` stands for: its seed, secret and, for a receiver, key."""
+    secrets = {"alice": int(runs.secrets[index])}
+    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
+        secrets["bob"] = int(runs.keys[index])
+    return dataclasses.replace(scenario, seed=runs.seeds[index], party_secrets=secrets)
+
+
 class TestCollectSamples:
     def test_sample_count_and_coverage(self):
         scenario = sync_scenario(seed=700)
@@ -470,11 +519,8 @@ class TestCollectSamples:
             features = TranscriptFeatures.for_scenario(scenario)
             assert samples.features(features) == [features(t) for _, t in samples]
             for index, (secret, transcript) in enumerate(samples):
-                run = samples.runs[index]
-                alone = dataclasses.replace(
-                    scenario, seed=run.seed, party_secrets=run.party_secrets
-                )
-                assert secret == run.party_secrets["alice"]
+                alone = _sample_scenario(scenario, samples.runs, index)
+                assert secret == alone.party_secrets["alice"]
                 assert transcript.entries == run_scenario(alone).transcript.entries
 
     def test_working_set_stays_that_of_one_run(self):
@@ -484,7 +530,6 @@ class TestCollectSamples:
         features = TranscriptFeatures.for_scenario(scenario)
         runs = collect_transmission_samples(scenario, 64).runs
         lengths = [batch.lengths[0] for batch in simulate_runs(scenario, runs)]
-        longest = runs[lengths.index(max(lengths))]
 
         def peak(action) -> int:
             tracemalloc.start()
@@ -494,9 +539,7 @@ class TestCollectSamples:
             finally:
                 tracemalloc.stop()
 
-        alone = dataclasses.replace(
-            scenario, seed=longest.seed, party_secrets=longest.party_secrets
-        )
+        alone = _sample_scenario(scenario, runs, lengths.index(max(lengths)))
         one_run = peak(lambda: run_scenario(alone))
         samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
         assert samples <= 2 * one_run

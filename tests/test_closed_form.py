@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -39,7 +40,7 @@ from decoysim import (
 from decoysim import channel, decoy
 from decoysim.adversary import JAM_VALUE
 from decoysim.channel import measure_block
-from decoysim.decoy import DecoyOutcome, Forgery, Run, simulate_runs, simulate_transmission
+from decoysim.decoy import DecoyOutcome, Forgery, Runs, simulate_runs, simulate_transmission
 from decoysim.engine import (
     OK,
     OUT_OF_DOMAIN,
@@ -139,18 +140,21 @@ def test_attacks_match_the_tick_loop(attack):
 
 
 @st.composite
-def batches(draw) -> tuple[Scenario, list[Run], float | None, int]:
-    """A scenario, runs that differ from it in seed, secrets and forgery, jam value, pass size."""
+def batches(draw) -> tuple[Scenario, Runs, float | None, int]:
+    """A scenario, runs that differ from it in seed, secrets and forgery, jam value, pass size.
+
+    An impersonator's runs have no key, and no forgery column when all are silent.
+    """
     scenario = draw(scenarios())
     n1, n2 = scenario.secret_domain
     impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
-    runs = []
+    seeds, secrets, keys, forgeries = [], [], [], []
     for _ in range(draw(st.integers(1, 9))):
-        seed = draw(st.integers(0, 2**64 - 1))
-        secrets = {"alice": draw(st.integers(n1, n2))}
-        forgery = None
+        seeds.append(seed := draw(st.integers(0, 2**64 - 1)))
+        secrets.append(draw(st.integers(n1, n2)))
+        bob = forgery = None
         if not impersonation:
-            secrets["bob"] = draw(st.integers(n1, n2))
+            bob = draw(st.integers(n1, n2))
         elif draw(st.booleans()):
             tick = draw(st.integers(1, scenario.max_ticks + 2))
             key = draw(st.sampled_from([4.0, 2.5, 0.0]))
@@ -160,23 +164,30 @@ def batches(draw) -> tuple[Scenario, list[Run], float | None, int]:
                     RngStream(seed, STREAM_ADVERSARY), key, tick, scenario.max_ramp_ticks
                 )
             forgery = Forgery(tick, ramp)
-        runs.append(Run(seed, secrets, forgery))
+        keys.append(bob)
+        forgeries.append(forgery)
     jam_value = None
     if scenario.adversary is AdversaryKind.JAMMER:
         reach = 2.0 * n2
         jam_value = draw(st.one_of(st.just(JAM_VALUE), st.floats(-reach, reach)))
-    return scenario, runs, jam_value, draw(st.integers(1, len(runs)))
+    runs = Runs(seeds, secrets, keys, forgeries if any(forgeries) else ())
+    return scenario, runs, jam_value, draw(st.integers(1, len(seeds)))
 
 
-def _run_alone(scenario: Scenario, run: Run) -> Scenario:
-    return dataclasses.replace(scenario, seed=run.seed, party_secrets=run.party_secrets)
+def _run_alone(scenario: Scenario, runs: Runs, index: int) -> Scenario:
+    """`scenario` with run `index`'s seed and secrets: a receiver's key only where it has one."""
+    secrets = {"alice": int(runs.secrets[index])}
+    if runs.keys[index] is not None:
+        secrets["bob"] = int(runs.keys[index])
+    return dataclasses.replace(scenario, seed=runs.seeds[index], party_secrets=secrets)
 
 
-def _batched(scenario: Scenario, runs: list[Run], jam_value, per_pass: int) -> list[DecoyOutcome]:
+def _batched(scenario: Scenario, runs: Runs, jam_value, per_pass: int) -> list[DecoyOutcome]:
     """Every run's outcome from simulate_runs, the kernel taking per_pass runs at a time."""
     with mock.patch.object(decoy, "CELL_BUDGET", per_pass * scenario.max_ticks):
         passes = list(simulate_runs(scenario, runs, jam_value))
-    sizes = [min(per_pass, len(runs) - start) for start in range(0, len(runs), per_pass)]
+    count = len(runs.seeds)
+    sizes = [min(per_pass, count - start) for start in range(0, count, per_pass)]
     assert [len(batch) for batch in passes] == sizes
     return [batch.outcome(row) for batch in passes for row in range(len(batch))]
 
@@ -185,11 +196,12 @@ def _batched(scenario: Scenario, runs: list[Run], jam_value, per_pass: int) -> l
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_a_batch_matches_its_runs_one_at_a_time(batch):
     scenario, runs, jam_value, per_pass = batch
-    for run, outcome in zip(runs, _batched(scenario, runs, jam_value, per_pass)):
-        alone = _run_alone(scenario, run)
-        _assert_agree(outcome, simulate_transmission(alone, jam_value, run.forgery))
+    forgeries = runs.forgeries or [None] * len(runs.seeds)
+    for index, outcome in enumerate(_batched(scenario, runs, jam_value, per_pass)):
+        alone = _run_alone(scenario, runs, index)
+        _assert_agree(outcome, simulate_transmission(alone, jam_value, forgeries[index]))
         # What a run of the scenario does: the default jam value, and no forgery.
-        if run.forgery is None and jam_value in (None, JAM_VALUE):
+        if forgeries[index] is None and jam_value in (None, JAM_VALUE):
             _assert_agree(run_scenario(alone).result, _entry_point(alone))
 
 
@@ -245,16 +257,41 @@ def test_seeds_in_shared_passes_match_the_entry_points():
     }
 
 
+@pytest.mark.parametrize("count", [10**18, 2**64])
+def test_run_seeds_memory_does_not_grow_with_its_count(count):
+    # The seeds are a range and the secrets zero-stride views: the first
+    # runs of a huge count cost what a pass of them costs, and read as alone.
+    scenario = decoy_scenario(seed=5)
+    per_pass = decoy.CELL_BUDGET // scenario.max_ticks
+
+    def first_three(of: int) -> tuple[list, int]:
+        tracemalloc.start()
+        try:
+            runs = list(itertools.islice(run_seeds(scenario, of), 3))
+            return runs, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_pass = first_three(per_pass)[1]
+    runs, peak = first_three(count)
+    assert peak <= 2 * one_pass
+    for index, run in enumerate(runs):
+        alone = run_scenario(scenario.with_seed(scenario.seed + index))
+        assert run.scenario == alone.scenario
+        _assert_agree(run.result, alone.result)
+        assert run.digest == alone.digest
+
+
 def test_a_batch_spans_later_blocks_timeouts_and_passes():
     # Tight tolerance under noise: most receivers detect only in a block
     # after the first, and one never does.
     scenario = decoy_scenario(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4, max_ticks=100)
-    runs = [Run(seed, {"alice": 3 + seed % 5, "bob": 5}) for seed in range(30)]
+    runs = Runs(range(30), [3 + seed % 5 for seed in range(30)], [5] * 30)
     per_pass = 7
     outcomes = _batched(scenario, runs, None, per_pass)
     later = 0
-    for start in range(0, len(runs), per_pass):
-        in_pass = runs[start : start + per_pass]
+    for start in range(0, len(runs.seeds), per_pass):
+        in_pass = runs._make(column[start : start + per_pass] for column in runs)
         first_block = int(decoy._plans(scenario, in_pass).stop.max())
         later += sum(
             outcome.detected_tick is not None and outcome.detected_tick >= first_block
@@ -262,8 +299,8 @@ def test_a_batch_spans_later_blocks_timeouts_and_passes():
         )
     assert later >= 10
     assert any(outcome.status == TIMEOUT for outcome in outcomes)
-    for run, outcome in zip(runs, outcomes):
-        _assert_agree(outcome, simulate_transmission(_run_alone(scenario, run)))
+    for index, outcome in enumerate(outcomes):
+        _assert_agree(outcome, simulate_transmission(_run_alone(scenario, runs, index)))
 
 
 def _bits(values) -> list[str]:
@@ -297,19 +334,25 @@ def _assert_columns_hold(columns: "decoy._Ramps", ramp, budget: int) -> None:
     assert _bits(values) == _bits(ramp.value_at(tick) for tick in range(budget))
 
 
+def _one_run(scenario: Scenario, forgery=None) -> Runs:
+    """The scenario's own run as a batch of one, the columns simulate_transmission passes."""
+    secrets = scenario.party_secrets
+    return Runs([scenario.seed], [secrets["alice"]], [secrets.get("bob")], [forgery])
+
+
 def _assert_plan_is_the_oracles(scenario: Scenario, forgery=None) -> None:
     scenario.validate()
     budget = scenario.max_ticks
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     ramps, looped = _oracle_set_up(scenario, jam_value, forgery)
-    plans = decoy._plans(scenario, [Run(scenario.seed, scenario.party_secrets, forgery)])
+    plans = decoy._plans(scenario, _one_run(scenario, forgery))
     receiver, sender = ramps.get(STREAM_RECEIVER), ramps.get(STREAM_SENDER)
     if scenario.adversary is AdversaryKind.IMPERSONATOR:
-        assert receiver is None and plans.receiver_keys is None
+        assert receiver is None
         other = forgery.ramp if forgery else None
         announce = forgery.tick if forgery else budget
     else:
-        assert plans.receiver_keys == [scenario.party_secrets["bob"]]
+        assert receiver.target == scenario.party_secrets["bob"]
         other, announce = receiver, receiver.start_tick
     if other is None:
         assert not decoy._contributions(plans.other, [0], 0, budget).any()
@@ -454,7 +497,7 @@ def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
         return generator(rng)
 
     with mock.patch.object(RngStream, "_generator", recorded):
-        (batch,) = simulate_runs(scenario, [Run(seed, scenario.party_secrets)])
+        (batch,) = simulate_runs(scenario, _one_run(scenario))
     assert built == [(seed, stream)]
     looped = tick_oracle.transmission(scenario)
     _assert_agree(batch.outcome(0), looped)

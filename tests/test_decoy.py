@@ -20,7 +20,7 @@ from decoysim import (
     run_scenario,
 )
 from decoysim import decoy
-from decoysim.decoy import IN_BUSINESS, Run, simulate_runs
+from decoysim.decoy import IN_BUSINESS, Runs, simulate_runs
 from decoysim.engine import STREAM_NOISE, STREAM_RECEIVER, STREAM_SENDER
 from conftest import decoy_scenario, sync_scenario, with_seed
 
@@ -280,7 +280,8 @@ class TestStreamsAreLazy:
             return generator(stream)
 
         monkeypatch.setattr(RngStream, "_generator", recorded)
-        runs = [Run(seed, scenario.party_secrets) for seed in range(count)]
+        secrets = scenario.party_secrets
+        runs = Runs(range(count), [secrets["alice"]] * count, [secrets["bob"]] * count)
         (batch,) = simulate_runs(scenario, runs)
         assert len(batch) == count
         return built
