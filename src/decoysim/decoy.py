@@ -439,11 +439,8 @@ def _plans(scenario: Scenario, runs: Runs) -> _Plans:
 
 def _forgeries(runs: Runs, budget: int) -> tuple[_Ramps, np.ndarray]:
     """The forged ramps and announcement ticks; a silent impersonator announces at the budget."""
-    if not runs.forgeries:  # every impersonator is silent
-        never = np.full(len(runs.seeds), budget)
-        return _Ramps(np.zeros(len(runs.seeds)), never, never), never
     silent = Forgery(budget, RampProcess(0.0, budget, budget, ()))
-    forgeries = [forgery or silent for forgery in runs.forgeries]
+    forgeries = [forgery or silent for forgery in runs.forgeries or [None] * len(runs.seeds)]
     ramps = [forgery.ramp or silent.ramp for forgery in forgeries]
     schedules = np.zeros((len(ramps), 1 + max(len(ramp.schedule) for ramp in ramps)))
     for row, ramp in zip(schedules, ramps):

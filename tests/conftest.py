@@ -6,6 +6,7 @@ import random
 import pytest
 
 from decoysim import AdversaryKind, Protocol, RampModel, Scenario
+from decoysim.decoy import Runs
 
 
 def decoy_scenario(**overrides) -> Scenario:
@@ -84,6 +85,20 @@ def random_scenario(rng: random.Random) -> Scenario:
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, seed=seed)
+
+
+def one_run(scenario: Scenario, forgery=None) -> Runs:
+    """The scenario's own run as a batch of one, the columns simulate_transmission passes."""
+    secrets = scenario.party_secrets
+    return Runs([scenario.seed], [secrets["alice"]], [secrets.get("bob")], [forgery])
+
+
+def run_alone(scenario: Scenario, runs: Runs, index: int) -> Scenario:
+    """`scenario` with run `index`'s seed and secrets: a key unless an impersonator receives."""
+    secrets = {"alice": int(runs.secrets[index])}
+    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
+        secrets["bob"] = int(runs.keys[index])
+    return dataclasses.replace(scenario, seed=runs.seeds[index], party_secrets=secrets)
 
 
 @pytest.fixture

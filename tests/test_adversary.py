@@ -18,7 +18,6 @@ from decoysim import (
     NonFiniteValue,
     RampModel,
     Reading,
-    Scenario,
     TranscriptFeatures,
     Transcript,
     analytic_split_posterior,
@@ -32,8 +31,8 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.decoy import Runs, simulate_runs, simulate_transmission
-from conftest import decoy_scenario, sync_scenario, with_seed
+from decoysim.decoy import simulate_runs, simulate_transmission
+from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
 
@@ -481,14 +480,6 @@ class TestAttackImpersonate:
             attack_impersonate(decoy_scenario())
 
 
-def _sample_scenario(scenario: Scenario, runs: Runs, index: int) -> Scenario:
-    """The scenario sample `index` stands for: its seed, secret and, for a receiver, key."""
-    secrets = {"alice": int(runs.secrets[index])}
-    if scenario.adversary is not AdversaryKind.IMPERSONATOR:
-        secrets["bob"] = int(runs.keys[index])
-    return dataclasses.replace(scenario, seed=runs.seeds[index], party_secrets=secrets)
-
-
 class TestCollectSamples:
     def test_sample_count_and_coverage(self):
         scenario = sync_scenario(seed=700)
@@ -519,7 +510,7 @@ class TestCollectSamples:
             features = TranscriptFeatures.for_scenario(scenario)
             assert samples.features(features) == [features(t) for _, t in samples]
             for index, (secret, transcript) in enumerate(samples):
-                alone = _sample_scenario(scenario, samples.runs, index)
+                alone = run_alone(scenario, samples.runs, index)
                 assert secret == alone.party_secrets["alice"]
                 assert transcript.entries == run_scenario(alone).transcript.entries
 
@@ -539,7 +530,7 @@ class TestCollectSamples:
             finally:
                 tracemalloc.stop()
 
-        alone = _sample_scenario(scenario, runs, lengths.index(max(lengths)))
+        alone = run_alone(scenario, runs, lengths.index(max(lengths)))
         one_run = peak(lambda: run_scenario(alone))
         samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
         assert samples <= 2 * one_run

@@ -51,7 +51,7 @@ from decoysim.engine import (
 )
 from decoysim.errors import OutOfDomain
 from decoysim.runner import run_seeds
-from conftest import decoy_scenario
+from conftest import decoy_scenario, one_run, run_alone
 
 
 def _fields(outcome) -> dict:
@@ -174,14 +174,6 @@ def batches(draw) -> tuple[Scenario, Runs, float | None, int]:
     return scenario, runs, jam_value, draw(st.integers(1, len(seeds)))
 
 
-def _run_alone(scenario: Scenario, runs: Runs, index: int) -> Scenario:
-    """`scenario` with run `index`'s seed and secrets: a receiver's key only where it has one."""
-    secrets = {"alice": int(runs.secrets[index])}
-    if runs.keys[index] is not None:
-        secrets["bob"] = int(runs.keys[index])
-    return dataclasses.replace(scenario, seed=runs.seeds[index], party_secrets=secrets)
-
-
 def _batched(scenario: Scenario, runs: Runs, jam_value, per_pass: int) -> list[DecoyOutcome]:
     """Every run's outcome from simulate_runs, the kernel taking per_pass runs at a time."""
     with mock.patch.object(decoy, "CELL_BUDGET", per_pass * scenario.max_ticks):
@@ -198,7 +190,7 @@ def test_a_batch_matches_its_runs_one_at_a_time(batch):
     scenario, runs, jam_value, per_pass = batch
     forgeries = runs.forgeries or [None] * len(runs.seeds)
     for index, outcome in enumerate(_batched(scenario, runs, jam_value, per_pass)):
-        alone = _run_alone(scenario, runs, index)
+        alone = run_alone(scenario, runs, index)
         _assert_agree(outcome, simulate_transmission(alone, jam_value, forgeries[index]))
         # What a run of the scenario does: the default jam value, and no forgery.
         if forgeries[index] is None and jam_value in (None, JAM_VALUE):
@@ -300,7 +292,7 @@ def test_a_batch_spans_later_blocks_timeouts_and_passes():
     assert later >= 10
     assert any(outcome.status == TIMEOUT for outcome in outcomes)
     for index, outcome in enumerate(outcomes):
-        _assert_agree(outcome, simulate_transmission(_run_alone(scenario, runs, index)))
+        _assert_agree(outcome, simulate_transmission(run_alone(scenario, runs, index)))
 
 
 def _bits(values) -> list[str]:
@@ -334,25 +326,24 @@ def _assert_columns_hold(columns: "decoy._Ramps", ramp, budget: int) -> None:
     assert _bits(values) == _bits(ramp.value_at(tick) for tick in range(budget))
 
 
-def _one_run(scenario: Scenario, forgery=None) -> Runs:
-    """The scenario's own run as a batch of one, the columns simulate_transmission passes."""
-    secrets = scenario.party_secrets
-    return Runs([scenario.seed], [secrets["alice"]], [secrets.get("bob")], [forgery])
-
-
 def _assert_plan_is_the_oracles(scenario: Scenario, forgery=None) -> None:
     scenario.validate()
     budget = scenario.max_ticks
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     ramps, looped = _oracle_set_up(scenario, jam_value, forgery)
-    plans = decoy._plans(scenario, _one_run(scenario, forgery))
+    runs = one_run(scenario, forgery)
+    if scenario.adversary is AdversaryKind.IMPERSONATOR:
+        runs = runs._replace(keys=[-1])  # out of every domain: the plan must not read it
+    plans = decoy._plans(scenario, runs)
     receiver, sender = ramps.get(STREAM_RECEIVER), ramps.get(STREAM_SENDER)
     if scenario.adversary is AdversaryKind.IMPERSONATOR:
         assert receiver is None
+        (batch,) = simulate_runs(scenario, runs)
+        assert batch.outcome(0).receiver_key is None
         other = forgery.ramp if forgery else None
         announce = forgery.tick if forgery else budget
     else:
-        assert receiver.target == scenario.party_secrets["bob"]
+        assert plans.other.target[0] == scenario.party_secrets["bob"]
         other, announce = receiver, receiver.start_tick
     if other is None:
         assert not decoy._contributions(plans.other, [0], 0, budget).any()
@@ -497,7 +488,7 @@ def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
         return generator(rng)
 
     with mock.patch.object(RngStream, "_generator", recorded):
-        (batch,) = simulate_runs(scenario, _one_run(scenario))
+        (batch,) = simulate_runs(scenario, one_run(scenario))
     assert built == [(seed, stream)]
     looped = tick_oracle.transmission(scenario)
     _assert_agree(batch.outcome(0), looped)
