@@ -27,12 +27,12 @@ import numpy as np
 from .decoy import (
     IN_BUSINESS,
     DecoyOutcome,
-    Forgery,
+    RampProcess,
     RunBatch,
     Runs,
     check_transmission,
     detect_stabilization,
-    generate_ramp,
+    mean_slack,
     recover_secret,
     simulate_runs,
     simulate_transmission,
@@ -42,13 +42,11 @@ from .engine import (
     OUT_OF_DOMAIN,
     RECEIVER,
     SENDER,
-    STREAM_ADVERSARY,
     STREAM_SAMPLER,
     TIMEOUT,
     AdversaryKind,
     BuiltOnRead,
     Protocol,
-    RampModel,
     RngStream,
     Scenario,
     Transcript,
@@ -202,14 +200,12 @@ class TranscriptFeatures:
         """The features of each row of `values`, whose first lengths[i] are run i's readings.
 
         A stable total is round(math.fsum(tail) / len(tail)), taken from
-        one float sum per row.  With u = 2^-53 and A the tail's largest
-        magnitude, a float sum of the row's `width` values (zeros outside
-        the tail) in any order is within (width - 1) u len(tail) A of the
-        exact sum, so its mean is within (width + 2) u A of the exact one's
-        (fsum, rounded, then divided); `slack` is twice that, as in
-        decoy._may_settle.  Where the float mean lies further than the
-        slack from every half-integer, both round to the same integer;
-        elsewhere, and where it is not finite, the row takes fsum.
+        one float sum per row of its `width` values, zeros outside the
+        tail.  With A the tail's largest magnitude, that mean lies within
+        half of `slack` (decoy.mean_slack) of fsum's.  Where the float
+        mean lies further than the slack from every half-integer, both
+        round to the same integer; elsewhere, and where it is not finite,
+        the row takes fsum.
         """
         lengths = np.asarray(lengths)
         width = values.shape[1]
@@ -225,7 +221,7 @@ class TranscriptFeatures:
         tail = inside & (columns >= flat_onset[:, None])
         means = np.where(tail, values, 0.0).sum(axis=1) / np.maximum(lengths - flat_onset, 1)
         magnitude = np.where(tail, np.abs(values), 0.0).max(axis=1, initial=0.0)
-        slack = (2.0 * (width + 3) * 2.0**-53 * magnitude + 2.0**-1022) * (1.0 + 2.0**-40)
+        slack = mean_slack(width, magnitude) * (1.0 + 2.0**-40)
         near_half = np.abs(means - np.floor(means) - 0.5) <= slack
         exact = stable & (near_half | ~np.isfinite(means))
         # Every half is near one, so rint meets no tie; the exact rows' totals follow.
@@ -414,7 +410,7 @@ _RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 def adversary_runs(scenario: Scenario, runs: Runs) -> Iterator[RunBatch]:
     """decoy.simulate_runs with the adversary's default action: the one place that picks it.
 
-    A jammer adds JAM_VALUE; an impersonator forges only what the runs' `forgeries` hold.
+    A jammer adds JAM_VALUE; an impersonator stays silent.
     """
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     return simulate_runs(scenario, runs, jam_value)
@@ -453,13 +449,15 @@ class _ImpersonatorActor:
     """An impersonator, one tick at a time: stays silent, or forges the announcement.
 
     The per-tick view of what `simulate_transmission` computes from the
-    forgery; nothing in the package steps it.
+    forger key: `tick` is the forged announcement's (None for a silent
+    impersonator) and `ramp` the forger's own, if any.  Nothing in the
+    package steps it.
     """
 
-    def __init__(self, scenario: Scenario, forgery: Optional[Forgery]):
+    def __init__(self, scenario: Scenario, tick: Optional[int], ramp: Optional[RampProcess]):
         self.scenario = scenario
-        self.ramp = forgery.ramp if forgery else None
-        self.announce_tick = forgery.tick if forgery else None
+        self.ramp = ramp
+        self.announce_tick = tick
         self.window: list[float] = []
         self.recovered: Optional[int] = None
 
@@ -512,22 +510,13 @@ def attack_impersonate(
     refuses to move until she sees the in-business announcement, so a
     silent adversary gets nothing and the run times out.  Forging the
     announcement re-enables the read (minus the adversary's own known
-    contribution): the defense assumes the announcement is authentic.
+    contribution): the defense assumes the announcement is authentic.  A
+    forger whose key is > 0 also ramps to it; any other key forges alone.
     """
     if scenario.adversary is not AdversaryKind.IMPERSONATOR:
         raise InvalidScenario("attack_impersonate needs scenario.adversary = impersonator")
-    forgery = None
-    if forge_announcement:
-        # The forged tick is the adversary stream's first draw, its ramp the next.
-        rng = scenario.stream(STREAM_ADVERSARY)
-        tick = rng.integers(1, scenario.receiver_start_max)
-        ramp = None
-        if float(adversary_key) > 0.0:
-            ramp = generate_ramp(
-                rng, float(adversary_key), tick, scenario.max_ramp_ticks, RampModel.RANDOM_RAMP
-            )
-        forgery = Forgery(tick, ramp)
-    return attack_result(simulate_transmission(scenario, forgery=forgery), scenario.adversary)
+    forger_key = float(adversary_key) if forge_announcement else None
+    return attack_result(simulate_transmission(scenario, forger_key=forger_key), scenario.adversary)
 
 
 def attack_result(

@@ -23,6 +23,7 @@ from .engine import (
     OUT_OF_DOMAIN,
     RECEIVER,
     SENDER,
+    STREAM_ADVERSARY,
     STREAM_NOISE,
     STREAM_RECEIVER,
     STREAM_SENDER,
@@ -165,7 +166,8 @@ def _ramp_schedules(weights: np.ndarray, durations: np.ndarray, targets: np.ndar
     partial /= np.array(totals)[:, None]
     # The value on the start tick is 0; the j-th later tick carries the j-th partial sum.
     schedules = np.zeros((len(weights), weights.shape[1] + 1))
-    np.multiply(targets[:, None], partial, out=schedules[:, 1:])
+    with np.errstate(over="ignore"):  # only cells past a ramp's duration can overflow
+        np.multiply(targets[:, None], partial, out=schedules[:, 1:])
     return schedules
 
 
@@ -249,19 +251,6 @@ class DecoyOutcome:
         return self.recovered == self.sender_secret
 
 
-@dataclass(frozen=True)
-class Forgery:
-    """A receiver impersonator's forged announcement and, with a key, its own ramp.
-
-    The ramp starts on the announcement tick and climbs to the key.
-    """
-
-    tick: int
-    ramp: Optional[RampProcess]
-
-
-
-
 # The padded arrays of one kernel pass hold about this many cells at most:
 # a batch goes through CELL_BUDGET // max_ticks runs at a time, and a run
 # whose tick budget alone is larger goes through on its own.
@@ -274,63 +263,69 @@ class Runs(NamedTuple):
     seeds: Sequence[int]
     secrets: Sequence[int]  # the sender's
     keys: Sequence[int]  # the receiver's, unread where an impersonator takes his place
-    forgeries: Sequence[Optional[Forgery]] = ()  # an impersonator's; None or no column: silent
 
 
 def check_transmission(
-    scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
+    scenario: Scenario, jam_value: Optional[float] = None, forger_key: Optional[float] = None
 ) -> None:
     """Raise what simulate_transmission raises for these arguments before it runs."""
     scenario.validate()
     if scenario.protocol not in DECOY_PROTOCOLS:
         raise ValueError(f"not a transmission protocol: {scenario.protocol}")
     if (jam_value is not None and scenario.adversary is not AdversaryKind.JAMMER) or (
-        forgery is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
+        forger_key is not None and scenario.adversary is not AdversaryKind.IMPERSONATOR
     ):
-        raise ValueError("a jam value needs a jammer scenario, a forgery an impersonator one")
+        raise ValueError("a jam value needs a jammer scenario, a forger key an impersonator one")
     if jam_value is not None and not math.isfinite(jam_value):
         raise NonFiniteValue(f"jam value is not finite: {jam_value!r}")
 
 
 def simulate_transmission(
-    scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
+    scenario: Scenario, jam_value: Optional[float] = None, forger_key: Optional[float] = None
 ) -> DecoyOutcome:
     """Run one transmission, under any adversary, in closed form.
 
     An active adversary comes in as data: a jammer scenario's `jam_value`
     is the force it adds once the public total goes flat, and an
-    impersonator scenario's `forgery` is its forged announcement (None for
-    a silent one).  The receiver takes part unless the scenario's
-    adversary impersonates him.  Each reading is what the channel
-    measures: the fsum of the contributions on the medium plus noise.  Two
-    contributions add exactly as ``a + b``; with a jammer's third,
-    ``(a + b) + c`` is used on the ticks where both TwoSum error terms are
-    zero and math.fsum on the others.  A run whose receiver never detects
-    stabilization within max_ticks, or rejects what he recovers, still
-    returns its outcome, with that status.  The run is a batch of one for
-    the kernel simulate_runs uses.
+    impersonator scenario's `forger_key` makes it forge the announcement
+    (None for a silent one).  The forged tick is the first draw of the
+    run's adversary stream; with a key > 0 the forger then ramps to it
+    from that tick, drawn as the receiver's random ramp is.  The receiver
+    takes part unless the scenario's adversary impersonates him.  Each
+    reading is what the channel measures: the fsum of the contributions
+    on the medium plus noise.  Two contributions add exactly as ``a + b``;
+    with a jammer's third, ``(a + b) + c`` is used on the ticks where both
+    TwoSum error terms are zero and math.fsum on the others.  A run whose
+    receiver never detects stabilization within max_ticks, or rejects what
+    he recovers, still returns its outcome, with that status.  The run is
+    a batch of one for the kernel simulate_runs uses.
     """
-    check_transmission(scenario, jam_value, forgery)
+    check_transmission(scenario, jam_value, forger_key)
     secrets = scenario.party_secrets
-    runs = Runs([scenario.seed], [secrets[SENDER]], [secrets.get(RECEIVER)], [forgery])
-    return _closed_form(scenario, runs, jam_value).outcome(0)
+    runs = Runs([scenario.seed], [secrets[SENDER]], [secrets.get(RECEIVER)])
+    return _closed_form(scenario, runs, jam_value, forger_key).outcome(0)
 
 
 def simulate_runs(
-    scenario: Scenario, runs: Runs, jam_value: Optional[float] = None
+    scenario: Scenario,
+    runs: Runs,
+    jam_value: Optional[float] = None,
+    forger_key: Optional[float] = None,
 ) -> Iterator["RunBatch"]:
-    """Run transmissions that share `scenario` but for their seeds, secrets and forgeries.
+    """Run transmissions that share `scenario` but for their seeds and secrets.
 
     Yields one RunBatch per kernel pass, in order, over at most
     max(1, CELL_BUDGET // max_ticks) runs each; each pass takes its slice
     of every column.  A run's outcome and transcript are those
     simulate_transmission gives for `scenario` with the run's seed and
-    party secrets in place.  Nothing is checked here: each run's scenario
-    must pass check_transmission with `jam_value` and the run's forgery.
+    party secrets in place, and the same `jam_value` and `forger_key`.
+    Nothing is checked here: each run's scenario must pass
+    check_transmission with them.
     """
     size = max(1, CELL_BUDGET // scenario.max_ticks)
     for start in range(0, len(runs.seeds), size):
-        yield _closed_form(scenario, runs._make(c[start : start + size] for c in runs), jam_value)
+        pass_runs = runs._make(c[start : start + size] for c in runs)
+        yield _closed_form(scenario, pass_runs, jam_value, forger_key)
 
 
 class _Ramps(NamedTuple):
@@ -361,12 +356,13 @@ class _Plans(NamedTuple):
     stop: np.ndarray  # where each run's first block of readings ends
 
 
-def _plans(scenario: Scenario, runs: Runs) -> _Plans:
+def _plans(scenario: Scenario, runs: Runs, forger_key: Optional[float] = None) -> _Plans:
     """Every run's plan, drawn from its (seed, stream) streams as generate_ramp would.
 
     A pass seeds only the streams it draws from, and draws for all its runs
     at once: the receiver's start alone (RngStream.first_integers), or the
-    random ramps (_random_ramps).  Only the noise streams build a generator.
+    random ramps (_random_ramps), the forger's among them.  Only the noise
+    streams build a generator.
     """
     budget, hold, model = scenario.max_ticks, scenario.hold_ticks, scenario.ramp_model
     max_ramp, start_max = scenario.max_ramp_ticks, scenario.receiver_start_max
@@ -377,6 +373,8 @@ def _plans(scenario: Scenario, runs: Runs) -> _Plans:
         streams.append(STREAM_NOISE)
     if randomized:
         streams.append(STREAM_SENDER)
+    if forger_key is not None:
+        streams.append(STREAM_ADVERSARY)
     seeds = runs.seeds
     rows = dict(zip(streams, RngStream.seed_rows(seeds, streams).transpose(1, 0, 2)))
     keys = np.asarray(runs.keys, dtype=np.float64) if receives else None
@@ -394,7 +392,19 @@ def _plans(scenario: Scenario, runs: Runs) -> _Plans:
         )
     announce = receiver_start
     if not receives:
-        other, announce = _forgeries(runs, budget)
+        # A silent impersonator announces at the budget and never moves; a
+        # forger announces on its stream's first draw, the receiver's start
+        # draw, and with a key > 0 ramps to it as he would.
+        never = np.full(len(seeds), budget)
+        other, announce = _Ramps(np.zeros(len(seeds)), never, never), never
+        if forger_key is not None:
+            announce, durations, weights = _random_ramps(
+                seeds, STREAM_ADVERSARY, rows[STREAM_ADVERSARY], max_ramp, start_max
+            )
+            if forger_key > 0.0:
+                keys = np.full(len(seeds), forger_key)
+                schedules = _ramp_schedules(weights, durations, keys)
+                other = _Ramps(keys, announce, announce + durations, schedules)
     elif not randomized:
         # The deterministic-rate control only makes the *sender* leaky; the
         # receiver jumps so the observable ramp duration is the sender's alone.
@@ -435,23 +445,6 @@ def _plans(scenario: Scenario, runs: Runs) -> _Plans:
     if receives:
         stop = np.minimum(budget, np.maximum(sender.stabilize, other.stabilize) + hold)
     return _Plans(runs, sender, other, announce, noise, stop)
-
-
-def _forgeries(runs: Runs, budget: int) -> tuple[_Ramps, np.ndarray]:
-    """The forged ramps and announcement ticks; a silent impersonator announces at the budget."""
-    silent = Forgery(budget, RampProcess(0.0, budget, budget, ()))
-    forgeries = [forgery or silent for forgery in runs.forgeries or [None] * len(runs.seeds)]
-    ramps = [forgery.ramp or silent.ramp for forgery in forgeries]
-    schedules = np.zeros((len(ramps), 1 + max(len(ramp.schedule) for ramp in ramps)))
-    for row, ramp in zip(schedules, ramps):
-        row[: len(ramp.schedule)] = ramp.schedule
-    columns = _Ramps(
-        np.array([ramp.target for ramp in ramps]),
-        np.array([ramp.start_tick for ramp in ramps]),
-        np.array([ramp.stabilize_tick for ramp in ramps]),
-        schedules,
-    )
-    return columns, np.array([forgery.tick for forgery in forgeries])
 
 
 class RunBatch:
@@ -579,23 +572,33 @@ def _window_sums(values: np.ndarray, width: int) -> np.ndarray:
         span *= 2
 
 
+def mean_slack(width: int, magnitude: np.ndarray) -> np.ndarray:
+    """Twice how far a float mean of n <= width values may lie from fsum's mean of them.
+
+    With u = 2^-53 and A = `magnitude`, the values' largest magnitude, a
+    float sum of `width` values (zeros past the n) in any order is within
+    (width - 1) u n A of the exact sum.  Its mean, divided and rounded, is
+    so within width u A of the exact mean, and fsum's mean (rounded, then
+    divided) within 2 u A: (width + 2) u A to first order.  width + 3
+    covers the higher-order terms and 2^-1022 the rounding of subnormals.
+    """
+    return 2.0 * (width + 3) * 2.0**-53 * magnitude + 2.0**-1022
+
+
 def _may_settle(
     values: np.ndarray, high: np.ndarray, low: np.ndarray, width: int, epsilon: float, floor: float
 ) -> np.ndarray:
     """False for each window the exact detector surely rejects, judged by its approximate mean.
 
-    With u = 2^-53 and A the window's largest magnitude, a float sum of
-    the window in any order is within (width - 1) u width A of the exact
-    sum, so its mean is within (width + 3) u A of the detector's (fsum,
-    rounded, then divided); `slack` is twice that.  The detector needs
+    The window's float mean lies within half of `slack` (mean_slack) of
+    the detector's (fsum, rounded, then divided).  The detector needs
     max - mean and mean - min to round to at most epsilon, so to be at
-    most epsilon (1 + u) plus half the smallest subnormal, and mean >=
-    floor; a window is rejected only where the approximate mean misses a
-    test by more than the slack and the tests' own rounding.
+    most epsilon (1 + 2^-53) plus half the smallest subnormal, and mean
+    >= floor; a window is rejected only where the approximate mean misses
+    a test by more than the slack and the tests' own rounding.
     """
     means = _window_sums(values, width) / width
-    magnitude = np.maximum(np.abs(high), np.abs(low))
-    slack = 2.0 * (width + 3) * 2.0**-53 * magnitude + 2.0**-1022
+    slack = mean_slack(width, np.maximum(np.abs(high), np.abs(low)))
     tolerance = (epsilon + slack) * (1.0 + 2.0**-40)
     return (high - means <= tolerance) & (means - low <= tolerance) & (means + slack >= floor)
 
@@ -712,17 +715,20 @@ def _jam(
     return readings, seen[:, seen.shape[1] - watch + 1 :]
 
 
-def _closed_form(scenario: Scenario, runs: Runs, jam_value: Optional[float]) -> RunBatch:
-    """A batch of decoy runs that differ only in seed, secrets and forgery, in blocks of ticks.
+def _closed_form(
+    scenario: Scenario, runs: Runs, jam_value: Optional[float], forger_key: Optional[float]
+) -> RunBatch:
+    """A batch of decoy runs that differ only in seed and secrets, in blocks of ticks.
 
     Each party's effect on the channel is open-loop once one trigger tick
     is known.  The sender starts when the receiver does for the
     synchronous control, at once without the defense, and the tick after
-    the first announcement (the receiver's or a forged one) with it.  A
-    forger ramps from its announcement tick.  A jammer arms on the first
-    window of max(1, hold // 2) raw readings that settles, and its force
-    joins from the next tick, unless the receiver detected first.  So the
-    readings are the contributions' sum plus noise: ``a + b``, or
+    the first announcement (the receiver's or a forged one) with it.  The
+    jam value and the forger key hold for every run of the pass; a forger
+    with a key > 0 ramps from its announcement tick.  A jammer arms on the
+    first window of max(1, hold // 2) raw readings that settles, and its
+    force joins from the next tick, unless the receiver detected first.  So
+    the readings are the contributions' sum plus noise: ``a + b``, or
     ``(a + b) + c`` where TwoSum shows that sum exact and math.fsum on the
     other ticks, the same values the channel's fsum gives.
 
@@ -740,7 +746,7 @@ def _closed_form(scenario: Scenario, runs: Runs, jam_value: Optional[float]) -> 
     sigma = scenario.noise_sigma
     floor = scenario.n1 - 0.5
     watch = max(1, hold // 2)
-    plans = _plans(scenario, runs)
+    plans = _plans(scenario, runs, forger_key)
     count = len(runs.seeds)
     jam_from = [budget] * count  # where each jammer's force joins
     detected: list[Optional[tuple[int, float]]] = [None] * count

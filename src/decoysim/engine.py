@@ -11,6 +11,7 @@ import enum
 import functools
 import hashlib
 import math
+import numbers
 import struct
 from array import array
 from dataclasses import dataclass, field, fields
@@ -628,6 +629,8 @@ class Scenario:
         for party, secret in self.party_secrets.items():
             if party not in (SENDER, RECEIVER):
                 raise InvalidScenario(f"party_secrets.{party}: unknown party (alice or bob)")
+            if not isinstance(secret, numbers.Integral):
+                raise InvalidScenario(f"party_secrets.{party}: must be an integer, got {secret!r}")
             if not (n1 <= int(secret) <= n2):
                 raise InvalidScenario(
                     f"party_secrets.{party}: {secret} outside secret_domain [{n1}, {n2}]"

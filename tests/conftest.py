@@ -87,10 +87,10 @@ def with_seed(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, seed=seed)
 
 
-def one_run(scenario: Scenario, forgery=None) -> Runs:
+def one_run(scenario: Scenario) -> Runs:
     """The scenario's own run as a batch of one, the columns simulate_transmission passes."""
     secrets = scenario.party_secrets
-    return Runs([scenario.seed], [secrets["alice"]], [secrets.get("bob")], [forgery])
+    return Runs([scenario.seed], [secrets["alice"]], [secrets.get("bob")])
 
 
 def run_alone(scenario: Scenario, runs: Runs, index: int) -> Scenario:

@@ -27,6 +27,7 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from decoysim import (
@@ -137,16 +138,22 @@ def pinned_row(group: str, scenario: Scenario) -> list:
     return [outcome.status, f"{digest:016x}"]
 
 
-def main() -> int:
+def render(rows_by_group: dict[str, list]) -> str:
+    """The corpus file's text: each group's rows, one ``[status, digest]`` row a line."""
     blocks = []
-    statuses: dict[str, int] = {}
-    for name, scenarios in groups().items():
-        rows = [pinned_row(name, scenario) for scenario in scenarios]
-        for status, _ in rows:
-            statuses[str(status)] = statuses.get(str(status), 0) + 1
+    for name, rows in rows_by_group.items():
         body = ",\n".join(f"    {json.dumps(row)}" for row in rows)
         blocks.append(f"  {json.dumps(name)}: [\n{body}\n  ]")
-    CORPUS.write_text("{\n" + ",\n".join(blocks) + "\n}\n", encoding="utf-8")
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def main() -> int:
+    rows_by_group = {
+        name: [pinned_row(name, scenario) for scenario in scenarios]
+        for name, scenarios in groups().items()
+    }
+    CORPUS.write_text(render(rows_by_group), encoding="utf-8")
+    statuses = Counter(str(status) for rows in rows_by_group.values() for status, _ in rows)
     counts = dict(sorted(statuses.items()))
     print(f"wrote {sum(statuses.values())} runs to {CORPUS.name}: {counts}")
     return 0

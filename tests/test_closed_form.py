@@ -40,7 +40,7 @@ from decoysim import (
 from decoysim import channel, decoy
 from decoysim.adversary import JAM_VALUE
 from decoysim.channel import measure_block
-from decoysim.decoy import DecoyOutcome, Forgery, Runs, simulate_runs, simulate_transmission
+from decoysim.decoy import DecoyOutcome, Runs, simulate_runs, simulate_transmission
 from decoysim.engine import (
     OK,
     OUT_OF_DOMAIN,
@@ -49,7 +49,7 @@ from decoysim.engine import (
     STREAM_SENDER,
     TIMEOUT,
 )
-from decoysim.errors import OutOfDomain
+from decoysim.errors import NonFiniteValue, OutOfDomain
 from decoysim.runner import run_seeds
 from conftest import decoy_scenario, one_run, run_alone
 
@@ -71,9 +71,9 @@ def _assert_agree(closed, looped) -> None:
     assert replay_digest(closed.transcript) == replay_digest(looped.transcript)
 
 
-def assert_paths_agree(scenario: Scenario, jam_value=None, forgery=None) -> DecoyOutcome:
-    closed = simulate_transmission(scenario, jam_value, forgery)
-    _assert_agree(closed, tick_oracle.transmission(scenario, jam_value, forgery))
+def assert_paths_agree(scenario: Scenario, jam_value=None) -> DecoyOutcome:
+    closed = simulate_transmission(scenario, jam_value)
+    _assert_agree(closed, tick_oracle.transmission(scenario, jam_value))
     return closed
 
 
@@ -140,44 +140,35 @@ def test_attacks_match_the_tick_loop(attack):
 
 
 @st.composite
-def batches(draw) -> tuple[Scenario, Runs, float | None, int]:
-    """A scenario, runs that differ from it in seed, secrets and forgery, jam value, pass size.
+def batches(draw) -> tuple[Scenario, Runs, float | None, float | None, int]:
+    """A scenario, runs that differ from it in seed and secrets, jam value, forger key, pass size.
 
-    An impersonator's runs have no key, and no forgery column when all are silent.
+    An impersonator's runs have no key; it is silent or forges with one key for the batch.
     """
     scenario = draw(scenarios())
     n1, n2 = scenario.secret_domain
     impersonation = scenario.adversary is AdversaryKind.IMPERSONATOR
-    seeds, secrets, keys, forgeries = [], [], [], []
+    seeds, secrets, keys = [], [], []
     for _ in range(draw(st.integers(1, 9))):
-        seeds.append(seed := draw(st.integers(0, 2**64 - 1)))
+        seeds.append(draw(st.integers(0, 2**64 - 1)))
         secrets.append(draw(st.integers(n1, n2)))
-        bob = forgery = None
-        if not impersonation:
-            bob = draw(st.integers(n1, n2))
-        elif draw(st.booleans()):
-            tick = draw(st.integers(1, scenario.max_ticks + 2))
-            key = draw(st.sampled_from([4.0, 2.5, 0.0]))
-            ramp = None
-            if key > 0.0:
-                ramp = generate_ramp(
-                    RngStream(seed, STREAM_ADVERSARY), key, tick, scenario.max_ramp_ticks
-                )
-            forgery = Forgery(tick, ramp)
-        keys.append(bob)
-        forgeries.append(forgery)
-    jam_value = None
+        keys.append(None if impersonation else draw(st.integers(n1, n2)))
+    jam_value = forger_key = None
     if scenario.adversary is AdversaryKind.JAMMER:
         reach = 2.0 * n2
         jam_value = draw(st.one_of(st.just(JAM_VALUE), st.floats(-reach, reach)))
-    runs = Runs(seeds, secrets, keys, forgeries if any(forgeries) else ())
-    return scenario, runs, jam_value, draw(st.integers(1, len(seeds)))
+    if impersonation:
+        forger_key = draw(st.sampled_from([None, 4.0, 2.5, 0.0]))
+    runs = Runs(seeds, secrets, keys)
+    return scenario, runs, jam_value, forger_key, draw(st.integers(1, len(seeds)))
 
 
-def _batched(scenario: Scenario, runs: Runs, jam_value, per_pass: int) -> list[DecoyOutcome]:
+def _batched(
+    scenario: Scenario, runs: Runs, jam_value, forger_key, per_pass: int
+) -> list[DecoyOutcome]:
     """Every run's outcome from simulate_runs, the kernel taking per_pass runs at a time."""
     with mock.patch.object(decoy, "CELL_BUDGET", per_pass * scenario.max_ticks):
-        passes = list(simulate_runs(scenario, runs, jam_value))
+        passes = list(simulate_runs(scenario, runs, jam_value, forger_key))
     count = len(runs.seeds)
     sizes = [min(per_pass, count - start) for start in range(0, count, per_pass)]
     assert [len(batch) for batch in passes] == sizes
@@ -187,13 +178,12 @@ def _batched(scenario: Scenario, runs: Runs, jam_value, per_pass: int) -> list[D
 @given(batches())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_a_batch_matches_its_runs_one_at_a_time(batch):
-    scenario, runs, jam_value, per_pass = batch
-    forgeries = runs.forgeries or [None] * len(runs.seeds)
-    for index, outcome in enumerate(_batched(scenario, runs, jam_value, per_pass)):
+    scenario, runs, jam_value, forger_key, per_pass = batch
+    for index, outcome in enumerate(_batched(scenario, runs, jam_value, forger_key, per_pass)):
         alone = run_alone(scenario, runs, index)
-        _assert_agree(outcome, simulate_transmission(alone, jam_value, forgeries[index]))
+        _assert_agree(outcome, simulate_transmission(alone, jam_value, forger_key))
         # What a run of the scenario does: the default jam value, and no forgery.
-        if forgeries[index] is None and jam_value in (None, JAM_VALUE):
+        if forger_key is None and jam_value in (None, JAM_VALUE):
             _assert_agree(run_scenario(alone).result, _entry_point(alone))
 
 
@@ -280,7 +270,7 @@ def test_a_batch_spans_later_blocks_timeouts_and_passes():
     scenario = decoy_scenario(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4, max_ticks=100)
     runs = Runs(range(30), [3 + seed % 5 for seed in range(30)], [5] * 30)
     per_pass = 7
-    outcomes = _batched(scenario, runs, None, per_pass)
+    outcomes = _batched(scenario, runs, None, None, per_pass)
     later = 0
     for start in range(0, len(runs.seeds), per_pass):
         in_pass = runs._make(column[start : start + per_pass] for column in runs)
@@ -299,7 +289,7 @@ def _bits(values) -> list[str]:
     return [float(value).hex() for value in values]
 
 
-def _oracle_set_up(scenario: Scenario, jam_value, forgery):
+def _oracle_set_up(scenario: Scenario, jam_value, forger_key):
     """The ramps tick_oracle.transmission builds for a run, by the stream each draws from.
 
     Its outcome comes with them.
@@ -311,7 +301,7 @@ def _oracle_set_up(scenario: Scenario, jam_value, forgery):
         return ramp
 
     with mock.patch.object(tick_oracle, "generate_ramp", recorded):
-        outcome = tick_oracle.transmission(scenario, jam_value, forgery)
+        outcome = tick_oracle.transmission(scenario, jam_value, forger_key)
     return ramps, outcome
 
 
@@ -326,22 +316,24 @@ def _assert_columns_hold(columns: "decoy._Ramps", ramp, budget: int) -> None:
     assert _bits(values) == _bits(ramp.value_at(tick) for tick in range(budget))
 
 
-def _assert_plan_is_the_oracles(scenario: Scenario, forgery=None) -> None:
+def _assert_plan_is_the_oracles(scenario: Scenario, forger_key=None) -> None:
     scenario.validate()
     budget = scenario.max_ticks
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
-    ramps, looped = _oracle_set_up(scenario, jam_value, forgery)
-    runs = one_run(scenario, forgery)
+    ramps, looped = _oracle_set_up(scenario, jam_value, forger_key)
+    runs = one_run(scenario)
     if scenario.adversary is AdversaryKind.IMPERSONATOR:
         runs = runs._replace(keys=[-1])  # out of every domain: the plan must not read it
-    plans = decoy._plans(scenario, runs)
+    plans = decoy._plans(scenario, runs, forger_key)
     receiver, sender = ramps.get(STREAM_RECEIVER), ramps.get(STREAM_SENDER)
     if scenario.adversary is AdversaryKind.IMPERSONATOR:
         assert receiver is None
-        (batch,) = simulate_runs(scenario, runs)
+        (batch,) = simulate_runs(scenario, runs, forger_key=forger_key)
         assert batch.outcome(0).receiver_key is None
-        other = forgery.ramp if forgery else None
-        announce = forgery.tick if forgery else budget
+        other, announce = ramps.get(STREAM_ADVERSARY), budget
+        if forger_key is not None:  # the forged tick is the adversary stream's first draw
+            adversary = RngStream(scenario.seed, STREAM_ADVERSARY)
+            announce = adversary.integers(1, scenario.receiver_start_max)
     else:
         assert plans.other.target[0] == scenario.party_secrets["bob"]
         other, announce = receiver, receiver.start_tick
@@ -381,17 +373,12 @@ def test_columnar_plans_are_the_tick_loops_set_up():
             scenario = dataclasses.replace(scenario, adversary=adversary)
             if adversary is AdversaryKind.IMPERSONATOR:
                 scenario = dataclasses.replace(scenario, party_secrets={"alice": 2})
-            for seed in range(4):
-                run = dataclasses.replace(scenario, seed=seed)
-                forgeries = [None]
-                if adversary is AdversaryKind.IMPERSONATOR:
-                    rng = RngStream(seed, STREAM_ADVERSARY)
-                    tick = rng.integers(1, run.receiver_start_max)
-                    ramp = generate_ramp(rng, 4.0, tick, run.max_ramp_ticks)
-                    forgeries += [Forgery(tick, ramp), Forgery(tick, None)]
-                for forgery in forgeries:
-                    _assert_plan_is_the_oracles(run, forgery)
-                    checked += 1
+            forger_keys = [None]
+            if adversary is AdversaryKind.IMPERSONATOR:
+                forger_keys += [4.0, 0.0]
+            for seed, forger_key in itertools.product(range(4), forger_keys):
+                _assert_plan_is_the_oracles(dataclasses.replace(scenario, seed=seed), forger_key)
+                checked += 1
     assert checked == 2 * 3 * 2 * 2 * (3 + 3) * 4
 
 
@@ -426,7 +413,7 @@ def test_random_ramp_draws_are_each_streams_generator_draws():
     # 100,000 streams with the edge seeds of a seed_rows pass of one, split
     # over (stream, start range, ramp bound) cases: decoy.cfg's and
     # noisy.cfg's receivers, budgets whose receiver draws no start, a start
-    # range where Lemire redraws about half the rows, and a sender.
+    # range where Lemire redraws about half the rows, a sender, and forgers.
     rng = random.Random(16)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345, 2**40 + 7]
     while len(seeds) < 100_000:
@@ -439,6 +426,8 @@ def test_random_ramp_draws_are_each_streams_generator_draws():
         (STREAM_RECEIVER, 1, 3),
         (STREAM_RECEIVER, 2**31 + 1, 4),
         (STREAM_SENDER, 1, 129),
+        (STREAM_ADVERSARY, 32, 65),
+        (STREAM_ADVERSARY, 1, 1),
     ]
     size = -(-len(seeds) // len(cases))
     for number, (stream, start_max, max_ramp) in enumerate(cases):
@@ -463,11 +452,13 @@ def test_random_ramp_draws_are_each_streams_generator_draws():
 # A duration in [0, 39,649], the ramp bound at max_ticks 237,897, redraws
 # when the low word of its product falls below 2^32 mod 39,650 = 39,647:
 # about once in 108,000 streams.  RngStream.lemire found these seeds among
-# 0 to 399,999; the receiver's start range is [1, 19,824].
+# 0 to 399,999; the receiver's start range, the forger's too, is [1, 19,824].
+# The forger's seed runs as a forging impersonation.
 LEMIRE_REDRAWS = {
     "sender's duration": (47_984, STREAM_SENDER, 0, "duration"),
     "receiver's duration": (51_016, STREAM_RECEIVER, 32, "duration"),
     "receiver's start": (206_376, STREAM_RECEIVER, 0, "start"),
+    "forger's start": (4_970, STREAM_ADVERSARY, 0, "start"),
 }
 
 
@@ -475,6 +466,10 @@ LEMIRE_REDRAWS = {
 def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
     seed, stream, shift, draw = LEMIRE_REDRAWS[case]
     scenario = decoy_scenario(max_ticks=237_897, seed=seed)
+    forger_key = None
+    if stream == STREAM_ADVERSARY:
+        impersonated = dict(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
+        scenario, forger_key = dataclasses.replace(scenario, **impersonated), 4.0
     span = scenario.receiver_start_max if draw == "start" else scenario.max_ramp_ticks + 1
     rows = RngStream.seed_rows([seed], [stream])[:, 0]
     word = RngStream.first_outputs(rows, 1)[:, 0] >> np.uint64(shift)
@@ -488,12 +483,12 @@ def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
         return generator(rng)
 
     with mock.patch.object(RngStream, "_generator", recorded):
-        (batch,) = simulate_runs(scenario, one_run(scenario))
+        (batch,) = simulate_runs(scenario, one_run(scenario), forger_key=forger_key)
     assert built == [(seed, stream)]
-    looped = tick_oracle.transmission(scenario)
+    looped = tick_oracle.transmission(scenario, forger_key=forger_key)
     _assert_agree(batch.outcome(0), looped)
     assert batch.digest(0) == replay_digest(looped.transcript)
-    _assert_plan_is_the_oracles(scenario)
+    _assert_plan_is_the_oracles(scenario, forger_key)
 
 
 def test_noise_settling_before_the_sender_starts():
@@ -615,13 +610,35 @@ def test_inexact_jammed_ticks_take_fsum():
         assert simulate_transmission(scenario, -2.7).transcript != outcome.transcript
 
 
-def test_forged_announcement_past_the_budget():
-    scenario = decoy_scenario(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
-    tick = scenario.max_ticks + 3
-    ramp = generate_ramp(RngStream(1, 3), 4.0, tick, scenario.max_ramp_ticks)
-    outcome = assert_paths_agree(scenario, forgery=Forgery(tick, ramp))
-    assert outcome.announce_tick is None and outcome.transcript.announcements() == []
-    assert outcome.sender_start_tick is None and outcome.adversary_recovered is None
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "seed, key, recovered",
+    [
+        (5, math.nan, 3),
+        (5, -1.0, 3),
+        (5, 0.0, 3),
+        (5, 1e308, None),
+        (2, 1e308, None),
+        (5, math.inf, NonFiniteValue),
+    ],
+)
+def test_forger_edge_keys(seed, key, recovered):
+    # A key that is not > 0 forges the announcement alone, so the defended
+    # sender ramps and the impersonator reads her secret; a ramp to 1e308
+    # swamps it, and an infinite key is no contribution the channel takes.
+    # Seed 2's forger ramps for 7 of 19 ticks: its schedule row's unread
+    # cells overflow, without a warning.
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3}, seed=seed
+    )
+    options = dict(forge_announcement=True, adversary_key=key)
+    if recovered is NonFiniteValue:
+        with pytest.raises(NonFiniteValue):
+            attack_impersonate(scenario, **options)
+        with tick_oracle.attacks(), pytest.raises(NonFiniteValue):
+            attack_impersonate(scenario, **options)
+    else:
+        assert assert_attacks_agree(scenario, **options).adversary_recovered == recovered
 
 
 def test_rejected_first_window_does_not_end_the_search():

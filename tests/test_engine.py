@@ -431,6 +431,14 @@ class TestScenarioValidation:
             with pytest.raises(InvalidScenario, match=rf"^party_secrets\.{party}: unknown party"):
                 scenario(party_secrets={"alice": 3, "bob": 5, party: 4}).validate()
 
+    @pytest.mark.parametrize("secret", [3.5, "3", math.nan])
+    def test_a_secret_that_is_not_an_integer_is_invalid(self, secret):
+        # 3.5 would ramp to 3.5 and still report success on recovering 3.
+        for scenario in (decoy_scenario, vessels_scenario):
+            with pytest.raises(InvalidScenario) as raised:
+                scenario(party_secrets={"alice": secret, "bob": 5}).validate()
+            assert str(raised.value) == f"party_secrets.alice: must be an integer, got {secret!r}"
+
     def test_missing_receiver_key(self):
         with pytest.raises(InvalidScenario, match="bob"):
             decoy_scenario(party_secrets={"alice": 3}).validate()

@@ -17,7 +17,15 @@ import pytest
 
 from decoysim import attack_impersonate, attack_jam, decoy, replay_digest, run_scenario
 from decoysim.engine import DECOY_PROTOCOLS, STREAM_ADVERSARY
-from make_golden_digests import CORPUS, FORGED, FORGER_KEYS, JAM_VALUES, groups, pinned_row
+from make_golden_digests import (
+    CORPUS,
+    FORGED,
+    FORGER_KEYS,
+    JAM_VALUES,
+    groups,
+    pinned_row,
+    render,
+)
 
 GROUPS = groups()
 PINNED = json.loads(CORPUS.read_text(encoding="utf-8"))
@@ -25,6 +33,12 @@ PINNED = json.loads(CORPUS.read_text(encoding="utf-8"))
 
 def test_corpus_lists_every_group():
     assert list(PINNED) == list(GROUPS)
+
+
+def test_corpus_file_is_its_rows_rendered():
+    # With every row pinned by the tests below, regenerating the corpus
+    # writes the same bytes.
+    assert render(PINNED) == CORPUS.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", list(GROUPS))

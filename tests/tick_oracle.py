@@ -23,7 +23,6 @@ from decoysim.decoy import (
     IN_BUSINESS,
     WAVE_PARAMS,
     DecoyOutcome,
-    Forgery,
     detect_stabilization,
     generate_ramp,
     recover_secret,
@@ -33,6 +32,7 @@ from decoysim.engine import (
     OUT_OF_DOMAIN,
     RECEIVER,
     SENDER,
+    STREAM_ADVERSARY,
     STREAM_NOISE,
     STREAM_RECEIVER,
     STREAM_SENDER,
@@ -62,7 +62,7 @@ def _first_announcement(transcript: Transcript) -> Optional[int]:
 
 
 def transmission(
-    scenario: Scenario, jam_value: Optional[float] = None, forgery: Optional[Forgery] = None
+    scenario: Scenario, jam_value: Optional[float] = None, forger_key: Optional[float] = None
 ) -> DecoyOutcome:
     scenario.validate()
     rng_sender = scenario.stream(STREAM_SENDER)
@@ -85,7 +85,16 @@ def transmission(
     if jam_value is not None:
         actor = _JammerActor(jam_value, scenario)
     elif scenario.adversary is AdversaryKind.IMPERSONATOR:
-        actor = _ImpersonatorActor(scenario, forgery)
+        # A forger draws its tick from its own stream, then a random ramp to a key > 0.
+        forged_tick = forger_ramp = None
+        if forger_key is not None:
+            rng_adversary = scenario.stream(STREAM_ADVERSARY)
+            forged_tick = rng_adversary.integers(1, scenario.receiver_start_max)
+            if forger_key > 0.0:
+                forger_ramp = generate_ramp(
+                    rng_adversary, forger_key, forged_tick, scenario.max_ramp_ticks
+                )
+        actor = _ImpersonatorActor(scenario, forged_tick, forger_ramp)
     else:
         actor = IdleActor()
 
