@@ -151,10 +151,11 @@ def estimate_mutual_information(
         raise InsufficientSamples(
             f"mutual information needs >= {min_samples} samples, got {n}"
         )
-    # Counter(iterable) counts in C; each key keeps its first occurrence's place.
-    counts_s = Counter(s for s, _ in pairs)
-    counts_t = Counter(t for _, t in pairs)
-    counts_st = Counter(pairs)
+    # Counter counts in C in first-occurrence order, which summing the joint's keys keeps.
+    counts_st, counts_s, counts_t = Counter(pairs), Counter(), Counter()
+    for (s, t), count in counts_st.items():
+        counts_s[s] += count
+        counts_t[t] += count
 
     ln2 = math.log(2.0)
 

@@ -293,9 +293,7 @@ def simulate_transmission(
     from that tick, drawn as the receiver's random ramp is.  The receiver
     takes part unless the scenario's adversary impersonates him.  Each
     reading is what the channel measures: the fsum of the contributions
-    on the medium plus noise.  Two contributions add exactly as ``a + b``;
-    with a jammer's third, ``(a + b) + c`` is used on the ticks where both
-    TwoSum error terms are zero and math.fsum on the others.  A run whose
+    on the medium plus noise, computed by measure_block.  A run whose
     receiver never detects stabilization within max_ticks, or rejects what
     he recovers, still returns its outcome, with that status.  The run is
     a batch of one for the kernel simulate_runs uses.
@@ -463,7 +461,7 @@ class RunBatch:
         lengths: list[int],
         plans: _Plans,
         detected: list[Optional[tuple[int, float]]],
-        jam_from: list[int],
+        jam: _Ramps,
         adversary_recovered: list[Optional[int]],
     ):
         self.scenario = scenario
@@ -471,7 +469,7 @@ class RunBatch:
         self.lengths = lengths
         self._plans = plans
         self._detected = detected
-        self._jam_from = jam_from
+        self._jam = jam
         self._adversary_recovered = adversary_recovered
         self._digests: Optional[list[int]] = None
 
@@ -537,7 +535,7 @@ class RunBatch:
             ),
             status=status,
             detail=detail,
-            jammed=self._jam_from[index] < length,
+            jammed=int(self._jam.stabilize[index]) < length,
             adversary_recovered=self._adversary_recovered[index],
         )
 
@@ -677,42 +675,35 @@ def _jam(
     noise: Optional[np.ndarray],
     first: int,
     rows: list[int],
-    jam_from: list[int],
-    jam_value: float,
-    watched: np.ndarray,
+    jam: _Ramps,
+    before: np.ndarray,
     watch: int,
     epsilon: float,
     floor: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A block's readings with each jammer's force, which joins the tick after its watch settles.
+) -> np.ndarray:
+    """A block's readings with the jammers' force, which joins the tick after a watch settles.
 
-    Sets jam_from[row] for each run whose jammer arms in this block.
-    `watched` holds each run's last watch - 1 readings before the block;
-    its successor is returned with the readings.
+    `jam` is that force as ramps that jump to the jam value on their
+    stabilize tick, the budget until the jammer arms; a jammer that arms
+    in this block gets its tick there.  `before` holds each run's readings
+    on the (at most) watch - 1 ticks before the block.
     """
     size = parts[0].shape[1]
-    stop = first + size
 
     def measure() -> np.ndarray:
-        jam = np.zeros((len(rows), size))
-        for index, row in enumerate(rows):
-            if jam_from[row] < stop:
-                jam[index, max(jam_from[row] - first, 0) :] = jam_value
-        return measure_block([*parts, jam], noise).values
+        return measure_block([*parts, _contributions(jam, rows, first, size)], noise).values
 
-    unarmed = [index for index, row in enumerate(rows) if jam_from[row] >= stop]
+    unarmed = (jam.stabilize[rows] >= first + size).nonzero()[0].tolist()
     if not unarmed:
-        return measure(), watched
+        return measure()
     everyone = len(unarmed) == len(rows)
     readings = measure_block(parts, noise).values if everyone else measure()
-    seen = np.concatenate((watched, readings), 1)
+    seen = np.concatenate((before, readings), 1)
     hits = _first_settled(seen if everyone else seen[unarmed], watch, epsilon, floor)
     for index, hit in zip(unarmed, hits):
         if hit is not None:  # a detection on or before this tick ends the run unjammed
-            jam_from[rows[index]] = first - watched.shape[1] + hit[0] + 1
-    if any(hits):
-        readings = measure()
-    return readings, seen[:, seen.shape[1] - watch + 1 :]
+            jam.stabilize[rows[index]] = first - before.shape[1] + hit[0] + 1
+    return measure() if any(hits) else readings
 
 
 def _closed_form(
@@ -726,92 +717,75 @@ def _closed_form(
     the first announcement (the receiver's or a forged one) with it.  The
     jam value and the forger key hold for every run of the pass; a forger
     with a key > 0 ramps from its announcement tick.  A jammer arms on the
-    first window of max(1, hold // 2) raw readings that settles, and its
-    force joins from the next tick, unless the receiver detected first.  So
-    the readings are the contributions' sum plus noise: ``a + b``, or
-    ``(a + b) + c`` where TwoSum shows that sum exact and math.fsum on the
-    other ticks, the same values the channel's fsum gives.
+    first window of max(1, hold // 2) raw readings that settles, unless
+    the receiver detected first, and its force is a third ramp that jumps
+    to the jam value on the next tick.  So the readings are measure_block's
+    sums of the contributions plus noise, the values the channel gives.
 
     Every run takes each draw from its own (seed, stream) generators, in
     tick order, so where the blocks end changes no reading, and a run
-    reads the same in any batch as alone.  The first block runs until
-    hold ticks after the last ramp of the batch settles; the runs whose
-    receivers have not yet detected stabilization go on into blocks that
-    double in length, each block one runs-by-ticks array searched at
-    once.  An impersonation always runs its whole budget, in one block,
-    and the impersonator reads the first settled window of ``reading -
-    own ramp`` that recover_secret does not reject.
+    reads the same in any batch as alone.  The pass keeps its readings in
+    one runs-by-ticks array: the first block, which runs until hold ticks
+    after the last ramp of the batch settles, and then blocks that double
+    in length for the runs whose receivers have not yet detected
+    stabilization, each appending its columns (NaN for the runs already
+    stopped).  Every window search reads that array, a receiver's reaching
+    back hold - 1 ticks before the block.  An impersonation always runs
+    its whole budget, in one block, and the impersonator reads the first
+    settled window of ``reading - own ramp`` that recover_secret does not
+    reject.
     """
     budget, hold, epsilon = scenario.max_ticks, scenario.hold_ticks, scenario.epsilon_stab
-    sigma = scenario.noise_sigma
-    floor = scenario.n1 - 0.5
+    sigma, floor = scenario.noise_sigma, scenario.n1 - 0.5
     watch = max(1, hold // 2)
     plans = _plans(scenario, runs, forger_key)
     count = len(runs.seeds)
-    jam_from = [budget] * count  # where each jammer's force joins
+    never = np.full(count, budget)
+    jam = _Ramps(np.full(count, 0.0 if jam_value is None else jam_value), never, never)
     detected: list[Optional[tuple[int, float]]] = [None] * count
     adversary_recovered: list[Optional[int]] = [None] * count
-    blocks = []
     rows = list(range(count))  # the runs still going, in order
-    # Their receivers' last hold - 1 window values and jammers' last
-    # watch - 1 readings, which the next block follows on from.
-    window = None
-    watched = np.zeros((count, 0)) if jam_value is not None else None
+    readings = np.zeros((count, 0))
     first, stop = 0, int(plans.stop.max())
     while True:
-        parts = [
-            _contributions(plans.sender, rows, first, stop - first),
-            _contributions(plans.other, rows, first, stop - first),
-        ]
+        back = max(0, first - hold + 1)  # where the block's first receiver window starts
+        own = _contributions(plans.other, rows, back, stop - back)
+        parts = [_contributions(plans.sender, rows, first, stop - first), own[:, first - back :]]
         noise = None
         if sigma > 0.0:
             noise = np.array([block_noise(sigma, plans.noise[row], stop - first) for row in rows])
-        if watched is None:
-            readings = measure_block(parts, noise).values
+        if jam_value is None:
+            block = measure_block(parts, noise).values
         else:
-            readings, watched = _jam(
-                parts, noise, first, rows, jam_from, jam_value, watched, watch, epsilon, floor
-            )
-        blocks.append((rows, first, readings))
-        values = readings - parts[1]
-        held = 0 if window is None else window.shape[1]
-        if held:
-            values = np.concatenate((window, values), 1)
+            before = readings[rows, max(0, first - watch + 1) : first]
+            block = _jam(parts, noise, first, rows, jam, before, watch, epsilon, floor)
+        if first:
+            readings = np.concatenate((readings, np.full((count, stop - first), np.nan)), 1)
+            readings[rows, first:stop] = block
+        else:
+            readings = block
+        del parts, noise, block
+        values = readings[rows, back:stop] - own
         if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
 
             def read(row, column, level):
-                return _recover(scenario, level, float(parts[1][row, column]))[0]
+                return _recover(scenario, level, float(own[row, column]))[0]
 
             adversary_recovered = _first_settled(values, hold, epsilon, floor, read)
             break
-        undetected = []
-        for index, hit in enumerate(_first_settled(values, hold, epsilon, floor)):
-            if hit is None:
-                undetected.append(index)
-            else:
-                detected[rows[index]] = (first - held + hit[0], hit[1])
-        if not undetected or stop == budget:
+        hits = _first_settled(values, hold, epsilon, floor)
+        for row, hit in zip(rows, hits):
+            detected[row] = None if hit is None else (back + hit[0], hit[1])
+        rows = [row for row, hit in zip(rows, hits) if hit is None]
+        if not rows or stop == budget:
             break
-        if len(undetected) < len(rows):
-            rows = [rows[index] for index in undetected]
-            values = values[undetected]
-            if watched is not None:
-                watched = watched[undetected]
-        window = values[:, values.shape[1] - hold + 1 :]
         first, stop = stop, min(budget, 2 * stop)
 
     lengths = [budget if hit is None else hit[0] + 1 for hit in detected]
     width = max(lengths)
-    if len(blocks) == 1:
-        readings = blocks[0][2][:, :width]
-    else:
-        readings = np.full((count, width), np.nan)
-        for rows, first, block in blocks:
-            into = slice(None) if len(rows) == count else rows
-            readings[into, first : first + block.shape[1]] = block[:, : width - first]
-    if min(lengths) < width:
-        readings[np.arange(width) >= np.array(lengths)[:, None]] = np.nan
-    return RunBatch(scenario, readings, lengths, plans, detected, jam_from, adversary_recovered)
+    readings = readings[:, :width]
+    readings[np.arange(width) >= np.array(lengths)[:, None]] = np.nan
+    return RunBatch(scenario, readings, lengths, plans, detected, jam, adversary_recovered)
 
 
 def _recover(scenario: Scenario, level: float, own: float) -> tuple[Optional[int], str]:

@@ -15,7 +15,7 @@ import numbers
 import struct
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
 
@@ -591,7 +591,13 @@ class Scenario:
         return int(self.party_secrets[party])
 
     def validate(self) -> None:
-        """Raise InvalidScenario naming the first violated invariant."""
+        """Raise InvalidScenario naming the first violated invariant, types first."""
+        for name, (test, what) in _FIELD_RULES.items():
+            if not test(getattr(self, name)):
+                raise InvalidScenario(f"{name}: must be {what}, got {getattr(self, name)!r}")
+        for party, secret in self.party_secrets.items():
+            if not _is_integer(secret):
+                raise InvalidScenario(f"party_secrets.{party}: must be an integer, got {secret!r}")
         n1, n2 = self.secret_domain
         if not (n1 >= 1):
             raise InvalidScenario(f"secret_domain: N1 must be >= 1, got {n1}")
@@ -610,10 +616,9 @@ class Scenario:
             raise InvalidScenario(f"max_ticks must be <= 10^7, got {self.max_ticks}")
         if not (self.dt > 0):
             raise InvalidScenario(f"dt must be positive, got {self.dt}")
-        if not (self.noise_sigma >= 0):
-            raise InvalidScenario(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not (self.epsilon_stab >= 0):
-            raise InvalidScenario(f"epsilon_stab must be >= 0, got {self.epsilon_stab}")
+        for name in ("noise_sigma", "epsilon_stab"):
+            if not (getattr(self, name) >= 0):
+                raise InvalidScenario(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("dt", "noise_sigma", "epsilon_stab"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScenario(f"{name} must be finite, got {getattr(self, name)}")
@@ -629,9 +634,7 @@ class Scenario:
         for party, secret in self.party_secrets.items():
             if party not in (SENDER, RECEIVER):
                 raise InvalidScenario(f"party_secrets.{party}: unknown party (alice or bob)")
-            if not isinstance(secret, numbers.Integral):
-                raise InvalidScenario(f"party_secrets.{party}: must be an integer, got {secret!r}")
-            if not (n1 <= int(secret) <= n2):
+            if not (n1 <= secret <= n2):
                 raise InvalidScenario(
                     f"party_secrets.{party}: {secret} outside secret_domain [{n1}, {n2}]"
                 )
@@ -675,6 +678,27 @@ class Scenario:
     def as_mapping(self) -> dict:
         """Flat mapping with config-file field names (for reports), in field order."""
         return {f.name: _report_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What a Scenario field of each annotated kind takes, and how an error names it.
+_KIND_RULES = {
+    int: (_is_integer, "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    tuple[int, int]: (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_integer, v)),
+        "a pair of integers",
+    ),
+    Mapping[str, int]: (lambda v: isinstance(v, Mapping), "a mapping of party to secret"),
+}
+_FIELD_RULES = {  # an enum field takes a member of its enum
+    name: _KIND_RULES.get(kind) or (kind.__instancecheck__, f"a member of {kind.__name__}")
+    for name, kind in get_type_hints(Scenario).items()
+}
 
 
 def _report_value(value):

@@ -165,21 +165,22 @@ def batches(draw) -> tuple[Scenario, Runs, float | None, float | None, int]:
 
 def _batched(
     scenario: Scenario, runs: Runs, jam_value, forger_key, per_pass: int
-) -> list[DecoyOutcome]:
-    """Every run's outcome from simulate_runs, the kernel taking per_pass runs at a time."""
+) -> tuple[list[decoy.RunBatch], list[DecoyOutcome]]:
+    """The passes simulate_runs makes, taking per_pass runs at a time, and every run's outcome."""
     with mock.patch.object(decoy, "CELL_BUDGET", per_pass * scenario.max_ticks):
         passes = list(simulate_runs(scenario, runs, jam_value, forger_key))
     count = len(runs.seeds)
     sizes = [min(per_pass, count - start) for start in range(0, count, per_pass)]
     assert [len(batch) for batch in passes] == sizes
-    return [batch.outcome(row) for batch in passes for row in range(len(batch))]
+    return passes, [batch.outcome(row) for batch in passes for row in range(len(batch))]
 
 
 @given(batches())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_a_batch_matches_its_runs_one_at_a_time(batch):
     scenario, runs, jam_value, forger_key, per_pass = batch
-    for index, outcome in enumerate(_batched(scenario, runs, jam_value, forger_key, per_pass)):
+    _, outcomes = _batched(scenario, runs, jam_value, forger_key, per_pass)
+    for index, outcome in enumerate(outcomes):
         alone = run_alone(scenario, runs, index)
         _assert_agree(outcome, simulate_transmission(alone, jam_value, forger_key))
         # What a run of the scenario does: the default jam value, and no forgery.
@@ -264,25 +265,44 @@ def test_run_seeds_memory_does_not_grow_with_its_count(count):
         assert run.digest == alone.digest
 
 
-def test_a_batch_spans_later_blocks_timeouts_and_passes():
+@pytest.mark.parametrize(
+    "adversary, jam_value",
+    [(AdversaryKind.NONE, None), (AdversaryKind.JAMMER, JAM_VALUE)],
+    ids=["honest", "jammer"],
+)
+def test_a_batch_spans_later_blocks_timeouts_and_passes(adversary, jam_value):
     # Tight tolerance under noise: most receivers detect only in a block
     # after the first, and one never does.
-    scenario = decoy_scenario(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4, max_ticks=100)
+    scenario = decoy_scenario(
+        noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4, max_ticks=100, adversary=adversary
+    )
     runs = Runs(range(30), [3 + seed % 5 for seed in range(30)], [5] * 30)
     per_pass = 7
-    outcomes = _batched(scenario, runs, None, None, per_pass)
-    later = 0
-    for start in range(0, len(runs.seeds), per_pass):
+    passes, outcomes = _batched(scenario, runs, jam_value, None, per_pass)
+    later, ends_everywhere = 0, False
+    for start, batch in zip(range(0, len(runs.seeds), per_pass), passes):
         in_pass = runs._make(column[start : start + per_pass] for column in runs)
         first_block = int(decoy._plans(scenario, in_pass).stop.max())
+        ends = {
+            "first" if length <= first_block else "budget" if length == 100 else "later"
+            for length in batch.lengths
+        }
+        # A pass whose runs end in the first block, a later one and at the budget.
+        ends_everywhere |= ends == {"first", "later", "budget"}
         later += sum(
             outcome.detected_tick is not None and outcome.detected_tick >= first_block
             for outcome in outcomes[start : start + per_pass]
         )
+        # Row i holds a reading for each of its run's lengths[i] ticks, then NaN.
+        assert batch.readings.shape == (len(batch), max(batch.lengths))
+        for row, length in zip(batch.readings, batch.lengths):
+            assert np.isfinite(row[:length]).all() and np.isnan(row[length:]).all()
     assert later >= 10
+    assert ends_everywhere
     assert any(outcome.status == TIMEOUT for outcome in outcomes)
     for index, outcome in enumerate(outcomes):
-        _assert_agree(outcome, simulate_transmission(run_alone(scenario, runs, index)))
+        alone = run_alone(scenario, runs, index)
+        _assert_agree(outcome, simulate_transmission(alone, jam_value))
 
 
 def _bits(values) -> list[str]:

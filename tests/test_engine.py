@@ -439,6 +439,45 @@ class TestScenarioValidation:
                 scenario(party_secrets={"alice": secret, "bob": 5}).validate()
             assert str(raised.value) == f"party_secrets.alice: must be an integer, got {secret!r}"
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(seed=1.5), "seed: must be an integer, got 1.5"),
+            (dict(max_ticks=400.5), "max_ticks: must be an integer, got 400.5"),
+            (dict(max_ticks="400"), "max_ticks: must be an integer, got '400'"),
+            (dict(hold_ticks=3.0), "hold_ticks: must be an integer, got 3.0"),
+            (dict(seed=True), "seed: must be an integer, got True"),
+            (dict(noise_sigma=False), "noise_sigma: must be a real number, got False"),
+            (dict(dt="1"), "dt: must be a real number, got '1'"),
+            (dict(defense_enabled=1), "defense_enabled: must be a boolean, got 1"),
+            (
+                dict(ramp_model="random_ramp"),
+                "ramp_model: must be a member of RampModel, got 'random_ramp'",
+            ),
+            (dict(protocol="decoy_force"), "protocol: must be a member of Protocol, got 'decoy_force'"),
+            (dict(adversary="jammer"), "adversary: must be a member of AdversaryKind, got 'jammer'"),
+            (
+                dict(secret_domain=(1, 10, 20)),
+                "secret_domain: must be a pair of integers, got (1, 10, 20)",
+            ),
+            (dict(secret_domain=(1, 10.0)), "secret_domain: must be a pair of integers, got (1, 10.0)"),
+            (
+                dict(party_secrets=[("alice", 3), ("bob", 5)]),
+                "party_secrets: must be a mapping of party to secret, got [('alice', 3), ('bob', 5)]",
+            ),
+            (
+                dict(party_secrets={"alice": True, "bob": 5}),
+                "party_secrets.alice: must be an integer, got True",
+            ),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_invalid(self, overrides, message):
+        # Each would otherwise validate and then crash in the run, or run as
+        # something else: adversary="jammer" ran as an honest run.
+        with pytest.raises(InvalidScenario) as raised:
+            decoy_scenario(**overrides).validate()
+        assert str(raised.value) == message
+
     def test_missing_receiver_key(self):
         with pytest.raises(InvalidScenario, match="bob"):
             decoy_scenario(party_secrets={"alice": 3}).validate()
