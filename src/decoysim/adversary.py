@@ -30,6 +30,7 @@ from .decoy import (
     RampProcess,
     RunBatch,
     Runs,
+    attack_flags,
     check_transmission,
     detect_stabilization,
     mean_slack,
@@ -405,7 +406,7 @@ class AttackOutcome:
 JAM_VALUE = -2.0
 
 # How the receiver's failed run reads in an attack report.
-_RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
+RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
 def adversary_runs(scenario: Scenario, runs: Runs) -> Iterator[RunBatch]:
@@ -525,23 +526,24 @@ def attack_result(
 ) -> AttackOutcome:
     """What an active adversary of `kind` did in the run that gave `outcome`.
 
-    A jammer disrupted the run if its force, `jam_value`, reached the
-    medium and the receiver failed or recovered a wrong value.  An
-    impersonator leaves no receiver to detect stabilization, so its runs
-    are disrupted and time out; what it read is the question.
+    Its flags are decoy.attack_flags': a jammer's force is `jam_value`.
+    An impersonator leaves no receiver to detect stabilization, so its
+    runs are disrupted and time out; what it read is the question.
     """
-    receiver_error = _RECEIVER_ERRORS.get(outcome.status)
-    failed = receiver_error is not None or outcome.recovered != outcome.sender_secret
     jam = kind is AdversaryKind.JAMMER
+    disrupted, learned, timeout = attack_flags(
+        outcome.status, outcome.recovered, outcome.sender_secret, outcome.jammed,
+        outcome.adversary_recovered, jam_value if jam else None,
+    )
     return AttackOutcome(
         kind="jam" if jam else "impersonate",
         transcript=functools.partial(getattr, outcome, "transcript"),
-        disrupted=failed and (not jam or (outcome.jammed and jam_value != 0.0)),
-        adversary_learned=outcome.adversary_recovered == outcome.sender_secret,
+        disrupted=disrupted,
+        adversary_learned=learned,
         adversary_recovered=outcome.adversary_recovered,
         receiver_recovered=outcome.recovered,
-        receiver_error=receiver_error,
-        timeout=outcome.status == TIMEOUT,
+        receiver_error=RECEIVER_ERRORS.get(outcome.status),
+        timeout=timeout,
         forged_announce_tick=None if jam else outcome.announce_tick,
     )
 

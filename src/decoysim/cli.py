@@ -1,8 +1,8 @@
 """Command-line front end: single runs, sweeps, adversary analyses, replay checks.
 
-Exit codes: 0 protocol success, 1 config/usage error or a file that cannot
-be read or written (or stdout closed before the report was written), 2
-protocol-level failure (timeout, rejected recovery, successful disruption
+Exit codes: 0 protocol success, 1 config or usage error or a file that
+cannot be read or written (or stdout closed before the report was written),
+2 protocol-level failure (timeout, rejected recovery, successful disruption
 or secret compromise).
 Machine-readable mode (--format records) emits one JSON record per line;
 every report carries the tool version and the fully resolved scenario so
@@ -14,22 +14,25 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import itertools
 import json
 import logging
 import math
 import os
 import sys
 import time
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
+
+import numpy as np
 
 from . import __version__
 from . import adversary as adversary_mod
 from .config import load_scenario
-from .decoy import DecoyOutcome
-from .engine import DECOY_PROTOCOLS, OK, Scenario, replay_digest
+from .decoy import DecoyOutcome, RunBatch
+from .engine import DECOY_PROTOCOLS, OK, AdversaryKind, Scenario, replay_digest
 from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
-from .runner import RunOutcome, run_scenario, run_seeds
+from .runner import RunOutcome, run_passes, run_scenario, run_seeds
 
 log = logging.getLogger("decoysim")
 
@@ -92,14 +95,11 @@ def _meta_record(scenario: Scenario) -> dict:
 def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
     """A run's outcome summary, leakage findings, report flags and exit code.
 
-    A failed run, a decoy run that recovered the wrong secret and an
-    attack that disrupted the run, learned the secret or timed out each
-    exit EXIT_PROTOCOL; a comparison's leak flags leave the exit code 0.
+    A comparison's leak flags leave the exit code 0; every other run's
+    summary, flags and exit code are _summarize's.
     """
-    if outcome.status != OK:
-        return {"kind": "error", "error": outcome.status}, [], [outcome.status], EXIT_PROTOCOL
     result = outcome.result
-    if isinstance(result, ComparisonOutcome):
+    if outcome.status == OK and isinstance(result, ComparisonOutcome):
         summary = {
             "kind": "comparison",
             "ordering": result.ordering.value,
@@ -111,42 +111,93 @@ def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
         findings = adversary_mod.audit_comparison(result, scenario.protocol, dt=scenario.dt)
         leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
         return summary, findings, leaks, EXIT_OK
-    if isinstance(result, DecoyOutcome):
-        summary = {
-            "kind": "decoy",
-            "recovered": result.recovered,
-            "sender_secret": result.sender_secret,
-            "success": result.success,
-            "detected_tick": result.detected_tick,
-            "announce_tick": result.announce_tick,
-        }
-        flags = [] if result.success else ["recovery-mismatch"]
+    kind, values = "decoy" if isinstance(result, DecoyOutcome) else "attack", ()
+    if outcome.status == OK:  # an attack summary's "attack" field is its result's kind
+        values = [getattr(result, {"attack": "kind"}.get(name, name)) for name in _FIELDS[kind]]
+    summary, flags, code = _summarize(outcome.status, kind, values)
+    return summary, [], flags, code
+
+
+# A decoy and an attack run's summary fields after "kind", in report order.
+_FIELDS = {
+    "decoy": ("recovered", "sender_secret", "success", "detected_tick", "announce_tick"),
+    "attack": (
+        "attack", "disrupted", "adversary_learned", "adversary_recovered", "receiver_recovered",
+        "receiver_error", "timeout",
+    ),
+}
+# The attack fields that each fail a run, and the flag each raises.
+_ATTACK_FLAGS = {
+    "disrupted": "disrupted",
+    "adversary_learned": "adversary-learned-secret",
+    "timeout": "timeout",
+}
+
+
+def _summarize(status: str, kind: str, values) -> tuple[dict, list[str], int]:
+    """A run's summary, flags and exit code, from its status and, if OK, its _FIELDS[kind] values.
+
+    A failed run, a decoy run that recovered the wrong secret and an
+    attack that disrupted the run, learned the secret or timed out each
+    exit EXIT_PROTOCOL.
+    """
+    if status != OK:
+        return {"kind": "error", "error": status}, [status], EXIT_PROTOCOL
+    summary = {"kind": kind, **dict(zip(_FIELDS[kind], values))}
+    if kind == "decoy":
+        flags = [] if summary["success"] else ["recovery-mismatch"]
     else:
-        summary = {
-            "kind": "attack",
-            "attack": result.kind,
-            "disrupted": result.disrupted,
-            "adversary_learned": result.adversary_learned,
-            "adversary_recovered": result.adversary_recovered,
-            "receiver_recovered": result.receiver_recovered,
-            "receiver_error": result.receiver_error,
-            "timeout": result.timeout,
-        }
-        checks = {
-            "disrupted": result.disrupted,
-            "adversary-learned-secret": result.adversary_learned,
-            "timeout": result.timeout,
-        }
-        flags = [flag for flag, raised in checks.items() if raised]
-    return summary, [], flags, EXIT_PROTOCOL if flags else EXIT_OK
+        flags = [flag for field, flag in _ATTACK_FLAGS.items() if summary[field]]
+    return summary, flags, EXIT_PROTOCOL if flags else EXIT_OK
 
 
-def _run_record(run_id: int, outcome: RunOutcome, summary: dict, digest: int, flags) -> dict:
+def _sweep_rows(scenario: Scenario, count: int) -> Iterator[tuple]:
+    """Each run's seed, status, (summary, flags, exit code) and digest, in order.
+
+    Comparison runs go one at a time through _assess.  Decoy runs are read
+    off their kernel passes' outcome tables, each column a _FIELDS one,
+    and digests; an attack run's status is OK whatever it did, as
+    run_seeds gives it.
+    """
+    if scenario.protocol not in DECOY_PROTOCOLS:
+        for outcome in run_seeds(scenario, count):
+            summary, _, flags, code = _assess(outcome)
+            yield outcome.scenario.seed, outcome.status, (summary, flags, code), outcome.digest
+        return
+    adversary = scenario.adversary
+    kind = "attack" if adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR) else "decoy"
+    for batch in run_passes(scenario, count):
+        table = batch.table
+        status, recovered = table.status.tolist(), _cells(table.recovered)
+        if kind == "attack":
+            columns = (
+                itertools.repeat("jam" if adversary is AdversaryKind.JAMMER else "impersonate"),
+                table.disrupted.tolist(), table.adversary_learned.tolist(),
+                _cells(table.adversary_recovered), recovered,
+                map(adversary_mod.RECEIVER_ERRORS.get, status), table.timeout.tolist(),
+            )
+            status = [OK] * len(batch)
+        else:
+            secrets = np.asarray(batch.runs.secrets)
+            columns = (
+                recovered, secrets.tolist(), (table.recovered == secrets).tolist(),
+                _cells(table.detected), _cells(table.announce),
+            )
+        summaries = map(_summarize, status, itertools.repeat(kind), zip(*columns))
+        yield from zip(batch.runs.seeds, status, summaries, batch.digests)
+
+
+def _cells(column: np.ndarray) -> list[Optional[int]]:
+    """An integer column of an outcome table as ints, None where a run has no value (-1)."""
+    return [None if value < 0 else value for value in column.tolist()]
+
+
+def _run_record(run_id: int, protocol: str, seed: int, summary: dict, digest: int, flags) -> dict:
     return {
         "record": "run",
         "run_id": run_id,
-        "protocol": outcome.scenario.protocol.value,
-        "seed": outcome.scenario.seed,
+        "protocol": protocol,
+        "seed": seed,
         "outcome": summary,
         "digest": f"{digest:016x}",
         "flags": list(flags),
@@ -184,7 +235,8 @@ def cmd_run(args, stream: TextIO) -> int:
     summary, findings, flags, code = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))
-        _emit(stream, json.dumps(_run_record(0, outcome, summary, digest, flags)))
+        record = _run_record(0, scenario.protocol.value, scenario.seed, summary, digest, flags)
+        _emit(stream, json.dumps(record))
     else:
         _print_text_report(stream, outcome, summary, digest, findings, flags, wall_ms)
     return code
@@ -214,20 +266,21 @@ def cmd_sweep(args, stream: TextIO) -> int:
         failures = 0
         abs_errors: list[float] = []
         digests: list[str] = []
+        protocol = scenario.protocol.value
         # Records go out as the runs come, one kernel pass of them at a time.
-        for index, outcome in enumerate(run_seeds(scenario, args.runs)):
-            digest = outcome.digest
-            summary, _, flags, code = _assess(outcome)
+        rows = _sweep_rows(scenario, args.runs)
+        for index, (seed, status, (summary, flags, code), digest) in enumerate(rows):
             # A run succeeds when `run` would exit 0 on it.
             successes += code == EXIT_OK
-            if outcome.status != OK:
+            if status != OK:
                 failures += 1
             else:
                 digests.append(f"{digest:016x}")
                 if summary["kind"] == "decoy":
                     abs_errors.append(abs(summary["recovered"] - summary["sender_secret"]))
             if args.format == "records":
-                _emit(stream, json.dumps(_run_record(index, outcome, summary, digest, flags)))
+                record = _run_record(index, protocol, seed, summary, digest, flags)
+                _emit(stream, json.dumps(record))
         sorted_errors = sorted(abs_errors)
 
         def percentile(q: float) -> Optional[float]:
@@ -417,10 +470,21 @@ def _load(args, vary_override: Optional[str] = None) -> Scenario:
     return load_scenario(args.config, overrides)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit EXIT_CONFIG rather than argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parse_args keeps no state in it."""
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process; parse_args keeps no state in it.
+
+    Its subcommands' parsers are of its class, so a usage error anywhere exits EXIT_CONFIG.
+    """
+    parser = _Parser(
         prog="decoysim",
         description="Deterministic simulator for physics-based secure comparison "
         "and decoy-based secret transmission, with adversary analysis.",

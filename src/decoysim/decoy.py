@@ -199,23 +199,38 @@ def recover_secret(
     Ties between two equally near integers round down.  If even the
     nearest domain element is further than 0.5 + 4*noise_sigma away the
     transmission is considered corrupted (jamming, gross noise) and
-    OutOfDomain is raised.
+    OutOfDomain is raised.  This is recover_secrets on one run.
     """
     total = float(total)
     own_key = float(own_key)
     if not (math.isfinite(total) and math.isfinite(own_key)):
         raise ValueError("total and own_key must be finite")
-    diff = total - own_key
-    n1, n2 = secret_domain
-    # From 2^52 on every float is whole and diff - 0.5 would round.
-    nearest = min(max(int(diff) if diff.is_integer() else math.ceil(diff - 0.5), n1), n2)
-    distance = abs(diff - nearest)
-    if distance > 0.5 + 4.0 * noise_sigma:
+    nearest, rejected = recover_secrets(
+        np.array([total]), np.array([own_key]), secret_domain, noise_sigma
+    )
+    nearest = int(nearest[0])
+    if rejected[0]:
+        diff = total - own_key
         raise OutOfDomain(
-            f"recovered value {diff!r} is {distance:.3f} away from the nearest "
+            f"recovered value {diff!r} is {abs(diff - nearest):.3f} away from the nearest "
             f"domain element {nearest}; transmission corrupted"
         )
-    return int(nearest)
+    return nearest
+
+
+def recover_secrets(
+    totals: np.ndarray, own_keys: np.ndarray, secret_domain: tuple[int, int], noise_sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """recover_secret on arrays of finite values: each nearest domain element, and which it rejects.
+
+    From 2^52 on every float is whole and diff - 0.5 would round, so a
+    whole difference is its own nearest integer.  The elements come as
+    int64; the domain's bounds are at most 2^53.
+    """
+    diffs = totals - own_keys
+    whole = diffs == np.floor(diffs)
+    nearest = np.where(whole, diffs, np.ceil(diffs - 0.5)).clip(*secret_domain)
+    return nearest.astype(np.int64), np.abs(diffs - nearest) > 0.5 + 4.0 * noise_sigma
 
 
 @dataclass
@@ -249,6 +264,19 @@ class DecoyOutcome:
     @property
     def success(self) -> bool:
         return self.recovered == self.sender_secret
+
+
+def attack_flags(status, recovered, secret, jammed, adversary_recovered, jam_value):
+    """An attack's disrupted, adversary_learned and timeout flags, of one run or a pass's columns.
+
+    The receiver is disrupted where he failed or recovered a wrong value,
+    under a jammer (jam_value not None) only where its force reached the
+    medium; the adversary learned the secret where it read it.
+    """
+    failed = (status != OK) | (recovered != secret)
+    if jam_value is not None:
+        failed = failed & jammed & (jam_value != 0.0)
+    return failed, adversary_recovered == secret, status == TIMEOUT
 
 
 # The padded arrays of one kernel pass hold about this many cells at most:
@@ -445,13 +473,35 @@ def _plans(scenario: Scenario, runs: Runs, forger_key: Optional[float] = None) -
     return _Plans(runs, sender, other, announce, noise, stop)
 
 
+class Outcomes(NamedTuple):
+    """What every run of a kernel pass did, as columns: row i is run i's.
+
+    A run without a value holds -1 in an integer column and NaN in
+    `estimate`.  The attack flags are attack_flags' for the pass's
+    adversary; they mean nothing for an honest run.
+    """
+
+    status: np.ndarray  # OK, TIMEOUT or OUT_OF_DOMAIN
+    recovered: np.ndarray  # what the receiver recovered, in an OK run
+    detected: np.ndarray  # the tick the receiver detected stabilization on
+    estimate: np.ndarray  # the stable level he read then
+    announce: np.ndarray  # the tick the second party announced on, within the run
+    jammed: np.ndarray  # whether a jammer's force reached the medium
+    adversary_recovered: np.ndarray  # what an impersonator read
+    disrupted: np.ndarray
+    adversary_learned: np.ndarray
+    timeout: np.ndarray
+
+
 class RunBatch:
     """One kernel pass: its runs' public readings in one array, and what each run did.
 
     Row i of `readings` holds run i's reading for every tick from 0 to
-    lengths[i] - 1, then NaN.  Transcripts and outcomes are built only
-    when asked for; the replay digests of the pass are hashed from the
-    readings at the first digest asked for, and need no transcript.
+    lengths[i] - 1, then NaN.  `table` holds every run's outcome as
+    columns, computed once for the pass; `outcome(i)` is run i's row of
+    it as a DecoyOutcome.  Transcripts are built only when asked for; the
+    replay digests of the pass are hashed from the readings at the first
+    digest asked for, and need no transcript.
     """
 
     def __init__(
@@ -460,33 +510,24 @@ class RunBatch:
         readings: np.ndarray,
         lengths: list[int],
         plans: _Plans,
-        detected: list[Optional[tuple[int, float]]],
-        jam: _Ramps,
-        adversary_recovered: list[Optional[int]],
+        table: Outcomes,
     ):
         self.scenario = scenario
         self.readings = readings
         self.lengths = lengths
+        self.runs = plans.runs
         self._plans = plans
-        self._detected = detected
-        self._jam = jam
-        self._adversary_recovered = adversary_recovered
-        self._digests: Optional[list[int]] = None
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def _announce_tick(self, index: int) -> Optional[int]:
-        tick = int(self._plans.announce[index])
-        return tick if tick < self.lengths[index] else None
-
-    def _events(self, index: int) -> list[tuple[int, Announcement]]:
-        """Run `index`'s announcements, each after the number of readings before it."""
+    def _events(self, announce_tick: int) -> list[tuple[int, Announcement]]:
+        """A run's announcements, each after the number of readings before it."""
         events = []
         if self.scenario.protocol is Protocol.DECOY_WAVE:
             events.append((0, Announcement(0, WAVE_PARAMS)))
-        announce_tick = self._announce_tick(index)
-        if announce_tick is not None:
+        if announce_tick >= 0:
             events.append((announce_tick, Announcement(announce_tick, IN_BUSINESS)))
         return events
 
@@ -494,40 +535,48 @@ class RunBatch:
         values = Readings(self.readings[index, : self.lengths[index]])
         transcript = Transcript()
         start = 0
-        for count, event in self._events(index):
+        for count, event in self._events(int(self.table.announce[index])):
             transcript.record_readings(start, values[start:count])
             transcript.announce(event.tick, event.tag)
             start = count
         transcript.record_readings(start, values[start:])
         return transcript
 
+    @functools.cached_property
+    def digests(self) -> list[int]:
+        """replay_digest(self.transcript(i)) of every run i, without building the transcripts."""
+        ticks = self.table.announce.tolist()
+        events = {tick: self._events(tick) for tick in set(ticks)}  # runs share their events
+        return row_digests(self.readings, self.lengths, list(map(events.__getitem__, ticks)))
+
     def digest(self, index: int) -> int:
-        """replay_digest(self.transcript(index)), without building the transcript."""
-        if self._digests is None:
-            events = [self._events(row) for row in range(len(self))]
-            self._digests = row_digests(self.readings, self.lengths, events)
-        return self._digests[index]
+        return self.digests[index]
 
     def outcome(self, index: int) -> DecoyOutcome:
-        scenario, plans, length = self.scenario, self._plans, self.lengths[index]
+        """Run `index`'s row of the table, with its parties' ticks and its transcript."""
+        scenario, plans, table, length = self.scenario, self._plans, self.table, self.lengths[index]
+        sigma = scenario.noise_sigma
         receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
         receiver_key = int(plans.runs.keys[index]) if receives else None
-        detected_tick = estimate = recovered = None
-        status, detail = TIMEOUT, f"no stabilization detected within {scenario.max_ticks} ticks"
-        if self._detected[index] is not None:
-            detected_tick, estimate = self._detected[index]
-            recovered, detail = _recover(scenario, estimate, float(receiver_key))
-            status = OK if recovered is not None else OUT_OF_DOMAIN
+        status, detected_tick = str(table.status[index]), _present(table.detected[index])
+        detail, estimate = f"no stabilization detected within {scenario.max_ticks} ticks", None
+        if detected_tick is not None:
+            detail, estimate = "", float(table.estimate[index])
+        if status == OUT_OF_DOMAIN:  # recover_secret's message
+            try:
+                recover_secret(estimate + receiver_key, receiver_key, scenario.secret_domain, sigma)
+            except OutOfDomain as exc:
+                detail = str(exc)
         sender_start = int(plans.sender.start[index])
         moved = sender_start < length
         return DecoyOutcome(
-            recovered=recovered,
+            recovered=_present(table.recovered[index]),
             sender_secret=int(plans.runs.secrets[index]),
             receiver_key=receiver_key,
             transcript=functools.partial(self.transcript, index),
             detected_tick=detected_tick,
             stable_estimate=estimate,
-            announce_tick=self._announce_tick(index),
+            announce_tick=_present(table.announce[index]),
             sender_start_tick=sender_start if moved else None,
             sender_stabilize_tick=int(plans.sender.stabilize[index]) if moved else None,
             receiver_stabilize_tick=(
@@ -535,9 +584,14 @@ class RunBatch:
             ),
             status=status,
             detail=detail,
-            jammed=int(self._jam.stabilize[index]) < length,
-            adversary_recovered=self._adversary_recovered[index],
+            jammed=bool(table.jammed[index]),
+            adversary_recovered=_present(table.adversary_recovered[index]),
         )
+
+
+def _present(value) -> Optional[int]:
+    """A table cell as an int, or None for the -1 of a run without one."""
+    return None if value < 0 else int(value)
 
 
 def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -601,24 +655,28 @@ def _may_settle(
     return (high - means <= tolerance) & (means - low <= tolerance) & (means + slack >= floor)
 
 
-def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float, read=None) -> list:
+def _first_settled(
+    values: np.ndarray, width: int, epsilon: float, floor: float, accept=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of `values`, the first window of `width` values that settles at `floor` or higher.
 
-    A row's entry is read(row, last column, level) of the first such
-    window for which that is not None (by default the pair (last column,
-    level)), or None.  With a tolerance, only windows that pass necessary
+    Returns columns: whether row i has such a window, and its last column
+    and its level, which are unread and 0.0 where it has none.  With
+    `accept`, a window counts only where accept(rows, last columns,
+    levels), on arrays of windows, is true.  With a tolerance, only windows that pass necessary
     conditions go to the exact detector: spread within 2 * epsilon,
     highest value near the floor and an approximate mean that leaves room
     to settle (_may_settle).  With none, the test is exact: a window the
     detector accepts is flat at some v, and its mean is fsum([v] * width)
     / width, where fsum is the correctly rounded v * width; that mean can
-    miss v (884295128254041.2 at width 3).  So without a reader no window
-    goes to the detector.  (Where v * width overflows, the detector's
-    fsum raises, and here the window is rejected.)
+    miss v (884295128254041.2 at width 3).  So no window goes to the
+    detector.  (Where v * width overflows, the detector's fsum raises, and
+    here the window is rejected.)
     """
-    found: list = [None] * len(values)
+    count = len(values)
+    hit, end, level = np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64), np.zeros(count)
     if values.shape[1] < width:
-        return found
+        return hit, end, level
     high, low = _window_extremes(values, width)
     # Slack for rounding: a window the exact detector accepts always passes.
     passing = high - low <= 2.0 * epsilon * (1.0 + 1e-9)  # false on an infinite window
@@ -627,31 +685,29 @@ def _first_settled(values: np.ndarray, width: int, epsilon: float, floor: float,
         passing &= _may_settle(values, high, low, width, epsilon, floor)
     else:
         passing &= ((high * width) / width == high) & (high >= floor)
-        if read is None:
-            rows, columns = np.arange(len(values)), passing.argmax(axis=1)
-            levels = high[rows, columns] + 0.0  # fsum's sum of zeros is +0.0
-            return [
-                (column + width - 1, level) if hit else None
-                for hit, column, level in zip(
-                    passing[rows, columns].tolist(), columns.tolist(), levels.tolist()
-                )
-            ]
+        # A window's level is its value; + 0.0 as fsum's sum of zeros is +0.0.
+        if accept is not None:
+            rows, columns = passing.nonzero()
+            passing[rows, columns] = accept(rows, columns + width - 1, high[rows, columns] + 0.0)
+        rows, columns = np.arange(count), passing.argmax(axis=1)
+        hit = passing[rows, columns]
+        return hit, columns + width - 1, np.where(hit, high[rows, columns] + 0.0, 0.0)
     for row, column in enumerate(passing.argmax(axis=1).tolist()):
         if not passing[row, column]:
             continue
         later = None  # the row's other candidates, found once the first one fails
         while column is not None:
             window = values[row, column : column + width].tolist()
-            level = detect_stabilization(window, epsilon, width)
-            if level is not None and level >= floor:
-                end = column + width - 1
-                found[row] = (end, level) if read is None else read(row, end, level)
-                if found[row] is not None:
+            found = detect_stabilization(window, epsilon, width)
+            last = column + width - 1
+            if found is not None and found >= floor:
+                if accept is None or accept([row], [last], np.array([found]))[0]:
+                    hit[row], end[row], level[row] = True, last, found
                     break
             if later is None:
                 later = iter((column + 1 + np.flatnonzero(passing[row, column + 1 :])).tolist())
             column = next(later, None)
-    return found
+    return hit, end, level
 
 
 def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.ndarray:
@@ -674,7 +730,7 @@ def _jam(
     parts: list[np.ndarray],
     noise: Optional[np.ndarray],
     first: int,
-    rows: list[int],
+    rows: np.ndarray,
     jam: _Ramps,
     before: np.ndarray,
     watch: int,
@@ -693,17 +749,16 @@ def _jam(
     def measure() -> np.ndarray:
         return measure_block([*parts, _contributions(jam, rows, first, size)], noise).values
 
-    unarmed = (jam.stabilize[rows] >= first + size).nonzero()[0].tolist()
-    if not unarmed:
+    unarmed = (jam.stabilize[rows] >= first + size).nonzero()[0]
+    if not len(unarmed):
         return measure()
     everyone = len(unarmed) == len(rows)
     readings = measure_block(parts, noise).values if everyone else measure()
     seen = np.concatenate((before, readings), 1)
-    hits = _first_settled(seen if everyone else seen[unarmed], watch, epsilon, floor)
-    for index, hit in zip(unarmed, hits):
-        if hit is not None:  # a detection on or before this tick ends the run unjammed
-            jam.stabilize[rows[index]] = first - before.shape[1] + hit[0] + 1
-    return measure() if any(hits) else readings
+    hit, end, _ = _first_settled(seen if everyone else seen[unarmed], watch, epsilon, floor)
+    # A detection on or before this tick ends the run unjammed.
+    jam.stabilize[rows[unarmed[hit]]] = first - before.shape[1] + end[hit] + 1
+    return measure() if hit.any() else readings
 
 
 def _closed_form(
@@ -732,19 +787,19 @@ def _closed_form(
     stopped).  Every window search reads that array, a receiver's reaching
     back hold - 1 ticks before the block.  An impersonation always runs
     its whole budget, in one block, and the impersonator reads the first
-    settled window of ``reading - own ramp`` that recover_secret does not
+    settled window of ``reading - own ramp`` that recover_secrets does not
     reject.
     """
     budget, hold, epsilon = scenario.max_ticks, scenario.hold_ticks, scenario.epsilon_stab
-    sigma, floor = scenario.noise_sigma, scenario.n1 - 0.5
+    sigma, floor, domain = scenario.noise_sigma, scenario.n1 - 0.5, scenario.secret_domain
     watch = max(1, hold // 2)
     plans = _plans(scenario, runs, forger_key)
     count = len(runs.seeds)
     never = np.full(count, budget)
     jam = _Ramps(np.full(count, 0.0 if jam_value is None else jam_value), never, never)
-    detected: list[Optional[tuple[int, float]]] = [None] * count
-    adversary_recovered: list[Optional[int]] = [None] * count
-    rows = list(range(count))  # the runs still going, in order
+    detected, estimate = np.full(count, -1), np.full(count, np.nan)
+    adversary_recovered = np.full(count, -1)
+    rows = np.arange(count)  # the runs still going, in order
     readings = np.zeros((count, 0))
     first, stop = 0, int(plans.stop.max())
     while True:
@@ -753,7 +808,8 @@ def _closed_form(
         parts = [_contributions(plans.sender, rows, first, stop - first), own[:, first - back :]]
         noise = None
         if sigma > 0.0:
-            noise = np.array([block_noise(sigma, plans.noise[row], stop - first) for row in rows])
+            streams = map(plans.noise.__getitem__, rows.tolist())
+            noise = np.array([block_noise(sigma, stream, stop - first) for stream in streams])
         if jam_value is None:
             block = measure_block(parts, noise).values
         else:
@@ -768,32 +824,39 @@ def _closed_form(
         values = readings[rows, back:stop] - own
         if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
 
-            def read(row, column, level):
-                return _recover(scenario, level, float(own[row, column]))[0]
+            def readable(rows, ends, levels):
+                return ~recover_secrets(levels + own[rows, ends], own[rows, ends], domain, sigma)[1]
 
-            adversary_recovered = _first_settled(values, hold, epsilon, floor, read)
+            hit, end, level = _first_settled(values, hold, epsilon, floor, readable)
+            read, _ = recover_secrets(level + own[rows, end], own[rows, end], domain, sigma)
+            adversary_recovered = np.where(hit, read, -1)
             break
-        hits = _first_settled(values, hold, epsilon, floor)
-        for row, hit in zip(rows, hits):
-            detected[row] = None if hit is None else (back + hit[0], hit[1])
-        rows = [row for row, hit in zip(rows, hits) if hit is None]
-        if not rows or stop == budget:
+        hit, end, level = _first_settled(values, hold, epsilon, floor)
+        detected[rows[hit]], estimate[rows[hit]] = back + end[hit], level[hit]
+        rows = rows[~hit]
+        if not len(rows) or stop == budget:
             break
         first, stop = stop, min(budget, 2 * stop)
 
-    lengths = [budget if hit is None else hit[0] + 1 for hit in detected]
-    width = max(lengths)
+    lengths = np.where(detected < 0, budget, detected + 1)
+    width = lengths.max()
     readings = readings[:, :width]
-    readings[np.arange(width) >= np.array(lengths)[:, None]] = np.nan
-    return RunBatch(scenario, readings, lengths, plans, detected, jam, adversary_recovered)
-
-
-def _recover(scenario: Scenario, level: float, own: float) -> tuple[Optional[int], str]:
-    """What a listener adding `own` reads off a settled level, or why it cannot."""
-    try:
-        return recover_secret(level + own, own, scenario.secret_domain, scenario.noise_sigma), ""
-    except OutOfDomain as exc:
-        return None, str(exc)
+    readings[np.arange(width) >= lengths[:, None]] = np.nan
+    # The outcome table: what the receiver recovers where he detected, and the attack flags.
+    status, recovered = np.full(count, TIMEOUT), np.full(count, -1)
+    seen = (detected >= 0).nonzero()[0]
+    keys = np.asarray(runs.keys, dtype=np.float64)[seen]
+    nearest, rejected = recover_secrets(estimate[seen] + keys, keys, domain, sigma)
+    status[seen] = np.where(rejected, OUT_OF_DOMAIN, OK)
+    recovered[seen] = np.where(rejected, -1, nearest)
+    jammed = jam.stabilize < lengths
+    secrets = np.asarray(runs.secrets, dtype=np.int64)
+    flags = attack_flags(status, recovered, secrets, jammed, adversary_recovered, jam_value)
+    announce = np.where(plans.announce < lengths, plans.announce, -1)
+    table = Outcomes(
+        status, recovered, detected, estimate, announce, jammed, adversary_recovered, *flags
+    )
+    return RunBatch(scenario, readings, lengths.tolist(), plans, table)
 
 
 def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:

@@ -103,12 +103,16 @@ class RngStream:
 
         Entry [i, j] is ``SeedSequence([seeds[i], stream_ids[j]]).generate_state(4,
         np.uint64)``, the four words PCG64 seeds itself from, as a C-contiguous
-        row.  Seeds wrap to 64 bits as in ``RngStream``; stream ids are single
-        32-bit words.  The entropy, 1-2 seed words and the stream id, is
-        zero-padded to the pool of 4 words, mixed, and the state drawn from the
-        pool, each step one uint32 array operation over all pairs.
+        row.  Seeds wrap to 64 bits as in ``RngStream``, and a range of seeds
+        below 2^64 converts in one step; stream ids are single 32-bit words.
+        The entropy, 1-2 seed words and the stream id, is zero-padded to the
+        pool of 4 words, mixed, and the state drawn from the pool, each step
+        one uint32 array operation over all pairs.
         """
-        seeds = np.array([int(seed) & _U64 for seed in seeds], dtype=np.uint64)
+        if isinstance(seeds, range) and seeds.step > 0 and 0 <= seeds.start and seeds.stop <= 2**64:
+            seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.uint64)
+        else:
+            seeds = np.array([int(seed) & _U64 for seed in seeds], dtype=np.uint64)
         streams = np.array(stream_ids, dtype=np.uint32)
         count = len(seeds) * len(streams)
         # Word k of every pair's entropy in row k: the seed's words, then the stream id.
@@ -680,20 +684,23 @@ class Scenario:
         return {f.name: _report_value(getattr(self, f.name)) for f in fields(self)}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _is(concrete: type, abc: type):
+    """isinstance(v, abc), false for a bool, with `concrete` tried first: ABC checks cost more."""
+    return lambda v: type(v) is concrete or (isinstance(v, abc) and not isinstance(v, bool))
 
+
+_is_integer = _is(int, numbers.Integral)
 
 # What a Scenario field of each annotated kind takes, and how an error names it.
 _KIND_RULES = {
     int: (_is_integer, "an integer"),
-    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    float: (_is(float, numbers.Real), "a real number"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     tuple[int, int]: (
         lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_integer, v)),
         "a pair of integers",
     ),
-    Mapping[str, int]: (lambda v: isinstance(v, Mapping), "a mapping of party to secret"),
+    Mapping[str, int]: (_is(dict, Mapping), "a mapping of party to secret"),
 }
 _FIELD_RULES = {  # an enum field takes a member of its enum
     name: _KIND_RULES.get(kind) or (kind.__instancecheck__, f"a member of {kind.__name__}")

@@ -9,6 +9,7 @@ every run, whatever the protocol, yields the same kind of public record.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import adversary as adversary_mod
 from .channel import block_noise, measure_block
-from .decoy import DecoyOutcome, Runs
+from .decoy import DecoyOutcome, RunBatch, Runs
 from .engine import (
     DECOY_PROTOCOLS,
     OK,
@@ -114,41 +115,53 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
 
-def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
-    """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
+def run_passes(scenario: Scenario, count: int) -> Iterator[RunBatch]:
+    """The kernel passes of run_seeds(scenario, count) for a decoy scenario, in order.
 
-    Decoy runs go through the kernel a pass at a time
-    (adversary.adversary_runs), from a range of seeds and zero-stride
-    secrets and keys, so memory does not grow with `count`; comparison
-    runs go one at a time.  The scenario is validated once.  The seeds
-    rise by one, so the first invalid one is 2^64: every run before it is
+    The runs go through the kernel (adversary.adversary_runs) from spans
+    of seeds and zero-stride secrets and keys, so memory does not grow
+    with `count`.  The scenario is validated once.  The seeds rise by
+    one, so the first invalid one is 2^64: every pass before it is
     yielded, and then it raises the InvalidScenario validate() gives.
     """
     scenario.validate()
-    valid = min(count, 2**64 - scenario.seed)
-    seeds = range(scenario.seed, scenario.seed + valid)
-    if scenario.protocol in DECOY_PROTOCOLS:
-        kind = scenario.adversary
-        attacked = kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
-        secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
-        scenarios = map(scenario.with_seed, seeds)
-        # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
-        for span in (seeds[first : first + 2**32] for first in range(0, valid, 2**32)):
-            runs = Runs(span, np.broadcast_to(secret, len(span)), np.broadcast_to(key, len(span)))
-            for batch in adversary_mod.adversary_runs(scenario, runs):
-                for row in range(len(batch)):
-                    result = outcome = batch.outcome(row)
-                    status, detail = outcome.status, outcome.detail
-                    if attacked:  # an attack run is OK whatever it did: its result says
-                        result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
-                    transcript = functools.partial(getattr, outcome, "transcript")
-                    digest = functools.partial(batch.digest, row)
-                    yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
-    else:
-        for seed in seeds:
-            yield _comparison_run(scenario.with_seed(seed))
-    if valid < count:
+    stop = scenario.seed + min(count, 2**64 - scenario.seed)
+    secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
+    # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
+    for first in range(scenario.seed, stop, 2**32):
+        span = range(first, min(first + 2**32, stop))
+        runs = Runs(span, np.broadcast_to(secret, len(span)), np.broadcast_to(key, len(span)))
+        yield from adversary_mod.adversary_runs(scenario, runs)
+    if stop - scenario.seed < count:
         scenario.with_seed(2**64).validate()
+
+
+def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
+    """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
+
+    Decoy runs are the rows of run_passes' outcome tables; comparison runs
+    go one at a time, validated and bounded as there.
+    """
+    if scenario.protocol not in DECOY_PROTOCOLS:
+        scenario.validate()
+        valid = min(count, 2**64 - scenario.seed)
+        for seed in range(scenario.seed, scenario.seed + valid):
+            yield _comparison_run(scenario.with_seed(seed))
+        if valid < count:
+            scenario.with_seed(2**64).validate()
+        return
+    kind = scenario.adversary
+    attacked = kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
+    scenarios = map(scenario.with_seed, itertools.count(scenario.seed))
+    for batch in run_passes(scenario, count):
+        for row in range(len(batch)):
+            result = outcome = batch.outcome(row)
+            status, detail = outcome.status, outcome.detail
+            if attacked:  # an attack run is OK whatever it did: its result says
+                result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
+            transcript = functools.partial(getattr, outcome, "transcript")
+            digest = functools.partial(batch.digest, row)
+            yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
 
 
 def run_scenario(scenario: Scenario) -> RunOutcome:

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from pathlib import Path
 
 from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, engine, load_scenario
-from decoysim.decoy import CELL_BUDGET
+from decoysim.adversary import AttackOutcome
+from decoysim.decoy import CELL_BUDGET, DecoyOutcome
 from decoysim.engine import OK, TIMEOUT
-from decoysim.runner import run_scenario, run_seeds
+from decoysim.runner import RunOutcome, run_scenario, run_seeds
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -320,7 +321,8 @@ class TestSweep:
         # A text sweep writes its report only after its first variant, so it
         # would run all 3,000 runs first; nothing is created on the way.
         started = []
-        monkeypatch.setattr(cli, "run_seeds", lambda *args: started.append(args) or iter(()))
+        for runs in ("run_seeds", "run_passes"):
+            monkeypatch.setattr(cli, runs, lambda *args: started.append(args) or iter(()))
         path = tmp_path if out == "a directory" else tmp_path / "missing" / "report.txt"
         code, stdout, err = run_cli(
             capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--runs", "3000",
@@ -417,29 +419,68 @@ class TestSweep:
         )
 
     @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-    def test_batched_sweep_matches_one_run_per_seed(self, case, tmp_config, capsys, monkeypatch):
+    def test_batched_sweep_matches_one_run_per_seed(self, case, tmp_config, capsys):
+        # Each run record is what one run_scenario call on its seed gives,
+        # assessed as `run` assesses it, with its transcript's replay digest.
         config, argv, flag_sets = SWEEP_CASES[case]
         if "\n" in config:
             config = tmp_config(config)
         argv = ["sweep", "--config", config, *argv, "--format", "records"]
-        batched = run_cli(capsys, *argv)
-        monkeypatch.setattr(cli, "run_seeds", _one_run_per_seed)
-        assert run_cli(capsys, *argv) == batched
-        code, out, _ = batched
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
+        args = cli.build_parser().parse_args(argv)
+        expected = []
+        for key, value in cli._parse_vary(args.vary):
+            scenario = cli._load(args, None if key is None else f"{key}={value}")
+            assessed = []
+            for index, outcome in enumerate(_one_run_per_seed(scenario, args.runs)):
+                summary, _, flags, exit_code = cli._assess(outcome)
+                digest = f"{engine.replay_digest(outcome.transcript):016x}"
+                assessed.append((outcome.status, summary, exit_code, digest))
+                expected.append(
+                    {
+                        "record": "run",
+                        "run_id": index,
+                        "protocol": scenario.protocol.value,
+                        "seed": scenario.seed + index,
+                        "outcome": summary,
+                        "digest": digest,
+                        "flags": flags,
+                    }
+                )
+            errors = [
+                abs(summary["recovered"] - summary["sender_secret"])
+                for status, summary, _, _ in assessed
+                if status == OK and summary["kind"] == "decoy"
+            ]
+            aggregate = {
+                "record": "aggregate",
+                "vary": None if key is None else {key: value},
+                "runs": args.runs,
+                "success_rate": sum(exit_code == 0 for _, _, exit_code, _ in assessed) / args.runs,
+                "failures": sum(status != OK for status, _, _, _ in assessed),
+                "mean_abs_error": sum(errors) / len(errors) if errors else None,
+                "distinct_digests": len({d for status, _, _, d in assessed if status == OK}),
+            }
+            expected.append(aggregate)
         records = [json.loads(line) for line in out.splitlines()]
-        runs = [r for r in records if r["record"] == "run"]
-        assert runs and any(r["record"] == "aggregate" for r in records)
+        for record in records:  # the percentiles are the aggregate's own arithmetic
+            record.pop("p50_abs_error", None), record.pop("p90_abs_error", None)
+        assert records == json.loads(json.dumps(expected))
         # The case covers what its name says.
+        runs = [r for r in records if r["record"] == "run"]
         assert {tuple(r["flags"]) for r in runs} == flag_sets
 
     @pytest.mark.parametrize(
         "sets", [[], ["adversary=jammer"], ["adversary=impersonator", "defense_enabled=false"]]
     )
     def test_records_sweep_builds_no_transcript(self, sets, capsys, monkeypatch):
-        # A sweep's digests come from its kernel passes, not from transcripts.
+        # A sweep's records come from its kernel passes' outcome tables and
+        # digests: no transcript, per-run outcome or per-run scenario.
         built = []
-        monkeypatch.setattr(engine.Transcript, "__init__", lambda self: built.append(self))
+        for cls in (engine.Transcript, DecoyOutcome, AttackOutcome, RunOutcome):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs: built.append(self))
+        monkeypatch.setattr(Scenario, "with_seed", lambda self, seed: built.append(seed))
         overrides = [arg for pair in sets for arg in ("--set", pair)]
         code, out, _ = run_cli(
             capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--vary",
@@ -742,6 +783,36 @@ def test_a_million_tick_vessels_replay_builds_no_level_events():
     code, peak_kb = _exit_code_and_peak_kb(*replay, *[f"--set={pair}" for pair in sets])
     assert (small_code, code) == (0, 0)
     assert peak_kb <= small_kb + 96 * 1024, (peak_kb, small_kb)
+
+
+DECOY = str(CONFIGS / "decoy.cfg")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--config", DECOY], "the following arguments are required: --runs"),
+        (["run", "--bogus"], "the following arguments are required: --config"),
+        (["run", "--config", DECOY, "--bogus"], "unrecognized arguments: --bogus"),
+        (["sweep", "--config", DECOY, "--runs", "x"], "argument --runs: invalid int value: 'x'"),
+    ],
+)
+def test_usage_error_exits_one_with_argparse_message(argv, message, capsys):
+    # 2 is for a protocol-level failure; a usage error is a config error.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: decoysim") and f"error: {message}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["run", "-h"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: decoysim")
 
 
 def test_version_flag(capsys):

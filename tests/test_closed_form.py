@@ -673,22 +673,21 @@ def test_rejected_first_window_does_not_end_the_search():
         defense_enabled=False,
     )
     reads = []
-    with mock.patch.object(decoy, "recover_secret", _recorder(decoy.recover_secret, reads)):
+    with mock.patch.object(decoy, "recover_secrets", _recorder(decoy.recover_secrets, reads)):
         attack = assert_attacks_agree(scenario, forge_announcement=True, adversary_key=3.0)
     assert attack.adversary_recovered == top and attack.adversary_learned
+    # The kernel's first call reads its candidate windows in order; the oracle reads last.
     assert reads[0] is None and reads[-1] == top
 
 
 def _recorder(function, results: list):
-    """`function`, recording each result, or None where it raised OutOfDomain."""
+    """recover_secrets, recording what it reads off its first element, if any: None if rejected."""
 
     def recorded(*args):
-        try:
-            results.append(function(*args))
-        except OutOfDomain:
-            results.append(None)
-            raise
-        return results[-1]
+        values, rejected = function(*args)
+        if len(values):
+            results.append(None if rejected[0] else int(values[0]))
+        return values, rejected
 
     return recorded
 
@@ -738,20 +737,27 @@ def test_forging_impersonator_cost_is_linear_in_max_ticks():
     _assert_linear(run)
 
 
-def _settled_by_brute_force(values, width, epsilon, floor, read=None) -> list:
-    """_first_settled's answer from the exact detector run on every window of every row."""
+def _settled_by_brute_force(values, width, epsilon, floor, accept=None) -> list:
+    """_first_settled's answer, as _hits gives it, from the exact detector on every window."""
     found = []
     for row in range(len(values)):
         hit = None
         for column in range(values.shape[1] - width + 1):
-            level = detect_stabilization(values[row, column : column + width].tolist(), epsilon, width)
+            window = values[row, column : column + width].tolist()
+            level = detect_stabilization(window, epsilon, width)
+            end = column + width - 1
             if level is not None and level >= floor:
-                end = column + width - 1
-                hit = (end, level) if read is None else read(row, end, level)
-                if hit is not None:
+                if accept is None or accept(np.array([row]), np.array([end]), np.array([level]))[0]:
+                    hit = (end, level)
                     break
         found.append(hit)
     return found
+
+
+def _hits(columns) -> list:
+    """_first_settled's columns as one entry per row: (last column, level), or None."""
+    hit, end, level = columns
+    return [(e, v) if h else None for h, e, v in zip(hit.tolist(), end.tolist(), level.tolist())]
 
 
 def _ulps(value: float, steps: int) -> float:
@@ -810,14 +816,14 @@ def test_first_settled_is_the_exact_scan_of_every_window(search, rejecting):
     # detector rejects: the first settled window is the brute-force one,
     # also when a reader rejects some settled windows.
     values, width, epsilon, floor = search
-    read = None
+    accept = None
     if rejecting:
 
-        def read(row, end, level):
-            return None if end % 2 else (row, end, level)
+        def accept(rows, ends, levels):
+            return np.asarray(ends) % 2 == 0
 
-    found = decoy._first_settled(values, width, epsilon, floor, read)
-    expected = _settled_by_brute_force(values, width, epsilon, floor, read)
+    found = _hits(decoy._first_settled(values, width, epsilon, floor, accept))
+    expected = _settled_by_brute_force(values, width, epsilon, floor, accept)
     assert repr(found) == repr(expected)
 
 
@@ -838,13 +844,14 @@ def test_zero_tolerance_rejects_a_flat_window_whose_mean_misses_its_value(width,
         ]
     )
     first_settled = [None, (2 * width - 1, settled), (width - 1, settled)]
-    assert decoy._first_settled(values[:1, :width], width, 0.0, 0.5) == [None]
-    assert decoy._first_settled(values, width, 0.0, 0.5) == first_settled
+    assert _hits(decoy._first_settled(values[:1, :width], width, 0.0, 0.5)) == [None]
+    assert _hits(decoy._first_settled(values, width, 0.0, 0.5)) == first_settled
     assert _settled_by_brute_force(values, width, 0.0, 0.5) == first_settled
 
-    def read(row, end, level):  # rejects each row's first settled window
-        return None if end == first_settled[row][0] else (row, end, level)
+    def accept(rows, ends, levels):  # rejects each row's first settled window
+        firsts = [-1 if first_settled[row] is None else first_settled[row][0] for row in rows]
+        return np.asarray(ends) != firsts
 
-    found = decoy._first_settled(values, width, 0.0, 0.5, read)
-    assert found == _settled_by_brute_force(values, width, 0.0, 0.5, read)
-    assert found == [None, (1, 2 * width, settled), None]
+    found = _hits(decoy._first_settled(values, width, 0.0, 0.5, accept))
+    assert found == _settled_by_brute_force(values, width, 0.0, 0.5, accept)
+    assert found == [None, (2 * width, settled), None]

@@ -4,7 +4,10 @@ import dataclasses
 import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoysim import (
     AdversaryKind,
@@ -143,6 +146,77 @@ class TestRecoverSecret:
         assert recover_secret(10.2, 5.0, (1, 4), noise_sigma=0.25) == 4
         with pytest.raises(OutOfDomain):
             recover_secret(10.2, 5.0, (1, 4), noise_sigma=0.0)
+
+
+def _recover_by_rule(total: float, own_key: float, domain, sigma: float):
+    """recover_secret's rule on one value in Python ints: (value, None) or (None, message)."""
+    diff = total - own_key
+    n1, n2 = domain
+    nearest = min(max(int(diff) if diff.is_integer() else math.ceil(diff - 0.5), n1), n2)
+    distance = abs(diff - nearest)
+    if distance > 0.5 + 4.0 * sigma:
+        return None, (
+            f"recovered value {diff!r} is {distance:.3f} away from the nearest "
+            f"domain element {nearest}; transmission corrupted"
+        )
+    return nearest, None
+
+
+@st.composite
+def recoveries(draw):
+    """Totals, own keys, a domain and a noise level for recover_secrets.
+
+    The differences cover x.5 ties, whole values from 2^52 to 2^53, the
+    distances 0.5 + 4 sigma from each domain bound exactly and one ulp
+    either side, and anything finite; sigma is 0 or a binary fraction, so
+    that those distances are exact.
+    """
+    n1 = draw(st.integers(1, 10))
+    n2 = draw(st.one_of(st.integers(n1 + 1, n1 + 200), st.integers(n1 + 1, 2**53)))
+    sigma = draw(st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.05]))
+    reach = 0.5 + 4.0 * sigma
+    edges = [n1 - reach, n2 + reach]
+    edges += [math.nextafter(edge, way) for edge in edges for way in (-math.inf, math.inf)]
+    diffs = st.one_of(
+        st.integers(-(2**51), 2**51).map(lambda k: k + 0.5),
+        st.integers(n1, n1 + 50).map(lambda k: k + 0.5),
+        st.integers(2**52, 2**53).map(float),
+        st.sampled_from(edges),
+        st.floats(-(2.0**54), 2.0**54),
+    )
+    size = draw(st.integers(1, 8))
+    totals = draw(st.lists(diffs, min_size=size, max_size=size))
+    # Most keys are 0, so that the differences are the totals exactly.
+    keys = st.sampled_from([0.0, 0.0, 0.0, 5.0, 2.0**52])
+    keys = draw(st.lists(keys, min_size=size, max_size=size))
+    return [t + k for t, k in zip(totals, keys)], keys, (n1, n2), sigma
+
+
+@given(recoveries())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_recover_secrets_is_recover_secret_value_for_value(case):
+    totals, keys, domain, sigma = case
+    values, rejected = decoy.recover_secrets(np.array(totals), np.array(keys), domain, sigma)
+    assert values.dtype == np.int64 and rejected.dtype == bool
+    for total, key, value, rejects in zip(totals, keys, values.tolist(), rejected.tolist()):
+        expected, message = _recover_by_rule(total, key, domain, sigma)
+        assert (None if rejects else value) == expected
+        if expected is None:
+            with pytest.raises(OutOfDomain) as raised:
+                recover_secret(total, key, domain, sigma)
+            assert str(raised.value) == message
+        else:
+            assert recover_secret(total, key, domain, sigma) == expected
+
+
+def test_recover_secrets_edge_cases():
+    # A tie rounds down, and exactly 0.5 + 4 sigma past a bound is still
+    # accepted, one ulp more is not; 2^52 + 1 is its own nearest integer.
+    totals = np.array([8.5, 101.5, math.nextafter(101.5, 102), -0.5])
+    values, rejected = decoy.recover_secrets(totals, np.zeros(4), (1, 100), 0.25)
+    assert (values.tolist(), rejected.tolist()) == ([8, 100, 100, 1], [False, False, True, False])
+    values, rejected = decoy.recover_secrets(np.array([2.0**52 + 1]), np.zeros(1), (1, 2**53), 0.0)
+    assert (values.tolist(), rejected.tolist()) == ([2**52 + 1], [False])
 
 
 class TestRunDecoyTransmission:

@@ -5,9 +5,11 @@ import hashlib
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,19 @@ class TestRngStream:
         assert stream.seed == 2**64 - 1
         expected = np.random.default_rng([2**64 - 1, 3]).standard_normal(8)
         assert stream.normal(8).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(50), range(2**64 - 3, 2**64), range(2**32 - 2, 2**32 + 3), range(5, 40, 7)],
+    )
+    def test_seed_rows_of_a_range_are_those_of_its_seeds(self, seeds):
+        listed = RngStream.seed_rows(list(seeds), [0, 2])
+        assert np.array_equal(RngStream.seed_rows(seeds, [0, 2]), listed)
+
+    @pytest.mark.parametrize("seeds", [range(-3, 2), range(2**64 - 1, 2**64 + 2), range(10, 0, -3)])
+    def test_seed_rows_of_a_range_past_the_64_bits_wrap(self, seeds):
+        wrapped = [seed % 2**64 for seed in seeds]
+        assert np.array_equal(RngStream.seed_rows(seeds, [1]), RngStream.seed_rows(wrapped, [1]))
 
     def test_first_integers_are_each_streams_first_draw(self):
         # 100,000 streams with the edge seeds of a seed_rows pass of one,
@@ -477,6 +492,21 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario) as raised:
             decoy_scenario(**overrides).validate()
         assert str(raised.value) == message
+
+    def test_integer_and_mapping_subtypes_still_validate(self):
+        # Concrete types are checked first; numpy integers and read-only
+        # mappings still pass the numbers and Mapping checks, and a bool
+        # is still no integer.
+        secrets = types.MappingProxyType({"alice": np.int64(3), "bob": np.int64(5)})
+        decoy_scenario(party_secrets=secrets, max_ticks=np.int64(120), dt=np.float64(1)).validate()
+        decoy_scenario(secret_domain=(np.int32(1), 100), noise_sigma=np.float32(0.5)).validate()
+        for overrides, message in [
+            (dict(max_ticks=True), "max_ticks: must be an integer, got True"),
+            (dict(secret_domain=(True, 10)), "secret_domain: must be a pair of integers"),
+            (dict(party_secrets={"alice": np.True_, "bob": 5}), "party_secrets.alice: must be an"),
+        ]:
+            with pytest.raises(InvalidScenario, match=re.escape(message)):
+                decoy_scenario(**overrides).validate()
 
     def test_missing_receiver_key(self):
         with pytest.raises(InvalidScenario, match="bob"):
