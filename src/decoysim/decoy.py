@@ -686,10 +686,16 @@ def _first_settled(
     else:
         passing &= ((high * width) / width == high) & (high >= floor)
         # A window's level is its value; + 0.0 as fsum's sum of zeros is +0.0.
-        if accept is not None:
-            rows, columns = passing.nonzero()
-            passing[rows, columns] = accept(rows, columns + width - 1, high[rows, columns] + 0.0)
         rows, columns = np.arange(count), passing.argmax(axis=1)
+        tried = passing[rows, columns].nonzero()[0]
+        if accept is not None and len(tried):  # the first windows, then the refused rows' others
+            firsts = columns[tried]
+            refused = tried[~accept(tried, firsts + width - 1, high[tried, firsts] + 0.0)]
+            later = passing[refused]
+            local, column = later.nonzero()
+            at = refused[local]
+            later[local, column] = accept(at, column + width - 1, high[at, column] + 0.0)
+            passing[refused], columns[refused] = later, later.argmax(axis=1)
         hit = passing[rows, columns]
         return hit, columns + width - 1, np.where(hit, high[rows, columns] + 0.0, 0.0)
     for row, column in enumerate(passing.argmax(axis=1).tolist()):
@@ -824,12 +830,16 @@ def _closed_form(
         values = readings[rows, back:stop] - own
         if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
 
-            def readable(rows, ends, levels):
-                return ~recover_secrets(levels + own[rows, ends], own[rows, ends], domain, sigma)[1]
+            def readable(at, ends, levels):
+                return ~recover_secrets(levels + own[at, ends], own[at, ends], domain, sigma)[1]
 
             hit, end, level = _first_settled(values, hold, epsilon, floor, readable)
-            read, _ = recover_secrets(level + own[rows, end], own[rows, end], domain, sigma)
-            adversary_recovered = np.where(hit, read, -1)
+            read = hit.nonzero()[0]
+            if len(read):
+                own_read = own[read, end[read]]
+                adversary_recovered[read] = recover_secrets(
+                    level[read] + own_read, own_read, domain, sigma
+                )[0]
             break
         hit, end, level = _first_settled(values, hold, epsilon, floor)
         detected[rows[hit]], estimate[rows[hit]] = back + end[hit], level[hit]
@@ -845,10 +855,11 @@ def _closed_form(
     # The outcome table: what the receiver recovers where he detected, and the attack flags.
     status, recovered = np.full(count, TIMEOUT), np.full(count, -1)
     seen = (detected >= 0).nonzero()[0]
-    keys = np.asarray(runs.keys, dtype=np.float64)[seen]
-    nearest, rejected = recover_secrets(estimate[seen] + keys, keys, domain, sigma)
-    status[seen] = np.where(rejected, OUT_OF_DOMAIN, OK)
-    recovered[seen] = np.where(rejected, -1, nearest)
+    if len(seen):  # only a receiver detects
+        keys = np.asarray(runs.keys, dtype=np.float64)[seen]
+        nearest, rejected = recover_secrets(estimate[seen] + keys, keys, domain, sigma)
+        status[seen] = np.where(rejected, OUT_OF_DOMAIN, OK)
+        recovered[seen] = np.where(rejected, -1, nearest)
     jammed = jam.stabilize < lengths
     secrets = np.asarray(runs.secrets, dtype=np.int64)
     flags = attack_flags(status, recovered, secrets, jammed, adversary_recovered, jam_value)
