@@ -32,7 +32,7 @@ from .decoy import DecoyOutcome, RunBatch
 from .engine import DECOY_PROTOCOLS, OK, AdversaryKind, Scenario, replay_digest
 from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
-from .runner import RunOutcome, run_passes, run_scenario, run_seeds
+from .runner import RunOutcome, run_comparisons, run_passes, run_scenario
 
 log = logging.getLogger("decoysim")
 
@@ -157,10 +157,10 @@ def _sweep_rows(scenario: Scenario, count: int) -> Iterator[tuple]:
     Comparison runs go one at a time through _assess.  Decoy runs are read
     off their kernel passes' outcome tables, each column a _FIELDS one,
     and digests; an attack run's status is OK whatever it did, as
-    run_seeds gives it.
+    run_scenario gives it.
     """
     if scenario.protocol not in DECOY_PROTOCOLS:
-        for outcome in run_seeds(scenario, count):
+        for outcome in run_comparisons(scenario, count):
             summary, _, flags, code = _assess(outcome)
             yield outcome.scenario.seed, outcome.status, (summary, flags, code), outcome.digest
         return
@@ -393,8 +393,7 @@ def _analyze_comparison(args, scenario: Scenario, stream: TextIO) -> int:
         )
     outcome = run_scenario(scenario)
     if outcome.status != OK:
-        print(f"decoysim: protocol error: {outcome.detail}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        raise DecoySimError(outcome.detail)
     _, findings, _, _ = _assess(outcome)
     if args.format == "records":
         _emit(stream, json.dumps(_meta_record(scenario)))

@@ -549,9 +549,6 @@ class RunBatch:
         events = {tick: self._events(tick) for tick in set(ticks)}  # runs share their events
         return row_digests(self.readings, self.lengths, list(map(events.__getitem__, ticks)))
 
-    def digest(self, index: int) -> int:
-        return self.digests[index]
-
     def outcome(self, index: int) -> DecoyOutcome:
         """Run `index`'s row of the table, with its parties' ticks and its transcript."""
         scenario, plans, table, length = self.scenario, self._plans, self.table, self.lengths[index]

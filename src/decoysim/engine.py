@@ -581,16 +581,6 @@ class Scenario:
     def stream(self, stream_id: int) -> RngStream:
         return RngStream(self.seed, stream_id)
 
-    def with_seed(self, seed: int) -> "Scenario":
-        """``dataclasses.replace(self, seed=seed)`` as a copy of the fields.
-
-        The generated __init__ only sets the fields, so skipping it saves its
-        cost and changes nothing.
-        """
-        scenario = object.__new__(Scenario)
-        scenario.__dict__.update(self.__dict__, seed=seed)
-        return scenario
-
     def secret_of(self, party: str) -> int:
         return int(self.party_secrets[party])
 

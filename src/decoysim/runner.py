@@ -8,6 +8,7 @@ every run, whatever the protocol, yields the same kind of public record.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -115,60 +116,56 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
 
+def _seed_spans(scenario: Scenario, count: int) -> Iterator[range]:
+    """The seeds of `count` runs from scenario.seed up, in spans of at most 2^32.
+
+    The scenario is validated once.  The seeds rise by one, so the first
+    invalid one is 2^64: every span before it is yielded, and then it
+    raises the InvalidScenario validate() gives.
+    """
+    scenario.validate()
+    seed = int(scenario.seed)
+    stop = seed + min(count, 2**64 - seed)
+    # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
+    for first in range(seed, stop, 2**32):
+        yield range(first, min(first + 2**32, stop))
+    if stop - seed < count:
+        dataclasses.replace(scenario, seed=2**64).validate()
+
+
 def run_passes(scenario: Scenario, count: int) -> Iterator[RunBatch]:
-    """The kernel passes of run_seeds(scenario, count) for a decoy scenario, in order.
+    """The kernel passes of a decoy scenario's runs with _seed_spans' seeds, in order.
 
     The runs go through the kernel (adversary.adversary_runs) from spans
     of seeds and zero-stride secrets and keys, so memory does not grow
-    with `count`.  The scenario is validated once.  The seeds rise by
-    one, so the first invalid one is 2^64: every pass before it is
-    yielded, and then it raises the InvalidScenario validate() gives.
+    with `count`.
     """
-    scenario.validate()
-    stop = scenario.seed + min(count, 2**64 - scenario.seed)
-    secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
-    # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
-    for first in range(scenario.seed, stop, 2**32):
-        span = range(first, min(first + 2**32, stop))
+    for span in _seed_spans(scenario, count):
+        secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
         runs = Runs(span, np.broadcast_to(secret, len(span)), np.broadcast_to(key, len(span)))
         yield from adversary_mod.adversary_runs(scenario, runs)
-    if stop - scenario.seed < count:
-        scenario.with_seed(2**64).validate()
 
 
-def run_seeds(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
-    """run_scenario's outcome for `scenario` with seed scenario.seed + i, for i in range(count).
-
-    Decoy runs are the rows of run_passes' outcome tables; comparison runs
-    go one at a time, validated and bounded as there.
-    """
-    if scenario.protocol not in DECOY_PROTOCOLS:
-        scenario.validate()
-        valid = min(count, 2**64 - scenario.seed)
-        for seed in range(scenario.seed, scenario.seed + valid):
-            yield _comparison_run(scenario.with_seed(seed))
-        if valid < count:
-            scenario.with_seed(2**64).validate()
-        return
-    kind = scenario.adversary
-    attacked = kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
-    scenarios = map(scenario.with_seed, itertools.count(scenario.seed))
-    for batch in run_passes(scenario, count):
-        for row in range(len(batch)):
-            result = outcome = batch.outcome(row)
-            status, detail = outcome.status, outcome.detail
-            if attacked:  # an attack run is OK whatever it did: its result says
-                result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
-            transcript = functools.partial(getattr, outcome, "transcript")
-            digest = functools.partial(batch.digest, row)
-            yield RunOutcome(next(scenarios), result, transcript, status, detail, digest)
+def run_comparisons(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
+    """A comparison scenario's run with each of _seed_spans' seeds, in order."""
+    for seed in itertools.chain.from_iterable(_seed_spans(scenario, count)):
+        yield _comparison_run(dataclasses.replace(scenario, seed=seed))
 
 
 def run_scenario(scenario: Scenario) -> RunOutcome:
-    """Validate and execute one scenario, dispatching on its protocol: run_seeds' batch of one.
+    """Validate and execute one scenario, dispatching on its protocol.
 
-    Raises InvalidScenario on bad inputs; every run that starts returns
-    its outcome, failed or not.  An attack run is OK whatever it did to
-    the receiver: its result reports that.
+    A decoy run is row 0 of its kernel pass.  Raises InvalidScenario on
+    bad inputs; every run that starts returns its outcome, failed or not.
+    An attack run is OK whatever it did to the receiver: its result
+    reports that.
     """
-    return next(run_seeds(scenario, 1))
+    if scenario.protocol not in DECOY_PROTOCOLS:
+        return next(run_comparisons(scenario, 1))
+    [batch] = run_passes(scenario, 1)
+    result = outcome = batch.outcome(0)
+    status, detail, kind = outcome.status, outcome.detail, scenario.adversary
+    if kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR):
+        result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
+    transcript = functools.partial(getattr, outcome, "transcript")
+    return RunOutcome(scenario, result, transcript, status, detail, lambda: batch.digests[0])

@@ -20,7 +20,7 @@ from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, engine, l
 from decoysim.adversary import AttackOutcome
 from decoysim.decoy import CELL_BUDGET, DecoyOutcome
 from decoysim.engine import OK, TIMEOUT
-from decoysim.runner import RunOutcome, run_scenario, run_seeds
+from decoysim.runner import RunOutcome, run_comparisons, run_passes, run_scenario
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -321,7 +321,7 @@ class TestSweep:
         # A text sweep writes its report only after its first variant, so it
         # would run all 3,000 runs first; nothing is created on the way.
         started = []
-        for runs in ("run_seeds", "run_passes"):
+        for runs in ("run_comparisons", "run_passes"):
             monkeypatch.setattr(cli, runs, lambda *args: started.append(args) or iter(()))
         path = tmp_path if out == "a directory" else tmp_path / "missing" / "report.txt"
         code, stdout, err = run_cli(
@@ -480,7 +480,7 @@ class TestSweep:
         built = []
         for cls in (engine.Transcript, DecoyOutcome, AttackOutcome, RunOutcome):
             monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs: built.append(self))
-        monkeypatch.setattr(Scenario, "with_seed", lambda self, seed: built.append(seed))
+        monkeypatch.setattr(dataclasses, "replace", lambda *args, **kwargs: built.append(args))
         overrides = [arg for pair in sets for arg in ("--set", pair)]
         code, out, _ = run_cli(
             capsys, "sweep", "--config", str(CONFIGS / "noisy.cfg"), "--vary",
@@ -507,23 +507,13 @@ class TestSweep:
     def test_noisy_case_mixes_detected_and_timed_out_runs_in_one_pass(self):
         scenario = load_scenario(str(CONFIGS / "noisy.cfg"), ["noise_sigma=0.12"])
         assert 30 <= CELL_BUDGET // scenario.max_ticks
-        statuses = {outcome.status for outcome in run_seeds(scenario, 30)}
+        statuses = set(next(run_passes(scenario, 30)).table.status.tolist())
         assert statuses == {OK, TIMEOUT}
 
-    @pytest.mark.parametrize(
-        "config, sets",
-        [
-            ("decoy.cfg", []),
-            ("noisy.cfg", ["max_ticks=100"]),
-            ("decoy.cfg", ["adversary=jammer"]),
-            ("decoy.cfg", ["adversary=impersonator"]),
-            ("vessels.cfg", []),
-            ("vessels.cfg", ["protocol=race"]),
-        ],
-    )
-    def test_every_run_carries_its_scenario_with_its_seed(self, config, sets):
-        scenario = load_scenario(str(CONFIGS / config), sets)
-        outcomes = list(run_seeds(scenario, 2 * CELL_BUDGET // scenario.max_ticks + 3))
+    @pytest.mark.parametrize("sets", [[], ["protocol=race"]])
+    def test_every_run_carries_its_scenario_with_its_seed(self, sets):
+        scenario = load_scenario(str(CONFIGS / "vessels.cfg"), sets)
+        outcomes = list(run_comparisons(scenario, 2 * CELL_BUDGET // scenario.max_ticks + 3))
         for index, outcome in enumerate(outcomes):
             expected = dataclasses.replace(scenario, seed=scenario.seed + index)
             assert type(outcome.scenario) is Scenario
@@ -573,6 +563,16 @@ class TestAnalyze:
         assert code == 0
         assert "difference leaked: b-a = -2" in out
         assert "exceeds one bit" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_failed_comparison_is_a_protocol_error(self, fmt, tmp_config, tmp_path, capsys):
+        path = tmp_config(VESSEL_ABORT_CFG)
+        report = tmp_path / "report.txt"
+        for out in ([], ["--out", str(report)]):
+            code, stdout, err = run_cli(capsys, "analyze", "--config", path, "--format", fmt, *out)
+            assert (code, stdout) == (2, "")
+            assert err == "decoysim: protocol error: vessels ran dry at tick 205\n"
+        assert not report.exists()
 
     def test_sync_decoy_analysis_passes(self, tmp_config, capsys):
         path = tmp_config(SYNC_CFG)
@@ -865,20 +865,37 @@ def small_decoy_config(tmp_path_factory):
     return str(path)
 
 
-@given(protocol=st.sampled_from([p.value for p in Protocol]), overrides=OVERRIDES)
-@example(protocol="decoy_force", overrides=[("noise_sigma", "1e308")])
-@example(protocol="race", overrides=[("dt", "1e-320")])
+COMMANDS = [["run"], ["replay-check"], ["sweep", "--runs", "2"], ["analyze", "--samples", "1000"]]
+
+
+@given(
+    command=st.sampled_from(COMMANDS),
+    fmt=st.sampled_from(["text", "records"]),
+    protocol=st.sampled_from([p.value for p in Protocol]),
+    overrides=OVERRIDES,
+)
+@example(command=["run"], fmt="text", protocol="decoy_force", overrides=[("noise_sigma", "1e308")])
+@example(command=["run"], fmt="text", protocol="race", overrides=[("dt", "1e-320")])
+@example(
+    command=COMMANDS[3], fmt="records", protocol="decoy_force", overrides=[("secret_domain", "1..8")]
+)
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_arbitrary_overrides_exit_cleanly(small_decoy_config, protocol, overrides):
-    # Any --set pairs end in exit 0, 1 or 2; the explicit examples are two
-    # overflows that once got past validation and ended in a traceback.
-    argv = ["run", "--config", small_decoy_config, f"--set=protocol={protocol}"]
-    argv += [f"--set={key}={value}" for key, value in overrides]
+def test_arbitrary_overrides_exit_cleanly(small_decoy_config, command, fmt, protocol, overrides):
+    # Any command, format and --set pairs end in exit 0, 1 or 2, and every
+    # line of records is JSON.  The first two explicit examples are overflows
+    # that once got past validation and ended in a traceback; the third is an
+    # analysis that runs, which 1,000 samples over the config's 100 secrets
+    # cannot.
+    argv = [*command, "--config", small_decoy_config, "--format", fmt]
+    argv += [f"--set=protocol={protocol}"] + [f"--set={key}={value}" for key, value in overrides]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if fmt == "records":
+        for line in out.getvalue().splitlines():
+            json.loads(line)
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch):

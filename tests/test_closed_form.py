@@ -38,7 +38,7 @@ from decoysim import (
     run_scenario,
 )
 from decoysim import channel, decoy
-from decoysim.adversary import JAM_VALUE
+from decoysim.adversary import JAM_VALUE, attack_result
 from decoysim.channel import measure_block
 from decoysim.decoy import DecoyOutcome, Runs, simulate_runs, simulate_transmission
 from decoysim.engine import (
@@ -50,7 +50,7 @@ from decoysim.engine import (
     TIMEOUT,
 )
 from decoysim.errors import NonFiniteValue, OutOfDomain
-from decoysim.runner import run_seeds
+from decoysim.runner import run_passes
 from conftest import decoy_scenario, one_run, run_alone
 
 
@@ -198,8 +198,8 @@ def _entry_point(scenario: Scenario):
 
 
 def test_seeds_in_shared_passes_match_the_entry_points():
-    # run_seeds is what a sweep runs: several seeds to a pass, each
-    # outcome built from its row of the batch.
+    # run_passes is what a sweep runs: several seeds to a pass, each
+    # outcome its row of the batch.
     noisy = dict(noise_sigma=0.05, epsilon_stab=0.025, hold_ticks=4)
     impersonated = dict(adversary=AdversaryKind.IMPERSONATOR, party_secrets={"alice": 3})
     seen = set()
@@ -212,17 +212,22 @@ def test_seeds_in_shared_passes_match_the_entry_points():
         dict(impersonated, defense_enabled=False),
     ):
         scenario = decoy_scenario(seed=2**64 - 12, **options)
+        kind = scenario.adversary
         with mock.patch.object(decoy, "CELL_BUDGET", 4 * scenario.max_ticks):
-            runs = list(run_seeds(scenario, 11))
-        assert len(runs) == 11
-        for index, run in enumerate(runs):
+            batches = list(run_passes(scenario, 11))
+        assert [len(batch) for batch in batches] == [4, 4, 3]
+        rows = [(batch, row) for batch in batches for row in range(len(batch))]
+        for index, (batch, row) in enumerate(rows):
             alone = dataclasses.replace(scenario, seed=scenario.seed + index)
-            assert run.scenario == alone
-            outcome = run.result
+            assert batch.runs.seeds[row] == alone.seed
+            outcome = batch.outcome(row)
+            if kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR):
+                outcome = attack_result(outcome, kind)
             _assert_agree(outcome, _entry_point(alone))
+            assert batch.digests[row] == replay_digest(outcome.transcript)
+            run = run_scenario(alone)  # an attack run is OK whatever it did
             assert run.status == (outcome.status if isinstance(outcome, DecoyOutcome) else OK)
-            assert run.transcript is outcome.transcript
-            assert run.digest == replay_digest(outcome.transcript)
+            assert run.digest == batch.digests[row]
             if isinstance(outcome, DecoyOutcome):
                 seen.add(outcome.status)
             else:
@@ -241,28 +246,29 @@ def test_seeds_in_shared_passes_match_the_entry_points():
 
 
 @pytest.mark.parametrize("count", [10**18, 2**64])
-def test_run_seeds_memory_does_not_grow_with_its_count(count):
+def test_run_passes_memory_does_not_grow_with_its_count(count):
     # The seeds are a range and the secrets zero-stride views: the first
-    # runs of a huge count cost what a pass of them costs, and read as alone.
+    # pass of a huge count costs what a pass alone costs, and its runs
+    # read as alone.
     scenario = decoy_scenario(seed=5)
     per_pass = decoy.CELL_BUDGET // scenario.max_ticks
 
-    def first_three(of: int) -> tuple[list, int]:
+    def first_pass(of: int) -> tuple[decoy.RunBatch, int]:
         tracemalloc.start()
         try:
-            runs = list(itertools.islice(run_seeds(scenario, of), 3))
-            return runs, tracemalloc.get_traced_memory()[1]
+            batch = next(run_passes(scenario, of))
+            return batch, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    one_pass = first_three(per_pass)[1]
-    runs, peak = first_three(count)
+    one_pass = first_pass(per_pass)[1]
+    batch, peak = first_pass(count)
     assert peak <= 2 * one_pass
-    for index, run in enumerate(runs):
-        alone = run_scenario(scenario.with_seed(scenario.seed + index))
-        assert run.scenario == alone.scenario
-        _assert_agree(run.result, alone.result)
-        assert run.digest == alone.digest
+    for row in range(3):
+        alone = run_scenario(dataclasses.replace(scenario, seed=scenario.seed + row))
+        assert batch.runs.seeds[row] == alone.scenario.seed
+        _assert_agree(batch.outcome(row), alone.result)
+        assert batch.digests[row] == alone.digest
 
 
 @pytest.mark.parametrize(
@@ -507,7 +513,7 @@ def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
     assert built == [(seed, stream)]
     looped = tick_oracle.transmission(scenario, forger_key=forger_key)
     _assert_agree(batch.outcome(0), looped)
-    assert batch.digest(0) == replay_digest(looped.transcript)
+    assert batch.digests[0] == replay_digest(looped.transcript)
     _assert_plan_is_the_oracles(scenario, forger_key)
 
 

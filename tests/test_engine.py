@@ -559,6 +559,14 @@ class TestRunScenario:
         with pytest.raises(InvalidScenario):
             run_scenario(decoy_scenario(max_ticks=0))
 
+    @pytest.mark.parametrize("make", [vessels_scenario, decoy_scenario])
+    @pytest.mark.parametrize(
+        "seed", [np.int64(5), np.uint64(5), np.uint64(2**64 - 1)], ids=repr
+    )
+    def test_numpy_integer_seed_runs_as_its_int(self, make, seed):
+        # validate() takes any integral seed; the run is the plain int's.
+        assert run_scenario(make(seed=seed)).digest == run_scenario(make(seed=int(seed))).digest
+
     def test_decoy_replay_is_byte_identical(self):
         scenario = decoy_scenario(seed=42)
         first = run_scenario(scenario)

@@ -71,7 +71,7 @@ def test_batch_digests_are_the_pinned_digests(name):
             batches.clear()
             assert pinned_row(name, scenario) == PINNED[name][index]
             [batch] = batches
-            digest = batch.digest(0)
+            digest = batch.digests[0]
             assert f"{digest:016x}" == PINNED[name][index][1], (name, index, scenario)
             assert replay_digest(batch.transcript(0)) == digest
 
