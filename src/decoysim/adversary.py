@@ -26,17 +26,15 @@ import numpy as np
 
 from .decoy import (
     IN_BUSINESS,
-    DecoyOutcome,
     RampProcess,
     RunBatch,
     Runs,
-    attack_flags,
     check_transmission,
     detect_stabilization,
     mean_slack,
+    present,
     recover_secret,
     simulate_runs,
-    simulate_transmission,
 )
 from .engine import (
     ADVERSARY,
@@ -51,6 +49,7 @@ from .engine import (
     RngStream,
     Scenario,
     Transcript,
+    seed_spans,
 )
 from .errors import InsufficientSamples, InvalidScenario, OutOfDomain
 from .millionaires import ComparisonOutcome, Ordering
@@ -358,25 +357,24 @@ class TranscriptSamples:
 def collect_transmission_samples(scenario: Scenario, n_samples: int) -> TranscriptSamples:
     """Simulate n_samples runs with secrets drawn uniformly over the domain.
 
-    Per-run seeds are derived arithmetically from the base seed; the
-    secret/key draws come from a dedicated sampler stream so they never
-    interact with in-run randomness.  Timeouts and corrupted recoveries
-    still contribute their transcripts (the adversary sees those runs
-    too).  The draws and every check happen here; the runs themselves go
-    through the kernel together, when the samples are read (see
-    TranscriptSamples).
+    The per-run seeds rise by one from the base seed + 1, by
+    engine.seed_spans' rule; the secret/key draws come from a dedicated
+    sampler stream so they never interact with in-run randomness.
+    Timeouts and corrupted recoveries still contribute their transcripts
+    (the adversary sees those runs too).  The draws and every check happen
+    here; the runs themselves go through the kernel together, when the
+    samples are read (see TranscriptSamples).
     """
     n1, n2 = scenario.secret_domain
     # Each sample's secret, then its key, drawn in one call.
     draws = RngStream(scenario.seed, STREAM_SAMPLER).integers(n1, n2, 2 * n_samples)
-    seeds = range(scenario.seed + 1, scenario.seed + 1 + n_samples)
+    seeds = range(0)
     if n_samples:
         secrets = {SENDER: draws[0], RECEIVER: draws[1]}
-        first = dataclasses.replace(scenario, seed=seeds[0], party_secrets=secrets)
+        first = dataclasses.replace(scenario, seed=int(scenario.seed) + 1, party_secrets=secrets)
         check_transmission(first)
-        # The seeds rise by one from a valid first one: past 2^64 - 1, the first bad one is 2^64.
-        if seeds[-1] >= 2**64:
-            dataclasses.replace(first, seed=2**64).validate()
+        spans = list(seed_spans(first, n_samples))
+        seeds = range(first.seed, spans[-1].stop)
     return TranscriptSamples(scenario, Runs(seeds, draws[0::2], draws[1::2]))
 
 
@@ -406,7 +404,7 @@ class AttackOutcome:
 JAM_VALUE = -2.0
 
 # How the receiver's failed run reads in an attack report.
-RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
+_RECEIVER_ERRORS = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
 
 
 def adversary_runs(scenario: Scenario, runs: Runs) -> Iterator[RunBatch]:
@@ -496,8 +494,7 @@ def attack_jam(scenario: Scenario, jam_value: float = JAM_VALUE) -> AttackOutcom
     """
     if scenario.adversary is not AdversaryKind.JAMMER:
         raise InvalidScenario("attack_jam needs scenario.adversary = jammer")
-    outcome = simulate_transmission(scenario, jam_value=float(jam_value))
-    return attack_result(outcome, scenario.adversary, jam_value)
+    return _attack(scenario, jam_value=float(jam_value))
 
 
 def attack_impersonate(
@@ -517,35 +514,41 @@ def attack_impersonate(
     """
     if scenario.adversary is not AdversaryKind.IMPERSONATOR:
         raise InvalidScenario("attack_impersonate needs scenario.adversary = impersonator")
-    forger_key = float(adversary_key) if forge_announcement else None
-    return attack_result(simulate_transmission(scenario, forger_key=forger_key), scenario.adversary)
+    return _attack(scenario, forger_key=float(adversary_key) if forge_announcement else None)
 
 
-def attack_result(
-    outcome: DecoyOutcome, kind: AdversaryKind, jam_value: float = JAM_VALUE
-) -> AttackOutcome:
-    """What an active adversary of `kind` did in the run that gave `outcome`.
+def _attack(scenario: Scenario, jam_value=None, forger_key=None) -> AttackOutcome:
+    """The scenario's own run under its adversary's action, as row 0 of a kernel pass of one."""
+    check_transmission(scenario, jam_value, forger_key)
+    [batch] = simulate_runs(scenario, Runs.of(scenario), jam_value, forger_key)
+    return attack_result(batch, 0)
 
-    Its flags are decoy.attack_flags': a jammer's force is `jam_value`.
-    An impersonator leaves no receiver to detect stabilization, so its
-    runs are disrupted and time out; what it read is the question.
+
+def attack_columns(batch: RunBatch) -> dict[str, list]:
+    """Every AttackOutcome field but the transcript, by name, as a column over the batch's runs.
+
+    The flags are the outcome table's, computed in the kernel pass for its
+    jam value or forger key.  An impersonator leaves no receiver to detect
+    stabilization, so its runs are disrupted and time out; what it read
+    is the question.  Every value is a Python one, never a numpy scalar.
     """
-    jam = kind is AdversaryKind.JAMMER
-    disrupted, learned, timeout = attack_flags(
-        outcome.status, outcome.recovered, outcome.sender_secret, outcome.jammed,
-        outcome.adversary_recovered, jam_value if jam else None,
-    )
-    return AttackOutcome(
-        kind="jam" if jam else "impersonate",
-        transcript=functools.partial(getattr, outcome, "transcript"),
-        disrupted=disrupted,
-        adversary_learned=learned,
-        adversary_recovered=outcome.adversary_recovered,
-        receiver_recovered=outcome.recovered,
-        receiver_error=RECEIVER_ERRORS.get(outcome.status),
-        timeout=timeout,
-        forged_announce_tick=None if jam else outcome.announce_tick,
-    )
+    table, jam = batch.table, batch.scenario.adversary is AdversaryKind.JAMMER
+    return {
+        "kind": ["jam" if jam else "impersonate"] * len(batch),
+        "disrupted": table.disrupted.tolist(),
+        "adversary_learned": table.adversary_learned.tolist(),
+        "adversary_recovered": present(table.adversary_recovered),
+        "receiver_recovered": present(table.recovered),
+        "receiver_error": list(map(_RECEIVER_ERRORS.get, table.status.tolist())),
+        "timeout": table.timeout.tolist(),
+        "forged_announce_tick": [None] * len(batch) if jam else present(table.announce),
+    }
+
+
+def attack_result(batch: RunBatch, row: int) -> AttackOutcome:
+    """What the active adversary did in run `row` of kernel pass `batch`: attack_columns' row."""
+    fields = {name: column[row] for name, column in attack_columns(batch).items()}
+    return AttackOutcome(transcript=functools.partial(batch.transcript, row), **fields)
 
 
 # --- auditor ----------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import adversary as adversary_mod
 from .config import load_scenario
-from .decoy import DecoyOutcome, RunBatch
+from .decoy import DecoyOutcome, present
 from .engine import DECOY_PROTOCOLS, OK, AdversaryKind, Scenario, replay_digest
 from .errors import ConfigError, DecoySimError, InsufficientSamples, InvalidScenario
 from .millionaires import ComparisonOutcome
@@ -112,8 +112,8 @@ def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
         leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
         return summary, findings, leaks, EXIT_OK
     kind, values = "decoy" if isinstance(result, DecoyOutcome) else "attack", ()
-    if outcome.status == OK:  # an attack summary's "attack" field is its result's kind
-        values = [getattr(result, {"attack": "kind"}.get(name, name)) for name in _FIELDS[kind]]
+    if outcome.status == OK:
+        values = [getattr(result, name) for name in _RESULT_FIELDS[kind]]
     summary, flags, code = _summarize(outcome.status, kind, values)
     return summary, [], flags, code
 
@@ -126,6 +126,8 @@ _FIELDS = {
         "receiver_error", "timeout",
     ),
 }
+# The result field behind each summary field: an attack summary's "attack" is its result's kind.
+_RESULT_FIELDS = {"decoy": _FIELDS["decoy"], "attack": ("kind", *_FIELDS["attack"][1:])}
 # The attack fields that each fail a run, and the flag each raises.
 _ATTACK_FLAGS = {
     "disrupted": "disrupted",
@@ -155,41 +157,30 @@ def _sweep_rows(scenario: Scenario, count: int) -> Iterator[tuple]:
     """Each run's seed, status, (summary, flags, exit code) and digest, in order.
 
     Comparison runs go one at a time through _assess.  Decoy runs are read
-    off their kernel passes' outcome tables, each column a _FIELDS one,
-    and digests; an attack run's status is OK whatever it did, as
-    run_scenario gives it.
+    off their kernel passes' outcome tables, each column a _FIELDS one
+    (an attack's from adversary.attack_columns), and digests; an attack
+    run's status is OK whatever it did, as run_scenario gives it.
     """
     if scenario.protocol not in DECOY_PROTOCOLS:
         for outcome in run_comparisons(scenario, count):
             summary, _, flags, code = _assess(outcome)
             yield outcome.scenario.seed, outcome.status, (summary, flags, code), outcome.digest
         return
-    adversary = scenario.adversary
-    kind = "attack" if adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR) else "decoy"
+    attacked = scenario.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
+    kind = "attack" if attacked else "decoy"
     for batch in run_passes(scenario, count):
         table = batch.table
-        status, recovered = table.status.tolist(), _cells(table.recovered)
-        if kind == "attack":
-            columns = (
-                itertools.repeat("jam" if adversary is AdversaryKind.JAMMER else "impersonate"),
-                table.disrupted.tolist(), table.adversary_learned.tolist(),
-                _cells(table.adversary_recovered), recovered,
-                map(adversary_mod.RECEIVER_ERRORS.get, status), table.timeout.tolist(),
-            )
+        if attacked:
             status = [OK] * len(batch)
+            columns = map(adversary_mod.attack_columns(batch).__getitem__, _RESULT_FIELDS[kind])
         else:
-            secrets = np.asarray(batch.runs.secrets)
+            status, secrets = table.status.tolist(), np.asarray(batch.runs.secrets)
             columns = (
-                recovered, secrets.tolist(), (table.recovered == secrets).tolist(),
-                _cells(table.detected), _cells(table.announce),
+                present(table.recovered), secrets.tolist(), (table.recovered == secrets).tolist(),
+                present(table.detected), present(table.announce),
             )
         summaries = map(_summarize, status, itertools.repeat(kind), zip(*columns))
         yield from zip(batch.runs.seeds, status, summaries, batch.digests)
-
-
-def _cells(column: np.ndarray) -> list[Optional[int]]:
-    """An integer column of an outcome table as ints, None where a run has no value (-1)."""
-    return [None if value < 0 else value for value in column.tolist()]
 
 
 def _run_record(run_id: int, protocol: str, seed: int, summary: dict, digest: int, flags) -> dict:

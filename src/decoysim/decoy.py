@@ -266,19 +266,6 @@ class DecoyOutcome:
         return self.recovered == self.sender_secret
 
 
-def attack_flags(status, recovered, secret, jammed, adversary_recovered, jam_value):
-    """An attack's disrupted, adversary_learned and timeout flags, of one run or a pass's columns.
-
-    The receiver is disrupted where he failed or recovered a wrong value,
-    under a jammer (jam_value not None) only where its force reached the
-    medium; the adversary learned the secret where it read it.
-    """
-    failed = (status != OK) | (recovered != secret)
-    if jam_value is not None:
-        failed = failed & jammed & (jam_value != 0.0)
-    return failed, adversary_recovered == secret, status == TIMEOUT
-
-
 # The padded arrays of one kernel pass hold about this many cells at most:
 # a batch goes through CELL_BUDGET // max_ticks runs at a time, and a run
 # whose tick budget alone is larger goes through on its own.
@@ -291,6 +278,12 @@ class Runs(NamedTuple):
     seeds: Sequence[int]
     secrets: Sequence[int]  # the sender's
     keys: Sequence[int]  # the receiver's, unread where an impersonator takes his place
+
+    @classmethod
+    def of(cls, scenario: Scenario) -> "Runs":
+        """The scenario's own run as a batch of one."""
+        secrets = scenario.party_secrets
+        return cls([scenario.seed], [secrets[SENDER]], [secrets.get(RECEIVER)])
 
 
 def check_transmission(
@@ -324,12 +317,10 @@ def simulate_transmission(
     on the medium plus noise, computed by measure_block.  A run whose
     receiver never detects stabilization within max_ticks, or rejects what
     he recovers, still returns its outcome, with that status.  The run is
-    a batch of one for the kernel simulate_runs uses.
+    row 0 of simulate_runs on its own columns (Runs.of).
     """
     check_transmission(scenario, jam_value, forger_key)
-    secrets = scenario.party_secrets
-    runs = Runs([scenario.seed], [secrets[SENDER]], [secrets.get(RECEIVER)])
-    return _closed_form(scenario, runs, jam_value, forger_key).outcome(0)
+    return next(simulate_runs(scenario, Runs.of(scenario), jam_value, forger_key)).outcome(0)
 
 
 def simulate_runs(
@@ -476,9 +467,9 @@ def _plans(scenario: Scenario, runs: Runs, forger_key: Optional[float] = None) -
 class Outcomes(NamedTuple):
     """What every run of a kernel pass did, as columns: row i is run i's.
 
-    A run without a value holds -1 in an integer column and NaN in
-    `estimate`.  The attack flags are attack_flags' for the pass's
-    adversary; they mean nothing for an honest run.
+    A run without a value holds -1 in an integer column (present reads
+    it as None) and NaN in `estimate`.  The attack flags, computed here
+    alone, hold for the pass's adversary and mean nothing for an honest run.
     """
 
     status: np.ndarray  # OK, TIMEOUT or OUT_OF_DOMAIN
@@ -488,9 +479,9 @@ class Outcomes(NamedTuple):
     announce: np.ndarray  # the tick the second party announced on, within the run
     jammed: np.ndarray  # whether a jammer's force reached the medium
     adversary_recovered: np.ndarray  # what an impersonator read
-    disrupted: np.ndarray
-    adversary_learned: np.ndarray
-    timeout: np.ndarray
+    disrupted: np.ndarray  # the receiver failed or misread; under a jammer, only where jammed
+    adversary_learned: np.ndarray  # the adversary read the sender's secret
+    timeout: np.ndarray  # the receiver never detected stabilization
 
 
 class RunBatch:
@@ -555,7 +546,9 @@ class RunBatch:
         sigma = scenario.noise_sigma
         receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
         receiver_key = int(plans.runs.keys[index]) if receives else None
-        status, detected_tick = str(table.status[index]), _present(table.detected[index])
+        ints = table.recovered, table.detected, table.announce, table.adversary_recovered
+        recovered, detected_tick, announce_tick, read = present(np.array([c[index] for c in ints]))
+        status = str(table.status[index])
         detail, estimate = f"no stabilization detected within {scenario.max_ticks} ticks", None
         if detected_tick is not None:
             detail, estimate = "", float(table.estimate[index])
@@ -567,13 +560,13 @@ class RunBatch:
         sender_start = int(plans.sender.start[index])
         moved = sender_start < length
         return DecoyOutcome(
-            recovered=_present(table.recovered[index]),
+            recovered=recovered,
             sender_secret=int(plans.runs.secrets[index]),
             receiver_key=receiver_key,
             transcript=functools.partial(self.transcript, index),
             detected_tick=detected_tick,
             stable_estimate=estimate,
-            announce_tick=_present(table.announce[index]),
+            announce_tick=announce_tick,
             sender_start_tick=sender_start if moved else None,
             sender_stabilize_tick=int(plans.sender.stabilize[index]) if moved else None,
             receiver_stabilize_tick=(
@@ -582,13 +575,13 @@ class RunBatch:
             status=status,
             detail=detail,
             jammed=bool(table.jammed[index]),
-            adversary_recovered=_present(table.adversary_recovered[index]),
+            adversary_recovered=read,
         )
 
 
-def _present(value) -> Optional[int]:
-    """A table cell as an int, or None for the -1 of a run without one."""
-    return None if value < 0 else int(value)
+def present(cells: np.ndarray) -> list[Optional[int]]:
+    """Integer cells of an outcome table as ints, None where a run has no value (-1)."""
+    return [None if value < 0 else value for value in cells.tolist()]
 
 
 def _window_extremes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -859,10 +852,13 @@ def _closed_form(
         recovered[seen] = np.where(rejected, -1, nearest)
     jammed = jam.stabilize < lengths
     secrets = np.asarray(runs.secrets, dtype=np.int64)
-    flags = attack_flags(status, recovered, secrets, jammed, adversary_recovered, jam_value)
+    disrupted = (status != OK) | (recovered != secrets)
+    if jam_value is not None:
+        disrupted &= jammed & (jam_value != 0.0)
     announce = np.where(plans.announce < lengths, plans.announce, -1)
     table = Outcomes(
-        status, recovered, detected, estimate, announce, jammed, adversary_recovered, *flags
+        status, recovered, detected, estimate, announce, jammed, adversary_recovered,
+        disrupted, adversary_recovered == secrets, status == TIMEOUT,
     )
     return RunBatch(scenario, readings, lengths.tolist(), plans, table)
 

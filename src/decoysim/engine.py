@@ -14,7 +14,7 @@ import math
 import numbers
 import struct
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Mapping, Optional, Sequence, Union, get_type_hints
 
 import numpy as np
@@ -706,3 +706,20 @@ def _report_value(value):
     if isinstance(value, Mapping):
         return {k: int(v) for k, v in value.items()}
     return value
+
+
+def seed_spans(scenario: Scenario, count: int) -> Iterator[range]:
+    """The seeds of `count` runs from scenario.seed up, in spans of at most 2^32.
+
+    The scenario is validated once.  The seeds rise by one, so the first
+    invalid one is 2^64: every span before it is yielded, and then it
+    raises the InvalidScenario validate() gives.
+    """
+    scenario.validate()
+    seed = int(scenario.seed)
+    stop = seed + min(count, 2**64 - seed)
+    # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
+    for first in range(seed, stop, 2**32):
+        yield range(first, min(first + 2**32, stop))
+    if stop - seed < count:
+        replace(scenario, seed=2**64).validate()

@@ -32,6 +32,7 @@ from .engine import (
     Scenario,
     Transcript,
     replay_digest,
+    seed_spans,
 )
 from .errors import VesselEmpty, VesselOverflow
 from .millionaires import (
@@ -52,10 +53,11 @@ class RunOutcome:
     `status` is OK or the name of the failure that ended the run
     (ProtocolTimeout, OutOfDomain, VesselEmpty, VesselOverflow), with
     `detail` saying why.  A failed run still carries its public record;
-    a vessel abort has no result and an empty transcript.  `transcript`
-    may be given as a zero-argument builder, which runs on the first
-    read; a decoy run's is built only then, and its `digest` comes from
-    its kernel pass (`batch_digest`) without it.
+    a vessel abort has no result and an empty transcript.  A decoy run's
+    result is row 0 of its kernel pass's table (attack_result's for an
+    attack).  `transcript` may be given as a zero-argument builder, built
+    on the first read; a decoy run's is built only then, and its `digest`
+    comes from its kernel pass (`batch_digest`) without it.
     """
 
     scenario: Scenario
@@ -116,39 +118,22 @@ def _comparison_run(scenario: Scenario) -> RunOutcome:
     return RunOutcome(scenario=scenario, result=outcome, transcript=transcript)
 
 
-def _seed_spans(scenario: Scenario, count: int) -> Iterator[range]:
-    """The seeds of `count` runs from scenario.seed up, in spans of at most 2^32.
-
-    The scenario is validated once.  The seeds rise by one, so the first
-    invalid one is 2^64: every span before it is yielded, and then it
-    raises the InvalidScenario validate() gives.
-    """
-    scenario.validate()
-    seed = int(scenario.seed)
-    stop = seed + min(count, 2**64 - seed)
-    # len() of a range and a view's size in bytes stop short of 2^63, so counts go in spans.
-    for first in range(seed, stop, 2**32):
-        yield range(first, min(first + 2**32, stop))
-    if stop - seed < count:
-        dataclasses.replace(scenario, seed=2**64).validate()
-
-
 def run_passes(scenario: Scenario, count: int) -> Iterator[RunBatch]:
-    """The kernel passes of a decoy scenario's runs with _seed_spans' seeds, in order.
+    """The kernel passes of a decoy scenario's runs with engine.seed_spans' seeds, in order.
 
     The runs go through the kernel (adversary.adversary_runs) from spans
     of seeds and zero-stride secrets and keys, so memory does not grow
     with `count`.
     """
-    for span in _seed_spans(scenario, count):
+    for span in seed_spans(scenario, count):
         secret, key = scenario.party_secrets[SENDER], scenario.party_secrets.get(RECEIVER, 0)
         runs = Runs(span, np.broadcast_to(secret, len(span)), np.broadcast_to(key, len(span)))
         yield from adversary_mod.adversary_runs(scenario, runs)
 
 
 def run_comparisons(scenario: Scenario, count: int) -> Iterator[RunOutcome]:
-    """A comparison scenario's run with each of _seed_spans' seeds, in order."""
-    for seed in itertools.chain.from_iterable(_seed_spans(scenario, count)):
+    """A comparison scenario's run with each of engine.seed_spans' seeds, in order."""
+    for seed in itertools.chain.from_iterable(seed_spans(scenario, count)):
         yield _comparison_run(dataclasses.replace(scenario, seed=seed))
 
 
@@ -163,9 +148,8 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     if scenario.protocol not in DECOY_PROTOCOLS:
         return next(run_comparisons(scenario, 1))
     [batch] = run_passes(scenario, 1)
-    result = outcome = batch.outcome(0)
-    status, detail, kind = outcome.status, outcome.detail, scenario.adversary
-    if kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR):
-        result, status, detail = adversary_mod.attack_result(outcome, kind), OK, ""
-    transcript = functools.partial(getattr, outcome, "transcript")
+    attacked = scenario.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
+    result = adversary_mod.attack_result(batch, 0) if attacked else batch.outcome(0)
+    status, detail = (OK, "") if attacked else (result.status, result.detail)
+    transcript = functools.partial(getattr, result, "transcript")
     return RunOutcome(scenario, result, transcript, status, detail, lambda: batch.digests[0])

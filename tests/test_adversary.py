@@ -4,7 +4,9 @@ import dataclasses
 import math
 import random
 import tracemalloc
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from decoysim import (
     enumerate_splits,
     estimate_mutual_information,
     estimate_posterior,
+    load_scenario,
     run_decoy_transmission,
     run_scenario,
 )
@@ -534,6 +537,35 @@ class TestCollectSamples:
         one_run = peak(lambda: run_scenario(alone))
         samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
         assert samples <= 2 * one_run
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            np.uint64(2**64 - 1),
+            np.uint64(2**64 - 10),
+            np.uint64(2**64 - 11),
+            np.int64(2**63 - 1),
+            np.int32(7),
+        ],
+        ids=repr,
+    )
+    def test_a_numpy_seed_samples_as_its_int(self, seed):
+        # The sample seeds rise from seed + 1 by the runner's seed rule: a
+        # numpy seed neither wraps nor overflows, and past 2^64 - 1 it
+        # raises what its int raises.
+        base = load_scenario(str(Path(__file__).parent.parent / "configs" / "sync_analysis.cfg"))
+
+        def sampled(seed, count=10):
+            try:
+                runs = collect_transmission_samples(dataclasses.replace(base, seed=seed), count).runs
+            except InvalidScenario as exc:
+                return str(exc)
+            return [list(column) for column in runs]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sampled(seed) == sampled(int(seed))
+            assert sampled(seed, 0) == [[], [], []]
 
     def test_timeout_transcripts_are_still_samples(self):
         scenario = decoy_scenario(

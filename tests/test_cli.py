@@ -879,23 +879,38 @@ COMMANDS = [["run"], ["replay-check"], ["sweep", "--runs", "2"], ["analyze", "--
 @example(
     command=COMMANDS[3], fmt="records", protocol="decoy_force", overrides=[("secret_domain", "1..8")]
 )
+@example(command=["run"], fmt="text", protocol="decoy_wave", overrides=[("adversary", "jammer")])
+@example(
+    command=["run"], fmt="records", protocol="decoy_force", overrides=[("adversary", "impersonator")]
+)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_arbitrary_overrides_exit_cleanly(small_decoy_config, command, fmt, protocol, overrides):
     # Any command, format and --set pairs end in exit 0, 1 or 2, and every
-    # line of records is JSON.  The first two explicit examples are overflows
-    # that once got past validation and ended in a traceback; the third is an
-    # analysis that runs, which 1,000 samples over the config's 100 secrets
-    # cannot.
+    # line of records is JSON.  Exit 2 comes with a protocol-level line and
+    # exit 1 with an error or usage message.  The first two explicit examples
+    # are overflows that once got past validation and ended in a traceback;
+    # the third is an analysis that runs, which 1,000 samples over the
+    # config's 100 secrets cannot; the last two are runs that exit 2.
     argv = [*command, "--config", small_decoy_config, "--format", fmt]
     argv += [f"--set=protocol={protocol}"] + [f"--set={key}={value}" for key, value in overrides]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    lines, stderr = out.getvalue().splitlines(), err.getvalue()
+    errors = stderr.splitlines()
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if fmt == "records":
-        for line in out.getvalue().splitlines():
-            json.loads(line)
+    assert "Traceback" not in stderr
+    records = [json.loads(line) for line in lines] if fmt == "records" else []
+    if code == 2:
+        assert (
+            any(line.startswith(("protocol failure: ", "flags: ")) for line in lines)
+            or any(record["record"] == "run" and record["flags"] for record in records)
+            or "replay: MISMATCH" in lines
+            or any(record["record"] == "replay-check" and not record["match"] for record in records)
+            or any(line.startswith("decoysim: protocol error: ") for line in errors)
+        ), (argv, lines, stderr)
+    if code == 1:
+        assert any(line.startswith(("decoysim: error: ", "usage: ")) for line in errors), argv
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch):

@@ -3,10 +3,10 @@
 `simulate_transmission` computes every decoy run in closed form, under
 any adversary; `tick_oracle.transmission` steps the same run one tick at
 a time through the channel and the adversary's hooks.  The two must agree
-on every outcome field, every transcript entry and the replay digest, and
-so must the attack entry points run through either of them.  A batch of
-runs through `simulate_runs` must agree with the same runs made one at a
-time.
+on every outcome field, every transcript entry and the replay digest.  So
+must the attack entry points and `tick_oracle.attack`, which reads the
+attack flags off the oracle's run with its own rule.  A batch of runs
+through `simulate_runs` must agree with the same runs made one at a time.
 """
 
 import dataclasses
@@ -51,16 +51,16 @@ from decoysim.engine import (
 )
 from decoysim.errors import NonFiniteValue, OutOfDomain
 from decoysim.runner import run_passes
-from conftest import decoy_scenario, one_run, run_alone
+from conftest import decoy_scenario, run_alone
 
 
 def _fields(outcome) -> dict:
-    """Every field of an outcome but its transcript, floats by their bit pattern."""
+    """Every field of an outcome but its transcript, with its type, floats by their bit pattern."""
     values = {}
     for f in dataclasses.fields(outcome):
         if f.name != "transcript":
             value = getattr(outcome, f.name)
-            values[f.name] = value.hex() if isinstance(value, float) else value
+            values[f.name] = type(value), value.hex() if isinstance(value, float) else value
     return values
 
 
@@ -80,9 +80,7 @@ def assert_paths_agree(scenario: Scenario, jam_value=None) -> DecoyOutcome:
 def assert_attacks_agree(scenario: Scenario, **options):
     attack = attack_jam if scenario.adversary is AdversaryKind.JAMMER else attack_impersonate
     closed = attack(scenario, **options)
-    with tick_oracle.attacks():
-        looped = attack(scenario, **options)
-    _assert_agree(closed, looped)
+    _assert_agree(closed, tick_oracle.attack(scenario, **options))
     return closed
 
 
@@ -222,7 +220,7 @@ def test_seeds_in_shared_passes_match_the_entry_points():
             assert batch.runs.seeds[row] == alone.seed
             outcome = batch.outcome(row)
             if kind in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR):
-                outcome = attack_result(outcome, kind)
+                outcome = attack_result(batch, row)
             _assert_agree(outcome, _entry_point(alone))
             assert batch.digests[row] == replay_digest(outcome.transcript)
             run = run_scenario(alone)  # an attack run is OK whatever it did
@@ -347,7 +345,7 @@ def _assert_plan_is_the_oracles(scenario: Scenario, forger_key=None) -> None:
     budget = scenario.max_ticks
     jam_value = JAM_VALUE if scenario.adversary is AdversaryKind.JAMMER else None
     ramps, looped = _oracle_set_up(scenario, jam_value, forger_key)
-    runs = one_run(scenario)
+    runs = Runs.of(scenario)
     if scenario.adversary is AdversaryKind.IMPERSONATOR:
         runs = runs._replace(keys=[-1])  # out of every domain: the plan must not read it
     plans = decoy._plans(scenario, runs, forger_key)
@@ -509,7 +507,7 @@ def test_a_draw_lemire_redraws_comes_from_the_streams_generator(case):
         return generator(rng)
 
     with mock.patch.object(RngStream, "_generator", recorded):
-        (batch,) = simulate_runs(scenario, one_run(scenario), forger_key=forger_key)
+        (batch,) = simulate_runs(scenario, Runs.of(scenario), forger_key=forger_key)
     assert built == [(seed, stream)]
     looped = tick_oracle.transmission(scenario, forger_key=forger_key)
     _assert_agree(batch.outcome(0), looped)
@@ -661,8 +659,8 @@ def test_forger_edge_keys(seed, key, recovered):
     if recovered is NonFiniteValue:
         with pytest.raises(NonFiniteValue):
             attack_impersonate(scenario, **options)
-        with tick_oracle.attacks(), pytest.raises(NonFiniteValue):
-            attack_impersonate(scenario, **options)
+        with pytest.raises(NonFiniteValue):
+            tick_oracle.attack(scenario, **options)
     else:
         assert assert_attacks_agree(scenario, **options).adversary_recovered == recovered
 

@@ -83,8 +83,8 @@ ATTACK_FIELDS_SHA256 = "2d1505210a4e7a6af11b2fbc13ebf00c5beaaf116ad03d7f43cb8e36
 
 
 def test_attack_outcome_fields_are_pinned():
-    # The corpus pins one field of an attack; the tick oracle builds its
-    # attack results with the package's own rule.  This pins them all.
+    # The corpus pins one field of an attack; the tick oracle checks the
+    # flags with a rule of its own.  This pins every field, values and reprs.
     digest = hashlib.sha256()
     for name, scenarios in GROUPS.items():
         if "/jammer/" not in name and "/impersonator/" not in name:

@@ -6,18 +6,17 @@ a `ChannelState`, the adversary's hooks (`_JammerActor`,
 `_ImpersonatorActor`) run around each public measurement, the sender
 reads announcements off the transcript, and the receiver tests his window
 after every reading.  The closed form must give the same outcome and the
-same transcript; `attacks()` routes `attack_jam` and `attack_impersonate`
-through this loop so their outcomes can be compared too.
+same transcript.  `attack` is what `attack_jam` or `attack_impersonate`
+gives with the same options: it steps the run through `transmission` and
+reads the attack flags off that run with a rule of its own, so the
+kernel's flags are checked against a reference that does not share them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional
-from unittest import mock
 
-from decoysim import adversary
-from decoysim.adversary import _ImpersonatorActor, _JammerActor
+from decoysim.adversary import JAM_VALUE, AttackOutcome, _ImpersonatorActor, _JammerActor
 from decoysim.channel import ChannelState
 from decoysim.decoy import (
     IN_BUSINESS,
@@ -182,8 +181,36 @@ def transmission(
     )
 
 
-@contextlib.contextmanager
-def attacks():
-    """While active, the attack entry points run through `transmission`."""
-    with mock.patch.object(adversary, "simulate_transmission", transmission):
-        yield
+def attack(
+    scenario: Scenario,
+    jam_value: float = JAM_VALUE,
+    forge_announcement: bool = False,
+    adversary_key: float = 4.0,
+) -> AttackOutcome:
+    """The scenario's attack, with the options and defaults of its entry point, by the tick loop.
+
+    The receiver is disrupted when he does not end the run holding the
+    sender's secret, but a jammer disrupts him only if a force other than
+    zero reached the medium; the run timed out when he detected nothing;
+    the adversary learned the secret when what it read is the secret.
+    """
+    jam = scenario.adversary is AdversaryKind.JAMMER
+    if jam:
+        run = transmission(scenario, jam_value=float(jam_value))
+    else:
+        run = transmission(scenario, forger_key=float(adversary_key) if forge_announcement else None)
+    disrupted = not run.success
+    if jam:
+        disrupted = disrupted and run.jammed and jam_value != 0.0
+    errors = {OUT_OF_DOMAIN: "out_of_domain", TIMEOUT: "protocol_timeout"}
+    return AttackOutcome(
+        kind="jam" if jam else "impersonate",
+        transcript=run.transcript,
+        disrupted=disrupted,
+        adversary_learned=run.adversary_recovered == run.sender_secret,
+        adversary_recovered=run.adversary_recovered,
+        receiver_recovered=run.recovered,
+        receiver_error=errors.get(run.status),
+        timeout=run.detected_tick is None,
+        forged_announce_tick=None if jam else run.announce_tick,
+    )
