@@ -660,23 +660,22 @@ def audit_comparison(
                 )
             )
     elif tag == "digitwise":
-        counts = [
-            event for event in observables if event.label == "subprotocol_invocations"
-        ]
-        if counts:
-            invocations = int(counts[0].value)
+        count = next(
+            (event for event in observables if event.label == "subprotocol_invocations"), None
+        )
+        if count is not None:
+            invocations = int(count.value)
+            rounds = invocations // 2
             findings.append(
                 LeakageFinding(
-                    protocol=tag,
-                    quantity="common_prefix_rounds",
-                    value=invocations // 2,
-                    description=(
-                        f"{invocations} sub-protocol invocations reveal that the "
-                        f"numbers agree on the first {invocations // 2 - 1} digits"
-                        if outcome.ordering is not Ordering.EQUAL
-                        else f"{invocations} invocations: all digits compared equal"
-                    ),
-                    exceeds_comparison_bit=invocations > 2,
+                    tag,
+                    "common_prefix_rounds",
+                    rounds,
+                    f"{invocations} sub-protocol invocations reveal that the "
+                    f"numbers agree on the first {rounds - 1} digits"
+                    if outcome.ordering is not Ordering.EQUAL
+                    else f"{invocations} invocations: all digits compared equal",
+                    invocations > 2,
                 )
             )
     return findings

@@ -96,18 +96,22 @@ def measure_block(parts: Sequence[np.ndarray], noise: Optional[np.ndarray]) -> R
     Tick by tick the same values as :meth:`ChannelState.measure` with the
     same contributions applied, when `noise` is noise_sigma times the same
     draws (None without noise): the float sum of two values is exactly
-    their fsum, and so is ``(a + b) + c`` on every tick where both TwoSum
-    error terms are zero; the other ticks take math.fsum.  The arrays may
-    be 2-D, one run's block per row.
+    their fsum.  For three, ``(a + b) + c`` misses the exact sum by the
+    two TwoSum errors e1 + e2; where that sum of errors is itself exact,
+    ``total + (e1 + e2)`` is the correctly rounded sum, as fsum gives it.
+    The errors are added only where they are nonzero, so an exact tick
+    keeps its bits, and the ticks where e1 + e2 rounds or is not finite
+    take math.fsum.  The arrays may be 2-D, one run's block per row.
     """
     total = parts[0] + parts[1]
     if len(parts) == 3:
         pair = total
         total = pair + parts[2]
-        inexact = (_two_sum_error(parts[0], parts[1], pair) != 0) | (
-            _two_sum_error(pair, parts[2], total) != 0
-        )
-        cells = np.flatnonzero(inexact).tolist()
+        e1 = _two_sum_error(parts[0], parts[1], pair)
+        e2 = _two_sum_error(pair, parts[2], total)
+        error = e1 + e2
+        cells = np.flatnonzero(_two_sum_error(e1, e2, error) != 0).tolist()  # NaN included
+        np.add(total, error, out=total, where=error != 0)
         if cells:
             # Flat views index fastest; a fresh ufunc result is C-contiguous,
             # so writing through its flat view writes `total`.

@@ -164,12 +164,7 @@ def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
         if a == b:
             notes += ("equal values are reported on the not-larger branch",)
     return ComparisonOutcome(
-        ordering=ordering,
-        alice_knows=alice_knows,
-        bob_knows=bob_knows,
-        public_observables=partial(_door_events, b),
-        notes=notes,
-        last_tick=b - 1,
+        ordering, alice_knows, bob_knows, partial(_door_events, b), notes, b - 1
     )
 
 
@@ -322,16 +317,6 @@ def vessel_levels(
 # --- base-m reduction -------------------------------------------------------
 
 
-def digits_base(x: int, m: int, width: int) -> list[int]:
-    """Most-significant-first digits of x in base m, zero-padded to width."""
-    out = [0] * width
-    for i in range(width - 1, -1, -1):
-        x, out[i] = divmod(x, m)
-    if x:
-        raise DomainError(f"value does not fit in {width} base-{m} digits")
-    return out
-
-
 SubComparator = Callable[[int, int], ComparisonOutcome]
 
 
@@ -347,54 +332,55 @@ def compare_digitwise(
     swapped run is what separates a genuine tie (continue to the next
     digit) from a strict inequality (decide).  The invocation count is a
     public observable -- it gives away the length of the common digit
-    prefix.
+    prefix.  The digits are read by place value, from the largest power
+    of m that the larger number reaches (1 when both are below m).
     """
     if a < 0 or b < 0:
         raise DomainError(f"values must be >= 0, got a={a} b={b}")
     if m < 2:
         raise DomainError(f"base must be >= 2, got {m}")
-    width = 1
-    while m**width <= max(a, b):
-        width += 1
-    digits_a = digits_base(a, m, width)
-    digits_b = digits_base(b, m, width)
-
+    top = max(a, b)
+    place = 1
+    while place * m <= top:
+        place *= m
     invocations = 0
-    events: list[PublicEvent] = []
     ordering = Ordering.EQUAL
-    for round_index, (da, db) in enumerate(zip(digits_a, digits_b)):
-        forward = sub_comparator(da + 1, db + 1)
-        backward = sub_comparator(db + 1, da + 1)
+    while place:
+        da = a // place % m + 1
+        db = b // place % m + 1
+        forward = sub_comparator(da, db).ordering
+        backward = sub_comparator(db, da).ordering
         invocations += 2
-        if forward.ordering is Ordering.A_LESS:
+        if forward is Ordering.A_LESS:
             ordering = Ordering.A_LESS
-        elif backward.ordering is Ordering.A_LESS:
+            break
+        if backward is Ordering.A_LESS:
             ordering = Ordering.A_GREATER
-        elif (
-            forward.ordering is Ordering.EQUAL
-            and backward.ordering is Ordering.EQUAL
-        ) or (
-            forward.ordering is Ordering.A_GREATER
-            and backward.ordering is Ordering.A_GREATER
+            break
+        if forward is not backward or not (
+            forward is Ordering.EQUAL or forward is Ordering.A_GREATER
         ):
-            continue  # genuine tie on this digit
-        else:
             raise DomainError(
-                "sub-comparator returned inconsistent results "
-                f"({forward.ordering} / {backward.ordering})"
+                f"sub-comparator returned inconsistent results ({forward} / {backward})"
             )
-        events.append(
-            PublicEvent(tick=round_index, label="deciding_round", value=round_index)
-        )
-        break
-    events.append(
-        PublicEvent(tick=invocations, label="subprotocol_invocations", value=invocations)
-    )
+        place //= m  # genuine tie on this digit
     alice, bob = _knowledge(ordering)
+    events = partial(_digitwise_events, invocations, ordering is not Ordering.EQUAL)
     return ComparisonOutcome(ordering, alice, bob, events, (), invocations)
 
 
-# Ready-made sub-comparators for the base-m reduction.
+def _digitwise_events(invocations: int, decided: bool) -> list[PublicEvent]:
+    """The deciding round, when a digit decided, then the invocation count."""
+    count = PublicEvent(invocations, "subprotocol_invocations", invocations)
+    if not decided:
+        return [count]
+    round_index = invocations // 2 - 1
+    return [PublicEvent(round_index, "deciding_round", round_index), count]
+
+
+# Ready-made sub-comparators for the base-m reduction.  Each looks its
+# comparator up in this module on every call, so a wrapper installed on the
+# module after the sub-comparator was made (a tracer's, say) sees the calls.
 
 
 def elevator_sub(m: int) -> SubComparator:

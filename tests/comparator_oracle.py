@@ -1,12 +1,15 @@
-"""The build-everything reference for the four comparators.
+"""The build-everything reference for the four comparators and the base-m reduction.
 
 Each function here simulates its protocol the long way, as the
 comparators did before they decided in closed form: each builds its whole
 public record up front, the bit string sorts every write of both programs
 (those after the decision tick included), and the vessels step the level
-tick by tick, aborting on the first tick that runs dry or overflows.  The closed-form comparators must give
-equal outcomes (ordering, knowledge, notes and the same public list) and
-raise the same aborts with the same messages.
+tick by tick, aborting on the first tick that runs dry or overflows.  The
+closed-form comparators must give equal outcomes (ordering, knowledge,
+notes and the same public list) and raise the same aborts with the same
+messages.  The reduction here takes both numbers' zero-padded digit lists
+up front and builds its record as it goes; the place-value reduction must
+make the same sub-comparator calls and give equal outcomes and errors.
 """
 
 from __future__ import annotations
@@ -14,7 +17,13 @@ from __future__ import annotations
 import math
 
 from decoysim.errors import DomainError, VesselEmpty, VesselOverflow
-from decoysim.millionaires import ComparisonOutcome, Ordering, PublicEvent, _knowledge
+from decoysim.millionaires import (
+    ComparisonOutcome,
+    Ordering,
+    PublicEvent,
+    SubComparator,
+    _knowledge,
+)
 
 
 def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
@@ -180,3 +189,68 @@ def compare_vessels(
     )
     return ComparisonOutcome(ordering, alice, bob, observables, notes)
 
+
+
+def digits_base(x: int, m: int, width: int) -> list[int]:
+    """Most-significant-first digits of x in base m, zero-padded to width."""
+    out = [0] * width
+    for i in range(width - 1, -1, -1):
+        x, out[i] = divmod(x, m)
+    if x:
+        raise DomainError(f"value does not fit in {width} base-{m} digits")
+    return out
+
+
+def compare_digitwise(
+    a: int, b: int, m: int, sub_comparator: SubComparator
+) -> ComparisonOutcome:
+    """Compare digit by digit, most significant first, via a physical sub-protocol.
+
+    Both numbers are written out in as many base-m digits as the larger
+    needs, each digit shifted by +1 into the sub-protocol's domain.  Each
+    round runs the sub-protocol in both argument orders; a tie moves on to
+    the next digit, a strict inequality decides.
+    """
+    if a < 0 or b < 0:
+        raise DomainError(f"values must be >= 0, got a={a} b={b}")
+    if m < 2:
+        raise DomainError(f"base must be >= 2, got {m}")
+    width = 1
+    while m**width <= max(a, b):
+        width += 1
+    digits_a = digits_base(a, m, width)
+    digits_b = digits_base(b, m, width)
+
+    invocations = 0
+    events: list[PublicEvent] = []
+    ordering = Ordering.EQUAL
+    for round_index, (da, db) in enumerate(zip(digits_a, digits_b)):
+        forward = sub_comparator(da + 1, db + 1)
+        backward = sub_comparator(db + 1, da + 1)
+        invocations += 2
+        if forward.ordering is Ordering.A_LESS:
+            ordering = Ordering.A_LESS
+        elif backward.ordering is Ordering.A_LESS:
+            ordering = Ordering.A_GREATER
+        elif (
+            forward.ordering is Ordering.EQUAL
+            and backward.ordering is Ordering.EQUAL
+        ) or (
+            forward.ordering is Ordering.A_GREATER
+            and backward.ordering is Ordering.A_GREATER
+        ):
+            continue  # genuine tie on this digit
+        else:
+            raise DomainError(
+                "sub-comparator returned inconsistent results "
+                f"({forward.ordering} / {backward.ordering})"
+            )
+        events.append(
+            PublicEvent(tick=round_index, label="deciding_round", value=round_index)
+        )
+        break
+    events.append(
+        PublicEvent(tick=invocations, label="subprotocol_invocations", value=invocations)
+    )
+    alice, bob = _knowledge(ordering)
+    return ComparisonOutcome(ordering, alice, bob, events, (), invocations)

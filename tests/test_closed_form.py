@@ -613,9 +613,30 @@ def test_jammer_arming_on_the_last_tick_never_jams():
 
 
 def test_three_term_sum_falls_back_to_fsum():
-    # (a + b) + c rounds differently from the exact sum; fsum does not.
-    parts = [np.array([1.0, 1.0]), np.array([1e-16, 2.0]), np.array([-1.0, 0.5])]
-    assert measure_block(parts, None).values.tolist() == [1e-16, 3.5]
+    # (a + b) + c rounds differently from the exact sum; fsum does not.  On
+    # (1, 2^-53, 2^-110) the two TwoSum errors' own sum rounds, and
+    # total + (e1 + e2) reads 1.0: only the fsum fallback gets it right.
+    parts = [
+        np.array([1.0, 1.0, 1.0]),
+        np.array([1e-16, 2.0, 2.0**-53]),
+        np.array([-1.0, 0.5, 2.0**-110]),
+    ]
+    assert measure_block(parts, None).values.tolist() == [1e-16, 3.5, 1.0000000000000002]
+    # An exact tick keeps the float sum's bits, a negative zero included.
+    [zero] = measure_block([np.array([-0.0])] * 3, None).values
+    assert math.copysign(1.0, zero) == -1.0
+    # Random triples over 2^-30..2^30: a third part that is unrelated, or
+    # cancels a + b or a down to a part in 2^30 of its own size.
+    rng = np.random.default_rng(24)
+    shape = (50, 40)
+
+    def spread():
+        return rng.uniform(-1.0, 1.0, shape) * np.exp2(rng.integers(-30, 31, shape))
+
+    a, b, c = spread(), spread(), spread()
+    c = np.choose(rng.integers(0, 3, shape), [c, -(a + b) + c * 2.0**-30, -a + c * 2.0**-30])
+    expected = [[math.fsum(cell) for cell in zip(*row)] for row in zip(a, b, c)]
+    assert measure_block([a, b, c], None).values.tobytes() == np.array(expected).tobytes()
 
 
 def test_inexact_jammed_ticks_take_fsum():

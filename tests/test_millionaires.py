@@ -1,5 +1,6 @@
 """Comparison protocols against the integer oracle, plus leakage audits."""
 
+import itertools
 import math
 import random
 
@@ -25,7 +26,6 @@ from decoysim.millionaires import (
     ComparisonOutcome,
     PublicEvent,
     bitstring_sub,
-    digits_base,
     elevator_sub,
     race_sub,
     vessels_sub,
@@ -242,10 +242,64 @@ class TestDigitwise:
         with pytest.raises(DomainError, match="boom"):
             compare_digitwise(5, 6, 10, broken)
 
+    def test_sub_comparators_call_through_the_module(self, monkeypatch):
+        subs = [elevator_sub(10), race_sub(10), bitstring_sub(10), vessels_sub()]
+        names = ["compare_elevator", "compare_race", "compare_race_bitstring", "compare_vessels"]
+        seen = []
+        for name in names:
+            real = getattr(millionaires, name)
+
+            def wrapper(*args, real=real, name=name, **kwargs):
+                seen.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(millionaires, name, wrapper)
+        for sub in subs:
+            assert compare_digitwise(3, 3, 10, sub).ordering is Ordering.EQUAL
+        assert seen == [name for name in names for _ in range(2)]
+
     def test_digits_base_padding(self):
-        assert digits_base(7, 10, 3) == [0, 0, 7]
+        assert oracle.digits_base(7, 10, 3) == [0, 0, 7]
         with pytest.raises(DomainError):
-            digits_base(1000, 10, 3)
+            oracle.digits_base(1000, 10, 3)
+
+    def test_place_values_match_the_digit_list_reference(self):
+        # Same sub-comparator calls, same outcome or the same error, for every
+        # sub-comparator and for one that breaks on a tied digit.
+        rng = random.Random(24)
+
+        def logged(sub, log):
+            def compare(x, y):
+                log.append((x, y))
+                return sub(x, y)
+            return compare
+
+        calls = itertools.count()
+
+        def inconsistent(x, y):
+            # Every round makes two calls, so a tied digit's runs give EQUAL / A_GREATER.
+            tie = (Ordering.EQUAL, Ordering.A_GREATER)[next(calls) % 2]
+            return ComparisonOutcome(Ordering.A_LESS if x < y else tie, "x", "y", [])
+
+        for m in (2, 3, 7, 10, 16):
+            pairs = [(0, 0), (0, 1), (1, 0), (0, m**3), (m**2, m**2 - 1), (m - 1, m)]
+            for _ in range(60):
+                a = rng.randrange(m ** rng.randrange(6))
+                b = a if rng.random() < 0.2 else rng.randrange(m ** rng.randrange(6))
+                pairs.append((a, b))
+            subs = [elevator_sub(m), race_sub(m), bitstring_sub(m), vessels_sub(), inconsistent]
+            for sub in subs:
+                for a, b in pairs:
+                    results = []
+                    for compare in (compare_digitwise, oracle.compare_digitwise):
+                        log = []
+                        try:
+                            outcome = compare(a, b, m, logged(sub, log))
+                        except DomainError as exc:
+                            results.append((str(exc), log))
+                        else:
+                            results.append((outcome, repr(outcome), outcome.last_tick, log))
+                    assert results[0] == results[1], (m, sub, a, b)
 
 
 def test_ordering_invariant_full_100_grid():
