@@ -14,7 +14,6 @@ only; nothing in this module touches a party's private ramp state.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 from collections import Counter
@@ -44,7 +43,6 @@ from .engine import (
     STREAM_SAMPLER,
     TIMEOUT,
     AdversaryKind,
-    BuiltOnRead,
     Protocol,
     RngStream,
     Scenario,
@@ -383,14 +381,10 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
 
 @dataclass
 class AttackOutcome:
-    """What an active adversary achieved, and what it cost the protocol.
-
-    `transcript` may be given as a zero-argument builder, which runs on
-    the first read.
-    """
+    """What an active adversary achieved, and what it cost the protocol."""
 
     kind: str
-    transcript: Transcript = BuiltOnRead()
+    transcript: Transcript
     disrupted: bool
     adversary_learned: bool
     adversary_recovered: Optional[int]
@@ -548,7 +542,7 @@ def attack_columns(batch: RunBatch) -> dict[str, list]:
 def attack_result(batch: RunBatch, row: int) -> AttackOutcome:
     """What the active adversary did in run `row` of kernel pass `batch`: attack_columns' row."""
     fields = {name: column[row] for name, column in attack_columns(batch).items()}
-    return AttackOutcome(transcript=functools.partial(batch.transcript, row), **fields)
+    return AttackOutcome(transcript=batch.transcript(row), **fields)
 
 
 # --- auditor ----------------------------------------------------------------

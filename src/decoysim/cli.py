@@ -12,6 +12,7 @@ a run can be replayed from its report alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import itertools
@@ -76,12 +77,15 @@ class _ReportFile:
         self.handle.write(text)
 
     def flush(self) -> None:
-        if self.handle is not None:
-            self.handle.flush()
-
-    def close(self) -> None:
+        """Write out the report and close the file: the command's last step."""
         if self.handle is not None:
             self.handle.close()
+
+    def close(self) -> None:
+        """Close the file a failed command left open, unwritten rest dropped: main reported why."""
+        if self.handle is not None:
+            with contextlib.suppress(OSError):
+                self.handle.close()
 
 
 def _meta_record(scenario: Scenario) -> dict:

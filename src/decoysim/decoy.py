@@ -31,7 +31,6 @@ from .engine import (
     DECOY_PROTOCOLS,
     AdversaryKind,
     Announcement,
-    BuiltOnRead,
     Protocol,
     RampModel,
     RngStream,
@@ -242,14 +241,12 @@ class DecoyOutcome:
     has no recovered value and `detail` says why it failed.  `jammed`
     says whether a jammer's force reached the medium, and
     `adversary_recovered` is what an impersonator read, if anything.
-    `transcript` may be given as a zero-argument builder, which runs on
-    the first read.
     """
 
     recovered: Optional[int]
     sender_secret: int
     receiver_key: Optional[int]
-    transcript: Transcript = BuiltOnRead()
+    transcript: Transcript
     detected_tick: Optional[int]
     stable_estimate: Optional[float]
     announce_tick: Optional[int]
@@ -490,9 +487,9 @@ class RunBatch:
     Row i of `readings` holds run i's reading for every tick from 0 to
     lengths[i] - 1, then NaN.  `table` holds every run's outcome as
     columns, computed once for the pass; `outcome(i)` is run i's row of
-    it as a DecoyOutcome.  Transcripts are built only when asked for; the
-    replay digests of the pass are hashed from the readings at the first
-    digest asked for, and need no transcript.
+    it as a DecoyOutcome, transcript(i) included.  The replay digests of
+    the pass are hashed from the readings at the first digest asked for,
+    and need no transcript.
     """
 
     def __init__(
@@ -563,7 +560,7 @@ class RunBatch:
             recovered=recovered,
             sender_secret=int(plans.runs.secrets[index]),
             receiver_key=receiver_key,
-            transcript=functools.partial(self.transcript, index),
+            transcript=self.transcript(index),
             detected_tick=detected_tick,
             stable_estimate=estimate,
             announce_tick=announce_tick,

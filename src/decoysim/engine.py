@@ -428,28 +428,6 @@ class Transcript:
         )
 
 
-class BuiltOnRead:
-    """A dataclass field given as its value or as a zero-argument builder, run on its first read.
-
-    The built value replaces the builder, so every read returns the same
-    object.  The field has no default.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.slot = "_" + name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:  # a dataclass asking for a default: there is none
-            raise AttributeError(self.slot[1:])
-        value = instance.__dict__[self.slot]
-        if callable(value):
-            value = instance.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, instance, value) -> None:
-        instance.__dict__[self.slot] = value
-
-
 # Digest of an empty transcript; fixed for the life of the format.
 EMPTY_TRANSCRIPT_DIGEST = 0xB4B2797457A0A6E4
 
@@ -523,7 +501,7 @@ def replay_digest(transcript: Transcript) -> int:
     records["kind"] = b"M"
     records["tick"] = transcript._ticks
     records["value"] = transcript._values
-    return _spliced_digest(memoryview(records.tobytes()), transcript._events)
+    return _spliced_digest(memoryview(records.view(np.uint8)), transcript._events)
 
 
 # --- scenario --------------------------------------------------------------

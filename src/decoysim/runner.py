@@ -9,10 +9,9 @@ every run, whatever the protocol, yields the same kind of public record.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .engine import (
     STREAM_NOISE,
     TIMEOUT,
     AdversaryKind,
-    BuiltOnRead,
     Protocol,
     Scenario,
     Transcript,
@@ -55,22 +53,19 @@ class RunOutcome:
     `detail` saying why.  A failed run still carries its public record;
     a vessel abort has no result and an empty transcript.  A decoy run's
     result is row 0 of its kernel pass's table (attack_result's for an
-    attack).  `transcript` may be given as a zero-argument builder, built
-    on the first read; a decoy run's is built only then, and its `digest`
-    comes from its kernel pass (`batch_digest`) without it.
+    attack), and its transcript is the result's.
     """
 
     scenario: Scenario
     result: Optional[RunResult]
-    transcript: Transcript = BuiltOnRead()
+    transcript: Transcript
     status: str = OK
     detail: str = ""
-    batch_digest: Optional[Callable[[], int]] = field(default=None, repr=False, compare=False)
 
     @property
     def digest(self) -> int:
         """replay_digest(self.transcript)."""
-        return replay_digest(self.transcript) if self.batch_digest is None else self.batch_digest()
+        return replay_digest(self.transcript)
 
 
 def _even_track_length(scenario: Scenario) -> int:
@@ -151,5 +146,4 @@ def run_scenario(scenario: Scenario) -> RunOutcome:
     attacked = scenario.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
     result = adversary_mod.attack_result(batch, 0) if attacked else batch.outcome(0)
     status, detail = (OK, "") if attacked else (result.status, result.detail)
-    transcript = functools.partial(getattr, result, "transcript")
-    return RunOutcome(scenario, result, transcript, status, detail, lambda: batch.digests[0])
+    return RunOutcome(scenario, result, result.transcript, status, detail)

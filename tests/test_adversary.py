@@ -34,7 +34,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.decoy import simulate_runs, simulate_transmission
+from decoysim.decoy import Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
@@ -519,7 +519,8 @@ class TestCollectSamples:
 
     def test_working_set_stays_that_of_one_run(self):
         # Long runs go through the kernel one at a time and no pass outlives
-        # the next, so 64 samples need no more memory than the longest alone.
+        # the next, so 64 samples need no more memory than the longest run's
+        # kernel pass alone, which builds no transcript.
         scenario = decoy_scenario(max_ticks=200_000, seed=704, secret_domain=(1, 8))
         features = TranscriptFeatures.for_scenario(scenario)
         runs = collect_transmission_samples(scenario, 64).runs
@@ -534,7 +535,7 @@ class TestCollectSamples:
                 tracemalloc.stop()
 
         alone = run_alone(scenario, runs, lengths.index(max(lengths)))
-        one_run = peak(lambda: run_scenario(alone))
+        one_run = peak(lambda: list(simulate_runs(alone, Runs.of(alone))))
         samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
         assert samples <= 2 * one_run
 

@@ -290,21 +290,14 @@ class TestRun:
         [(path.name, []) for path in sorted(CONFIGS.glob("*.cfg"))]
         + [("decoy.cfg", ["adversary=jammer"]), ("decoy.cfg", ["adversary=impersonator"])],
     )
-    def test_records_run_digest_is_the_transcripts_without_building_it(
-        self, config, sets, capsys, monkeypatch
-    ):
-        # `run` reads its digest where a sweep does; on a decoy config that builds no transcript.
+    def test_records_run_digest_is_the_transcripts(self, config, sets, capsys):
         scenario = load_scenario(str(CONFIGS / config), sets)
         expected = f"{engine.replay_digest(run_scenario(scenario).transcript):016x}"
-        built = []
-        if scenario.protocol in engine.DECOY_PROTOCOLS:
-            monkeypatch.setattr(engine.Transcript, "__init__", lambda self: built.append(self))
         overrides = [arg for pair in sets for arg in ("--set", pair)]
         _, out, _ = run_cli(
             capsys, "run", "--config", str(CONFIGS / config), *overrides, "--format", "records"
         )
         assert json.loads(out.splitlines()[1])["digest"] == expected
-        assert built == []
 
 
 class TestSweep:
@@ -727,6 +720,33 @@ def test_stdout_closed_early_exits_one_without_a_traceback():
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        (["run"], "decoy.cfg"),
+        (["replay-check"], "decoy.cfg"),
+        (["sweep", "--runs", "2"], "decoy.cfg"),
+        (["analyze"], "sync_analysis.cfg"),
+    ],
+    ids=["run", "replay-check", "sweep", "analyze"],
+)
+def test_out_on_a_full_device_exits_one_with_one_error_line(command, config):
+    # The report file opens, but the device refuses the report when it is
+    # written out: the error is reported once, and closing the file after
+    # it does not raise it again.
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    process = subprocess.run(
+        [sys.executable, "-m", "decoysim.cli", *command, "--config", str(CONFIGS / config),
+         "--out", "/dev/full"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    errors = process.stderr.splitlines()
+    assert process.returncode == 1, process.stderr
+    assert "Traceback" not in process.stderr
+    assert errors == ["decoysim: error: [Errno 28] No space left on device"]
+
+
 # Runs the CLI as its only child, under a 1 GB address-space limit so that
 # a run that tried to build a 2^53-event record fails fast, and prints the
 # child's exit code and peak RSS in KB.
@@ -856,6 +876,23 @@ SIZED = st.sampled_from(sorted(SIZE_VALUES)).flatmap(
     lambda key: st.tuples(st.just(key), SIZE_VALUES[key])
 )
 OVERRIDES = st.lists(SIZED | st.tuples(KEYS, VALUES), max_size=4)
+# Valid overrides whose runs mostly end in a protocol failure: an active
+# adversary, defended against or not, on a decoy run with a small budget.
+ATTACKS = st.lists(
+    st.tuples(st.just("protocol"), st.sampled_from(["decoy_force", "decoy_wave"]))
+    | st.tuples(st.just("adversary"), st.sampled_from(["jammer", "impersonator"]))
+    | st.tuples(st.just("defense_enabled"), st.sampled_from(["true", "false"]))
+    | st.tuples(st.just("max_ticks"), st.integers(1, 60).map(str)),
+    min_size=4,
+    max_size=4,
+    unique_by=lambda pair: pair[0],
+)
+# Where --out points, from the config's folder: nowhere (stdout), or a path
+# that fails before the run (a missing folder, a folder) or when the report
+# is written out (a full device, whose absolute path the join keeps).
+OUTS = st.none() | st.sampled_from(
+    ["missing/report", "."] + (["/dev/full"] if os.path.exists("/dev/full") else [])
+)
 
 
 @pytest.fixture(scope="module")
@@ -872,27 +909,41 @@ COMMANDS = [["run"], ["replay-check"], ["sweep", "--runs", "2"], ["analyze", "--
     command=st.sampled_from(COMMANDS),
     fmt=st.sampled_from(["text", "records"]),
     protocol=st.sampled_from([p.value for p in Protocol]),
-    overrides=OVERRIDES,
+    overrides=OVERRIDES | ATTACKS,
+    report=OUTS,
 )
-@example(command=["run"], fmt="text", protocol="decoy_force", overrides=[("noise_sigma", "1e308")])
-@example(command=["run"], fmt="text", protocol="race", overrides=[("dt", "1e-320")])
 @example(
-    command=COMMANDS[3], fmt="records", protocol="decoy_force", overrides=[("secret_domain", "1..8")]
+    command=["run"], fmt="text", protocol="decoy_force", overrides=[("noise_sigma", "1e308")],
+    report=None,
 )
-@example(command=["run"], fmt="text", protocol="decoy_wave", overrides=[("adversary", "jammer")])
+@example(command=["run"], fmt="text", protocol="race", overrides=[("dt", "1e-320")], report=None)
 @example(
-    command=["run"], fmt="records", protocol="decoy_force", overrides=[("adversary", "impersonator")]
+    command=COMMANDS[3], fmt="records", protocol="decoy_force",
+    overrides=[("secret_domain", "1..8")], report=None,
+)
+@example(
+    command=["run"], fmt="text", protocol="decoy_wave", overrides=[("adversary", "jammer")],
+    report=None,
+)
+@example(
+    command=["run"], fmt="records", protocol="decoy_force",
+    overrides=[("adversary", "impersonator")], report=None,
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_arbitrary_overrides_exit_cleanly(small_decoy_config, command, fmt, protocol, overrides):
-    # Any command, format and --set pairs end in exit 0, 1 or 2, and every
-    # line of records is JSON.  Exit 2 comes with a protocol-level line and
-    # exit 1 with an error or usage message.  The first two explicit examples
-    # are overflows that once got past validation and ended in a traceback;
-    # the third is an analysis that runs, which 1,000 samples over the
-    # config's 100 secrets cannot; the last two are runs that exit 2.
+def test_arbitrary_overrides_exit_cleanly(
+    small_decoy_config, command, fmt, protocol, overrides, report
+):
+    # Any command, format, --set pairs and --out end in exit 0, 1 or 2, and
+    # every line of records is JSON.  Exit 2 comes with a protocol-level line
+    # and exit 1 with one error or usage message.  The first two explicit
+    # examples are overflows that once got past validation and ended in a
+    # traceback; the third is an analysis that runs, which 1,000 samples over
+    # the config's 100 secrets cannot; the last two are runs that exit 2, as
+    # the generated attacks' runs mostly do.
     argv = [*command, "--config", small_decoy_config, "--format", fmt]
     argv += [f"--set=protocol={protocol}"] + [f"--set={key}={value}" for key, value in overrides]
+    if report is not None:
+        argv += ["--out", os.path.join(os.path.dirname(small_decoy_config), report)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -911,6 +962,7 @@ def test_arbitrary_overrides_exit_cleanly(small_decoy_config, command, fmt, prot
         ), (argv, lines, stderr)
     if code == 1:
         assert any(line.startswith(("decoysim: error: ", "usage: ")) for line in errors), argv
+    assert sum(line.startswith("decoysim: ") for line in errors) <= 1, (argv, stderr)
 
 
 def test_readme_cli_examples_run(capsys, monkeypatch):
