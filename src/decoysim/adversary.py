@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -144,23 +144,57 @@ def estimate_mutual_information(
     O(alphabet / N) bias of the plug-in difference.  Small negative
     results are possible and are returned as-is.
     """
-    n = len(pairs)
-    if n < min_samples:
-        raise InsufficientSamples(
-            f"mutual information needs >= {min_samples} samples, got {n}"
-        )
     # Counter counts in C in first-occurrence order, which summing the joint's keys keeps.
     counts_st, counts_s, counts_t = Counter(pairs), Counter(), Counter()
     for (s, t), count in counts_st.items():
         counts_s[s] += count
         counts_t[t] += count
+    counts = (counts_s.values(), counts_t.values(), counts_st.values())
+    return _mutual_information(len(pairs), counts, min_samples)
 
+
+def _mutual_information(n: int, counts, min_samples: int) -> float:
+    """The estimate from the counts of the symbols of S, T and (S, T), each in first-seen order."""
+    if n < min_samples:
+        raise InsufficientSamples(f"mutual information needs >= {min_samples} samples, got {n}")
     ln2 = math.log(2.0)
+    h_s, h_t, h_st = (_entropy_bits(c, n) + (len(c) - 1) / (2.0 * n * ln2) for c in counts)
+    return h_s + h_t - h_st
 
-    def entropy_mm(counter: Counter) -> float:
-        return _entropy_bits(counter.values(), n) + (len(counter) - 1) / (2.0 * n * ln2)
 
-    return entropy_mm(counts_s) + entropy_mm(counts_t) - entropy_mm(counts_st)
+def _counts_in_order(keys: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Each distinct key's count, in first-occurrence order as Counter's, and each key's rank."""
+    _, first, ranks, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return counts[first.argsort()].tolist(), ranks
+
+
+# A feature's kind, FeatureColumns.kind: a stable total and its bucket, or a one-word feature.
+STABLE, EMPTY, SILENT, UNSTABLE = range(4)
+_ONE_WORD = (None, ("empty",), ("silent",), ("unstable",))
+
+
+class FeatureColumns(NamedTuple):
+    """The features of a batch of transcripts as int64 columns; row i is transcript i's.
+
+    A STABLE row's feature is (total, bucket); an EMPTY, SILENT or UNSTABLE
+    one's is its one-word tuple, and its total and bucket read 0.
+    """
+
+    kind: np.ndarray
+    total: np.ndarray
+    bucket: np.ndarray
+
+    def tuples(self) -> list[tuple]:
+        """Each row's feature as TranscriptFeatures gives it, with Python ints."""
+        rows = zip(self.kind.tolist(), self.total.tolist(), self.bucket.tolist())
+        return [(t, b) if kind == STABLE else _ONE_WORD[kind] for kind, t, b in rows]
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Each row's first True column, or the mask's width in a row without one."""
+    return np.concatenate([mask, np.ones((len(mask), 1), bool)], axis=1).argmax(axis=1)
 
 
 @dataclass(frozen=True)
@@ -196,52 +230,45 @@ class TranscriptFeatures:
         return self.of_rows(values[None, :], [len(values)])[0]
 
     def of_rows(self, values: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
+        """The feature tuple of each row of `values`: columns(values, lengths).tuples()."""
+        return self.columns(values, lengths).tuples()
+
+    def columns(self, values: np.ndarray, lengths: Sequence[int]) -> FeatureColumns:
         """The features of each row of `values`, whose first lengths[i] are run i's readings.
 
         A stable total is round(math.fsum(tail) / len(tail)), taken from
         one float sum per row of its `width` values, zeros outside the
-        tail.  With A the tail's largest magnitude, that mean lies within
-        half of `slack` (decoy.mean_slack) of fsum's.  Where the float
-        mean lies further than the slack from every half-integer, both
-        round to the same integer; elsewhere, and where it is not finite,
-        the row takes fsum.
+        tail.  With A the largest magnitude in any row's tail, that mean
+        lies within half of `slack` (decoy.mean_slack) of fsum's.  Where
+        the float mean lies further than the slack from every half-integer,
+        both round to the same integer; elsewhere, and where it is not
+        finite, the row takes fsum.  A total must fit in int64.
         """
-        lengths = np.asarray(lengths)
+        lengths = np.array(lengths, dtype=np.int64)
         width = values.shape[1]
         columns = np.arange(width)
         inside = columns < lengths[:, None]
         tol = self.tolerance
-        active = (np.abs(values) > tol) & inside
-        first_active = np.where(active, columns, width).min(axis=1, initial=width)
-        # the flat tail starts after the last jump between neighbours
-        jumps = (np.abs(values[:, 1:] - values[:, :-1]) > tol) & inside[:, 1:]
-        flat_onset = np.where(jumps, columns[1:], 0).max(axis=1, initial=0)
-        stable = (first_active < width) & (lengths - flat_onset >= self.hold_ticks)
-        tail = inside & (columns >= flat_onset[:, None])
-        means = np.where(tail, values, 0.0).sum(axis=1) / np.maximum(lengths - flat_onset, 1)
-        magnitude = np.where(tail, np.abs(values), 0.0).max(axis=1, initial=0.0)
-        slack = mean_slack(width, magnitude) * (1.0 + 2.0**-40)
-        near_half = np.abs(means - np.floor(means) - 0.5) <= slack
+        first_active = _first_true((np.abs(values) > tol) & inside)
+        # The flat tail starts after the last jump between neighbours: the first from the end.
+        jumps_back = (np.abs(np.diff(values[:, ::-1])) > tol) & inside[:, :0:-1]
+        flat_onset = jumps_back.shape[1] - _first_true(jumps_back)
+        silent = first_active == width
+        stable = ~silent & (lengths - flat_onset >= self.hold_ticks)
+        tail = np.where(inside & (columns >= flat_onset[:, None]), values, 0.0)
+        means = tail.sum(axis=1) / np.maximum(lengths - flat_onset, 1)
+        slack = mean_slack(width, np.abs(tail).max(initial=0.0)) * (1.0 + 2.0**-40)
+        near_half = ~(np.abs(means - np.floor(means) - 0.5) > slack)  # and everywhere if NaN
         exact = stable & (near_half | ~np.isfinite(means))
         # Every half is near one, so rint meets no tie; the exact rows' totals follow.
-        totals = np.rint(np.where(stable & ~exact, means, 0.0)).astype(np.int64).tolist()
+        totals = np.rint(np.where(stable & ~exact, means, 0.0)).astype(np.int64)
         for row in np.flatnonzero(exact).tolist():
             tail_values = values[row, flat_onset[row] : lengths[row]].tolist()
             totals[row] = round(math.fsum(tail_values) / len(tail_values))
-        buckets = (np.maximum(flat_onset - first_active, 0) // self.bucket_width).tolist()
-        features: list[tuple] = []
-        for length, first, onset, total, bucket in zip(
-            lengths.tolist(), first_active.tolist(), flat_onset.tolist(), totals, buckets
-        ):
-            if not length:
-                features.append(("empty",))
-            elif first == width:
-                features.append(("silent",))
-            elif length - onset < self.hold_ticks:
-                features.append(("unstable",))
-            else:
-                features.append((total, bucket))
-        return features
+        # UNSTABLE, less one where silent and one more where empty too (an empty row is silent)
+        kinds = np.where(stable, STABLE, UNSTABLE - silent - (lengths == 0))
+        buckets = np.where(stable, np.maximum(flat_onset - first_active, 0) // self.bucket_width, 0)
+        return FeatureColumns(kinds, totals, buckets)
 
 
 @dataclass
@@ -274,44 +301,51 @@ def estimate_posterior(
 
     posterior(s) is proportional to the number of sample transcripts with
     secret s whose feature vector matches the observed one.  The sample
-    set must cover every domain value at least min_per_class times.
+    set must cover every domain value at least min_per_class times.  It
+    counts on the samples' secret column and their features' columns
+    (TranscriptSamples.feature_columns), in the order Counter would.
     """
     n1, n2 = domain
-    class_counts = Counter(samples.runs.secrets)
-    for secret in range(n1, n2 + 1):
-        if class_counts[secret] < min_per_class:
+    size = n2 - n1 + 1
+    secrets = np.asarray(samples.runs.secrets, dtype=np.int64)
+    codes = secrets - n1
+    in_domain = (codes >= 0) & (codes < size)
+    class_counts = np.bincount(codes[in_domain], minlength=size).tolist()
+    for secret, count in zip(range(n1, n2 + 1), class_counts):
+        if count < min_per_class:
             raise InsufficientSamples(
                 f"need >= {min_per_class} samples for every secret in "
-                f"[{n1}, {n2}]; secret {secret} has {class_counts[secret]}"
+                f"[{n1}, {n2}]; secret {secret} has {count}"
             )
 
-    featured = list(zip(samples.runs.secrets, samples.features(features)))
-    observed_feature = features(observed)
-    matched = Counter(
-        secret for secret, feature in featured if feature == observed_feature
-    )
-    total_matched = sum(matched.values())
+    columns = samples.feature_columns(features)
+    values = observed.values()
+    seen = features.columns(values[None, :], [len(values)])
+    match = np.logical_and.reduce([column == own for column, own in zip(columns, seen)])
+    total_matched = int(np.count_nonzero(match))
     notes: tuple[str, ...] = ()
-    if matched:
-        posterior = {
-            secret: matched.get(secret, 0) / total_matched
-            for secret in range(n1, n2 + 1)
-        }
+    if total_matched:
+        matched = np.bincount(codes[match & in_domain], minlength=size).tolist()
+        posterior = {s: count / total_matched for s, count in zip(range(n1, n2 + 1), matched)}
     else:
         # Never-seen feature: the sample set says nothing, fall back to the prior.
-        size = n2 - n1 + 1
         posterior = {secret: 1.0 / size for secret in range(n1, n2 + 1)}
         notes = ("observed feature never seen in the sample set; prior returned",)
 
-    mi_bits = estimate_mutual_information(featured)
+    # One int64 key per feature; the totals' ranks keep the packing from overflowing.
+    totals = np.unique(columns.total, return_inverse=True)[1]
+    keys = (totals * (columns.bucket.max(initial=0) + 1) + columns.bucket) * 4 + columns.kind
+    counts_s, ranks_s = _counts_in_order(secrets)
+    counts_t, ranks_t = _counts_in_order(keys)
+    counts_st, _ = _counts_in_order(ranks_t * len(counts_s) + ranks_s)
     report = PosteriorReport(
         domain=domain,
         posterior=posterior,
         max_prob=max(posterior.values()),
-        mi_bits=mi_bits,
+        mi_bits=_mutual_information(len(secrets), (counts_s, counts_t, counts_st), 1000),
         samples_used=len(samples),
         matched_samples=total_matched,
-        observed_feature=observed_feature,
+        observed_feature=seen.tuples()[0],
         notes=notes,
     )
     report.check_invariants()
@@ -323,7 +357,7 @@ class TranscriptSamples:
 
     Iterating runs the samples through the kernel a batch at a time
     (adversary_runs); each transcript is the one run_scenario gives
-    for that sample's scenario.  `features` computes every sample's
+    for that sample's scenario.  `feature_columns` computes every sample's
     features in one array pass per batch and builds no transcript.
     Nothing is kept but the samples' columns of seeds, secrets and keys,
     so memory does not grow with their transcripts.
@@ -337,19 +371,23 @@ class TranscriptSamples:
         return len(self.runs.seeds)
 
     def __iter__(self) -> Iterator[tuple[int, Transcript]]:
-        secrets = iter(self.runs.secrets)
+        secrets = iter(np.asarray(self.runs.secrets).tolist())
         for batch in adversary_runs(self.scenario, self.runs):
             for row in range(len(batch)):
                 yield next(secrets), batch.transcript(row)
             del batch  # free each pass before the next one runs
 
+    def feature_columns(self, features: TranscriptFeatures) -> FeatureColumns:
+        """features.columns of every sample, in order."""
+        found = [FeatureColumns(*[np.zeros(0, np.int64)] * 3)]
+        for batch in adversary_runs(self.scenario, self.runs):
+            found.append(features.columns(batch.readings, batch.lengths))
+            del batch  # free each pass before the next one runs
+        return FeatureColumns._make(map(np.concatenate, zip(*found)))
+
     def features(self, features: TranscriptFeatures) -> list[tuple]:
         """features(transcript) of every sample, in order."""
-        found: list[tuple] = []
-        for batch in adversary_runs(self.scenario, self.runs):
-            found += features.of_rows(batch.readings, batch.lengths)
-            del batch  # free each pass before the next one runs
-        return found
+        return self.feature_columns(features).tuples()
 
 
 def collect_transmission_samples(scenario: Scenario, n_samples: int) -> TranscriptSamples:
@@ -368,7 +406,7 @@ def collect_transmission_samples(scenario: Scenario, n_samples: int) -> Transcri
     draws = RngStream(scenario.seed, STREAM_SAMPLER).integers(n1, n2, 2 * n_samples)
     seeds = range(0)
     if n_samples:
-        secrets = {SENDER: draws[0], RECEIVER: draws[1]}
+        secrets = {SENDER: int(draws[0]), RECEIVER: int(draws[1])}
         first = dataclasses.replace(scenario, seed=int(scenario.seed) + 1, party_secrets=secrets)
         check_transmission(first)
         spans = list(seed_spans(first, n_samples))

@@ -48,8 +48,11 @@ MAX_SAMPLES = 10**6
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("DECOYSIM_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    """Log at DECOYSIM_LOG's level, a logging level name in any case (warning if unset)."""
+    value = os.environ.get("DECOYSIM_LOG", "warning")
+    level = logging.getLevelName(value.upper())  # a name's number; anything else stays a str
+    if not isinstance(level, int):
+        raise ConfigError(f"DECOYSIM_LOG must name a logging level such as debug, got {value!r}")
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -216,7 +219,7 @@ def _print_text_report(
             _emit(stream, f"  - {finding.description}")
     if flags:
         _emit(stream, "flags: " + ", ".join(flags))
-    _emit(stream, f"ticks: {len(outcome.transcript)}  wall_ms: {wall_ms:.2f}")
+    _emit(stream, f"ticks: {outcome.transcript.tick_count()}  wall_ms: {wall_ms:.2f}")
 
 
 def cmd_run(args, stream: TextIO) -> int:
@@ -538,12 +541,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     out_stream = sys.stdout
     try:
+        _configure_logging()
         out_stream = _ReportFile(args.out) if args.out else sys.stdout
         code = handler(args, out_stream)
         out_stream.flush()

@@ -223,13 +223,13 @@ class RngStream:
         return self._generator().random(size)
 
     def integers(self, low: int, high: int, size: int | None = None):
-        """Uniform integer in the inclusive range [low, high], or `size` of them as a list.
+        """Uniform integer in the inclusive range [low, high], or `size` of them as an int64 array.
 
-        The list holds the values that many single draws give, in order.
+        The array holds the values that many single draws give, in order.
         """
         if size is None:
             return int(self._generator().integers(low, high, endpoint=True))
-        return self._generator().integers(low, high, size, endpoint=True).tolist()
+        return self._generator().integers(low, high, size, endpoint=True)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -408,6 +408,10 @@ class Transcript:
     def values(self) -> np.ndarray:
         """The measured values, in order, as a new float64 array."""
         return np.array(self._values, dtype=np.float64)
+
+    def tick_count(self) -> int:
+        """One more than the last entry's tick: the ticks from 0 the record spans (0 if empty)."""
+        return self._last_tick + 1 if len(self) else 0
 
     def announcements(self) -> list[tuple[int, str]]:
         return [(e.tick, e.tag) for _, e in self._events if isinstance(e, Announcement)]

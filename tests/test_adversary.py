@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoysim import (
@@ -34,6 +34,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
+from decoysim.adversary import EMPTY, SILENT, STABLE, UNSTABLE, FeatureColumns
 from decoysim.decoy import Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
 
@@ -277,12 +278,23 @@ def reading_rows(draw) -> list:
     width=st.integers(1, 5),
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
+# Arrays 0 and 1 wide, where no pair of neighbours can jump.
+@example(rows=[[], []], extra=0, pad=math.nan, hold=1, sigma=0.0, width=1)
+@example(rows=[[], [4.0]], extra=0, pad=0.0, hold=1, sigma=0.0, width=1)
+@example(rows=[[]], extra=1, pad=5.0, hold=1, sigma=0.0, width=1)
+@example(rows=[[2.0], [0.0]], extra=0, pad=math.nan, hold=2, sigma=0.05, width=2)
 def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold, sigma, width):
     features = TranscriptFeatures(hold_ticks=hold, noise_sigma=sigma, bucket_width=width)
     padded = np.full((len(rows), max(map(len, rows)) + extra), pad)
     for index, values in enumerate(rows):
         padded[index, : len(values)] = values
-    batched = features.of_rows(padded, [len(values) for values in rows])
+    lengths = [len(values) for values in rows]
+    batched = features.of_rows(padded, lengths)
+    columns = features.columns(padded, lengths)
+    assert all(column.dtype == np.int64 for column in columns)
+    assert columns.tuples() == batched
+    # A one-word feature's total and bucket read 0, so equal features have equal columns.
+    assert not (columns.total[columns.kind != STABLE].any() or columns.bucket[columns.kind != STABLE].any())
     for values, feature in zip(rows, batched):
         transcript = Transcript()
         for tick, value in enumerate(values):
@@ -325,6 +337,77 @@ def test_array_features_match_the_value_walk_on_runs():
             transcript = run_decoy_transmission(with_seed(scenario, sample_seed)).transcript
             values = [value for _, value in transcript.measurements()]
             assert features(transcript) == _features_by_walk(features, values)
+
+
+class _ColumnSamples:
+    """A sample set given by its columns: all that estimate_posterior reads of TranscriptSamples."""
+
+    def __init__(self, secrets: np.ndarray, columns: FeatureColumns):
+        self.runs = Runs(range(len(secrets)), secrets, secrets)
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.runs.seeds)
+
+    def feature_columns(self, features) -> FeatureColumns:
+        return self.columns
+
+
+class _ObservedColumns:
+    """Features that read `seen` off every observed transcript."""
+
+    def __init__(self, seen: FeatureColumns):
+        self.seen = seen
+
+    def columns(self, values, lengths) -> FeatureColumns:
+        return self.seen
+
+
+_FEATURE_ROWS = st.one_of(
+    st.tuples(st.sampled_from([EMPTY, SILENT, UNSTABLE]), st.just(0), st.just(0)),
+    st.tuples(
+        st.just(STABLE),
+        st.integers(-3, 20) | st.integers(-(2**63), 2**63 - 1),
+        st.integers(0, 4) | st.integers(0, 2**40),
+    ),
+)
+
+
+@given(
+    alphabet=st.lists(_FEATURE_ROWS, min_size=1, max_size=6, unique=True),
+    unseen=_FEATURE_ROWS,
+    domain_size=st.integers(1, 5),
+    count=st.integers(1000, 1600),
+    seed=st.integers(0, 2**32 - 1),
+    observe_unseen=st.booleans(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_column_counts_match_counters(alphabet, unseen, domain_size, count, seed, observe_unseen):
+    # The posterior and MI counted on int64 columns are the Counter counts of
+    # (secret, feature tuple) pairs, and the MI is estimate_mutual_information's
+    # bit for bit, whatever the features' kinds, totals and buckets.
+    rng = np.random.default_rng(seed)
+    n1, n2 = 2, 1 + domain_size
+    secrets = rng.integers(n1, n2, count, endpoint=True)
+    rows = np.array(alphabet, dtype=np.int64)[rng.integers(0, len(alphabet), count)]
+    columns = FeatureColumns(*rows.T.copy())
+    observed = unseen if observe_unseen else alphabet[int(rng.integers(len(alphabet)))]
+    seen = FeatureColumns(*np.array([observed], dtype=np.int64).T.copy())
+    report = estimate_posterior(
+        _ColumnSamples(secrets, columns), Transcript(), _ObservedColumns(seen), (n1, n2), 1
+    )
+
+    pairs = list(zip(secrets.tolist(), columns.tuples()))
+    [observed_feature] = seen.tuples()
+    matched = Counter(secret for secret, feature in pairs if feature == observed_feature)
+    total = sum(matched.values())
+    expected = {s: (matched[s] / total if total else 1.0 / domain_size) for s in range(n1, n2 + 1)}
+    assert repr(report.mi_bits) == repr(estimate_mutual_information(pairs))
+    assert report.posterior == expected
+    assert list(report.posterior) == list(range(n1, n2 + 1))
+    assert report.matched_samples == total
+    assert report.observed_feature == observed_feature
+    assert report.samples_used == count
 
 
 class TestEstimatePosterior:
@@ -513,6 +596,7 @@ class TestCollectSamples:
             features = TranscriptFeatures.for_scenario(scenario)
             assert samples.features(features) == [features(t) for _, t in samples]
             for index, (secret, transcript) in enumerate(samples):
+                assert type(secret) is int
                 alone = run_alone(scenario, samples.runs, index)
                 assert secret == alone.party_secrets["alice"]
                 assert transcript.entries == run_scenario(alone).transcript.entries

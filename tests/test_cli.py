@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import shlex
 import subprocess
@@ -284,6 +285,41 @@ class TestRun:
         path = tmp_config(VESSELS_CFG)
         code, _, _ = run_cli(capsys, "run", "--config", path)
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "value, level",
+        [(None, logging.WARNING), ("DEBUG", logging.DEBUG), ("Info", logging.INFO)],
+    )
+    def test_log_env_names_the_level(self, value, level, tmp_config, capsys, monkeypatch):
+        if value is None:
+            monkeypatch.delenv("DECOYSIM_LOG", raising=False)
+        else:
+            monkeypatch.setenv("DECOYSIM_LOG", value)
+        levels = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **options: levels.append(options["level"]))
+        code, _, _ = run_cli(capsys, "run", "--config", tmp_config(VESSELS_CFG))
+        assert (code, levels) == (0, [level])
+
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", "10", ""])
+    def test_log_env_that_names_no_level_is_a_config_error(self, value, tmp_config, capsys, monkeypatch):
+        # basic_format is an attribute of logging but no level; verbose is no name at all.
+        monkeypatch.setenv("DECOYSIM_LOG", value)
+        code, out, err = run_cli(capsys, "run", "--config", tmp_config(VESSELS_CFG))
+        assert (code, out) == (1, "")
+        assert err == f"decoysim: error: DECOYSIM_LOG must name a logging level such as debug, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "config, sets, ticks", [("decoy.cfg", [], 49), ("vessels.cfg", ["protocol=elevator"], 3)]
+    )
+    def test_ticks_line_counts_the_ticks_the_run_spans(self, config, sets, ticks, capsys):
+        # The decoy run reads ticks 0-48 and announces once (50 entries); the
+        # elevator run's two door events fall on ticks 1 and 2.
+        transcript = run_scenario(load_scenario(str(CONFIGS / config), sets)).transcript
+        assert ticks == transcript.entries[-1].tick + 1 != len(transcript)
+        overrides = [arg for pair in sets for arg in ("--set", pair)]
+        code, out, _ = run_cli(capsys, "run", "--config", str(CONFIGS / config), *overrides)
+        assert out.splitlines()[-1].startswith(f"ticks: {ticks}  wall_ms: ")
+        assert engine.Transcript().tick_count() == 0
 
     @pytest.mark.parametrize(
         "config, sets",

@@ -64,7 +64,8 @@ class TestRngStream:
         for low, high in [(1, 2), (1, 8), (3, 100), (1, 2**32), (1, 2**53)]:
             single, bulk = RngStream(99, 4), RngStream(99, 4)
             one_by_one = [single.integers(low, high) for _ in range(3000)]
-            assert bulk.integers(low, high, 3000) == one_by_one
+            drawn = bulk.integers(low, high, 3000)
+            assert drawn.dtype == np.int64 and drawn.tolist() == one_by_one
             assert bulk.integers(low, high) == single.integers(low, high)
 
     def test_generator_is_default_rng_of_seed_and_stream(self):
