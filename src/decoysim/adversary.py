@@ -378,16 +378,12 @@ class TranscriptSamples:
             del batch  # free each pass before the next one runs
 
     def feature_columns(self, features: TranscriptFeatures) -> FeatureColumns:
-        """features.columns of every sample, in order."""
+        """features.columns of every sample, in order: .tuples() gives each features(transcript)."""
         found = [FeatureColumns(*[np.zeros(0, np.int64)] * 3)]
         for batch in adversary_runs(self.scenario, self.runs):
             found.append(features.columns(batch.readings, batch.lengths))
             del batch  # free each pass before the next one runs
         return FeatureColumns._make(map(np.concatenate, zip(*found)))
-
-    def features(self, features: TranscriptFeatures) -> list[tuple]:
-        """features(transcript) of every sample, in order."""
-        return self.feature_columns(features).tuples()
 
 
 def collect_transmission_samples(scenario: Scenario, n_samples: int) -> TranscriptSamples:

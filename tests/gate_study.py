@@ -58,7 +58,7 @@ def silent_impersonator_margin(seed: int) -> float:
 
 
 def split_set_margin(seed: int) -> float:
-    """The split-set test: the largest deviation from 1/7 over secrets 1-7, in sigma (inf if 8 shows)."""
+    """The split-set test: secrets 1-7's largest deviation from 1/7, in sigma; inf if 8 shows."""
     scenario = sync_scenario(seed=seed)
     samples = collect_transmission_samples(scenario, 2500)
     features = TranscriptFeatures.for_scenario(scenario)

@@ -294,7 +294,8 @@ def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold,
     assert all(column.dtype == np.int64 for column in columns)
     assert columns.tuples() == batched
     # A one-word feature's total and bucket read 0, so equal features have equal columns.
-    assert not (columns.total[columns.kind != STABLE].any() or columns.bucket[columns.kind != STABLE].any())
+    one_word = columns.kind != STABLE
+    assert not (columns.total[one_word].any() or columns.bucket[one_word].any())
     for values, feature in zip(rows, batched):
         transcript = Transcript()
         for tick, value in enumerate(values):
@@ -594,7 +595,7 @@ class TestCollectSamples:
         ):
             samples = collect_transmission_samples(scenario, 30)
             features = TranscriptFeatures.for_scenario(scenario)
-            assert samples.features(features) == [features(t) for _, t in samples]
+            assert samples.feature_columns(features).tuples() == [features(t) for _, t in samples]
             for index, (secret, transcript) in enumerate(samples):
                 assert type(secret) is int
                 alone = run_alone(scenario, samples.runs, index)
@@ -620,7 +621,9 @@ class TestCollectSamples:
 
         alone = run_alone(scenario, runs, lengths.index(max(lengths)))
         one_run = peak(lambda: list(simulate_runs(alone, Runs.of(alone))))
-        samples = peak(lambda: collect_transmission_samples(scenario, 64).features(features))
+        samples = peak(
+            lambda: collect_transmission_samples(scenario, 64).feature_columns(features)
+        )
         assert samples <= 2 * one_run
 
     @pytest.mark.parametrize(

@@ -296,17 +296,20 @@ class TestRun:
         else:
             monkeypatch.setenv("DECOYSIM_LOG", value)
         levels = []
-        monkeypatch.setattr(cli.logging, "basicConfig", lambda **options: levels.append(options["level"]))
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
         code, _, _ = run_cli(capsys, "run", "--config", tmp_config(VESSELS_CFG))
         assert (code, levels) == (0, [level])
 
     @pytest.mark.parametrize("value", ["basic_format", "verbose", "10", ""])
-    def test_log_env_that_names_no_level_is_a_config_error(self, value, tmp_config, capsys, monkeypatch):
+    def test_log_env_that_names_no_level_is_a_config_error(
+        self, value, tmp_config, capsys, monkeypatch
+    ):
         # basic_format is an attribute of logging but no level; verbose is no name at all.
         monkeypatch.setenv("DECOYSIM_LOG", value)
         code, out, err = run_cli(capsys, "run", "--config", tmp_config(VESSELS_CFG))
         assert (code, out) == (1, "")
-        assert err == f"decoysim: error: DECOYSIM_LOG must name a logging level such as debug, got {value!r}\n"
+        message = f"DECOYSIM_LOG must name a logging level such as debug, got {value!r}"
+        assert err == f"decoysim: error: {message}\n"
 
     @pytest.mark.parametrize(
         "config, sets, ticks", [("decoy.cfg", [], 49), ("vessels.cfg", ["protocol=elevator"], 3)]
