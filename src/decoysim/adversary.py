@@ -133,9 +133,11 @@ def _entropy_bits(counts: Iterable[int], n: int) -> float:
 
 # --- plug-in estimators -----------------------------------------------------
 
+MIN_MI_SAMPLES = 1000  # the fewest samples an MI estimate takes
+
 
 def estimate_mutual_information(
-    pairs: Sequence[tuple[object, object]], min_samples: int = 1000
+    pairs: Sequence[tuple[object, object]], min_samples: int = MIN_MI_SAMPLES
 ) -> float:
     """Plug-in I(S;T) over a finite feature alphabet, Miller-Madow corrected.
 
@@ -310,8 +312,10 @@ def estimate_posterior(
     secrets = np.asarray(samples.runs.secrets, dtype=np.int64)
     codes = secrets - n1
     in_domain = (codes >= 0) & (codes < size)
-    class_counts = np.bincount(codes[in_domain], minlength=size).tolist()
-    for secret, count in zip(range(n1, n2 + 1), class_counts):
+    # Codes run 0, 1, 2, ... in `present` up to the first with no sample, where the check stops.
+    present, counts = np.unique(codes[in_domain], return_counts=True)
+    gap = int(_first_true((present != np.arange(len(present)))[None, :])[0])
+    for secret, count in zip(range(n1, n2 + 1), [*counts[:gap].tolist(), 0]):
         if count < min_per_class:
             raise InsufficientSamples(
                 f"need >= {min_per_class} samples for every secret in "
@@ -332,8 +336,7 @@ def estimate_posterior(
         posterior = {secret: 1.0 / size for secret in range(n1, n2 + 1)}
         notes = ("observed feature never seen in the sample set; prior returned",)
 
-    # One int64 key per feature, packed from the totals' ranks (which cannot overflow), the bucket
-    # and the 4 kinds; the MI takes as few samples as estimate_mutual_information's default.
+    # One int64 key per feature, packed from the totals' ranks (no overflow), the bucket and kind.
     totals = np.unique(columns.total, return_inverse=True)[1]
     keys = (totals * (columns.bucket.max(initial=0) + 1) + columns.bucket) * 4 + columns.kind
     counts_s, ranks_s = _counts_in_order(secrets)
@@ -343,7 +346,7 @@ def estimate_posterior(
         domain=domain,
         posterior=posterior,
         max_prob=max(posterior.values()),
-        mi_bits=_mutual_information(len(secrets), (counts_s, counts_t, counts_st), 1000),
+        mi_bits=_mutual_information(len(secrets), (counts_s, counts_t, counts_st), MIN_MI_SAMPLES),
         samples_used=len(samples),
         matched_samples=total_matched,
         observed_feature=seen.tuples()[0],

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from decoysim import (
@@ -409,6 +410,37 @@ def test_column_counts_match_counters(alphabet, unseen, domain_size, count, seed
     assert report.matched_samples == total
     assert report.observed_feature == observed_feature
     assert report.samples_used == count
+
+
+@given(
+    missing=st.sets(st.integers(1, 7)),
+    outside=st.sets(st.sampled_from([-2, 0, 8, 9])),
+    count=st.integers(1000, 1300),
+    min_per_class=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_sample_check_names_the_first_short_secret(missing, outside, count, min_per_class, seed):
+    # Secrets missing from the samples, short ones and ones outside the domain
+    # [1, 7]: the check raises on the first secret a Counter finds short.
+    drawn = sorted(set(range(1, 8)) - missing | outside)
+    assume(drawn)
+    secrets = np.random.default_rng(seed).choice(drawn, count)
+    class_counts = Counter(secrets.tolist())
+    short = [secret for secret in range(1, 8) if class_counts[secret] < min_per_class]
+    # A matched sample outside the domain leaves the posterior short of 1.
+    assume(short or not outside)
+    samples = _ColumnSamples(secrets, FeatureColumns(*np.zeros((3, count), np.int64)))
+    seen = _ObservedColumns(FeatureColumns(*np.zeros((3, 1), np.int64)))
+    if not short:
+        estimate_posterior(samples, Transcript(), seen, (1, 7), min_per_class).check_invariants()
+        return
+    message = (
+        f"need >= {min_per_class} samples for every secret in [1, 7]; "
+        f"secret {short[0]} has {class_counts[short[0]]}"
+    )
+    with pytest.raises(InsufficientSamples, match=re.escape(message) + "$"):
+        estimate_posterior(samples, Transcript(), seen, (1, 7), min_per_class)
 
 
 class TestEstimatePosterior:

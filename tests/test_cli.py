@@ -788,7 +788,7 @@ def test_out_on_a_full_device_exits_one_with_one_error_line(command, config):
 
 # Runs the CLI as its only child, under a 1 GB address-space limit so that
 # a run that tried to build a 2^53-event record fails fast, and prints the
-# child's exit code and peak RSS in KB.
+# child's exit code and peak RSS in KB; the child's stderr is the probe's.
 PEAK_RSS_PROBE = """
 import resource, subprocess, sys
 
@@ -801,14 +801,14 @@ print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _exit_code_and_peak_kb(*argv):
+def _code_peak_kb_and_stderr(*argv):
     env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
     probe = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_PROBE, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     code, peak = probe.stdout.split()
-    return int(code), int(peak)
+    return int(code), int(peak), probe.stderr
 
 
 @pytest.mark.parametrize(
@@ -825,10 +825,24 @@ def test_over_budget_run_on_a_2_to_the_53_domain_exits_two_at_small_domain_memor
     # public event is built, so a 2^53-cell string or 2^53 door events
     # never exist.
     run = ["run", "--config", str(CONFIGS / "vessels.cfg"), "--set", f"protocol={protocol}"]
-    small_code, small_kb = _exit_code_and_peak_kb(*run)
+    small_code, small_kb, _ = _code_peak_kb_and_stderr(*run)
     overrides = [f"--set={pair}" for pair in [f"secret_domain=1..{2**53}", *secrets]]
-    code, peak_kb = _exit_code_and_peak_kb(*run, *overrides)
+    code, peak_kb, _ = _code_peak_kb_and_stderr(*run, *overrides)
     assert (small_code, code) == (0, 2)
+    assert peak_kb <= small_kb + 8 * 1024, (peak_kb, small_kb)
+
+
+def test_analyze_on_a_2_to_the_53_domain_reports_short_samples_at_small_domain_memory():
+    # The per-secret sample check counts the samples, not the domain: it names
+    # the first secret without enough samples and allocates nothing per secret.
+    analyze = ["analyze", "--config", str(CONFIGS / "decoy.cfg"), "--samples", "1000"]
+    small_code, small_kb, small_err = _code_peak_kb_and_stderr(*analyze)
+    code, peak_kb, err = _code_peak_kb_and_stderr(*analyze, f"--set=secret_domain=1..{2**53}")
+    assert (small_code, code) == (1, 1), err
+    assert small_err.startswith("decoysim: error: need >= 100 samples for every secret in [1, 100]")
+    assert err.splitlines() == [
+        f"decoysim: error: need >= 100 samples for every secret in [1, {2**53}]; secret 1 has 0"
+    ]
     assert peak_kb <= small_kb + 8 * 1024, (peak_kb, small_kb)
 
 
@@ -836,10 +850,10 @@ def test_a_million_tick_vessels_replay_builds_no_level_events():
     # The transcript measures the level series as one array; reading it
     # off 10^6 public events peaked near 230 MB.
     replay = ["replay-check", "--config", str(CONFIGS / "vessels.cfg")]
-    small_code, small_kb = _exit_code_and_peak_kb(*replay)
+    small_code, small_kb, _ = _code_peak_kb_and_stderr(*replay)
     sets = ["party_secrets.alice=3", "party_secrets.bob=3", "hold_ticks=999999"]
     sets.append("max_ticks=1000000")
-    code, peak_kb = _exit_code_and_peak_kb(*replay, *[f"--set={pair}" for pair in sets])
+    code, peak_kb, _ = _code_peak_kb_and_stderr(*replay, *[f"--set={pair}" for pair in sets])
     assert (small_code, code) == (0, 0)
     assert peak_kb <= small_kb + 96 * 1024, (peak_kb, small_kb)
 
