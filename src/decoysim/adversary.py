@@ -229,13 +229,9 @@ class TranscriptFeatures:
 
     def __call__(self, transcript: Transcript) -> tuple:
         values = transcript.values()
-        return self.of_rows(values[None, :], [len(values)])[0]
+        return self.columns(values[None, :], np.array([len(values)])).tuples()[0]
 
-    def of_rows(self, values: np.ndarray, lengths: Sequence[int]) -> list[tuple]:
-        """The feature tuple of each row of `values`: columns(values, lengths).tuples()."""
-        return self.columns(values, lengths).tuples()
-
-    def columns(self, values: np.ndarray, lengths: Sequence[int]) -> FeatureColumns:
+    def columns(self, values: np.ndarray, lengths: np.ndarray) -> FeatureColumns:
         """The features of each row of `values`, whose first lengths[i] are run i's readings.
 
         A stable total is round(math.fsum(tail) / len(tail)), taken from
@@ -246,7 +242,6 @@ class TranscriptFeatures:
         both round to the same integer; elsewhere, and where it is not
         finite, the row takes fsum.  A total must fit in int64.
         """
-        lengths = np.array(lengths, dtype=np.int64)
         width = values.shape[1]
         columns = np.arange(width)
         inside = columns < lengths[:, None]
@@ -282,7 +277,7 @@ class PosteriorReport:
     max_prob: float
     mi_bits: float
     samples_used: int
-    matched_samples: int
+    matched_samples: int  # the samples in the domain whose feature matches the observed one
     observed_feature: tuple
     notes: tuple[str, ...] = ()
 
@@ -302,8 +297,9 @@ def estimate_posterior(
     """Empirical Bayes over simulated transcripts, uniform prior on the domain.
 
     posterior(s) is proportional to the number of sample transcripts with
-    secret s whose feature vector matches the observed one.  The sample
-    set must cover every domain value at least min_per_class times.  It
+    secret s whose feature vector matches the observed one; a sample
+    outside the domain matches none.  The sample set must cover every
+    domain value at least min_per_class times.  It
     counts on the samples' secret column and their features' columns
     (TranscriptSamples.feature_columns), in the order Counter would.
     """
@@ -324,12 +320,12 @@ def estimate_posterior(
 
     columns = samples.feature_columns(features)
     values = observed.values()
-    seen = features.columns(values[None, :], [len(values)])
-    match = np.logical_and.reduce([column == own for column, own in zip(columns, seen)])
+    seen = features.columns(values[None, :], np.array([len(values)]))
+    match = in_domain & np.logical_and.reduce([c == own for c, own in zip(columns, seen)])
     total_matched = int(np.count_nonzero(match))
     notes: tuple[str, ...] = ()
     if total_matched:
-        matched = np.bincount(codes[match & in_domain], minlength=size).tolist()
+        matched = np.bincount(codes[match], minlength=size).tolist()
         posterior = {s: count / total_matched for s, count in zip(range(n1, n2 + 1), matched)}
     else:
         # Never-seen feature: the sample set says nothing, fall back to the prior.

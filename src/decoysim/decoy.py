@@ -424,31 +424,24 @@ def _plans(scenario: Scenario, runs: Runs, forger_key: Optional[float] = None) -
         # receiver jumps so the observable ramp duration is the sender's alone.
         other = _Ramps(keys, receiver_start, receiver_start)
     targets = np.asarray(runs.secrets, dtype=np.float64)
+    start = np.zeros(len(seeds), dtype=np.int64)  # where a ramping sender starts
+    if scenario.defense_enabled:
+        start = np.minimum(announce + 1, budget)
     if model is RampModel.SYNCHRONOUS:
         # Idealized control: both parties move at one public tick, so
         # nobody's force is ever observable alone.
         sender = _Ramps(targets, receiver_start, receiver_start)
-    else:
-        start = np.zeros(len(seeds), dtype=np.int64)
-        if scenario.defense_enabled:
-            start = np.minimum(announce + 1, budget)
-        if model is RampModel.DETERMINISTIC_RATE:
-            ticks_per_unit = max(1, max_ramp // scenario.n2)
-            durations = np.maximum(1, np.rint(ticks_per_unit * targets)).astype(np.int64)
-            # generate_ramp's float operations, target * step / duration, on padded rows.
-            steps = np.arange(durations.max(), dtype=np.float64)
-            schedules = targets[:, None] * steps / durations[:, None]
-            sender = _Ramps(targets, start, start + durations, schedules)
-        else:
-            moves = (start < budget).nonzero()[0]  # a sender who never moves draws nothing
-            durations = np.zeros(len(seeds), dtype=np.int64)
-            weights = np.zeros((len(seeds), max_ramp))
-            movers = list(itertools.compress(seeds, start < budget))
-            _, durations[moves], weights[moves] = _random_ramps(
-                movers, STREAM_SENDER, rows[STREAM_SENDER][moves], max_ramp
-            )
-            schedules = _ramp_schedules(weights, durations, targets)
-            sender = _Ramps(targets, start, start + durations, schedules)
+    elif model is RampModel.DETERMINISTIC_RATE:
+        ticks_per_unit = max(1, max_ramp // scenario.n2)
+        durations = np.maximum(1, np.rint(ticks_per_unit * targets)).astype(np.int64)
+        # generate_ramp's float operations, target * step / duration, on padded rows.
+        steps = np.arange(durations.max(), dtype=np.float64)
+        schedules = targets[:, None] * steps / durations[:, None]
+        sender = _Ramps(targets, start, start + durations, schedules)
+    else:  # a sender who never moves (her start is the budget) has a ramp no tick reads
+        _, durations, weights = _random_ramps(seeds, STREAM_SENDER, rows[STREAM_SENDER], max_ramp)
+        schedules = _ramp_schedules(weights, durations, targets)
+        sender = _Ramps(targets, start, start + durations, schedules)
     noise = None
     if scenario.noise_sigma > 0.0:
         noise = list(map(RngStream, seeds, itertools.repeat(STREAM_NOISE), rows[STREAM_NOISE]))
@@ -496,7 +489,7 @@ class RunBatch:
         self,
         scenario: Scenario,
         readings: np.ndarray,
-        lengths: list[int],
+        lengths: np.ndarray,
         plans: _Plans,
         table: Outcomes,
     ):
@@ -643,17 +636,16 @@ def _may_settle(
 
 
 def _first_settled(
-    values: np.ndarray, width: int, epsilon: float, floor: float, accept=None
+    values: np.ndarray, width: int, epsilon: float, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row of `values`, the first window of `width` values that settles at `floor` or higher.
 
     Returns columns: whether row i has such a window, and its last column
-    and its level, which are unread and 0.0 where it has none.  With
-    `accept`, a window counts only where accept(rows, last columns,
-    levels), on arrays of windows, is true.  With a tolerance, only windows that pass necessary
-    conditions go to the exact detector: spread within 2 * epsilon,
-    highest value near the floor and an approximate mean that leaves room
-    to settle (_may_settle).  With none, the test is exact: a window the
+    and its level, which are unread and 0.0 where it has none.  A window
+    holding NaN never settles.  With a tolerance, only windows that pass
+    necessary conditions go to the exact detector: spread within 2 *
+    epsilon, highest value near the floor and an approximate mean that
+    leaves room to settle (_may_settle).  With none, the test is exact: a window the
     detector accepts is flat at some v, and its mean is fsum([v] * width)
     / width, where fsum is the correctly rounded v * width; that mean can
     miss v (884295128254041.2 at width 3).  So no window goes to the
@@ -674,15 +666,6 @@ def _first_settled(
         passing &= ((high * width) / width == high) & (high >= floor)
         # A window's level is its value; + 0.0 as fsum's sum of zeros is +0.0.
         rows, columns = np.arange(count), passing.argmax(axis=1)
-        tried = passing[rows, columns].nonzero()[0]
-        if accept is not None and len(tried):  # the first windows, then the refused rows' others
-            firsts = columns[tried]
-            refused = tried[~accept(tried, firsts + width - 1, high[tried, firsts] + 0.0)]
-            later = passing[refused]
-            local, column = later.nonzero()
-            at = refused[local]
-            later[local, column] = accept(at, column + width - 1, high[at, column] + 0.0)
-            passing[refused], columns[refused] = later, later.argmax(axis=1)
         hit = passing[rows, columns]
         return hit, columns + width - 1, np.where(hit, high[rows, columns] + 0.0, 0.0)
     for row, column in enumerate(passing.argmax(axis=1).tolist()):
@@ -692,15 +675,34 @@ def _first_settled(
         while column is not None:
             window = values[row, column : column + width].tolist()
             found = detect_stabilization(window, epsilon, width)
-            last = column + width - 1
             if found is not None and found >= floor:
-                if accept is None or accept([row], [last], np.array([found]))[0]:
-                    hit[row], end[row], level[row] = True, last, found
-                    break
+                hit[row], end[row], level[row] = True, column + width - 1, found
+                break
             if later is None:
                 later = iter((column + 1 + np.flatnonzero(passing[row, column + 1 :])).tolist())
             column = next(later, None)
     return hit, end, level
+
+
+def _impersonator_reads(
+    values: np.ndarray, own: np.ndarray, width: int, epsilon: float, floor: float, domain, sigma
+) -> np.ndarray:
+    """What an impersonator reads off each row of `values`, readings less its `own` ramp; -1: none.
+
+    It reads the first settled window whose level recover_secrets does not
+    reject; a row whose window it rejects is searched again, in a copy
+    with its columns up to that window's first one set to NaN.
+    """
+    read, rows = np.full(len(values), -1), np.arange(len(values))
+    while len(rows):
+        hit, end, level = _first_settled(values, width, epsilon, floor)
+        found = hit.nonzero()[0]
+        own_read = own[rows[found], end[found]]
+        nearest, rejected = recover_secrets(level[found] + own_read, own_read, domain, sigma)
+        read[rows[found]] = np.where(rejected, -1, nearest)
+        rows, values, end = rows[found[rejected]], values[found[rejected]], end[found[rejected]]
+        values[np.arange(values.shape[1]) <= (end - width + 1)[:, None]] = np.nan
+    return read
 
 
 def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.ndarray:
@@ -781,7 +783,7 @@ def _closed_form(
     back hold - 1 ticks before the block.  An impersonation always runs
     its whole budget, in one block, and the impersonator reads the first
     settled window of ``reading - own ramp`` that recover_secrets does not
-    reject.
+    reject (_impersonator_reads).
     """
     budget, hold, epsilon = scenario.max_ticks, scenario.hold_ticks, scenario.epsilon_stab
     sigma, floor, domain = scenario.noise_sigma, scenario.n1 - 0.5, scenario.secret_domain
@@ -791,7 +793,7 @@ def _closed_form(
     never = np.full(count, budget)
     jam = _Ramps(np.full(count, 0.0 if jam_value is None else jam_value), never, never)
     detected, estimate = np.full(count, -1), np.full(count, np.nan)
-    adversary_recovered = np.full(count, -1)
+    read = np.full(count, -1)  # what an impersonator reads
     rows = np.arange(count)  # the runs still going, in order
     readings = np.zeros((count, 0))
     first, stop = 0, int(plans.stop.max())
@@ -816,17 +818,7 @@ def _closed_form(
         del parts, noise, block
         values = readings[rows, back:stop] - own
         if scenario.adversary is AdversaryKind.IMPERSONATOR:  # it reads one block of the whole run
-
-            def readable(at, ends, levels):
-                return ~recover_secrets(levels + own[at, ends], own[at, ends], domain, sigma)[1]
-
-            hit, end, level = _first_settled(values, hold, epsilon, floor, readable)
-            read = hit.nonzero()[0]
-            if len(read):
-                own_read = own[read, end[read]]
-                adversary_recovered[read] = recover_secrets(
-                    level[read] + own_read, own_read, domain, sigma
-                )[0]
+            read = _impersonator_reads(values, own, hold, epsilon, floor, domain, sigma)
             break
         hit, end, level = _first_settled(values, hold, epsilon, floor)
         detected[rows[hit]], estimate[rows[hit]] = back + end[hit], level[hit]
@@ -854,10 +846,10 @@ def _closed_form(
         disrupted &= jammed & (jam_value != 0.0)
     announce = np.where(plans.announce < lengths, plans.announce, -1)
     table = Outcomes(
-        status, recovered, detected, estimate, announce, jammed, adversary_recovered,
-        disrupted, adversary_recovered == secrets, status == TIMEOUT,
+        status, recovered, detected, estimate, announce, jammed, read,
+        disrupted, read == secrets, status == TIMEOUT,
     )
-    return RunBatch(scenario, readings, lengths.tolist(), plans, table)
+    return RunBatch(scenario, readings, lengths, plans, table)
 
 
 def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:

@@ -1,18 +1,26 @@
-"""How often two posterior gates of the tier-1 suite fail at seeds they were not written for.
+"""How often statistical gates of the tier-1 suite fail at seeds they were not written for.
 
-Runs, at 300 seeds each, the scenario and the bound of
+Runs, at 300 seeds each, the scenario, the sample count and the bound of
 
-- acceptance criterion 8's uniform-posterior check (test_acceptance.py,
-  seed 9500): the defended sender against a silent impersonator, 2,000
-  samples, every secret's posterior within 3 sigma of 1/8;
+- acceptance criterion 3 (test_acceptance.py, seed 1000): the
+  synchronous control, 10,000 samples, |MI - analytic| within 0.05 bits,
+  and `max_prob` within 3 sigma of the analytic conditional maximum;
+- acceptance criterion 4 (seeds 2000 and 3000): the deterministic-rate
+  control and the random-ramp default, 10,000 samples each, the control's
+  MI at least the analytic value plus 1 bit, and at least 1 bit above the
+  default's (which runs at the control's seed + 1000);
+- acceptance criterion 8's uniform-posterior check (seed 9500): the
+  defended sender against a silent impersonator, 2,000 samples, every
+  secret's posterior within 3 sigma of 1/8;
 - TestEstimatePosterior::test_synchronous_posterior_uniform_over_split_set
   (test_adversary.py, seed 500): the synchronous control, 2,500 samples,
   the posterior of each secret of the split set of 8 within 3 sigma of 1/7,
   and secret 8's at 0.
 
-Only the seed varies.  Each gate's margin is its largest deviation in
-sigma, so it fails where the margin exceeds 3.  The name keeps the script
-out of the suite.  Run it from the root of a checkout:
+Only the seed varies.  Each gate's margin is the quantity its test bounds,
+in the test's units, so a gate fails where the margin passes its bound.
+The name keeps the script out of the suite.  Run it from the root of a
+checkout:
 
     PYTHONPATH=src:tests python tests/gate_study.py [--seeds 300]
 """
@@ -20,13 +28,17 @@ out of the suite.  Run it from the root of a checkout:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
+from typing import Callable, NamedTuple
 
 from decoysim import (
     AdversaryKind,
+    RampModel,
     TranscriptFeatures,
     analytic_split_posterior,
+    analytic_sum_mi,
     attack_impersonate,
     collect_transmission_samples,
     estimate_posterior,
@@ -37,6 +49,57 @@ from conftest import decoy_scenario, sync_scenario
 BOUND_SIGMA = 3.0
 # Far enough apart that no two seeds' sample runs share a seed.
 SEED_STRIDE = 10_000
+ANALYTIC_MI = analytic_sum_mi((1, 8))
+
+
+def _report(scenario, n_samples: int):
+    """estimate_posterior on n_samples of `scenario`, observing the scenario's own run."""
+    samples = collect_transmission_samples(scenario, n_samples)
+    features = TranscriptFeatures.for_scenario(scenario)
+    observed = run_decoy_transmission(scenario).transcript
+    return estimate_posterior(samples, observed, features, scenario.secret_domain)
+
+
+@functools.cache  # both gates of a criterion read one run per seed
+def _criterion_3(seed: int):
+    return _report(sync_scenario(seed=seed), 10_000)
+
+
+def mi_error(seed: int) -> float:
+    """Criterion 3: |MI - analytic I(S; S+K)|, in bits."""
+    return abs(_criterion_3(seed).mi_bits - ANALYTIC_MI)
+
+
+def max_prob_deviation(seed: int) -> float:
+    """Criterion 3: |max_prob - the analytic conditional maximum for total 8|, in sigma."""
+    report = _criterion_3(seed)
+    assert report.observed_feature[0] == 8
+    expected = max(analytic_split_posterior(8, (1, 8), max_key=8).values())
+    sigma = math.sqrt(expected * (1 - expected) / report.matched_samples)
+    return abs(report.max_prob - expected) / sigma
+
+
+@functools.cache  # both gates of a criterion read one run per seed
+def _criterion_4_control(seed: int) -> float:
+    scenario = decoy_scenario(
+        secret_domain=(1, 8),
+        party_secrets={"alice": 3, "bob": 5},
+        ramp_model=RampModel.DETERMINISTIC_RATE,
+        seed=seed,
+    )
+    return _report(scenario, 10_000).mi_bits
+
+
+def control_excess(seed: int) -> float:
+    """Criterion 4: the control's MI less the analytic value, in bits."""
+    return _criterion_4_control(seed) - ANALYTIC_MI
+
+
+def control_over_default(seed: int) -> float:
+    """Criterion 4: the control's MI less the random-ramp default's at seed + 1000, in bits."""
+    secrets = {"alice": 3, "bob": 5}
+    scenario = decoy_scenario(secret_domain=(1, 8), party_secrets=secrets, seed=seed + 1000)
+    return _criterion_4_control(seed) - _report(scenario, 10_000).mi_bits
 
 
 def silent_impersonator_margin(seed: int) -> float:
@@ -71,9 +134,23 @@ def split_set_margin(seed: int) -> float:
     return max(abs(report.posterior[s] - p) for s, p in analytic.items()) / sigma
 
 
+class Gate(NamedTuple):
+    own_seed: int
+    margin: Callable[[int], float]
+    bound: float
+    at_most: bool  # the margin must be at most the bound; else at least
+    unit: str
+
+
 GATES = {
-    "criterion 8 uniform posterior (seed 9500)": (9500, silent_impersonator_margin),
-    "split-set posterior (seed 500)": (500, split_set_margin),
+    "criterion 3 |MI - analytic|": Gate(1000, mi_error, 0.05, True, "bits"),
+    "criterion 3 max_prob": Gate(1000, max_prob_deviation, BOUND_SIGMA, True, "sigma"),
+    "criterion 4 control - analytic": Gate(2000, control_excess, 1.0, False, "bits"),
+    "criterion 4 control - default": Gate(2000, control_over_default, 1.0, False, "bits"),
+    "criterion 8 uniform posterior": Gate(
+        9500, silent_impersonator_margin, BOUND_SIGMA, True, "sigma"
+    ),
+    "split-set posterior": Gate(500, split_set_margin, BOUND_SIGMA, True, "sigma"),
 }
 
 
@@ -81,18 +158,22 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=300)
     count = parser.parse_args().seeds
-    for name, (own_seed, margin_of) in GATES.items():
-        seeds = [own_seed + SEED_STRIDE * k for k in range(1, count + 1)]
-        margins = [margin_of(seed) for seed in seeds]
-        failed = [(m, s) for m, s in zip(margins, seeds) if m > BOUND_SIGMA]
+    for name, gate in GATES.items():
+        seeds = [gate.own_seed + SEED_STRIDE * k for k in range(1, count + 1)]
+        margins = [gate.margin(seed) for seed in seeds]
+        passes = (lambda m: m <= gate.bound) if gate.at_most else (lambda m: m >= gate.bound)
+        failed = [(s, m) for s, m in zip(seeds, margins) if not passes(m)]
         q1, median, q3 = statistics.quantiles(margins, n=4, method="inclusive")
-        worst, worst_seed = max(zip(margins, seeds))
+        worst, worst_seed = (max if gate.at_most else min)(zip(margins, seeds))
         print(
-            f"{name}: {len(failed)}/{count} failed ({len(failed) / count:.1%}) at "
-            f"{BOUND_SIGMA:g} sigma; margin min {min(margins):.2f}, q1 {q1:.2f}, "
-            f"median {median:.2f}, q3 {q3:.2f}, max {worst:.2f} (seed {worst_seed}); "
-            f"own seed {margin_of(own_seed):.2f}"
+            f"{name} (seed {gate.own_seed}): {len(failed)}/{count} failed "
+            f"({len(failed) / count:.1%}) against {'<=' if gate.at_most else '>='} "
+            f"{gate.bound:g} {gate.unit}; margin min {min(margins):.4g}, q1 {q1:.4g}, "
+            f"median {median:.4g}, q3 {q3:.4g}, max {max(margins):.4g}, worst at seed "
+            f"{worst_seed}; own seed {gate.margin(gate.own_seed):.4g}"
         )
+        for seed, margin in failed:
+            print(f"  failed at seed {seed}: {margin:.4g} {gate.unit}")
 
 
 if __name__ == "__main__":

@@ -289,11 +289,9 @@ def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold,
     padded = np.full((len(rows), max(map(len, rows)) + extra), pad)
     for index, values in enumerate(rows):
         padded[index, : len(values)] = values
-    lengths = [len(values) for values in rows]
-    batched = features.of_rows(padded, lengths)
-    columns = features.columns(padded, lengths)
+    columns = features.columns(padded, np.array([len(values) for values in rows]))
     assert all(column.dtype == np.int64 for column in columns)
-    assert columns.tuples() == batched
+    batched = columns.tuples()
     # A one-word feature's total and bucket read 0, so equal features have equal columns.
     one_word = columns.kind != STABLE
     assert not (columns.total[one_word].any() or columns.bucket[one_word].any())
@@ -304,7 +302,7 @@ def test_batched_features_match_one_transcript_at_a_time(rows, extra, pad, hold,
         assert feature == features(transcript) == _features_by_walk(features, values)
 
 
-# Tails whose stable total of_rows takes from math.fsum, as (noise_sigma,
+# Tails whose stable total columns takes from math.fsum, as (noise_sigma,
 # tail): exact halves, which round half to even; a mean just off a half
 # that the row's float sum rounds onto it; and tails near 2^53, where a
 # float sum of the readings rounds too.
@@ -327,7 +325,8 @@ def test_stable_totals_near_a_half_are_the_value_walks(sigma, tail):
     padded = np.full((2, len(tail) + 3), math.nan)
     for index, values in enumerate(rows):
         padded[index, : len(values)] = values
-    for values, feature in zip(rows, features.of_rows(padded, [len(values) for values in rows])):
+    lengths = np.array([len(values) for values in rows])
+    for values, feature in zip(rows, features.columns(padded, lengths).tuples()):
         assert feature == _features_by_walk(features, values)
         assert feature[0] == round(math.fsum(tail) / len(tail))
 
@@ -428,8 +427,6 @@ def test_sample_check_names_the_first_short_secret(missing, outside, count, min_
     secrets = np.random.default_rng(seed).choice(drawn, count)
     class_counts = Counter(secrets.tolist())
     short = [secret for secret in range(1, 8) if class_counts[secret] < min_per_class]
-    # A matched sample outside the domain leaves the posterior short of 1.
-    assume(short or not outside)
     samples = _ColumnSamples(secrets, FeatureColumns(*np.zeros((3, count), np.int64)))
     seen = _ObservedColumns(FeatureColumns(*np.zeros((3, 1), np.int64)))
     if not short:
@@ -441,6 +438,18 @@ def test_sample_check_names_the_first_short_secret(missing, outside, count, min_
     )
     with pytest.raises(InsufficientSamples, match=re.escape(message) + "$"):
         estimate_posterior(samples, Transcript(), seen, (1, 7), min_per_class)
+
+
+def test_matched_samples_outside_the_domain_are_not_counted():
+    # 200 samples of each secret 1-7 and 1,000 of secret 0, all with the
+    # observed feature: only the 1,400 in the domain (1, 7) count.
+    secrets = np.repeat(np.arange(8), [1000] + [200] * 7)
+    samples = _ColumnSamples(secrets, FeatureColumns(*np.zeros((3, len(secrets)), np.int64)))
+    seen = _ObservedColumns(FeatureColumns(*np.zeros((3, 1), np.int64)))
+    report = estimate_posterior(samples, Transcript(), seen, (1, 7), 100)
+    assert report.posterior == {secret: 1 / 7 for secret in range(1, 8)}
+    assert report.matched_samples == 1400
+    report.check_invariants()
 
 
 class TestEstimatePosterior:

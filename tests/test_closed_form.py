@@ -37,7 +37,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim import channel, decoy
+from decoysim import channel, decoy, recover_secret
 from decoysim.adversary import JAM_VALUE, attack_result
 from decoysim.channel import measure_block
 from decoysim.decoy import DecoyOutcome, Runs, simulate_runs, simulate_transmission
@@ -762,20 +762,31 @@ def test_forging_impersonator_cost_is_linear_in_max_ticks():
     _assert_linear(run)
 
 
-def _settled_by_brute_force(values, width, epsilon, floor, accept=None) -> list:
+def _settled_windows(row, width, epsilon, floor):
+    """Each window of `row` that the exact detector settles at `floor` or higher: (end, level)."""
+    for column in range(len(row) - width + 1):
+        level = detect_stabilization(row[column : column + width].tolist(), epsilon, width)
+        if level is not None and level >= floor:
+            yield column + width - 1, level
+
+
+def _settled_by_brute_force(values, width, epsilon, floor) -> list:
     """_first_settled's answer, as _hits gives it, from the exact detector on every window."""
+    return [next(_settled_windows(row, width, epsilon, floor), None) for row in values]
+
+
+def _read_by_brute_force(values, own, width, epsilon, floor, domain, sigma) -> list:
+    """_impersonator_reads' answer: each row's first settled window recover_secret accepts."""
     found = []
-    for row in range(len(values)):
-        hit = None
-        for column in range(values.shape[1] - width + 1):
-            window = values[row, column : column + width].tolist()
-            level = detect_stabilization(window, epsilon, width)
-            end = column + width - 1
-            if level is not None and level >= floor:
-                if accept is None or accept(np.array([row]), np.array([end]), np.array([level]))[0]:
-                    hit = (end, level)
-                    break
-        found.append(hit)
+    for row, own_row in zip(values, own):
+        read = -1
+        for end, level in _settled_windows(row, width, epsilon, floor):
+            try:
+                read = recover_secret(level + own_row[end], own_row[end], domain, sigma)
+                break
+            except OutOfDomain:
+                continue
+        found.append(read)
     return found
 
 
@@ -835,21 +846,34 @@ def settle_searches(draw):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(settle_searches(), st.booleans())
-def test_first_settled_is_the_exact_scan_of_every_window(search, rejecting):
+@given(settle_searches())
+def test_first_settled_is_the_exact_scan_of_every_window(search):
     # The spread, floor and mean tests only drop windows the exact
-    # detector rejects: the first settled window is the brute-force one,
-    # also when a reader rejects some settled windows.
+    # detector rejects: the first settled window is the brute-force one.
     values, width, epsilon, floor = search
-    accept = None
-    if rejecting:
-
-        def accept(rows, ends, levels):
-            return np.asarray(ends) % 2 == 0
-
-    found = _hits(decoy._first_settled(values, width, epsilon, floor, accept))
-    expected = _settled_by_brute_force(values, width, epsilon, floor, accept)
+    found = _hits(decoy._first_settled(values, width, epsilon, floor))
+    expected = _settled_by_brute_force(values, width, epsilon, floor)
     assert repr(found) == repr(expected)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(settle_searches(), st.booleans(), st.data())
+def test_impersonator_reads_the_first_settled_window_it_does_not_reject(search, zero, data):
+    # A domain whose top lies among the drawn values, so that windows
+    # settle above it, and are rejected, and below it.  Each row is read
+    # where a scan of every window, recovering each settled one in turn,
+    # first reads a value, at zero tolerance and at the drawn one.
+    values, width, epsilon, floor = search
+    epsilon = 0.0 if zero else epsilon
+    finite = values[np.isfinite(values)].tolist() or [floor]
+    top = min(2**53, math.floor(data.draw(st.sampled_from(finite), label="top")))
+    domain = (min(0, top), top)
+    sigma = data.draw(st.sampled_from([0.0, 0.01, 0.25]), label="sigma")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="own seed")
+    high = data.draw(st.sampled_from([0.0, 3.0]), label="own ramp's top")
+    own = np.random.default_rng(seed).uniform(0.0, high, values.shape)
+    found = decoy._impersonator_reads(values, own, width, epsilon, floor, domain, sigma)
+    assert found.tolist() == _read_by_brute_force(values, own, width, epsilon, floor, domain, sigma)
 
 
 # Flat windows whose fsum mean misses their value, so that the exact
@@ -873,10 +897,34 @@ def test_zero_tolerance_rejects_a_flat_window_whose_mean_misses_its_value(width,
     assert _hits(decoy._first_settled(values, width, 0.0, 0.5)) == first_settled
     assert _settled_by_brute_force(values, width, 0.0, 0.5) == first_settled
 
-    def accept(rows, ends, levels):  # rejects each row's first settled window
-        firsts = [-1 if first_settled[row] is None else first_settled[row][0] for row in rows]
-        return np.asarray(ends) != firsts
 
-    found = _hits(decoy._first_settled(values, width, 0.0, 0.5, accept))
-    assert found == _settled_by_brute_force(values, width, 0.0, 0.5, accept)
-    assert found == [None, (2 * width, settled), None]
+@pytest.mark.parametrize("width, value", _UNSETTLED_FLAT)
+def test_impersonator_reads_past_a_rejected_window_and_a_flat_one_that_misses(width, value):
+    # Domain [1, 8]: a window flat at 9.0 settles and is rejected, one at
+    # 7.0 is read, and one flat at `value` never settles at zero tolerance.
+    rejected, read = 9.0, 7.0
+    values = np.array(
+        [
+            [value] * (3 * width),  # never settles
+            [value] * width + [rejected] * width + [read] * width,  # rejected, then read
+            [rejected] * width + [value] * (2 * width),  # rejected, then none
+            [rejected] * (width + 1) + [read] * (2 * width - 1),  # rejected twice, then read
+        ]
+    )
+    own = np.zeros_like(values)
+    args = (values, own, width, 0.0, 0.5, (1, 8), 0.0)
+    assert decoy._impersonator_reads(*args).tolist() == [-1, 7, -1, 7]
+    assert _read_by_brute_force(*args) == [-1, 7, -1, 7]
+
+
+def test_impersonator_reads_a_window_that_overlaps_a_rejected_one():
+    # At tolerance 1 the first window settles at 8.6, past the domain's
+    # top of 8 by more than 0.5; the one starting a tick later, at 8.4, is
+    # read.  A row whose rejected window is its last reads nothing, and
+    # noise widens what recover_secrets accepts to 0.5 + 4 sigma.
+    values = np.array([[9.0, 8.4, 8.4, 8.4], [0.0, 9.0, 8.4, 8.4]])
+    own = np.full_like(values, 2.0)
+    for sigma, reads in ((0.0, [8, -1]), (0.05, [8, 8])):
+        args = (values, own, 3, 1.0, 0.5, (1, 8), sigma)
+        assert decoy._impersonator_reads(*args).tolist() == reads
+        assert _read_by_brute_force(*args) == reads

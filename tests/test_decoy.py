@@ -389,7 +389,7 @@ class TestStreamsAreLazy:
         assert sorted(drawn) == sorted(streams.reshape(-1, 4).tolist())
 
     @pytest.mark.parametrize("defended", [True, False])
-    def test_sender_facing_a_silent_impersonator_draws_only_undefended(
+    def test_sender_facing_a_silent_impersonator_is_decoded_without_a_generator(
         self, defended, monkeypatch
     ):
         built, drawn = [], []
@@ -412,8 +412,9 @@ class TestStreamsAreLazy:
         )
         run_scenario(scenario)
         # The receiver's start comes from the pass's array draw, a noiseless
-        # run has no noise stream, and an undefended sender's ramp is
-        # decoded from her stream's raw outputs: no RngStream is built.
+        # run has no noise stream, and the sender's ramp is decoded from her
+        # stream's raw outputs, also where she never moves because the
+        # defense waits for an announcement that never comes: no RngStream
+        # is built.
         assert built == []
-        sender = RngStream.seed_rows([scenario.seed], [STREAM_SENDER])[0].tolist()
-        assert drawn == ([] if defended else sender)
+        assert drawn == RngStream.seed_rows([scenario.seed], [STREAM_SENDER])[0].tolist()
