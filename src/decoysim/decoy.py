@@ -645,12 +645,12 @@ def _first_settled(
     holding NaN never settles.  With a tolerance, only windows that pass
     necessary conditions go to the exact detector: spread within 2 *
     epsilon, highest value near the floor and an approximate mean that
-    leaves room to settle (_may_settle).  With none, the test is exact: a window the
-    detector accepts is flat at some v, and its mean is fsum([v] * width)
-    / width, where fsum is the correctly rounded v * width; that mean can
-    miss v (884295128254041.2 at width 3).  So no window goes to the
-    detector.  (Where v * width overflows, the detector's fsum raises, and
-    here the window is rejected.)
+    leaves room to settle (_may_settle).  With none, the test is exact:
+    a window the detector accepts is flat at some v, and its mean is
+    fsum([v] * width) / width, where fsum is the correctly rounded
+    v * width; that mean can miss v (884295128254041.2 at width 3).  So
+    no window goes to the detector.  (Where v * width overflows, the
+    detector's fsum raises, and here the window is rejected.)
     """
     count = len(values)
     hit, end, level = np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64), np.zeros(count)

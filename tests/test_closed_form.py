@@ -859,10 +859,10 @@ def test_first_settled_is_the_exact_scan_of_every_window(search):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(settle_searches(), st.booleans(), st.data())
 def test_impersonator_reads_the_first_settled_window_it_does_not_reject(search, zero, data):
-    # A domain whose top lies among the drawn values, so that windows
-    # settle above it, and are rejected, and below it.  Each row is read
-    # where a scan of every window, recovering each settled one in turn,
-    # first reads a value, at zero tolerance and at the drawn one.
+    # A domain whose top is one of the drawn values, so that some settled
+    # windows lie above it and are rejected, and some below it.  Each row
+    # reads what a scan of every window, recovering each settled one in
+    # turn, first reads, at zero tolerance and at the drawn one.
     values, width, epsilon, floor = search
     epsilon = 0.0 if zero else epsilon
     finite = values[np.isfinite(values)].tolist() or [floor]
