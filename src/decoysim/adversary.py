@@ -134,6 +134,7 @@ def _entropy_bits(counts: Iterable[int], n: int) -> float:
 # --- plug-in estimators -----------------------------------------------------
 
 MIN_MI_SAMPLES = 1000  # the fewest samples an MI estimate takes
+MIN_PER_CLASS = 100  # the fewest samples of each secret a posterior takes
 
 
 def estimate_mutual_information(
@@ -292,7 +293,7 @@ def estimate_posterior(
     observed: Transcript,
     features: TranscriptFeatures,
     domain: tuple[int, int],
-    min_per_class: int = 100,
+    min_per_class: int = MIN_PER_CLASS,
 ) -> PosteriorReport:
     """Empirical Bayes over simulated transcripts, uniform prior on the domain.
 
@@ -303,13 +304,38 @@ def estimate_posterior(
     counts on the samples' secret column and their features' columns
     (TranscriptSamples.feature_columns), in the order Counter would.
     """
+    _check_classes(samples, domain, min_per_class)
+    values = observed.values()
+    seen = features.columns(values[None, :], np.array([len(values)]))
+    return _posterior(samples, samples.feature_columns(features), seen, domain)
+
+
+def estimate_own_run_posterior(
+    samples: TranscriptSamples, features: TranscriptFeatures, domain: tuple[int, int]
+) -> PosteriorReport:
+    """estimate_posterior(samples, run_scenario(samples.scenario).transcript, features, domain).
+
+    The scenario's own run is row 0 of the kernel passes of samples as
+    collect_transmission_samples gives them (seeds seed + 1 + i), and
+    reads there as it does alone.
+    """
+    _check_classes(samples, domain, MIN_PER_CLASS)
+    scenario, runs, seed = samples.scenario, samples.runs, int(samples.scenario.seed)
+    own = scenario.party_secrets
+    secrets = np.concatenate(([own[SENDER]], runs.secrets))
+    keys = np.concatenate(([own.get(RECEIVER, 0)], runs.keys))
+    batch = TranscriptSamples(scenario, Runs(range(seed, seed + 1 + len(samples)), secrets, keys))
+    columns = batch.feature_columns(features)
+    seen = FeatureColumns._make(c[:1] for c in columns)
+    return _posterior(samples, FeatureColumns._make(c[1:] for c in columns), seen, domain)
+
+
+def _check_classes(samples: TranscriptSamples, domain: tuple[int, int], min_per_class: int):
+    """Raise InsufficientSamples naming the first secret of `domain` with too few samples."""
     n1, n2 = domain
-    size = n2 - n1 + 1
-    secrets = np.asarray(samples.runs.secrets, dtype=np.int64)
-    codes = secrets - n1
-    in_domain = (codes >= 0) & (codes < size)
+    codes = np.asarray(samples.runs.secrets, dtype=np.int64) - n1
     # Codes run 0, 1, 2, ... in `present` up to the first with no sample, where the check stops.
-    present, counts = np.unique(codes[in_domain], return_counts=True)
+    present, counts = np.unique(codes[(codes >= 0) & (codes <= n2 - n1)], return_counts=True)
     gap = int(_first_true((present != np.arange(len(present)))[None, :])[0])
     for secret, count in zip(range(n1, n2 + 1), [*counts[:gap].tolist(), 0]):
         if count < min_per_class:
@@ -318,9 +344,14 @@ def estimate_posterior(
                 f"[{n1}, {n2}]; secret {secret} has {count}"
             )
 
-    columns = samples.feature_columns(features)
-    values = observed.values()
-    seen = features.columns(values[None, :], np.array([len(values)]))
+
+def _posterior(samples, columns: FeatureColumns, seen: FeatureColumns, domain) -> PosteriorReport:
+    """The report on the samples' feature columns and the observed feature, `seen`'s one row."""
+    n1, n2 = domain
+    size = n2 - n1 + 1
+    secrets = np.asarray(samples.runs.secrets, dtype=np.int64)
+    codes = secrets - n1
+    in_domain = (codes >= 0) & (codes < size)
     match = in_domain & np.logical_and.reduce([c == own for c, own in zip(columns, seen)])
     total_matched = int(np.count_nonzero(match))
     notes: tuple[str, ...] = ()

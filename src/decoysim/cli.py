@@ -320,9 +320,8 @@ def _analyze_decoy(args, scenario: Scenario, stream: TextIO) -> int:
         raise ConfigError(f"--samples must be <= {MAX_SAMPLES}, got {count}")
     features = adversary_mod.TranscriptFeatures.for_scenario(scenario)
     samples = adversary_mod.collect_transmission_samples(scenario, count)
-    observed = run_scenario(scenario).transcript
     domain = scenario.secret_domain
-    report = adversary_mod.estimate_posterior(samples, observed, features, domain)
+    report = adversary_mod.estimate_own_run_posterior(samples, features, domain)
     analytic = adversary_mod.analytic_sum_mi(domain)
     excess = report.mi_bits - analytic
     leak_detected = excess > 0.1

@@ -458,8 +458,9 @@ class Outcomes(NamedTuple):
     """What every run of a kernel pass did, as columns: row i is run i's.
 
     A run without a value holds -1 in an integer column (present reads
-    it as None) and NaN in `estimate`.  The attack flags, computed here
-    alone, hold for the pass's adversary and mean nothing for an honest run.
+    it as None) and NaN in `estimate`.  The attack flags, computed in
+    RunBatch.table alone, hold for the pass's adversary and mean nothing
+    for an honest run.
     """
 
     status: np.ndarray  # OK, TIMEOUT or OUT_OF_DOMAIN
@@ -478,27 +479,24 @@ class RunBatch:
     """One kernel pass: its runs' public readings in one array, and what each run did.
 
     Row i of `readings` holds run i's reading for every tick from 0 to
-    lengths[i] - 1, then NaN.  `table` holds every run's outcome as
-    columns, computed once for the pass; `outcome(i)` is run i's row of
-    it as a DecoyOutcome, transcript(i) included.  The replay digests of
-    the pass are hashed from the readings at the first digest asked for,
-    and need no transcript.
+    lengths[i] - 1, then NaN.  `found` holds what the pass's searches
+    found, as columns: each receiver's detected tick and level, what an
+    impersonator read, and, after the jam value, the tick each jammer's
+    force joins on.  `table`, every run's outcome as columns, is computed
+    from them at its first read, as `digests` is hashed from the readings
+    at its first; a pass read only for its readings builds neither.
+    `outcome(i)` is run i's row of the table as a DecoyOutcome.
     """
 
     def __init__(
-        self,
-        scenario: Scenario,
-        readings: np.ndarray,
-        lengths: np.ndarray,
-        plans: _Plans,
-        table: Outcomes,
+        self, scenario: Scenario, readings: np.ndarray, lengths: np.ndarray, plans: _Plans, found
     ):
         self.scenario = scenario
         self.readings = readings
         self.lengths = lengths
         self.runs = plans.runs
         self._plans = plans
-        self.table = table
+        self._found = found
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -529,6 +527,30 @@ class RunBatch:
         ticks = self.table.announce.tolist()
         events = {tick: self._events(tick) for tick in set(ticks)}  # runs share their events
         return row_digests(self.readings, self.lengths, list(map(events.__getitem__, ticks)))
+
+    @functools.cached_property
+    def table(self) -> Outcomes:
+        """The outcome table: what the receiver recovers where he detected, and the attack flags."""
+        detected, estimate, read, jam_value, armed = self._found
+        scenario, runs, lengths = self.scenario, self.runs, self.lengths
+        status, recovered = np.full(len(self), TIMEOUT), np.full(len(self), -1)
+        seen = (detected >= 0).nonzero()[0]
+        if len(seen):  # only a receiver detects
+            keys = np.asarray(runs.keys, dtype=np.float64)[seen]
+            domain, sigma = scenario.secret_domain, scenario.noise_sigma
+            nearest, rejected = recover_secrets(estimate[seen] + keys, keys, domain, sigma)
+            status[seen] = np.where(rejected, OUT_OF_DOMAIN, OK)
+            recovered[seen] = np.where(rejected, -1, nearest)
+        jammed = armed < lengths
+        secrets = np.asarray(runs.secrets, dtype=np.int64)
+        disrupted = (status != OK) | (recovered != secrets)
+        if jam_value is not None:
+            disrupted &= jammed & (jam_value != 0.0)
+        announce = np.where(self._plans.announce < lengths, self._plans.announce, -1)
+        return Outcomes(
+            status, recovered, detected, estimate, announce, jammed, read,
+            disrupted, read == secrets, status == TIMEOUT,
+        )
 
     def outcome(self, index: int) -> DecoyOutcome:
         """Run `index`'s row of the table, with its parties' ticks and its transcript."""
@@ -690,19 +712,30 @@ def _impersonator_reads(
     """What an impersonator reads off each row of `values`, readings less its `own` ramp; -1: none.
 
     It reads the first settled window whose level recover_secrets does not
-    reject; a row whose window it rejects is searched again, in a copy
-    with its columns up to that window's first one set to NaN.
+    reject.  The first search reads every row whole.  A row whose window
+    it rejects is searched again from that window's second column, over
+    2 * width columns, a span that doubles past each miss: so however many
+    windows a row rejects, its searches read a few times its columns.
     """
-    read, rows = np.full(len(values), -1), np.arange(len(values))
-    while len(rows):
-        hit, end, level = _first_settled(values, width, epsilon, floor)
+    count, ticks = values.shape
+    read, rows = np.full(count, -1), np.arange(count)
+    first, span, block = np.zeros(count, dtype=np.int64), np.full(count, ticks), values
+    while True:
+        hit, end, level = _first_settled(block, width, epsilon, floor)
         found = hit.nonzero()[0]
-        own_read = own[rows[found], end[found]]
+        own_read = own[rows[found], first[found] + end[found]]
         nearest, rejected = recover_secrets(level[found] + own_read, own_read, domain, sigma)
         read[rows[found]] = np.where(rejected, -1, nearest)
-        rows, values, end = rows[found[rejected]], values[found[rejected]], end[found[rejected]]
-        values[np.arange(values.shape[1]) <= (end - width + 1)[:, None]] = np.nan
-    return read
+        # A rejected row goes on past its window's first column, a missing one past its span.
+        again = ~hit & (first + span < ticks)
+        again[found] = rejected
+        first = np.where(hit, first + end - width + 2, first + span - width + 1)[again]
+        span, rows = np.where(hit, 2 * width, 2 * span)[again], rows[again]
+        if not len(rows):
+            return read
+        columns = first[:, None] + np.arange(span.max())
+        inside = columns < np.minimum(first + span, ticks)[:, None]
+        block = np.where(inside, values[rows[:, None], np.minimum(columns, ticks - 1)], np.nan)
 
 
 def _contributions(ramps: _Ramps, rows: list[int], first: int, size: int) -> np.ndarray:
@@ -831,25 +864,8 @@ def _closed_form(
     width = lengths.max()
     readings = readings[:, :width]
     readings[np.arange(width) >= lengths[:, None]] = np.nan
-    # The outcome table: what the receiver recovers where he detected, and the attack flags.
-    status, recovered = np.full(count, TIMEOUT), np.full(count, -1)
-    seen = (detected >= 0).nonzero()[0]
-    if len(seen):  # only a receiver detects
-        keys = np.asarray(runs.keys, dtype=np.float64)[seen]
-        nearest, rejected = recover_secrets(estimate[seen] + keys, keys, domain, sigma)
-        status[seen] = np.where(rejected, OUT_OF_DOMAIN, OK)
-        recovered[seen] = np.where(rejected, -1, nearest)
-    jammed = jam.stabilize < lengths
-    secrets = np.asarray(runs.secrets, dtype=np.int64)
-    disrupted = (status != OK) | (recovered != secrets)
-    if jam_value is not None:
-        disrupted &= jammed & (jam_value != 0.0)
-    announce = np.where(plans.announce < lengths, plans.announce, -1)
-    table = Outcomes(
-        status, recovered, detected, estimate, announce, jammed, read,
-        disrupted, read == secrets, status == TIMEOUT,
-    )
-    return RunBatch(scenario, readings, lengths, plans, table)
+    found = detected, estimate, read, jam_value, jam.stabilize
+    return RunBatch(scenario, readings, lengths, plans, found)
 
 
 def run_decoy_transmission(scenario: Scenario) -> DecoyOutcome:

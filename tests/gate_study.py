@@ -12,6 +12,10 @@ Runs, at 300 seeds each, the scenario, the sample count and the bound of
 - acceptance criterion 8's uniform-posterior check (seed 9500): the
   defended sender against a silent impersonator, 2,000 samples, every
   secret's posterior within 3 sigma of 1/8;
+- acceptance criterion 10 (seeds 0 to 999): the noisy channel (sigma 0.05,
+  tolerance 0.2, hold 50, 600 ticks), 1,000 runs at consecutive seeds,
+  at least 99% of them recovering the secret; a study seed is the first
+  of its 1,000;
 - TestEstimatePosterior::test_synchronous_posterior_uniform_over_split_set
   (test_adversary.py, seed 500): the synchronous control, 2,500 samples,
   the posterior of each secret of the split set of 8 within 3 sigma of 1/7,
@@ -33,6 +37,8 @@ import math
 import statistics
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from decoysim import (
     AdversaryKind,
     RampModel,
@@ -44,6 +50,7 @@ from decoysim import (
     estimate_posterior,
     run_decoy_transmission,
 )
+from decoysim.runner import run_passes
 from conftest import decoy_scenario, sync_scenario
 
 BOUND_SIGMA = 3.0
@@ -102,6 +109,17 @@ def control_over_default(seed: int) -> float:
     return _criterion_4_control(seed) - _report(scenario, 10_000).mi_bits
 
 
+def noisy_success_rate(seed: int) -> float:
+    """Criterion 10: the share of 1,000 noisy runs at seeds seed, seed + 1, ... that recover."""
+    scenario = decoy_scenario(
+        noise_sigma=0.05, epsilon_stab=0.2, hold_ticks=50, max_ticks=600, seed=seed
+    )
+    successes = 0
+    for batch in run_passes(scenario, 1000):  # the runs of run_decoy_transmission, by the pass
+        successes += int(np.count_nonzero(batch.table.recovered == np.asarray(batch.runs.secrets)))
+    return successes / 1000
+
+
 def silent_impersonator_margin(seed: int) -> float:
     """Criterion 8: the largest deviation of a secret's posterior from 1/8, in sigma."""
     base = decoy_scenario(
@@ -150,6 +168,7 @@ GATES = {
     "criterion 8 uniform posterior": Gate(
         9500, silent_impersonator_margin, BOUND_SIGMA, True, "sigma"
     ),
+    "criterion 10 noisy success rate": Gate(0, noisy_success_rate, 0.99, False, "share"),
     "split-set posterior": Gate(500, split_set_margin, BOUND_SIGMA, True, "sigma"),
 }
 

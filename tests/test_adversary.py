@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,16 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim.adversary import EMPTY, SILENT, STABLE, UNSTABLE, FeatureColumns
+from decoysim import decoy
+from decoysim.adversary import (
+    EMPTY,
+    SILENT,
+    STABLE,
+    UNSTABLE,
+    FeatureColumns,
+    adversary_runs,
+    attack_columns,
+)
 from decoysim.decoy import Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
 
@@ -695,6 +705,59 @@ class TestCollectSamples:
             warnings.simplefilter("error")
             assert sampled(seed) == sampled(int(seed))
             assert sampled(seed, 0) == [[], [], []]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"adversary": AdversaryKind.JAMMER},
+            {"adversary": AdversaryKind.IMPERSONATOR, "party_secrets": {"alice": 3}},
+        ],
+        ids=["honest", "jammer", "impersonator"],
+    )
+    def test_a_sample_pass_builds_no_outcome_table(self, overrides):
+        # feature_columns reads each pass's readings and lengths alone.  The
+        # outcome table is built at its first read, once, and every reader
+        # reads the same one whichever reads first.
+        scenario = decoy_scenario(secret_domain=(1, 8), seed=705, **overrides)
+        features = TranscriptFeatures.for_scenario(scenario)
+        samples = collect_transmission_samples(scenario, 1200)
+        batches, recoveries = [], []
+        kernel, recover = decoy._closed_form, decoy.recover_secrets
+
+        def recorded(*args):
+            batches.append(kernel(*args))
+            return batches[-1]
+
+        def counted(*args):
+            recoveries.append(len(args[0]))
+            return recover(*args)
+
+        receives = scenario.adversary is not AdversaryKind.IMPERSONATOR
+        with mock.patch.object(decoy, "_closed_form", recorded):
+            with mock.patch.object(decoy, "recover_secrets", counted):
+                columns = samples.feature_columns(features)
+        assert len(batches) == 3 and len(columns.kind) == 1200
+        assert not any("table" in batch.__dict__ for batch in batches)
+        assert recoveries == [] or not receives  # an impersonator's reads recover in the kernel
+
+        def read(batch, order):
+            found = {
+                "digests": lambda: batch.digests,
+                "transcripts": lambda: [batch.transcript(i) for i in range(len(batch))],
+                "attack columns": lambda: attack_columns(batch),
+                "outcomes": lambda: [batch.outcome(i) for i in range(len(batch))],
+            }
+            return {name: found[name]() for name in order}
+
+        order = ["digests", "transcripts", "attack columns", "outcomes"]
+        for batch, again in zip(batches, adversary_runs(scenario, samples.runs)):
+            recoveries.clear()
+            with mock.patch.object(decoy, "recover_secrets", counted):
+                first = read(batch, order[:3])
+            assert len(recoveries) == receives  # one recovery pass; none without a receiver
+            assert "table" in batch.__dict__ and batch.table is batch.table
+            assert read(again, order[::-1]) == {**first, **read(batch, order[3:])}
 
     def test_timeout_transcripts_are_still_samples(self):
         scenario = decoy_scenario(

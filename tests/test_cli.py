@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
-from decoysim import EMPTY_TRANSCRIPT_DIGEST, Protocol, Scenario, cli, engine, load_scenario
+from decoysim import (
+    EMPTY_TRANSCRIPT_DIGEST,
+    Protocol,
+    Scenario,
+    adversary,
+    cli,
+    decoy,
+    engine,
+    load_scenario,
+)
 from decoysim.adversary import AttackOutcome
 from decoysim.decoy import CELL_BUDGET, DecoyOutcome
 from decoysim.engine import OK, TIMEOUT
@@ -709,6 +718,128 @@ class TestAnalyze:
         analysis = [r for r in records if r["record"] == "analysis"][0]
         assert analysis["verdict"] == "PASS"
         assert abs(analysis["analytic_bits"] - 0.702319) < 1e-4
+
+
+IMPERSONATOR_CFG = """
+protocol = decoy_force
+seed = 42
+max_ticks = 120
+secret_domain = 1..8
+party_secrets.alice = 3
+adversary = impersonator
+hold_ticks = 3
+"""
+
+# name: (config path or text, overrides) of analyze's batch-against-composition grid
+ANALYZE_GRID = {
+    "sync": (str(CONFIGS / "sync_analysis.cfg"), []),
+    "control": (str(CONFIGS / "control_analysis.cfg"), []),
+    "decoy": (str(CONFIGS / "decoy.cfg"), ["--set", "secret_domain=1..8"]),
+    "noisy": (str(CONFIGS / "noisy.cfg"), ["--set", "secret_domain=1..8"]),
+    "jammer": (
+        str(CONFIGS / "decoy.cfg"), ["--set", "secret_domain=1..8", "--set", "adversary=jammer"]
+    ),
+    "silent impersonator, defended": (IMPERSONATOR_CFG, []),
+    "silent impersonator, undefended": (IMPERSONATOR_CFG, ["--set", "defense_enabled=false"]),
+}
+ANALYZE_SEEDS = [0, 1, 999, 2**32 + 5, 2**64 - 1002]
+
+
+def _composed_posterior(samples, features, domain):
+    """What analyze computed when the scenario's own run went through run_scenario on its own."""
+    observed = run_scenario(samples.scenario).transcript
+    return adversary.estimate_posterior(samples, observed, features, domain)
+
+
+def _batch_and_composition(capsys, monkeypatch, *argv):
+    """analyze's (code, stdout, stderr) on argv, and the same with the composition in its place."""
+    batch = run_cli(capsys, "analyze", *argv)
+    with monkeypatch.context() as patched:
+        patched.setattr(adversary, "estimate_own_run_posterior", _composed_posterior)
+        return batch, run_cli(capsys, "analyze", *argv)
+
+
+class TestAnalyzeBatch:
+    """analyze runs the scenario's own run as row 0 of its samples' kernel passes.
+
+    Its reports, in either format, and its errors are the ones the
+    composition it replaced gives: estimate_posterior on the samples and
+    run_scenario's transcript of the scenario.
+    """
+
+    @pytest.mark.parametrize("case", ANALYZE_GRID)
+    def test_the_batch_reports_what_the_composition_does(
+        self, case, tmp_config, capsys, monkeypatch
+    ):
+        config, overrides = ANALYZE_GRID[case]
+        path = config if config.endswith(".cfg") else tmp_config(config)
+        for seed in ANALYZE_SEEDS:
+            for fmt in ("text", "records"):
+                argv = [
+                    "--config", path, *overrides, "--seed", str(seed), "--samples", "1000",
+                    "--format", fmt,
+                ]
+                batch, composed = _batch_and_composition(capsys, monkeypatch, *argv)
+                assert batch == composed and batch[0] == 0, (seed, fmt)
+            scenario = load_scenario(path, [*overrides[1::2], f"seed={seed}"])
+            samples = adversary.collect_transmission_samples(scenario, 1000)
+            features = adversary.TranscriptFeatures.for_scenario(scenario)
+            report = adversary.estimate_own_run_posterior(samples, features, scenario.secret_domain)
+            expected = _composed_posterior(samples, features, scenario.secret_domain)
+            assert repr(report) == repr(expected), seed
+
+    def test_an_own_run_whose_receiver_start_lemire_redraws(self, capsys, monkeypatch):
+        # Seed 206,376's receiver start, in [1, 19,824] at this budget, is
+        # redrawn from its generator (tests/test_closed_form.py pins it).
+        rows = engine.RngStream.seed_rows([206_376], [engine.STREAM_RECEIVER])[:, 0]
+        word = engine.RngStream.first_outputs(rows, 1)[:, 0]
+        assert engine.RngStream.lemire(word, 19_824)[1].tolist() == [True]
+        argv = [
+            "--config", str(CONFIGS / "decoy.cfg"), "--set", "max_ticks=237897",
+            "--set", "secret_domain=1..8", "--seed", "206376", "--samples", "1000",
+            "--format", "records",
+        ]
+        batch, composed = _batch_and_composition(capsys, monkeypatch, *argv)
+        assert batch == composed and batch[0] == 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["--set", f"secret_domain=1..{2**53}"],
+            ["--seed", str(2**64 - 1)],
+            # the first sample's seed is 2^64 and every secret of the domain is short
+            ["--seed", str(2**64 - 1), "--set", f"secret_domain=1..{2**53}"],
+            ["--samples", "999"],
+            ["--samples", str(10**6 + 1)],
+        ],
+        ids=["short samples", "seed 2^64 - 1", "both", "too few samples", "too many samples"],
+    )
+    def test_the_batch_fails_as_the_composition_does(self, overrides, capsys, monkeypatch):
+        argv = ["--config", str(CONFIGS / "decoy.cfg"), "--samples", "1000", *overrides]
+        batch, composed = _batch_and_composition(capsys, monkeypatch, *argv)
+        assert batch == composed
+        assert batch[:2] == (1, "") and batch[2].startswith("decoysim: error: ")
+
+    def test_a_request_makes_eight_kernel_passes_and_no_outcome_table(self, capsys, monkeypatch):
+        # The benchmark's analyze request: two configs at 2,000 samples, so
+        # 2,001 runs each in passes of CELL_BUDGET // 120 = 546.
+        batches = []
+        kernel = decoy._closed_form
+
+        def recorded(*args):
+            batches.append(kernel(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(decoy, "_closed_form", recorded)
+        monkeypatch.setattr(cli, "run_scenario", None)  # analyze must not call it
+        for config in ("sync_analysis.cfg", "control_analysis.cfg"):
+            code, _, _ = run_cli(
+                capsys, "analyze", "--config", str(CONFIGS / config), "--samples", "2000",
+                "--format", "records", "--seed", "1234567",
+            )
+            assert code == 0
+        assert [len(batch) for batch in batches] == [546, 546, 546, 363] * 2
+        assert not any("table" in batch.__dict__ for batch in batches)
 
 
 class TestReplayCheck:

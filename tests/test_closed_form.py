@@ -705,6 +705,65 @@ def test_rejected_first_window_does_not_end_the_search():
     assert reads[0] is None and reads[-1] == top
 
 
+def _forger_near_the_top(max_ticks: int) -> Scenario:
+    """A forger whose ramp near 2^53 rounds the public sum: a long streak of rejected windows."""
+    top = 2**53 - 1
+    return decoy_scenario(
+        adversary=AdversaryKind.IMPERSONATOR,
+        seed=7,
+        secret_domain=(1, top),
+        party_secrets={"alice": top},
+        defense_enabled=False,
+        max_ticks=max_ticks,
+    )
+
+
+def test_rejected_windows_streak_matches_the_tick_loop():
+    # About 50 windows are rejected before the forger reads N2.
+    scenario = _forger_near_the_top(2000)
+    attack = assert_attacks_agree(scenario, forge_announcement=True, adversary_key=3.0)
+    assert attack.adversary_recovered == 2**53 - 1 and attack.adversary_learned
+
+
+@pytest.mark.parametrize("max_ticks", [2000, 8000, 32000])
+def test_impersonator_search_reads_cells_linear_in_the_budget(max_ticks):
+    # Each rejected window is searched past on a short span, not the whole
+    # row again: at 32,000 ticks 871 windows are rejected, and a search of
+    # the whole row each time read 27.9 million cells.
+    searched = []
+    search = decoy._first_settled
+
+    def counted(values, *args):
+        searched.append(values.size)
+        return search(values, *args)
+
+    with mock.patch.object(decoy, "_first_settled", counted):
+        attack = attack_impersonate(
+            _forger_near_the_top(max_ticks), forge_announcement=True, adversary_key=3.0
+        )
+    assert attack.adversary_recovered == 2**53 - 1
+    assert len(searched) > 40 and sum(searched) <= 2 * max_ticks
+
+
+def test_impersonator_pass_without_a_rejection_searches_once():
+    # attack's undefended impersonator sweep: every run reads its secret
+    # on its first settled window, so the pass makes one search.
+    scenario = decoy_scenario(
+        adversary=AdversaryKind.IMPERSONATOR, defense_enabled=False, max_ticks=400
+    )
+    calls = []
+    search = decoy._first_settled
+
+    def counted(values, *args):
+        calls.append(values.shape)
+        return search(values, *args)
+
+    with mock.patch.object(decoy, "_first_settled", counted):
+        [batch] = run_passes(scenario, 100)
+    assert calls == [(100, 400)]
+    assert batch.table.adversary_learned.all()
+
+
 def _recorder(function, results: list):
     """recover_secrets, recording what it reads off its first element, if any: None if rejected."""
 
