@@ -613,8 +613,7 @@ def attack_result(batch: RunBatch, row: int) -> AttackOutcome:
 # --- auditor ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeakageFinding:
+class LeakageFinding(NamedTuple):
     """One quantity the public record gives away beyond the comparison bit."""
 
     protocol: str
@@ -624,7 +623,8 @@ class LeakageFinding:
     exceeds_comparison_bit: bool
 
 
-# The auditor's protocol tags, read once rather than through the enum on every call.
+# The auditor's protocol tags and tie, read once rather than through the enums on every call.
+_EQUAL = Ordering.EQUAL
 _VESSELS = Protocol.VESSELS.value
 _ELEVATOR = Protocol.ELEVATOR.value
 _RACE = Protocol.RACE.value
@@ -719,22 +719,19 @@ def audit_comparison(
                 )
             )
     elif tag == "digitwise":
-        count = next(
-            (event for event in observables if event.label == "subprotocol_invocations"), None
-        )
-        if count is not None:
-            invocations = int(count.value)
-            rounds = invocations // 2
-            findings.append(
-                LeakageFinding(
+        for event in observables:
+            if event.label == "subprotocol_invocations":
+                invocations = int(event.value)
+                rounds = invocations // 2
+                findings.append(LeakageFinding(
                     tag,
                     "common_prefix_rounds",
                     rounds,
                     f"{invocations} sub-protocol invocations reveal that the "
                     f"numbers agree on the first {rounds - 1} digits"
-                    if outcome.ordering is not Ordering.EQUAL
+                    if outcome.ordering is not _EQUAL
                     else f"{invocations} invocations: all digits compared equal",
                     invocations > 2,
-                )
-            )
+                ))
+                break
     return findings

@@ -514,7 +514,7 @@ class RunBatch:
         values = Readings(self.readings[index, : self.lengths[index]])
         transcript = Transcript()
         start = 0
-        for count, event in self._events(int(self.table.announce[index])):
+        for count, event in self._events(int(self._announce[index])):
             transcript.record_readings(start, values[start:count])
             transcript.announce(event.tick, event.tag)
             start = count
@@ -524,9 +524,14 @@ class RunBatch:
     @functools.cached_property
     def digests(self) -> list[int]:
         """replay_digest(self.transcript(i)) of every run i, without building the transcripts."""
-        ticks = self.table.announce.tolist()
+        ticks = self._announce.tolist()
         events = {tick: self._events(tick) for tick in set(ticks)}  # runs share their events
         return row_digests(self.readings, self.lengths, list(map(events.__getitem__, ticks)))
+
+    @functools.cached_property
+    def _announce(self) -> np.ndarray:
+        """Each run's announce tick, -1 where its announcement falls past its readings."""
+        return np.where(self._plans.announce < self.lengths, self._plans.announce, -1)
 
     @functools.cached_property
     def table(self) -> Outcomes:
@@ -546,9 +551,8 @@ class RunBatch:
         disrupted = (status != OK) | (recovered != secrets)
         if jam_value is not None:
             disrupted &= jammed & (jam_value != 0.0)
-        announce = np.where(self._plans.announce < lengths, self._plans.announce, -1)
         return Outcomes(
-            status, recovered, detected, estimate, announce, jammed, read,
+            status, recovered, detected, estimate, self._announce, jammed, read,
             disrupted, read == secrets, status == TIMEOUT,
         )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from enum import Enum
 from functools import partial
 from operator import attrgetter
@@ -120,21 +121,21 @@ class ComparisonOutcome:
         )
 
 
-def _ordering(x, y) -> Ordering:
-    """A_LESS if x < y, A_GREATER if x > y, else EQUAL."""
+# The members, read once: on Python 3.11 every `Ordering.X` lookup runs Python code.
+_A_LESS, _A_GREATER, _EQUAL = Ordering.A_LESS, Ordering.A_GREATER, Ordering.EQUAL
+# Each ordering with what the parties of a symmetric comparison know of it.
+_LESS = (_A_LESS, "my number is smaller", "my number is larger")
+_GREATER = (_A_GREATER, "my number is larger", "my number is smaller")
+_TIE = (_EQUAL, "the numbers are equal", "the numbers are equal")
+
+
+def _verdict(x, y) -> tuple[Ordering, str, str]:
+    """(ordering, alice_knows, bob_knows): A_LESS if x < y, A_GREATER if x > y, else EQUAL."""
     if x < y:
-        return Ordering.A_LESS
+        return _LESS
     if x > y:
-        return Ordering.A_GREATER
-    return Ordering.EQUAL
-
-
-def _knowledge(ordering: Ordering) -> tuple[str, str]:
-    if ordering is Ordering.A_LESS:
-        return "my number is smaller", "my number is larger"
-    if ordering is Ordering.A_GREATER:
-        return "my number is larger", "my number is smaller"
-    return "the numbers are equal", "the numbers are equal"
+        return _GREATER
+    return _TIE
 
 
 def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
@@ -152,12 +153,12 @@ def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
             f"floors must lie in [1, {n_floors}], got a={a} b={b}"
         )
     if a < b:
-        ordering = Ordering.A_LESS
+        ordering = _A_LESS
         alice_knows = "my number is smaller"
         bob_knows = "my number is larger"
         notes: tuple[str, ...] = ("alice saw the doors open",)
     else:
-        ordering = Ordering.A_GREATER
+        ordering = _A_GREATER
         alice_knows = "my number is not smaller"
         bob_knows = "my number is not larger"
         notes = ("alice never saw the doors open",)
@@ -189,10 +190,9 @@ def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
     time_a = half / a
     time_b = half / b
     mark_tick = math.ceil(min(time_a, time_b) / dt)
-    ordering = _ordering(time_b, time_a)  # the larger speed arrives first
-    alice, bob = _knowledge(ordering)
-    notes = ("both parties arrived together",) if ordering is Ordering.EQUAL else ()
-    marks = 2 if ordering is Ordering.EQUAL else 1  # both runners leave one
+    ordering, alice, bob = _verdict(time_b, time_a)  # the larger speed arrives first
+    notes = ("both parties arrived together",) if ordering is _EQUAL else ()
+    marks = 2 if ordering is _EQUAL else 1  # both runners leave one
     return ComparisonOutcome(
         ordering, alice, bob, partial(_marks, mark_tick, half, marks), notes, mark_tick
     )
@@ -215,11 +215,10 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
         raise DomainError(f"periods must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:
         raise DomainError(f"string length must be even and >= 2, got {n}")
-    ordering = _ordering(a, b)
-    alice, bob = _knowledge(ordering)
+    ordering, alice, bob = _verdict(a, b)
     notes = (
         ("both programs stopped on the same tick; their X symbols meet at the center",)
-        if ordering is Ordering.EQUAL
+        if ordering is _EQUAL
         else ()
     )
     decision_tick = min(a, b) * (n // 2)
@@ -279,25 +278,24 @@ def compare_vessels(
         raise DomainError(f"observation_ticks must be >= 1, got {observation_ticks}")
     if not (0 < initial_level < capacity):
         raise DomainError("initial_level must lie strictly inside (0, capacity)")
-    drift = float(b - a)
+    drift = _drift(a, b)
+    final_level = initial_level + drift * observation_ticks
+    if final_level <= 0.0 or final_level >= capacity:
 
-    def outside(tick: int) -> bool:
-        level = initial_level + drift * tick
-        return level <= 0.0 or level >= capacity
+        def outside(tick: int) -> bool:
+            level = initial_level + drift * tick
+            return level <= 0.0 or level >= capacity
 
-    if outside(observation_ticks):
         # The rounded level is monotone in the tick and starts inside, so
         # the first tick outside is a bisection away.
         tick = bisect.bisect_left(range(observation_ticks + 1), True, key=outside)
         if initial_level + drift * tick <= 0.0:
             raise VesselEmpty(f"vessels ran dry at tick {tick}")
         raise VesselOverflow(f"vessels overflowed at tick {tick}")
-    final_level = initial_level + drift * observation_ticks
-    ordering = _ordering(initial_level, final_level)  # a rising level means a < b
-    alice, bob = _knowledge(ordering)
+    ordering, alice, bob = _verdict(initial_level, final_level)  # a rising level means a < b
     notes = (
         ("flat level: the physical story does not cover equal rates",)
-        if ordering is Ordering.EQUAL
+        if ordering is _EQUAL
         else ()
     )
     levels = partial(vessel_levels, a, b, observation_ticks, initial_level)
@@ -311,7 +309,15 @@ def vessel_levels(
 
     initial_level + (b - a) * tick, the float operations of compare_vessels' own checks.
     """
-    return initial_level + float(b - a) * np.arange(observation_ticks + 1, dtype=np.float64)
+    return initial_level + _drift(a, b) * np.arange(observation_ticks + 1, dtype=np.float64)
+
+
+def _drift(a: int, b: int) -> float:
+    """The level's change per tick: b - a as ints, exactly (a numpy unsigned b - a wraps)."""
+    try:
+        return float(operator.index(b) - operator.index(a))
+    except TypeError:
+        raise DomainError(f"pump rates must be integers, got a={a!r} b={b!r}") from None
 
 
 # --- base-m reduction -------------------------------------------------------
@@ -333,8 +339,14 @@ def compare_digitwise(
     digit) from a strict inequality (decide).  The invocation count is a
     public observable -- it gives away the length of the common digit
     prefix.  The digits are read by place value, from the largest power
-    of m that the larger number reaches (1 when both are below m).
+    of m that the larger number reaches (1 when both are below m).  The
+    numbers and the base are taken as Python ints (a numpy integer as its
+    value); anything else is a DomainError.
     """
+    try:
+        a, b, m = operator.index(a), operator.index(b), operator.index(m)
+    except TypeError:
+        raise DomainError(f"values and base must be integers, got {a!r}, {b!r}, {m!r}") from None
     if a < 0 or b < 0:
         raise DomainError(f"values must be >= 0, got a={a} b={b}")
     if m < 2:
@@ -344,38 +356,38 @@ def compare_digitwise(
     while place * m <= top:
         place *= m
     invocations = 0
-    ordering = Ordering.EQUAL
+    verdict = _TIE
     while place:
         da = a // place % m + 1
         db = b // place % m + 1
         forward = sub_comparator(da, db).ordering
         backward = sub_comparator(db, da).ordering
         invocations += 2
-        if forward is Ordering.A_LESS:
-            ordering = Ordering.A_LESS
+        if forward is _A_LESS:
+            verdict = _LESS
             break
-        if backward is Ordering.A_LESS:
-            ordering = Ordering.A_GREATER
+        if backward is _A_LESS:
+            verdict = _GREATER
             break
-        if forward is not backward or not (
-            forward is Ordering.EQUAL or forward is Ordering.A_GREATER
-        ):
+        if forward is not backward or not (forward is _EQUAL or forward is _A_GREATER):
             raise DomainError(
                 f"sub-comparator returned inconsistent results ({forward} / {backward})"
             )
         place //= m  # genuine tie on this digit
-    alice, bob = _knowledge(ordering)
-    events = partial(_digitwise_events, invocations, ordering is not Ordering.EQUAL)
-    return ComparisonOutcome(ordering, alice, bob, events, (), invocations)
+    events = partial(_digitwise_events, invocations, verdict is not _TIE)
+    return ComparisonOutcome(*verdict, events, (), invocations)
 
 
 def _digitwise_events(invocations: int, decided: bool) -> list[PublicEvent]:
-    """The deciding round, when a digit decided, then the invocation count."""
-    count = PublicEvent(invocations, "subprotocol_invocations", invocations)
+    """The deciding round, when a digit decided, then the invocation count.
+
+    Each event is built by tuple.__new__, which skips PublicEvent's Python-level __new__.
+    """
+    count = tuple.__new__(PublicEvent, (invocations, "subprotocol_invocations", invocations))
     if not decided:
         return [count]
     round_index = invocations // 2 - 1
-    return [PublicEvent(round_index, "deciding_round", round_index), count]
+    return [tuple.__new__(PublicEvent, (round_index, "deciding_round", round_index)), count]
 
 
 # Ready-made sub-comparators for the base-m reduction.  Each looks its

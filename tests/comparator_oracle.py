@@ -10,20 +10,36 @@ notes and the same public list) and raise the same aborts with the same
 messages.  The reduction here takes both numbers' zero-padded digit lists
 up front and builds its record as it goes; the place-value reduction must
 make the same sub-comparator calls and give equal outcomes and errors.
+
+`audit_comparison` is the auditor as it stood when its findings were
+frozen dataclasses and it searched the record with a generator: the
+auditor must give the same findings, field by field.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
+
+from decoysim.engine import Protocol
 from decoysim.errors import DomainError, VesselEmpty, VesselOverflow
 from decoysim.millionaires import (
     ComparisonOutcome,
     Ordering,
     PublicEvent,
     SubComparator,
-    _knowledge,
 )
+
+
+def _knowledge(ordering: Ordering) -> tuple[str, str]:
+    if ordering is Ordering.A_LESS:
+        return "my number is smaller", "my number is larger"
+    if ordering is Ordering.A_GREATER:
+        return "my number is larger", "my number is smaller"
+    return "the numbers are equal", "the numbers are equal"
 
 
 def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
@@ -254,3 +270,117 @@ def compare_digitwise(
     )
     alice, bob = _knowledge(ordering)
     return ComparisonOutcome(ordering, alice, bob, events, (), invocations)
+
+
+@dataclass(frozen=True)
+class LeakageFinding:
+    """One quantity the public record gives away beyond the comparison bit."""
+
+    protocol: str
+    quantity: str
+    value: object
+    description: str
+    exceeds_comparison_bit: bool
+
+
+def audit_comparison(
+    outcome: ComparisonOutcome, protocol: Protocol | str, dt: float = 1.0
+) -> list[LeakageFinding]:
+    """Inspect a comparison's public observables for over-leakage."""
+    tag = protocol.value if isinstance(protocol, Protocol) else str(protocol)
+    findings: list[LeakageFinding] = []
+
+    if tag == Protocol.VESSELS.value:
+        levels = outcome.levels
+        if len(levels) >= 2:
+            slope = math.fsum(np.diff(levels)) / (len(levels) - 1)
+            findings.append(
+                LeakageFinding(
+                    protocol=tag,
+                    quantity="b-a",
+                    value=slope,
+                    description=f"difference leaked: b-a = {slope:g} "
+                    "(per-tick drift of the public level series)",
+                    exceeds_comparison_bit=True,
+                )
+            )
+        return findings
+    observables = outcome.public_observables
+    if tag == Protocol.ELEVATOR.value:
+        doors = [event for event in observables if event.label == "doors_open"]
+        findings.append(
+            LeakageFinding(
+                protocol=tag,
+                quantity="b",
+                value=len(doors) + 1,
+                description=f"descending party's number leaked: b = {len(doors) + 1} "
+                "(one door event per floor below the boarding floor)",
+                exceeds_comparison_bit=True,
+            )
+        )
+    elif tag == Protocol.RACE.value:
+        marks = [event for event in observables if event.label == "mark"]
+        if marks:
+            mark_tick = marks[0].tick
+            half = float(marks[0].value)
+            upper: Optional[float]
+            lower = half / (mark_tick * dt)
+            upper = half / ((mark_tick - 1) * dt) if mark_tick > 1 else None
+            lo_int = math.ceil(lower - 1e-12)
+            hi_int = math.floor((upper - 1e-12)) if upper is not None else None
+            exact = hi_int is not None and lo_int == hi_int
+            findings.append(
+                LeakageFinding(
+                    protocol=tag,
+                    quantity="max(a,b)",
+                    value=lo_int if exact else (lo_int, hi_int),
+                    description=(
+                        f"mark appeared at tick {mark_tick}: the faster speed is "
+                        + (f"exactly {lo_int}" if exact else f"in [{lo_int}, {hi_int}]")
+                    ),
+                    exceeds_comparison_bit=True,
+                )
+            )
+    elif tag == Protocol.RACE_BITSTRING.value:
+        finals = [event for event in observables if event.label == "final_string"]
+        if finals:
+            text = finals[0].value
+            left = len(text) - len(text.lstrip("0X"))
+            right = len(text) - len(text.rstrip("0X"))
+            half = len(text) // 2
+            slower = min(left, right)
+            findings.append(
+                LeakageFinding(
+                    protocol=tag,
+                    quantity="progress(a, b)",
+                    value=(left, right),
+                    description=(
+                        f"string shows per-party progress {left}/{right} of {half}: "
+                        "the slower-to-faster period ratio lies in "
+                        f"[{half}/{slower + 1}, {half}/{max(slower, 1)}]"
+                        if slower < half
+                        else "both programs finished together"
+                    ),
+                    exceeds_comparison_bit=True,
+                )
+            )
+    elif tag == "digitwise":
+        count = next(
+            (event for event in observables if event.label == "subprotocol_invocations"), None
+        )
+        if count is not None:
+            invocations = int(count.value)
+            rounds = invocations // 2
+            findings.append(
+                LeakageFinding(
+                    tag,
+                    "common_prefix_rounds",
+                    rounds,
+                    f"{invocations} sub-protocol invocations reveal that the "
+                    f"numbers agree on the first {rounds - 1} digits"
+                    if outcome.ordering is not Ordering.EQUAL
+                    else f"{invocations} invocations: all digits compared equal",
+                    invocations > 2,
+                )
+            )
+    return findings

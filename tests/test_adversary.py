@@ -33,6 +33,7 @@ from decoysim import (
     estimate_mutual_information,
     estimate_posterior,
     load_scenario,
+    replay_digest,
     run_decoy_transmission,
     run_scenario,
 )
@@ -46,7 +47,7 @@ from decoysim.adversary import (
     adversary_runs,
     attack_columns,
 )
-from decoysim.decoy import Runs, simulate_runs, simulate_transmission
+from decoysim.decoy import IN_BUSINESS, Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
 
 ANALYTIC_SUM_MI_1_8 = 0.7023191426459228  # frozen from the enumeration oracle
@@ -758,6 +759,50 @@ class TestCollectSamples:
             assert len(recoveries) == receives  # one recovery pass; none without a receiver
             assert "table" in batch.__dict__ and batch.table is batch.table
             assert read(again, order[::-1]) == {**first, **read(batch, order[3:])}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"adversary": AdversaryKind.JAMMER},
+            {"adversary": AdversaryKind.IMPERSONATOR, "party_secrets": {"alice": 3}},
+        ],
+        ids=["honest", "jammer", "impersonator"],
+    )
+    def test_iterated_samples_and_digests_recover_nothing(self, overrides):
+        # A transcript and a digest read each run's announce tick from its
+        # pass's plans, as the table does, so neither builds the table or
+        # recovers a secret; what they read agrees with the table.
+        scenario = decoy_scenario(secret_domain=(1, 8), seed=705, **overrides)
+        samples = collect_transmission_samples(scenario, 1200)
+        batches, recoveries, in_kernel = [], [], []
+        kernel, recover = decoy._closed_form, decoy.recover_secrets
+
+        def recorded(*args):
+            in_kernel.append(True)  # an impersonator's reads recover inside the kernel
+            batches.append(kernel(*args))
+            in_kernel.pop()
+            return batches[-1]
+
+        def counted(*args):
+            if not in_kernel:
+                recoveries.append(len(args[0]))
+            return recover(*args)
+
+        with mock.patch.object(decoy, "_closed_form", recorded):
+            with mock.patch.object(decoy, "recover_secrets", counted):
+                transcripts = [transcript for _, transcript in samples]
+                digests = [digest for batch in batches for digest in batch.digests]
+        assert len(batches) == 3 and len(transcripts) == 1200
+        assert recoveries == []
+        assert not any("table" in batch.__dict__ for batch in batches)
+        assert digests == [replay_digest(transcript) for transcript in transcripts]
+        ticks = [tick for batch in batches for tick in batch.table.announce.tolist()]
+        announced = [
+            [tick for tick, tag in transcript.announcements() if tag == IN_BUSINESS]
+            for transcript in transcripts
+        ]
+        assert announced == [[] if tick < 0 else [tick] for tick in ticks]
 
     def test_timeout_transcripts_are_still_samples(self):
         scenario = decoy_scenario(

@@ -3,9 +3,12 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoysim import (
     DomainError,
@@ -21,6 +24,7 @@ from decoysim import (
     compare_vessels,
 )
 from decoysim import millionaires
+from decoysim.adversary import LeakageFinding
 from decoysim.engine import TIMEOUT
 from decoysim.millionaires import (
     ComparisonOutcome,
@@ -28,6 +32,7 @@ from decoysim.millionaires import (
     bitstring_sub,
     elevator_sub,
     race_sub,
+    vessel_levels,
     vessels_sub,
 )
 from decoysim.runner import run_scenario
@@ -47,6 +52,19 @@ def sign_oracle(a: int, b: int) -> Ordering:
 def elevator_oracle(a: int, b: int) -> Ordering:
     # documented tie convention: equality collapses onto the a >= b branch
     return Ordering.A_LESS if a < b else Ordering.A_GREATER
+
+
+INTEGER_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64
+)
+
+
+@st.composite
+def numpy_integers(draw, low: int, count: int):
+    """`count` values of one numpy integer dtype, each in [low, the dtype's max]."""
+    dtype = draw(st.sampled_from(INTEGER_DTYPES))
+    high = int(np.iinfo(dtype).max)
+    return [dtype(draw(st.integers(low, high))) for _ in range(count)]
 
 
 class TestElevator:
@@ -164,6 +182,39 @@ class TestVessels:
         with pytest.raises(DomainError):
             compare_vessels(1, 1, 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(numpy_integers(1, 2), st.integers(1, 12))
+    def test_numpy_rates_give_the_python_ints_outcome_and_levels(self, rates, ticks):
+        # The drift is the exact integer difference, so an unsigned b - a
+        # cannot wrap into an overflow.
+        a, b = rates
+        as_int = int(a), int(b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapped numpy difference warns
+            for initial in (10_000.0, 1.0):
+                found = _outcome_or_abort(compare_vessels, a, b, ticks, initial)
+                expected = _outcome_or_abort(compare_vessels, *as_int, ticks, initial)
+                assert (found, repr(found)) == (expected, repr(expected))
+                levels = vessel_levels(a, b, ticks, initial)
+                assert levels.dtype == np.float64
+                assert levels.tolist() == vessel_levels(*as_int, ticks, initial).tolist()
+
+    def test_unsigned_rates_do_not_wrap(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = compare_vessels(np.uint64(5), np.uint64(3), 4)
+            assert outcome.ordering is Ordering.A_GREATER
+            assert outcome.levels.tolist() == [10_000.0, 9_998.0, 9_996.0, 9_994.0, 9_992.0]
+            assert compare_digitwise(
+                np.uint64(3), np.uint64(5), 10, vessels_sub()
+            ).ordering is Ordering.A_LESS
+
+    def test_non_integer_rates_are_refused(self):
+        with pytest.raises(DomainError, match="pump rates must be integers"):
+            compare_vessels(2.5, 1, 4)
+        with pytest.raises(DomainError, match="pump rates must be integers"):
+            vessel_levels(2, 1.5, 4)
+
     def test_level_series_is_linear_in_the_difference(self):
         outcome = compare_vessels(5, 3, 8)
         levels = [event.value for event in outcome.public_observables]
@@ -234,6 +285,31 @@ class TestDigitwise:
             compare_digitwise(-1, 2, 10, race_sub(10))
         with pytest.raises(DomainError):
             compare_digitwise(1, 2, 1, race_sub(10))
+
+    def test_non_integers_are_refused(self):
+        # A float once compared EQUAL through every sub-comparator.
+        for args in [(5.5, 5.25, 10), (5, 6, 2.5), (np.float64(5.0), 6, 10), ("5", 6, 10)]:
+            with pytest.raises(DomainError, match="values and base must be integers"):
+                compare_digitwise(*args, elevator_sub(10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(numpy_integers(0, 2), st.integers(2, 16))
+    def test_numpy_integers_compare_as_their_values(self, numbers, m):
+        # The sub-comparators get Python int digits, whatever type the numbers had.
+        a, b = numbers
+        for sub in (elevator_sub(m), race_sub(m), bitstring_sub(m), vessels_sub()):
+            seen = []
+
+            def logged(x, y, sub=sub):
+                seen.append((type(x), type(y)))
+                return sub(x, y)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                found = _outcome_or_abort(compare_digitwise, a, b, np.int64(m), logged)
+            expected = _outcome_or_abort(compare_digitwise, int(a), int(b), m, sub)
+            assert (found, repr(found)) == (expected, repr(expected))
+            assert set(seen) == {(int, int)}
 
     def test_sub_errors_propagate(self):
         def broken(x, y):
@@ -369,12 +445,59 @@ class TestAuditFindings:
         assert finding.quantity == "common_prefix_rounds"
         assert finding.value == 2
 
+    def test_findings_are_immutable_named_tuples(self):
+        assert LeakageFinding._fields == (
+            "protocol", "quantity", "value", "description", "exceeds_comparison_bit"
+        )
+        finding = audit_comparison(compare_elevator(2, 6, n_floors=10), Protocol.ELEVATOR)[0]
+        assert finding == ("elevator", "b", 6, finding.description, True)
+        with pytest.raises(AttributeError):
+            finding.value = 7
+        with pytest.raises(TypeError):
+            finding[2] = 7
+
+    def test_findings_match_the_reference_auditor_field_by_field(self):
+        def audited(outcome, protocol, **kwargs):
+            found = []
+            for auditor in (audit_comparison, oracle.audit_comparison):
+                for tag in (protocol, getattr(protocol, "value", protocol)):
+                    found.append([
+                        (f.protocol, f.quantity, type(f.value), repr(f.value), f.description,
+                         f.exceeds_comparison_bit)
+                        for f in auditor(outcome, tag, **kwargs)
+                    ])
+            return found
+
+        cases = []
+        pairs = list(itertools.product(range(1, 13), repeat=2))
+        for a, b in pairs:
+            cases.append((compare_elevator(a, b, n_floors=12), Protocol.ELEVATOR, {}))
+            for dt in (1.0, 0.3):
+                cases.append((compare_race(a, b, 24, dt=dt), Protocol.RACE, {"dt": dt}))
+            cases.append((compare_race_bitstring(a, b, 24), Protocol.RACE_BITSTRING, {}))
+            cases.append((compare_vessels(a, b, 10), Protocol.VESSELS, {}))
+        rng = random.Random(29)
+        for m in (2, 3, 7, 10, 16):
+            for sub in (elevator_sub(m), race_sub(m), bitstring_sub(m), vessels_sub()):
+                for _ in range(40):
+                    a = rng.randrange(m ** rng.randrange(5))
+                    b = a if rng.random() < 0.25 else rng.randrange(m ** rng.randrange(5))
+                    cases.append((compare_digitwise(a, b, m, sub), "digitwise", {}))
+        shapes = set()
+        for outcome, protocol, kwargs in cases:
+            found = audited(outcome, protocol, **kwargs)
+            assert found[1:] == found[:1] * 3, (protocol, outcome)
+            shapes.update((protocol, row[2], "equal" in row[4]) for row in found[0])
+        # Both of the race's value shapes and both of the digitwise texts are reached.
+        assert {(Protocol.RACE, int), (Protocol.RACE, tuple)} <= {shape[:2] for shape in shapes}
+        assert {("digitwise", int, False), ("digitwise", int, True)} <= shapes
+
 
 def _outcome_or_abort(comparator, *args, **kwargs):
-    """The comparator's outcome, or the type and message of the vessel abort it raised."""
+    """The comparator's outcome, or the type and message of the error or vessel abort it raised."""
     try:
         return comparator(*args, **kwargs)
-    except (VesselEmpty, VesselOverflow) as exc:
+    except (DomainError, VesselEmpty, VesselOverflow) as exc:
         return type(exc), str(exc)
 
 
