@@ -147,30 +147,18 @@ def estimate_mutual_information(
     O(alphabet / N) bias of the plug-in difference.  Small negative
     results are possible and are returned as-is.
     """
+    n = len(pairs)
+    if n < min_samples:
+        raise InsufficientSamples(f"mutual information needs >= {min_samples} samples, got {n}")
     # Counter counts in C in first-occurrence order, which summing the joint's keys keeps.
     counts_st, counts_s, counts_t = Counter(pairs), Counter(), Counter()
     for (s, t), count in counts_st.items():
         counts_s[s] += count
         counts_t[t] += count
     counts = (counts_s.values(), counts_t.values(), counts_st.values())
-    return _mutual_information(len(pairs), counts, min_samples)
-
-
-def _mutual_information(n: int, counts, min_samples: int) -> float:
-    """The estimate from the counts of the symbols of S, T and (S, T), each in first-seen order."""
-    if n < min_samples:
-        raise InsufficientSamples(f"mutual information needs >= {min_samples} samples, got {n}")
     ln2 = math.log(2.0)
     h_s, h_t, h_st = (_entropy_bits(c, n) + (len(c) - 1) / (2.0 * n * ln2) for c in counts)
     return h_s + h_t - h_st
-
-
-def _counts_in_order(keys: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Each distinct key's count, in first-occurrence order as Counter's, and each key's rank."""
-    _, first, ranks, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    return counts[first.argsort()].tolist(), ranks
 
 
 # A feature's kind, FeatureColumns.kind: a stable total and its bucket, or a one-word feature.
@@ -300,9 +288,9 @@ def estimate_posterior(
     posterior(s) is proportional to the number of sample transcripts with
     secret s whose feature vector matches the observed one; a sample
     outside the domain matches none.  The sample set must cover every
-    domain value at least min_per_class times.  It
-    counts on the samples' secret column and their features' columns
-    (TranscriptSamples.feature_columns), in the order Counter would.
+    domain value at least min_per_class times.  mi_bits is
+    estimate_mutual_information of the (secret, feature) pairs, each feature
+    packed into one int from its columns (TranscriptSamples.feature_columns).
     """
     _check_classes(samples, domain, min_per_class)
     values = observed.values()
@@ -333,15 +321,13 @@ def estimate_own_run_posterior(
 def _check_classes(samples: TranscriptSamples, domain: tuple[int, int], min_per_class: int):
     """Raise InsufficientSamples naming the first secret of `domain` with too few samples."""
     n1, n2 = domain
-    codes = np.asarray(samples.runs.secrets, dtype=np.int64) - n1
-    # Codes run 0, 1, 2, ... in `present` up to the first with no sample, where the check stops.
-    present, counts = np.unique(codes[(codes >= 0) & (codes <= n2 - n1)], return_counts=True)
-    gap = int(_first_true((present != np.arange(len(present)))[None, :])[0])
-    for secret, count in zip(range(n1, n2 + 1), [*counts[:gap].tolist(), 0]):
-        if count < min_per_class:
+    counts = Counter(np.asarray(samples.runs.secrets, dtype=np.int64).tolist())
+    # Of any len(counts) + 1 secrets one has no sample, so the check stops by then.
+    for secret in itertools.islice(range(n1, n2 + 1), len(counts) + 1):
+        if counts[secret] < min_per_class:
             raise InsufficientSamples(
                 f"need >= {min_per_class} samples for every secret in "
-                f"[{n1}, {n2}]; secret {secret} has {count}"
+                f"[{n1}, {n2}]; secret {secret} has {counts[secret]}"
             )
 
 
@@ -366,14 +352,11 @@ def _posterior(samples, columns: FeatureColumns, seen: FeatureColumns, domain) -
     # One int64 key per feature, packed from the totals' ranks (no overflow), the bucket and kind.
     totals = np.unique(columns.total, return_inverse=True)[1]
     keys = (totals * (columns.bucket.max(initial=0) + 1) + columns.bucket) * 4 + columns.kind
-    counts_s, ranks_s = _counts_in_order(secrets)
-    counts_t, ranks_t = _counts_in_order(keys)
-    counts_st, _ = _counts_in_order(ranks_t * len(counts_s) + ranks_s)
     report = PosteriorReport(
         domain=domain,
         posterior=posterior,
         max_prob=max(posterior.values()),
-        mi_bits=_mutual_information(len(secrets), (counts_s, counts_t, counts_st), MIN_MI_SAMPLES),
+        mi_bits=estimate_mutual_information(list(zip(secrets.tolist(), keys.tolist()))),
         samples_used=len(samples),
         matched_samples=total_matched,
         observed_feature=seen.tuples()[0],

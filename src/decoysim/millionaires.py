@@ -147,7 +147,12 @@ def compare_elevator(a: int, b: int, n_floors: int) -> ComparisonOutcome:
     values are indistinguishable from a > b inside the protocol, so they
     are reported on the not-larger branch with a note.  The doors open
     at floor b - t on tick t, so the last door event is on tick b - 1.
+    The floors are taken as Python ints (a numpy integer as its value).
     """
+    try:
+        a, b = operator.index(a), operator.index(b)
+    except TypeError:
+        raise DomainError(f"floors must be integers, got a={a!r} b={b!r}") from None
     if not (1 <= a <= n_floors and 1 <= b <= n_floors):
         raise DomainError(
             f"floors must lie in [1, {n_floors}], got a={a} b={b}"
@@ -209,8 +214,13 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
     ticks right to left; whoever completes n/2 replacements writes an X
     and stops, and the program that stops first belongs to the *smaller*
     number.  The string's evolution is public, and it freezes on the
-    decision tick min(a, b) * n/2.
+    decision tick min(a, b) * n/2.  The periods are taken as Python ints
+    (a numpy integer as its value).
     """
+    try:
+        a, b = operator.index(a), operator.index(b)
+    except TypeError:
+        raise DomainError(f"periods must be integers, got a={a!r} b={b!r}") from None
     if a < 1 or b < 1:
         raise DomainError(f"periods must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:

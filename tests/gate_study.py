@@ -19,7 +19,15 @@ Runs, at 300 seeds each, the scenario, the sample count and the bound of
 - TestEstimatePosterior::test_synchronous_posterior_uniform_over_split_set
   (test_adversary.py, seed 500): the synchronous control, 2,500 samples,
   the posterior of each secret of the split set of 8 within 3 sigma of 1/7,
-  and secret 8's at 0.
+  and secret 8's at 0;
+- TestMutualInformation::test_independent_pairs_near_zero (seed 77):
+  10,000 pairs of independent draws from 0-7, |MI| within 0.02 bits;
+- TestMutualInformation::test_synthetic_sum_channel_matches_analytic
+  (seed 2025): 10,000 draws of S and K from 1-8, |MI(S; S + K) - analytic|
+  within 0.05 bits;
+- perfbench's analyze check (perfbench/workloads.py): `analyze` on
+  configs/sync_analysis.cfg (seed 1000) at ANALYZE_SAMPLES samples,
+  |MI - analytic| within MI_TOLERANCE_BITS, both read from that file.
 
 Only the seed varies.  Each gate's margin is the quantity its test bounds,
 in the test's units, so a gate fails where the margin passes its bound.
@@ -35,6 +43,8 @@ import argparse
 import functools
 import math
 import statistics
+import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,11 +57,18 @@ from decoysim import (
     analytic_sum_mi,
     attack_impersonate,
     collect_transmission_samples,
+    estimate_mutual_information,
     estimate_posterior,
+    load_scenario,
     run_decoy_transmission,
 )
+from decoysim.adversary import estimate_own_run_posterior
 from decoysim.runner import run_passes
 from conftest import decoy_scenario, sync_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import ANALYZE_SAMPLES, MI_TOLERANCE_BITS  # noqa: E402  the benchmark's own bound
 
 BOUND_SIGMA = 3.0
 # Far enough apart that no two seeds' sample runs share a seed.
@@ -152,6 +169,30 @@ def split_set_margin(seed: int) -> float:
     return max(abs(report.posterior[s] - p) for s, p in analytic.items()) / sigma
 
 
+def independent_mi(seed: int) -> float:
+    """TestMutualInformation: |MI| of 10,000 pairs of independent draws from 0-7, in bits."""
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(rng.integers(0, 8, 10_000), rng.integers(0, 8, 10_000)))
+    return abs(estimate_mutual_information(pairs))
+
+
+def sum_channel_error(seed: int) -> float:
+    """TestMutualInformation: |MI(S; S + K) - analytic| of 10,000 draws from 1-8, in bits."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(1, 9, 10_000)
+    k = rng.integers(1, 9, 10_000)
+    return abs(estimate_mutual_information(list(zip(s.tolist(), (s + k).tolist()))) - ANALYTIC_MI)
+
+
+def analyze_workload_error(seed: int) -> float:
+    """perfbench's analyze check: |MI - analytic| of `analyze` on sync_analysis.cfg, in bits."""
+    scenario = load_scenario(ROOT / "configs" / "sync_analysis.cfg", [f"seed={seed}"])
+    samples = collect_transmission_samples(scenario, ANALYZE_SAMPLES)
+    features = TranscriptFeatures.for_scenario(scenario)
+    report = estimate_own_run_posterior(samples, features, scenario.secret_domain)
+    return abs(report.mi_bits - analytic_sum_mi(scenario.secret_domain))
+
+
 class Gate(NamedTuple):
     own_seed: int
     margin: Callable[[int], float]
@@ -170,6 +211,11 @@ GATES = {
     ),
     "criterion 10 noisy success rate": Gate(0, noisy_success_rate, 0.99, False, "share"),
     "split-set posterior": Gate(500, split_set_margin, BOUND_SIGMA, True, "sigma"),
+    "independent pairs |MI|": Gate(77, independent_mi, 0.02, True, "bits"),
+    "sum channel |MI - analytic|": Gate(2025, sum_channel_error, 0.05, True, "bits"),
+    "perfbench analyze |MI - analytic|": Gate(
+        1000, analyze_workload_error, MI_TOLERANCE_BITS, True, "bits"
+    ),
 }
 
 

@@ -37,7 +37,7 @@ from decoysim import (
     run_decoy_transmission,
     run_scenario,
 )
-from decoysim import decoy
+from decoysim import adversary, decoy
 from decoysim.adversary import (
     EMPTY,
     SILENT,
@@ -46,6 +46,7 @@ from decoysim.adversary import (
     FeatureColumns,
     adversary_runs,
     attack_columns,
+    estimate_own_run_posterior,
 )
 from decoysim.decoy import IN_BUSINESS, Runs, simulate_runs, simulate_transmission
 from conftest import decoy_scenario, run_alone, sync_scenario, with_seed
@@ -428,27 +429,55 @@ def test_column_counts_match_counters(alphabet, unseen, domain_size, count, seed
     count=st.integers(1000, 1300),
     min_per_class=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from([7, 2**53]),
 )
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_sample_check_names_the_first_short_secret(missing, outside, count, min_per_class, seed):
+def test_sample_check_names_the_first_short_secret(
+    missing, outside, count, min_per_class, seed, top
+):
     # Secrets missing from the samples, short ones and ones outside the domain
-    # [1, 7]: the check raises on the first secret a Counter finds short.
+    # [1, 7]: the check raises on the first secret a Counter finds short.  On
+    # [1, 2^53] it must stop there too: a walk of the domain would not end.
     drawn = sorted(set(range(1, 8)) - missing | outside)
     assume(drawn)
     secrets = np.random.default_rng(seed).choice(drawn, count)
     class_counts = Counter(secrets.tolist())
-    short = [secret for secret in range(1, 8) if class_counts[secret] < min_per_class]
+    short = next((s for s in range(1, top + 1) if class_counts[s] < min_per_class), None)
     samples = _ColumnSamples(secrets, FeatureColumns(*np.zeros((3, count), np.int64)))
     seen = _ObservedColumns(FeatureColumns(*np.zeros((3, 1), np.int64)))
-    if not short:
-        estimate_posterior(samples, Transcript(), seen, (1, 7), min_per_class).check_invariants()
+    if short is None:
+        estimate_posterior(samples, Transcript(), seen, (1, top), min_per_class).check_invariants()
         return
     message = (
-        f"need >= {min_per_class} samples for every secret in [1, 7]; "
-        f"secret {short[0]} has {class_counts[short[0]]}"
+        f"need >= {min_per_class} samples for every secret in [1, {top}]; "
+        f"secret {short} has {class_counts[short]}"
     )
     with pytest.raises(InsufficientSamples, match=re.escape(message) + "$"):
-        estimate_posterior(samples, Transcript(), seen, (1, 7), min_per_class)
+        estimate_posterior(samples, Transcript(), seen, (1, top), min_per_class)
+
+
+def test_posteriors_report_the_public_estimators_mi(monkeypatch):
+    # Both posteriors take mi_bits from one call of estimate_mutual_information.
+    scenario = sync_scenario(seed=300)
+    samples = collect_transmission_samples(scenario, 2000)
+    features = TranscriptFeatures.for_scenario(scenario)
+    observed = run_decoy_transmission(scenario).transcript
+    domain = scenario.secret_domain
+    returned = []
+
+    def counted(pairs, *args, **kwargs):
+        returned.append(estimate_mutual_information(pairs, *args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(adversary, "estimate_mutual_information", counted)
+    for estimate in (
+        lambda: estimate_posterior(samples, observed, features, domain),
+        lambda: estimate_own_run_posterior(samples, features, domain),
+    ):
+        returned.clear()
+        report = estimate()
+        assert len(returned) == 1
+        assert report.mi_bits is returned[0]
 
 
 def test_matched_samples_outside_the_domain_are_not_counted():

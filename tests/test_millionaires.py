@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoysim import (
@@ -60,11 +60,24 @@ INTEGER_DTYPES = (
 
 
 @st.composite
-def numpy_integers(draw, low: int, count: int):
-    """`count` values of one numpy integer dtype, each in [low, the dtype's max]."""
+def numpy_integers(draw, low: int, count: int, high: float = math.inf):
+    """`count` values of one numpy integer dtype, each in [low, min(high, the dtype's max)]."""
     dtype = draw(st.sampled_from(INTEGER_DTYPES))
-    high = int(np.iinfo(dtype).max)
+    high = min(high, int(np.iinfo(dtype).max))
     return [dtype(draw(st.integers(low, high))) for _ in range(count)]
+
+
+def assert_numpy_integers_compare_as_python_ints(comparator, a, b, *args):
+    """The comparator gives numpy a and b the Python ints' outcome, raising no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a wrapped numpy product warns
+        found = _outcome_or_abort(comparator, a, b, *args)
+    expected = _outcome_or_abort(comparator, int(a), int(b), *args)
+    # The repr shows each event's tick and value with its type.
+    assert (found, repr(found)) == (expected, repr(expected))
+    if isinstance(expected, ComparisonOutcome):
+        assert type(found.last_tick) is int
+        assert found.last_tick == expected.last_tick
 
 
 class TestElevator:
@@ -91,12 +104,20 @@ class TestElevator:
             compare_elevator(0, 3, n_floors=10)
         with pytest.raises(DomainError):
             compare_elevator(3, 11, n_floors=10)
+        with pytest.raises(DomainError, match="floors must be integers"):
+            compare_elevator(2.5, 3, n_floors=10)
 
     def test_exhaustive_grid_matches_oracle(self):
         for a in range(1, 21):
             for b in range(1, 21):
                 outcome = compare_elevator(a, b, n_floors=20)
                 assert outcome.ordering is elevator_oracle(a, b), (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(numpy_integers(1, 2, high=24), st.integers(1, 20))
+    @example([np.uint8(3), np.uint8(5)], 10)  # once published its door values as np.uint8
+    def test_numpy_floors_give_the_python_ints_outcome(self, floors, n_floors):
+        assert_numpy_integers_compare_as_python_ints(compare_elevator, *floors, n_floors)
 
 
 class TestRace:
@@ -154,11 +175,19 @@ class TestRaceBitstring:
             compare_race_bitstring(1, 1, 7)
         with pytest.raises(DomainError):
             compare_race_bitstring(0, 1, 8)
+        with pytest.raises(DomainError, match="periods must be integers"):
+            compare_race_bitstring(2, 3.0, 10)
 
     def test_exhaustive_small_grid(self):
         for a in range(1, 13):
             for b in range(1, 13):
                 assert compare_race_bitstring(a, b, 24).ordering is sign_oracle(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(numpy_integers(1, 2), st.integers(1, 8))
+    @example([np.uint8(200), np.uint8(201)], 2)  # min(a, b) * n/2 once wrapped to tick 144
+    def test_numpy_periods_give_the_python_ints_outcome(self, periods, half):
+        assert_numpy_integers_compare_as_python_ints(compare_race_bitstring, *periods, 2 * half)
 
 
 class TestVessels:
