@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
@@ -113,11 +114,10 @@ def analytic_sum_mi(
     NOT zero on a bounded domain: extreme totals pin the secret down
     (total = 2 forces secret = 1), so this exact value -- not zero -- is
     the reference an empirical estimator of the sum channel must match.
+    The bounds are taken as Python ints (a numpy integer as its value).
     """
-    if key_domain is None:
-        key_domain = secret_domain
-    s1, s2 = secret_domain
-    k1, k2 = key_domain
+    s1, s2 = map(operator.index, secret_domain)
+    k1, k2 = (s1, s2) if key_domain is None else map(operator.index, key_domain)
     n = (s2 - s1 + 1) * (k2 - k1 + 1)
     h_s = _entropy_bits(itertools.repeat(k2 - k1 + 1, s2 - s1 + 1), n)
     totals = range(s1 + k1, s2 + k2 + 1)

@@ -102,11 +102,14 @@ def _meta_record(scenario: Scenario) -> dict:
 def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
     """A run's outcome summary, leakage findings, report flags and exit code.
 
-    A comparison's leak flags leave the exit code 0; every other run's
-    summary, flags and exit code are _summarize's.
+    A comparison's leak flags leave the exit code 0.  A failed run, a
+    decoy run that recovered the wrong secret and an attack that disrupted
+    the run, learned the secret or timed out each exit EXIT_PROTOCOL.
     """
-    result = outcome.result
-    if outcome.status == OK and isinstance(result, ComparisonOutcome):
+    result, status = outcome.result, outcome.status
+    if status != OK:
+        return {"kind": "error", "error": status}, [], [status], EXIT_PROTOCOL
+    if isinstance(result, ComparisonOutcome):
         summary = {
             "kind": "comparison",
             "ordering": result.ordering.value,
@@ -118,20 +121,24 @@ def _assess(outcome: RunOutcome) -> tuple[dict, list, list[str], int]:
         findings = adversary_mod.audit_comparison(result, scenario.protocol, dt=scenario.dt)
         leaks = [f"leak:{f.quantity}" for f in findings if f.exceeds_comparison_bit]
         return summary, findings, leaks, EXIT_OK
-    kind, values = "decoy" if isinstance(result, DecoyOutcome) else "attack", ()
-    if outcome.status == OK:
-        values = [getattr(result, name) for name in _RESULT_FIELDS[kind]]
-    summary, flags, code = _summarize(outcome.status, kind, values)
-    return summary, [], flags, code
+    kind = "decoy" if isinstance(result, DecoyOutcome) else "attack"
+    values = [getattr(result, name) for name in _RESULT_FIELDS[kind]]
+    summary = {"kind": kind, **dict(zip(_FIELDS[kind], values))}
+    if kind == "decoy":
+        flags = [] if summary["success"] else ["recovery-mismatch"]
+    else:
+        flags = [flag for field, flag in _ATTACK_FLAGS.items() if summary[field]]
+    return summary, [], flags, EXIT_PROTOCOL if flags else EXIT_OK
 
 
-# A decoy and an attack run's summary fields after "kind", in report order.
+# A decoy, an attack and a failed run's summary fields after "kind", in report order.
 _FIELDS = {
     "decoy": ("recovered", "sender_secret", "success", "detected_tick", "announce_tick"),
     "attack": (
         "attack", "disrupted", "adversary_learned", "adversary_recovered", "receiver_recovered",
         "receiver_error", "timeout",
     ),
+    "error": ("error",),
 }
 # The result field behind each summary field: an attack summary's "attack" is its result's kind.
 _RESULT_FIELDS = {"decoy": _FIELDS["decoy"], "attack": ("kind", *_FIELDS["attack"][1:])}
@@ -141,53 +148,14 @@ _ATTACK_FLAGS = {
     "adversary_learned": "adversary-learned-secret",
     "timeout": "timeout",
 }
-
-
-def _summarize(status: str, kind: str, values) -> tuple[dict, list[str], int]:
-    """A run's summary, flags and exit code, from its status and, if OK, its _FIELDS[kind] values.
-
-    A failed run, a decoy run that recovered the wrong secret and an
-    attack that disrupted the run, learned the secret or timed out each
-    exit EXIT_PROTOCOL.
-    """
-    if status != OK:
-        return {"kind": "error", "error": status}, [status], EXIT_PROTOCOL
-    summary = {"kind": kind, **dict(zip(_FIELDS[kind], values))}
-    if kind == "decoy":
-        flags = [] if summary["success"] else ["recovery-mismatch"]
-    else:
-        flags = [flag for field, flag in _ATTACK_FLAGS.items() if summary[field]]
-    return summary, flags, EXIT_PROTOCOL if flags else EXIT_OK
-
-
-def _sweep_rows(scenario: Scenario, count: int) -> Iterator[tuple]:
-    """Each run's seed, status, (summary, flags, exit code) and digest, in order.
-
-    Comparison runs go one at a time through _assess.  Decoy runs are read
-    off their kernel passes' outcome tables, each column a _FIELDS one
-    (an attack's from adversary.attack_columns), and digests; an attack
-    run's status is OK whatever it did, as run_scenario gives it.
-    """
-    if scenario.protocol not in DECOY_PROTOCOLS:
-        for outcome in run_comparisons(scenario, count):
-            summary, _, flags, code = _assess(outcome)
-            yield outcome.scenario.seed, outcome.status, (summary, flags, code), outcome.digest
-        return
-    attacked = scenario.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
-    kind = "attack" if attacked else "decoy"
-    for batch in run_passes(scenario, count):
-        table = batch.table
-        if attacked:
-            status = [OK] * len(batch)
-            columns = map(adversary_mod.attack_columns(batch).__getitem__, _RESULT_FIELDS[kind])
-        else:
-            status, secrets = table.status.tolist(), np.asarray(batch.runs.secrets)
-            columns = (
-                present(table.recovered), secrets.tolist(), (table.recovered == secrets).tolist(),
-                present(table.detected), present(table.announce),
-            )
-        summaries = map(_summarize, status, itertools.repeat(kind), zip(*columns))
-        yield from zip(batch.runs.seeds, status, summaries, batch.digests)
+# An OK run's flags as JSON by its flag bits, bit i raising its kind's flag i, as _assess does.
+_FLAG_LISTS = {
+    kind: [
+        json.dumps([flag for i, flag in enumerate(flags) if bits >> i & 1])
+        for bits in range(1 << len(flags))
+    ]
+    for kind, flags in (("decoy", ["recovery-mismatch"]), ("attack", list(_ATTACK_FLAGS.values())))
+}
 
 
 def _run_record(run_id: int, protocol: str, seed: int, summary: dict, digest: int, flags) -> dict:
@@ -200,6 +168,70 @@ def _run_record(run_id: int, protocol: str, seed: int, summary: dict, digest: in
         "digest": f"{digest:016x}",
         "flags": list(flags),
     }
+
+
+def _line_format(protocol: str, kind: str) -> str:
+    """A run line of `kind`, json.dumps of its _run_record and a newline, as a %-format.
+
+    It takes the run_id, the seed, the _FIELDS[kind] cells, the digest and the flags, as JSON
+    text but for the ints.
+    """
+    cells = "".join(f', "{name}": %s' for name in _FIELDS[kind])
+    return (
+        f'{{"record": "run", "run_id": %d, "protocol": {json.dumps(protocol)}, "seed": %d, '
+        f'"outcome": {{"kind": "{kind}"{cells}}}, "digest": "%016x", "flags": %s}}\n'
+    )
+
+
+def _sweep_passes(scenario: Scenario, count: int, records: bool) -> Iterator[tuple]:
+    """A sweep's runs, a pass at a time, as what its records and its aggregate read of them.
+
+    Each pass gives its run lines ("" unless `records`), its counts of runs `run` exits 0 on
+    and of failed runs, its OK runs' digests and its OK decoy runs' absolute errors.
+    Comparison runs go one at a time through _assess.  Decoy runs are read off their kernel
+    passes' outcome tables, each column a _FIELDS one (an attack's from attack_columns), with
+    _assess's flags and exit codes as a column of flag bits; an attack run is OK whatever it did.
+    """
+    protocol = scenario.protocol.value
+    if scenario.protocol not in DECOY_PROTOCOLS:
+        for index, outcome in enumerate(run_comparisons(scenario, count)):
+            (summary, _, flags, code), ok = _assess(outcome), outcome.status == OK
+            seed, digest = outcome.scenario.seed, outcome.digest
+            record = _run_record(index, protocol, seed, summary, digest, flags)
+            lines = json.dumps(record) + "\n" if records else ""
+            yield lines, int(code == EXIT_OK), int(not ok), [digest] * ok, []
+        return
+    attacked = scenario.adversary in (AdversaryKind.JAMMER, AdversaryKind.IMPERSONATOR)
+    kind = "attack" if attacked else "decoy"
+    line, error_line = _line_format(protocol, kind), _line_format(protocol, "error")
+    first = 0
+    for batch in run_passes(scenario, count):
+        table, digests, seeds = batch.table, batch.digests, batch.runs.seeds
+        if attacked:
+            ok, columns = np.full(len(batch), True), adversary_mod.attack_columns(batch)
+            bits = sum(getattr(table, field) << bit for bit, field in enumerate(_ATTACK_FLAGS))
+            cells, abs_errors = [columns[name] for name in _RESULT_FIELDS[kind]], []
+        else:
+            ok, secrets = table.status == OK, np.asarray(batch.runs.secrets)
+            bits = ~(ok & (table.recovered == secrets))
+            cells = [present(table.recovered), secrets.tolist(), (~bits).tolist()]
+            cells += [present(table.detected), present(table.announce)]
+            abs_errors = np.abs(table.recovered - secrets)[ok].tolist()
+        lines = []
+        if records:
+            flags = map(_FLAG_LISTS[kind].__getitem__, bits.tolist())
+            # One json.dumps renders a column of ints, bools, None and words: its cells' texts.
+            texts = (json.dumps(column)[1:-1].split(", ") for column in cells)
+            rows = zip(itertools.count(first), seeds, *texts, digests, flags)
+            lines = list(map(line.__mod__, rows))
+            for row in (~ok).nonzero()[0].tolist():  # a failed run's line is an error one
+                status = json.dumps(str(table.status[row]))
+                values = first + row, seeds[row], status, digests[row], f"[{status}]"
+                lines[row] = error_line % values
+        successes, failures = int(np.count_nonzero(bits == 0)), int(np.count_nonzero(~ok))
+        ok_digests = itertools.compress(digests, ok.tolist())
+        yield "".join(lines), successes, failures, ok_digests, abs_errors
+        first += len(batch)
 
 
 def _print_text_report(
@@ -260,45 +292,29 @@ def cmd_sweep(args, stream: TextIO) -> int:
     # Every variant is loaded before the first run, so a bad one fails before any output.
     scenarios = [base if key is None else _load(args, f"{key}={value}") for key, value in variants]
     for (vary_key, vary_value), scenario in zip(variants, scenarios):
-        successes = 0
-        failures = 0
-        abs_errors: list[float] = []
-        digests: list[str] = []
-        protocol = scenario.protocol.value
-        # Records go out as the runs come, one kernel pass of them at a time.
-        rows = _sweep_rows(scenario, args.runs)
-        for index, (seed, status, (summary, flags, code), digest) in enumerate(rows):
-            # A run succeeds when `run` would exit 0 on it.
-            successes += code == EXIT_OK
-            if status != OK:
-                failures += 1
-            else:
-                digests.append(f"{digest:016x}")
-                if summary["kind"] == "decoy":
-                    abs_errors.append(abs(summary["recovered"] - summary["sender_secret"]))
-            if args.format == "records":
-                record = _run_record(index, protocol, seed, summary, digest, flags)
-                _emit(stream, json.dumps(record))
-        sorted_errors = sorted(abs_errors)
-
-        def percentile(q: float) -> Optional[float]:
-            if not sorted_errors:
-                return None
-            position = min(len(sorted_errors) - 1, int(q * (len(sorted_errors) - 1)))
-            return sorted_errors[position]
-
+        successes = failures = 0
+        abs_errors: list[int] = []
+        digests: set[int] = set()
+        # Records go out as the runs come, one pass of them at a time.
+        passes = _sweep_passes(scenario, args.runs, args.format == "records")
+        for lines, passed, failed, ok_digests, errors in passes:
+            if lines:  # a text sweep opens its --out file only to write its first line
+                stream.write(lines)
+            successes, failures = successes + passed, failures + failed
+            digests.update(ok_digests)
+            abs_errors += errors
+        ranked, last = sorted(abs_errors), len(abs_errors) - 1
+        p50, p90 = (ranked[int(q * last)] if ranked else None for q in (0.50, 0.90))
         aggregate = {
             "record": "aggregate",
             "vary": {vary_key: vary_value} if vary_key else None,
             "runs": args.runs,
             "success_rate": successes / args.runs,
             "failures": failures,
-            "mean_abs_error": (
-                math.fsum(abs_errors) / len(abs_errors) if abs_errors else None
-            ),
-            "p50_abs_error": percentile(0.50),
-            "p90_abs_error": percentile(0.90),
-            "distinct_digests": len(set(digests)),
+            "mean_abs_error": math.fsum(abs_errors) / len(abs_errors) if abs_errors else None,
+            "p50_abs_error": p50,
+            "p90_abs_error": p90,
+            "distinct_digests": len(digests),
         }
         if args.format == "records":
             _emit(stream, json.dumps(aggregate))

@@ -669,9 +669,11 @@ def _first_settled(
     Returns columns: whether row i has such a window, and its last column
     and its level, which are unread and 0.0 where it has none.  A window
     holding NaN never settles.  With a tolerance, only windows that pass
-    necessary conditions go to the exact detector: spread within 2 *
-    epsilon, highest value near the floor and an approximate mean that
-    leaves room to settle (_may_settle).  With none, the test is exact:
+    necessary conditions go to detect_stabilization's test: spread within
+    2 * epsilon, highest value near the floor and an approximate mean that
+    leaves room to settle (_may_settle).  Every row's first such window
+    takes the test in one round, and a row's next one only where it
+    failed.  With none, the test is exact:
     a window the detector accepts is flat at some v, and its mean is
     fsum([v] * width) / width, where fsum is the correctly rounded
     v * width; that mean can miss v (884295128254041.2 at width 3).  So
@@ -694,20 +696,21 @@ def _first_settled(
         rows, columns = np.arange(count), passing.argmax(axis=1)
         hit = passing[rows, columns]
         return hit, columns + width - 1, np.where(hit, high[rows, columns] + 0.0, 0.0)
-    for row, column in enumerate(passing.argmax(axis=1).tolist()):
-        if not passing[row, column]:
-            continue
-        later = None  # the row's other candidates, found once the first one fails
-        while column is not None:
-            window = values[row, column : column + width].tolist()
-            found = detect_stabilization(window, epsilon, width)
-            if found is not None and found >= floor:
-                hit[row], end[row], level[row] = True, column + width - 1, found
-                break
-            if later is None:
-                later = iter((column + 1 + np.flatnonzero(passing[row, column + 1 :])).tolist())
-            column = next(later, None)
-    return hit, end, level
+    rows, columns = np.arange(count), passing.argmax(axis=1)
+    while True:
+        left = passing[rows, columns]
+        rows, columns = rows[left], columns[left]
+        if not len(rows):
+            return hit, end, level
+        windows = values[rows[:, None], columns[:, None] + np.arange(width)].tolist()
+        means = np.array(list(map(math.fsum, windows))) / width
+        most, least = high[rows, columns], low[rows, columns]
+        settled = (most - means <= epsilon) & (means - least <= epsilon) & (means >= floor)
+        done = rows[settled]
+        hit[done], end[done], level[done] = True, columns[settled] + width - 1, means[settled]
+        rows, columns = rows[~settled], columns[~settled]
+        passing[rows, columns] = False  # the next round tries each row's next candidate
+        columns = passing[rows].argmax(axis=1)
 
 
 def _impersonator_reads(

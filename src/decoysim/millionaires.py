@@ -183,8 +183,13 @@ def compare_race(a: int, b: int, n: int, dt: float = 1.0) -> ComparisonOutcome:
 
     Speeds are the private numbers, so the first arrival has the larger
     one.  The mark appearing at the midpoint is the public event; its tick
-    pins down the faster speed for anyone timing it.
+    pins down the faster speed for anyone timing it.  The track length
+    is taken as a Python int (a numpy integer as its value).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"track length must be an integer, got {n!r}") from None
     if a < 1 or b < 1:
         raise DomainError(f"speeds must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:
@@ -214,13 +219,14 @@ def compare_race_bitstring(a: int, b: int, n: int) -> ComparisonOutcome:
     ticks right to left; whoever completes n/2 replacements writes an X
     and stops, and the program that stops first belongs to the *smaller*
     number.  The string's evolution is public, and it freezes on the
-    decision tick min(a, b) * n/2.  The periods are taken as Python ints
-    (a numpy integer as its value).
+    decision tick min(a, b) * n/2.  The periods and the length are taken
+    as Python ints (a numpy integer as its value).
     """
     try:
-        a, b = operator.index(a), operator.index(b)
+        a, b, n = operator.index(a), operator.index(b), operator.index(n)
     except TypeError:
-        raise DomainError(f"periods must be integers, got a={a!r} b={b!r}") from None
+        message = f"periods must be integers, as must the length, got a={a!r} b={b!r} n={n!r}"
+        raise DomainError(message) from None
     if a < 1 or b < 1:
         raise DomainError(f"periods must be >= 1, got a={a} b={b}")
     if n < 2 or n % 2 != 0:

@@ -27,7 +27,13 @@ Runs, at 300 seeds each, the scenario, the sample count and the bound of
   within 0.05 bits;
 - perfbench's analyze check (perfbench/workloads.py): `analyze` on
   configs/sync_analysis.cfg (seed 1000) at ANALYZE_SAMPLES samples,
-  |MI - analytic| within MI_TOLERANCE_BITS, both read from that file.
+  |MI - analytic| within MI_TOLERANCE_BITS, both read from that file;
+- TestDetectStabilization::test_noisy_constant_window_mostly_detected
+  (test_decoy.py, seed 31337): 1,000 windows of 20 readings at 8 with
+  noise sigma 0.1, at least 99% of them detected at tolerance 4 sigma;
+- TestMeasure::test_noise_sample_mean_is_centered (test_channel.py,
+  seed 2024): the mean noise of 100,000 measurements at sigma 0.1 within
+  3 sigma / sqrt(100,000) of 0.
 
 Only the seed varies.  Each gate's margin is the quantity its test bounds,
 in the test's units, so a gate fails where the margin passes its bound.
@@ -51,12 +57,15 @@ import numpy as np
 
 from decoysim import (
     AdversaryKind,
+    ChannelState,
     RampModel,
+    RngStream,
     TranscriptFeatures,
     analytic_split_posterior,
     analytic_sum_mi,
     attack_impersonate,
     collect_transmission_samples,
+    detect_stabilization,
     estimate_mutual_information,
     estimate_posterior,
     load_scenario,
@@ -193,6 +202,23 @@ def analyze_workload_error(seed: int) -> float:
     return abs(report.mi_bits - analytic_sum_mi(scenario.secret_domain))
 
 
+def noisy_window_detection_rate(seed: int) -> float:
+    """TestDetectStabilization: the share of 1,000 noisy constant windows detected."""
+    sigma, rng = 0.1, RngStream(seed, 2)
+    windows = [[8.0 + sigma * rng.normal() for _ in range(20)] for _ in range(1000)]
+    return sum(detect_stabilization(w, 4 * sigma, 20) is not None for w in windows) / 1000
+
+
+def noise_mean_deviation(seed: int) -> float:
+    """TestMeasure: |mean noise| of 100,000 measurements, in units of sigma / sqrt(n)."""
+    n, sigma, rng = 100_000, 0.1, RngStream(seed, 2)
+    state = ChannelState(noise_sigma=sigma)
+    state.set_contribution("alice", 3.0)
+    state.set_contribution("bob", 5.0)
+    errors = [float(state.measure(rng)) - 8.0 for _ in range(n)]
+    return abs(math.fsum(errors) / n) / (sigma / math.sqrt(n))
+
+
 class Gate(NamedTuple):
     own_seed: int
     margin: Callable[[int], float]
@@ -216,6 +242,10 @@ GATES = {
     "perfbench analyze |MI - analytic|": Gate(
         1000, analyze_workload_error, MI_TOLERANCE_BITS, True, "bits"
     ),
+    "noisy constant window detection rate": Gate(
+        31337, noisy_window_detection_rate, 0.99, False, "share"
+    ),
+    "noise sample mean": Gate(2024, noise_mean_deviation, BOUND_SIGMA, True, "sigma"),
 }
 
 

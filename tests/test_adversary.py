@@ -145,6 +145,25 @@ class TestAnalyticOracles:
         enumerated = h_s + h_t - entropy(joint.values())
         assert repr(analytic_sum_mi(secret_domain, key_domain)) == repr(enumerated)
 
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    )
+    @pytest.mark.parametrize(
+        "secret_domain, key_domain", [((1, 127), None), ((1, 8), (2, 5)), ((0, 100), (1, 120))]
+    )
+    def test_sum_mi_of_numpy_bounds_is_the_python_ints_value(
+        self, dtype, secret_domain, key_domain
+    ):
+        # Small numpy bounds once wrapped the pair count with only a RuntimeWarning
+        # (uint8 (1, 200) gave -1768.0 bits), and int64 ones returned an np.float64.
+        as_numpy = None if key_domain is None else tuple(map(dtype, key_domain))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = analytic_sum_mi(tuple(map(dtype, secret_domain)), as_numpy)
+        expected = analytic_sum_mi(secret_domain, key_domain)
+        assert (type(found), repr(found)) == (float, repr(expected))
+
     def test_sum_mi_memory_does_not_grow_with_the_domain(self):
         # Counting the 4 * 10^6 pairs of (1, 2000) took over 500 MB.
         tracemalloc.start()

@@ -935,6 +935,35 @@ def test_impersonator_reads_the_first_settled_window_it_does_not_reject(search, 
     assert found.tolist() == _read_by_brute_force(values, own, width, epsilon, floor, domain, sigma)
 
 
+def test_a_row_whose_candidate_misses_by_an_ulp_retries_its_later_windows():
+    # Width 3.  Row 0's first window misses the tolerance by one ulp, and so
+    # do the three that follow it (the same values in another order); row 1's
+    # first window misses the floor by one ulp.  Each then settles later.
+    # Row 2's only candidate misses the tolerance, and row 3 is all NaN.
+    nan, wobble = math.nan, [4.0, 4.1, 4.3]
+    values = np.array(
+        [
+            wobble * 2 + [7.0] * 3,
+            [1.1, 1.2, 1.0, 9.0, 3.0, 3.0, 3.0, 3.0, 3.0],
+            wobble + [nan] * 6,
+            [nan] * 9,
+        ]
+    )
+    mean = math.fsum(wobble) / 3
+    epsilon = math.nextafter(max(4.3 - mean, mean - 4.0), -math.inf)
+    floor = math.nextafter(math.fsum([1.1, 1.2, 1.0]) / 3, math.inf)
+    # Both first windows are candidates, and one ulp looser each settles.
+    high, low = decoy._window_extremes(values, 3)
+    candidates = decoy._may_settle(values, high, low, 3, epsilon, floor)
+    assert candidates[:3, 0].tolist() == [True] * 3
+    looser = (math.nextafter(epsilon, math.inf), math.nextafter(floor, -math.inf))
+    assert _settled_by_brute_force(values[:2, :3], 3, looser[0], floor)[0] == (2, mean)
+    assert _settled_by_brute_force(values[:2, :3], 3, epsilon, looser[1])[1] is not None
+    found = _hits(decoy._first_settled(values, 3, epsilon, floor))
+    assert found == [(8, 7.0), (6, 3.0), None, None]
+    assert repr(found) == repr(_settled_by_brute_force(values, 3, epsilon, floor))
+
+
 # Flat windows whose fsum mean misses their value, so that the exact
 # detector rejects them at zero tolerance: (width, value).
 _UNSETTLED_FLAT = [(3, 884295128254041.2), (5, 1852357561398350.2), (6, 1083569804167152.8)]

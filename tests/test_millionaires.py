@@ -67,12 +67,13 @@ def numpy_integers(draw, low: int, count: int, high: float = math.inf):
     return [dtype(draw(st.integers(low, high))) for _ in range(count)]
 
 
-def assert_numpy_integers_compare_as_python_ints(comparator, a, b, *args):
-    """The comparator gives numpy a and b the Python ints' outcome, raising no warning."""
+def assert_numpy_integers_compare_as_python_ints(comparator, *args):
+    """The comparator gives numpy integer arguments the Python ints' outcome, raising no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a wrapped numpy product warns
-        found = _outcome_or_abort(comparator, a, b, *args)
-    expected = _outcome_or_abort(comparator, int(a), int(b), *args)
+        found = _outcome_or_abort(comparator, *args)
+    as_ints = [int(arg) if isinstance(arg, np.integer) else arg for arg in args]
+    expected = _outcome_or_abort(comparator, *as_ints)
     # The repr shows each event's tick and value with its type.
     assert (found, repr(found)) == (expected, repr(expected))
     if isinstance(expected, ComparisonOutcome):
@@ -150,6 +151,16 @@ class TestRace:
             mark = [e for e in outcome.public_observables if e.label == "mark"][0]
             assert mark.tick == math.ceil((n / 2) / max(a, b) / dt)
 
+    @settings(max_examples=200, deadline=None)
+    @given(numpy_integers(1, 2, high=60), numpy_integers(0, 1, high=400))
+    @example([np.uint8(3), np.uint8(5)], [np.uint8(200)])  # once published value=np.uint8(100)
+    def test_numpy_speeds_and_length_give_the_python_ints_outcome(self, speeds, length):
+        assert_numpy_integers_compare_as_python_ints(compare_race, *speeds, *length)
+
+    def test_non_integer_length_is_refused(self):
+        with pytest.raises(DomainError, match="track length must be an integer"):
+            compare_race(3, 5, 10.0)
+
 
 class TestRaceBitstring:
     def test_example_two_versus_three(self):
@@ -177,6 +188,8 @@ class TestRaceBitstring:
             compare_race_bitstring(0, 1, 8)
         with pytest.raises(DomainError, match="periods must be integers"):
             compare_race_bitstring(2, 3.0, 10)
+        with pytest.raises(DomainError, match="as must the length, got a=2 b=3 n=10.0"):
+            compare_race_bitstring(2, 3, 10.0)
 
     def test_exhaustive_small_grid(self):
         for a in range(1, 13):
@@ -184,10 +197,11 @@ class TestRaceBitstring:
                 assert compare_race_bitstring(a, b, 24).ordering is sign_oracle(a, b)
 
     @settings(max_examples=200, deadline=None)
-    @given(numpy_integers(1, 2), st.integers(1, 8))
-    @example([np.uint8(200), np.uint8(201)], 2)  # min(a, b) * n/2 once wrapped to tick 144
-    def test_numpy_periods_give_the_python_ints_outcome(self, periods, half):
-        assert_numpy_integers_compare_as_python_ints(compare_race_bitstring, *periods, 2 * half)
+    @given(numpy_integers(1, 2), numpy_integers(0, 1, high=400))
+    @example([np.uint8(200), np.uint8(201)], [4])  # min(a, b) * n/2 once wrapped to tick 144
+    @example([np.uint8(3), np.uint8(5)], [np.uint8(200)])  # and (n // 2) * 3 in uint8
+    def test_numpy_periods_and_length_give_the_python_ints_outcome(self, periods, length):
+        assert_numpy_integers_compare_as_python_ints(compare_race_bitstring, *periods, *length)
 
 
 class TestVessels:
