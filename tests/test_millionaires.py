@@ -200,7 +200,7 @@ class TestRaceBitstring:
     @given(numpy_integers(1, 2), numpy_integers(0, 1, high=400))
     @example([np.uint8(200), np.uint8(201)], [4])  # min(a, b) * n/2 once wrapped to tick 144
     @example([np.uint8(3), np.uint8(5)], [np.uint8(200)])  # and (n // 2) * 3 in uint8
-    def test_numpy_periods_and_length_give_the_python_ints_outcome(self, periods, length):
+    def test_numpy_periods_give_the_python_ints_outcome(self, periods, length):
         assert_numpy_integers_compare_as_python_ints(compare_race_bitstring, *periods, *length)
 
 
